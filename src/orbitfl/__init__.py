@@ -30,7 +30,7 @@ from .learning import (
     partition_dataset,
     synthetic_pool,
 )
-from .link import FixedRateLink, LinkParams, ShannonLink, model_size_bits
+from .link import LinkParams, ShannonLink, model_size_bits
 from .orbital import (
     Constellation,
     ContactWindow,
@@ -71,7 +71,6 @@ __all__ = [
     "Constellation",
     "ContactWindow",
     "DeadlockError",
-    "FixedRateLink",
     "GroundStationSpec",
     "LearnerConfig",
     "LinkParams",

@@ -5,9 +5,6 @@ free-space path loss at the carrier frequency, thermal noise over the channel
 bandwidth, and a rate at the Shannon bound for the resulting SNR. A message's
 transfer time is its size over that rate plus one-way propagation and any
 fixed processing delays.
-
-A fixed-rate model with the same interface exists so protocol logic can be
-exercised with hand-picked round numbers.
 """
 
 from __future__ import annotations
@@ -22,10 +19,6 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 BITS_PER_PARAMETER = 32
 MODEL_HEADER_BITS = 256  # epoch, sink id, source id, flags
 CONTROL_MESSAGE_BITS = 512
-
-
-class LinkUnavailableError(RuntimeError):
-    """Raised when a transfer is requested over a link with no line of sight."""
 
 
 def db(linear: float) -> float:
@@ -76,40 +69,27 @@ def path_loss(distance_m: float, carrier_hz: float) -> float:
     return (4.0 * math.pi * carrier_hz * distance_m / SPEED_OF_LIGHT_M_S) ** 2
 
 
-def snr(params: LinkParams, distance_m: float, visible: bool = True) -> float:
-    """Received signal-to-noise ratio; zero without line of sight."""
-    if not visible:
-        return 0.0
+def snr(params: LinkParams, distance_m: float) -> float:
+    """Received signal-to-noise ratio."""
     loss = path_loss(distance_m, params.carrier_hz)
     noise_w = BOLTZMANN_J_PER_K * params.noise_temperature_k * params.bandwidth_hz
     return params.tx_power_w * params.tx_gain * params.rx_gain / (noise_w * loss)
 
 
-def rate(params: LinkParams, distance_m: float, visible: bool = True) -> float:
-    """Achievable rate in bit/s: B * log2(1 + SNR); zero without line of sight."""
-    if not visible:
-        return 0.0
-    return params.bandwidth_hz * math.log2(1.0 + snr(params, distance_m, visible))
+def rate(params: LinkParams, distance_m: float) -> float:
+    """Achievable rate in bit/s: B * log2(1 + SNR)."""
+    return params.bandwidth_hz * math.log2(1.0 + snr(params, distance_m))
 
 
-def transfer_time(
-    params: LinkParams, distance_m: float, payload_bits: int, visible: bool = True
-) -> float:
+def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> float:
     """Seconds to move ``payload_bits`` across the link.
 
     Serialization at the achievable rate, plus one-way propagation, plus the
     fixed transmit/receive processing delays.
-
-    Raises:
-        LinkUnavailableError: when ``visible`` is false.
     """
     if payload_bits < 0:
         raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
-    if not visible:
-        raise LinkUnavailableError(
-            f"no line of sight for a {payload_bits}-bit transfer at {distance_m:.0f} m"
-        )
-    r = rate(params, distance_m, visible)
+    r = rate(params, distance_m)
     propagation = distance_m / SPEED_OF_LIGHT_M_S
     return payload_bits / r + propagation + params.tx_delay_s + params.rx_delay_s
 
@@ -120,20 +100,5 @@ class ShannonLink:
     def __init__(self, params: LinkParams):
         self.params = params
 
-    def transfer_time(self, distance_m: float, payload_bits: int, visible: bool = True) -> float:
-        return transfer_time(self.params, distance_m, payload_bits, visible)
-
-
-class FixedRateLink:
-    """Constant-rate stand-in for protocol tests; ignores geometry."""
-
-    def __init__(self, rate_bps: float, fixed_delay_s: float = 0.0):
-        if rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {rate_bps}")
-        self.rate_bps = rate_bps
-        self.fixed_delay_s = fixed_delay_s
-
-    def transfer_time(self, distance_m: float, payload_bits: int, visible: bool = True) -> float:
-        if not visible:
-            raise LinkUnavailableError("no line of sight")
-        return payload_bits / self.rate_bps + self.fixed_delay_s
+    def transfer_time(self, distance_m: float, payload_bits: int) -> float:
+        return transfer_time(self.params, distance_m, payload_bits)

@@ -1,15 +1,20 @@
-"""Synchronous federated-learning protocols over a satellite constellation.
+"""Synchronous federated learning over a satellite constellation, by group.
 
-Two transports for the same learning round are implemented:
+The server deals in *groups*: ordered lists of satellites that share one model
+downlink and one aggregate uplink per epoch. The server hands the current model
+to the first member of each group that connects; that member floods it around
+the group's ring, every member trains, and sample-weighted partial sums fold
+along a hop-minimal tree rooted at an elected sink, which is predicted to see
+the server when aggregation finishes. Once every group has delivered its
+aggregate, the server folds them into the next global model.
 
-* Ring-assisted ("fedisl"): the server hands the current model to the first
-  satellite of each plane that connects; that satellite floods it around the
-  plane's ring, every satellite trains, and sample-weighted partial sums fold
-  along a hop-minimal tree rooted at an elected sink, which is predicted to see
-  the server when aggregation finishes. One downlink and one uplink of model
-  parameters per plane per epoch.
-* Direct ("fednonisl"): the server talks to every satellite individually, one
-  model down and one update up per satellite per epoch.
+The two transports differ only in how satellites are grouped:
+
+* Ring-assisted ("fedisl"): each orbital plane is one group, so one downlink
+  and one uplink of model parameters per plane per epoch.
+* Direct ("fednonisl"): each satellite is a group of one. Its flood has no
+  targets, its tree is the satellite alone, and it has no relay to hand a
+  late aggregate to, so it waits for its own next server pass.
 
 This module owns decision logic and node state; it does not schedule events or
 move time. The simulator calls in with concrete times, geometry, and link
@@ -22,12 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# message kinds
-GLOBAL_MODEL = "global_model"
-PARTIAL_UPDATE = "partial_update"
-WAIT_HINT = "wait_hint"
-RECONNECT_HINT = "reconnect_hint"
-ACK = "ack"
+from . import learning
 
 # node phases within an epoch
 DISTRIBUTION = "distribution"
@@ -41,26 +41,9 @@ WAIT = "wait"
 TERMINATE = "terminate"
 ACCEPT = "accept"
 
-FALLBACK = -1  # sink field of a partial that lost its route and circles the ring
-
-DEFAULT_RECONNECT_WAIT_S = 10.0
-DEFAULT_GRACE_FACTOR = 2.0
-
 
 class ProtocolError(RuntimeError):
-    pass
-
-
-@dataclass
-class Message:
-    kind: str
-    epoch: int
-    sender: int
-    dest: int
-    size_bits: int
-    sink: int | None = None  # routing sink for this epoch, or FALLBACK
-    source: int | None = None  # distribution source; relays derive forwarding from it
-    payload: np.ndarray | None = None
+    """A node or the server received something its state rules out."""
 
 
 # -- ring geometry ------------------------------------------------------------
@@ -115,7 +98,7 @@ def distribution_targets(
 
 @dataclass(frozen=True)
 class RoutingTree:
-    """Hop-minimal aggregation tree over one plane's ring, rooted at the sink."""
+    """Hop-minimal aggregation tree over one group's ring, rooted at the sink."""
 
     sink: int
     parent: dict[int, int]  # node -> next hop toward the sink; sink absent
@@ -165,7 +148,7 @@ def estimate_aggregation_time(
     num_satellites: int, adjacent_transfer_s: float, learning_s: float
 ) -> float:
     """Predicted span from the source receiving the model to the sink holding
-    the plane's aggregate: half a ring of distribution hops, the slowest local
+    the group's aggregate: half a ring of distribution hops, the slowest local
     training, and half a ring of aggregation hops."""
     half = num_satellites // 2
     return half * adjacent_transfer_s + learning_s + half * adjacent_transfer_s
@@ -173,24 +156,26 @@ def estimate_aggregation_time(
 
 def select_sink(
     constellation,
-    plane_ids: list[int],
+    group_ids: list[int],
     ps_node: int,
     t_decision: float,
     estimate_s: float,
     horizon_s: float,
 ) -> int:
-    """Pick the plane's delivery satellite for this epoch.
+    """Pick the group's delivery satellite for this epoch.
 
     Among satellites predicted visible to the server when aggregation is
     expected to finish, take the one with the longest remaining contact
     (clamped to ``horizon_s``; ties go to the smallest id). If none will be
     visible, take the one whose next server contact opens soonest after that
-    moment.
+    moment. A group of one is its own sink, with no geometry to consult.
     """
+    if len(group_ids) == 1:
+        return group_ids[0]
     t_target = t_decision + estimate_s
     best_id = None
     best_remaining = -1.0
-    for sat in sorted(plane_ids):
+    for sat in sorted(group_ids):
         if bool(constellation.visible(sat, ps_node, t_target)):
             remaining = constellation.remaining_contact_time(sat, ps_node, t_target, horizon_s)
             if remaining > best_remaining:
@@ -198,13 +183,13 @@ def select_sink(
     if best_id is not None:
         return best_id
     soonest_start = None
-    for sat in sorted(plane_ids):
+    for sat in sorted(group_ids):
         window = constellation.next_contact(sat, ps_node, t_target, horizon_s)
         if window is not None and (soonest_start is None or window.start_s < soonest_start):
             best_id, soonest_start = sat, window.start_s
     if best_id is not None:
         return best_id
-    return sorted(plane_ids)[0]  # nothing in range this horizon; fallback delivery will cope
+    return sorted(group_ids)[0]  # nothing in range this horizon; fallback delivery will cope
 
 
 def fallback_next_hop(
@@ -234,20 +219,19 @@ class SatelliteState:
     """Everything one satellite tracks across an epoch."""
 
     node: int
-    plane: int
+    group: int
     num_samples: int
     epoch: int = 1
     phase: str = DISTRIBUTION
     has_model: bool = False
     told_to_wait: bool = False
-    awaiting_reconnect: bool = False
     sink: int | None = None
     source: int | None = None
     global_params: np.ndarray | None = None
     trained_params: np.ndarray | None = None
     cached_partials: dict[int, np.ndarray] = field(default_factory=dict)
     partial_sent: bool = False
-    # a plane aggregate waiting for a server window, held by the sink or a
+    # a group aggregate waiting for a server window, held by the sink or a
     # fallback recipient
     holding: np.ndarray | None = None
     holding_epoch: int = 0
@@ -258,7 +242,6 @@ class SatelliteState:
         self.phase = DISTRIBUTION
         self.has_model = False
         self.told_to_wait = False
-        self.awaiting_reconnect = False
         self.sink = None
         self.source = None
         self.global_params = None
@@ -267,99 +250,55 @@ class SatelliteState:
         self.partial_sent = False
 
 
-# -- server state machines ------------------------------------------------------
+# -- server state machine -------------------------------------------------------
 
 
 @dataclass
 class PsState:
-    """Ring-protocol server: serves whole planes, collects one partial each."""
+    """The server: serves each group once per epoch, collects one aggregate each."""
 
-    num_planes: int
+    num_groups: int
     total_samples: int
     global_params: np.ndarray
     epoch: int = 1
     phase: str = DISTRIBUTION
-    sent_planes: set[int] = field(default_factory=set)
-    inflight_planes: set[int] = field(default_factory=set)
-    received: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def handle_connection(self, plane: int) -> str:
-        """Decide the response to a satellite of ``plane`` asking for the model."""
-        if self.phase != DISTRIBUTION:
-            return TERMINATE
-        if plane in self.inflight_planes:
-            return RECONNECT
-        if plane in self.sent_planes:
-            return WAIT
-        self.inflight_planes.add(plane)
-        return SEND_MODEL
-
-    def downlink_acked(self, plane: int):
-        """A satellite confirmed receipt; the plane is now served."""
-        self.inflight_planes.discard(plane)
-        self.sent_planes.add(plane)
-        if len(self.sent_planes) == self.num_planes:
-            self.phase = AGGREGATION
-
-    def handle_partial(self, plane: int, weighted: np.ndarray) -> str:
-        """Accept the first aggregate per plane; duplicates are turned away."""
-        if plane in self.received:
-            return TERMINATE
-        self.received[plane] = np.asarray(weighted, dtype=np.float64)
-        if len(self.received) == self.num_planes:
-            self._complete_epoch()
-        return ACCEPT
-
-    def _complete_epoch(self):
-        total = np.zeros_like(self.global_params)
-        for plane in sorted(self.received):  # fixed fold order keeps replays bit-identical
-            total = total + self.received[plane]
-        self.global_params = total / self.total_samples
-        self.epoch += 1
-        self.phase = DISTRIBUTION
-        self.sent_planes = set()
-        self.inflight_planes = set()
-        self.received = {}
-
-
-@dataclass
-class DirectPsState:
-    """Direct-protocol server: serves and collects every satellite individually."""
-
-    num_satellites: int
-    total_samples: int
-    global_params: np.ndarray
-    epoch: int = 1
     sent: set[int] = field(default_factory=set)
     inflight: set[int] = field(default_factory=set)
     received: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def handle_connection(self, sat: int) -> str:
-        if sat in self.inflight:
+    def handle_connection(self, group: int) -> str:
+        """Decide the response to a member of ``group`` asking for the model."""
+        if self.phase != DISTRIBUTION:
+            return TERMINATE
+        if group in self.inflight:
             return RECONNECT
-        if sat in self.sent:
-            return TERMINATE  # already served; it is polling for the next epoch
-        self.inflight.add(sat)
+        if group in self.sent:
+            return WAIT
+        self.inflight.add(group)
         return SEND_MODEL
 
-    def downlink_acked(self, sat: int):
-        self.inflight.discard(sat)
-        self.sent.add(sat)
+    def downlink_acked(self, group: int):
+        """A satellite confirmed receipt; the group is now served."""
+        self.inflight.discard(group)
+        self.sent.add(group)
+        if len(self.sent) == self.num_groups:
+            self.phase = AGGREGATION
 
-    def handle_update(self, sat: int, weighted: np.ndarray) -> str:
-        if sat in self.received:
+    def handle_partial(self, group: int, weighted: np.ndarray) -> str:
+        """Accept the first aggregate per group; duplicates are turned away."""
+        if group in self.received:
             return TERMINATE
-        self.received[sat] = np.asarray(weighted, dtype=np.float64)
-        if len(self.received) == self.num_satellites:
+        self.received[group] = np.asarray(weighted, dtype=np.float64)
+        if len(self.received) == self.num_groups:
             self._complete_epoch()
         return ACCEPT
 
     def _complete_epoch(self):
-        total = np.zeros_like(self.global_params)
-        for sat in sorted(self.received):
-            total = total + self.received[sat]
-        self.global_params = total / self.total_samples
+        # a fixed fold order keeps replays bit-identical
+        partials = [self.received[group] for group in sorted(self.received)]
+        self.global_params = learning.global_aggregate(partials, self.total_samples)
         self.epoch += 1
+        self.phase = DISTRIBUTION
         self.sent = set()
         self.inflight = set()
         self.received = {}

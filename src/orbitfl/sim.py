@@ -146,7 +146,32 @@ class RunResult:
         return None
 
 
+_RING_INFEASIBLE = (
+    "ring protocol: adjacent satellites in a plane exceed line-of-sight range on this geometry"
+)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
+    """Every problem with the scenario, one line each; empty when it can run."""
+    problems = _setting_problems(cfg)
+    if not problems and cfg.sats_per_plane >= 2 and not _ring_feasible(cfg):
+        problems.append(_RING_INFEASIBLE)
+    return problems
+
+
+def _ring_feasible(cfg: ScenarioConfig) -> bool:
+    """Whether adjacent satellites of a plane stay within line of sight."""
+    orbit = OrbitSpec(
+        plane_index=0,
+        altitude_km=cfg.altitude_km,
+        inclination_rad=math.radians(cfg.inclination_deg),
+        raan_rad=0.0,
+        num_satellites=cfg.sats_per_plane,
+    )
+    return intra_plane_isl_feasible(orbit)
+
+
+def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     problems = []
     if not isinstance(cfg.seed, int):
         problems.append("seed must be an integer")
@@ -203,19 +228,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append("time_limit_s must be positive when set")
     if cfg.target_accuracy is not None and not 0.0 < cfg.target_accuracy <= 1.0:
         problems.append("target_accuracy must lie in (0, 1]")
-    if not problems and cfg.sats_per_plane >= 2:
-        orbit = OrbitSpec(
-            plane_index=0,
-            altitude_km=cfg.altitude_km,
-            inclination_rad=math.radians(cfg.inclination_deg),
-            raan_rad=0.0,
-            num_satellites=cfg.sats_per_plane,
-        )
-        if not intra_plane_isl_feasible(orbit):
-            problems.append(
-                "ring protocol: adjacent satellites in a plane exceed "
-                "line-of-sight range on this geometry"
-            )
     return problems
 
 
@@ -328,15 +340,20 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
             raise ConfigError(f"unknown protocol {protocol_name!r}")
-        problems = validate_scenario(cfg)
-        if protocol_name != "fedisl":
-            # the direct protocol never touches inter-satellite links
-            problems = [p for p in problems if not p.startswith("ring protocol:")]
+        problems = _setting_problems(cfg)
         if problems:
             raise ConfigError("; ".join(problems))
         self.cfg = cfg
         self.protocol = protocol_name
         self.con = build_constellation(cfg)
+        # A group shares one server downlink and one uplink per epoch: a whole
+        # plane for the ring protocol, a single satellite for the direct one.
+        if protocol_name == "fedisl":
+            self.groups = [self.con.ring_ids(p) for p in self.con.plane_indices()]
+        else:
+            self.groups = [[sid] for sid in self.con.satellite_ids()]
+        if any(len(group) > 1 for group in self.groups) and not _ring_feasible(cfg):
+            raise ConfigError(_RING_INFEASIBLE)
         self.data, self.test_set = build_datasets(cfg)
         self.dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
         self.model_bits = link.model_size_bits(self.dim)
@@ -363,39 +380,30 @@ class _Simulation:
         ids = self.con.satellite_ids()
         self.sats = {
             sid: protocol.SatelliteState(
-                node=sid,
-                plane=self.con.plane_of(sid),
-                num_samples=self.data[sid].num_samples,
+                node=sid, group=gid, num_samples=self.data[sid].num_samples
             )
-            for sid in ids
+            for gid, group in enumerate(self.groups)
+            for sid in group
         }
         self.compute_s = {
             sid: learning.compute_time(self.data[sid], self.lcfg) for sid in ids
         }
         total = sum(d.num_samples for d in self.data.values())
         init = learning.init_params(cfg.num_features, cfg.num_classes)
-        if protocol_name == "fedisl":
-            self.ps = protocol.PsState(
-                num_planes=cfg.num_planes, total_samples=total, global_params=init
-            )
-        else:
-            self.ps = protocol.DirectPsState(
-                num_satellites=len(ids), total_samples=total, global_params=init
-            )
+        self.ps = protocol.PsState(
+            num_groups=len(self.groups), total_samples=total, global_params=init
+        )
 
-        # intra-plane hops span a constant chord, so their cost is fixed per plane
-        self.isl_model_s = {}
-        self.plane_learning_s = {}
-        for p in self.con.plane_indices():
-            ring = self.con.ring_ids(p)
+        # intra-plane hops span a constant chord, so their cost is fixed per group
+        self.isl_model_s = []
+        self.group_learning_s = []
+        for ring in self.groups:
+            isl_s = 0.0
             if len(ring) >= 2:
                 chord_km = self.con.distance_km(ring[0], ring[1], 0.0)
-                self.isl_model_s[p] = self.link.transfer_time(
-                    chord_km * 1000.0, self.model_bits
-                )
-            else:
-                self.isl_model_s[p] = 0.0
-            self.plane_learning_s[p] = max(self.compute_s[s] for s in ring)
+                isl_s = self.link.transfer_time(chord_km * 1000.0, self.model_bits)
+            self.isl_model_s.append(isl_s)
+            self.group_learning_s.append(max(self.compute_s[s] for s in ring))
 
         self.queue: list = []
         self.seq = itertools.count()
@@ -441,10 +449,10 @@ class _Simulation:
         d_m = float(self.con.distance_km(sat, PS_NODE, t)) * 1000.0
         return self.link.transfer_time(d_m, bits)
 
-    def _tree(self, plane: int, sink: int) -> protocol.RoutingTree:
-        key = (plane, sink)
+    def _tree(self, group: int, sink: int) -> protocol.RoutingTree:
+        key = (group, sink)
         if key not in self._trees:
-            self._trees[key] = protocol.build_routing_tree(self.con.ring_ids(plane), sink)
+            self._trees[key] = protocol.build_routing_tree(self.groups[group], sink)
         return self._trees[key]
 
     # -- connection polling ----------------------------------------------------
@@ -485,33 +493,23 @@ class _Simulation:
     # -- server side -------------------------------------------------------------
 
     def _ps_recv_request(self, sid: int):
-        sat = self.sats[sid]
-        if self.protocol == "fedisl":
-            action = self.ps.handle_connection(sat.plane)
-        else:
-            action = self.ps.handle_connection(sid)
+        gid = self.sats[sid].group
+        action = self.ps.handle_connection(gid)
         if action == protocol.SEND_MODEL:
             dt = self._ps_transfer_s(sid, self.t, self.model_bits)
             w = self._window(sid, self.t)
             if w is None or self.t + dt > w.end_s:
                 # transfer would outlive the pass; treat as a busy signal
-                if self.protocol == "fedisl":
-                    self.ps.inflight_planes.discard(sat.plane)
-                else:
-                    self.ps.inflight.discard(sid)
+                self.ps.inflight.discard(gid)
                 action = protocol.RECONNECT
             else:
-                sink = None
-                if self.protocol == "fedisl":
-                    ring = self.con.ring_ids(sat.plane)
-                    estimate = dt + protocol.estimate_aggregation_time(
-                        len(ring),
-                        self.isl_model_s[sat.plane],
-                        self.plane_learning_s[sat.plane],
-                    )
-                    sink = protocol.select_sink(
-                        self.con, ring, PS_NODE, self.t, estimate, self.cfg.contact_horizon_s
-                    )
+                ring = self.groups[gid]
+                estimate = dt + protocol.estimate_aggregation_time(
+                    len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
+                )
+                sink = protocol.select_sink(
+                    self.con, ring, PS_NODE, self.t, estimate, self.cfg.contact_horizon_s
+                )
                 self.counters.ps_down_msgs += 1
                 self.counters.ps_down_bits += self.model_bits
                 params = self.ps.global_params.copy()
@@ -534,18 +532,14 @@ class _Simulation:
         sat = self.sats[sid]
         self._request_inflight[sid] = False
         if action == protocol.WAIT and sat.epoch == ps_epoch:
-            # the model for this epoch already went to the plane; it is on its
+            # the model for this epoch already went to the group; it is on its
             # way over the ring, so stop asking
             sat.told_to_wait = True
         else:
             self._retry_poll_later(sid)
 
     def _ps_recv_ack(self, sid: int):
-        sat = self.sats[sid]
-        if self.protocol == "fedisl":
-            self.ps.downlink_acked(sat.plane)
-        else:
-            self.ps.downlink_acked(sid)
+        self.ps.downlink_acked(self.sats[sid].group)
 
     # -- model distribution and training ----------------------------------------
 
@@ -568,17 +562,16 @@ class _Simulation:
             self.counters.ps_up_bits += link.CONTROL_MESSAGE_BITS
             dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
             self.schedule(self.t + dt, self._ps_recv_ack, sid)
-        if self.protocol == "fedisl":
-            ring = self.con.ring_ids(sat.plane)
-            received_from = None if from_ps else sender
-            for target in protocol.distribution_targets(ring, sid, source, received_from):
-                self._send_isl_model(sid, target, epoch, sink, source, params)
+        ring = self.groups[sat.group]
+        received_from = None if from_ps else sender
+        for target in protocol.distribution_targets(ring, sid, source, received_from):
+            self._send_isl_model(sid, target, epoch, sink, source, params)
         self.schedule(self.t + self.compute_s[sid], self._compute_done, sid)
 
     def _send_isl_model(self, sid, target, epoch, sink, source, params):
         self.counters.isl_msgs += 1
         self.counters.isl_bits += self.model_bits
-        dt = self.isl_model_s[self.sats[sid].plane]
+        dt = self.isl_model_s[self.sats[sid].group]
         self.schedule(
             self.t + dt, self._sat_recv_model, target, epoch, sink, source, sid, params
         )
@@ -587,13 +580,7 @@ class _Simulation:
         sat = self.sats[sid]
         sat.trained_params = learning.local_gd(sat.global_params, self.data[sid], self.lcfg)
         sat.phase = protocol.AGGREGATION
-        if self.protocol == "fedisl":
-            self._try_send_partial(sid)
-        else:
-            weighted = learning.partial_aggregate(sat.trained_params, sat.num_samples, [])
-            sat.holding = weighted
-            sat.holding_epoch = sat.epoch
-            self._try_deliver(sid)
+        self._try_send_partial(sid)
 
     # -- ring aggregation -----------------------------------------------------------
 
@@ -601,7 +588,7 @@ class _Simulation:
         sat = self.sats[sid]
         if sat.partial_sent or sat.trained_params is None:
             return
-        tree = self._tree(sat.plane, sat.sink)
+        tree = self._tree(sat.group, sat.sink)
         kids = tree.children.get(sid, ())
         if any(k not in sat.cached_partials for k in kids):
             return
@@ -620,15 +607,16 @@ class _Simulation:
         parent = tree.parent[sid]
         self.counters.isl_msgs += 1
         self.counters.isl_bits += self.model_bits
-        dt = self.isl_model_s[sat.plane]
+        dt = self.isl_model_s[sat.group]
         self.schedule(self.t + dt, self._sat_recv_partial, parent, sid, sat.epoch, weighted)
         self._advance_sat(sid)
 
     def _sat_recv_partial(self, sid, child, epoch, weighted):
         sat = self.sats[sid]
-        assert sat.epoch == epoch and not sat.partial_sent, (
-            f"satellite {sid} got a partial for epoch {epoch} in epoch {sat.epoch}"
-        )
+        if sat.epoch != epoch or sat.partial_sent:
+            raise protocol.ProtocolError(
+                f"satellite {sid} got a partial for epoch {epoch} in epoch {sat.epoch}"
+            )
         sat.cached_partials[child] = weighted
         self._try_send_partial(sid)
 
@@ -638,12 +626,12 @@ class _Simulation:
 
     # -- delivery to the server --------------------------------------------------------
 
-    def _grace_s(self, plane: int) -> float:
-        return self.cfg.grace_factor * self.isl_model_s.get(plane, 0.0)
+    def _grace_s(self, group: int) -> float:
+        return self.cfg.grace_factor * self.isl_model_s[group]
 
     def _try_deliver(self, sid: int):
-        """A satellite holding a plane aggregate (or, in the direct protocol,
-        its own update) pushes it to the server as soon as geometry allows."""
+        """A satellite holding a group aggregate pushes it to the server as
+        soon as geometry allows."""
         sat = self.sats[sid]
         if sat.holding is None or self._delivery_inflight[sid]:
             return
@@ -656,18 +644,18 @@ class _Simulation:
                 self.counters.ps_up_msgs += 1
                 self.counters.ps_up_bits += self.model_bits
                 self.schedule(
-                    t + dt, self._ps_recv_update, sid, sat.plane, sat.holding_epoch, sat.holding
+                    t + dt, self._ps_recv_update, sid, sat.group, sat.holding_epoch, sat.holding
                 )
                 return
             next_start = self._next_window_start(sid, w.end_s + self.cfg.contact_tol_s)
         else:
             next_start = None if w is None else w.start_s
-        if self.protocol == "fednonisl":
+        if len(self.groups[sat.group]) == 1:
             # no relays to lean on: wait out the gap however long it is
             at = t + self.cfg.contact_horizon_s if next_start is None else next_start
             self.schedule(at, self._try_deliver, sid)
             return
-        if next_start is not None and next_start - t <= self._grace_s(sat.plane):
+        if next_start is not None and next_start - t <= self._grace_s(sat.group):
             self.schedule(next_start, self._try_deliver, sid)
             return
         self._hand_off(sid)
@@ -686,9 +674,8 @@ class _Simulation:
     def _hand_off(self, sid: int):
         """Server out of reach for too long: pass the aggregate along the ring."""
         sat = self.sats[sid]
-        ring = self.con.ring_ids(sat.plane)
         target = protocol.fallback_next_hop(
-            self.con, ring, sid, sat.holding_from, PS_NODE, self.t
+            self.con, self.groups[sat.group], sid, sat.holding_from, PS_NODE, self.t
         )
         if target is None:
             self.schedule(self.t + self.cfg.reconnect_wait_s, self._try_deliver, sid)
@@ -696,7 +683,7 @@ class _Simulation:
         self.counters.isl_msgs += 1
         self.counters.isl_bits += self.model_bits
         self.counters.fallback_hops += 1
-        dt = self.isl_model_s[sat.plane]
+        dt = self.isl_model_s[sat.group]
         self.schedule(
             self.t + dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding
         )
@@ -708,21 +695,19 @@ class _Simulation:
 
     def _sat_recv_fallback(self, sid, sender, epoch, weighted):
         sat = self.sats[sid]
-        assert sat.holding is None, f"satellite {sid} already holds an undelivered aggregate"
+        if sat.holding is not None:
+            raise protocol.ProtocolError(f"satellite {sid} already holds an undelivered aggregate")
         sat.holding = weighted
         sat.holding_epoch = epoch
         sat.holding_from = sender
         self._try_deliver(sid)
 
-    def _ps_recv_update(self, sid, plane, epoch, weighted):
+    def _ps_recv_update(self, sid, group, epoch, weighted):
         sat = self.sats[sid]
         self._delivery_inflight[sid] = False
         before = self.ps.epoch
-        if self.protocol == "fedisl":
-            action = self.ps.handle_partial(plane, weighted)
-        else:
-            action = self.ps.handle_update(sid, weighted)
-        assert action == protocol.ACCEPT, f"server refused the aggregate from {sid}"
+        if self.ps.handle_partial(group, weighted) != protocol.ACCEPT:
+            raise protocol.ProtocolError(f"server refused the aggregate from {sid}")
         sat.holding = None
         sat.holding_from = None
         if sat.epoch == epoch:
@@ -772,15 +757,10 @@ class _Simulation:
         for sat in self.sats.values():
             phases[sat.phase] = phases.get(sat.phase, 0) + 1
         summary = ", ".join(f"{n} {phase}" for phase, n in sorted(phases.items()))
-        if self.protocol == "fedisl":
-            pending = sorted(set(range(self.cfg.num_planes)) - set(self.ps.received))
-            detail = f"planes with no aggregate yet: {pending}"
-        else:
-            missing = len(self.sats) - len(self.ps.received)
-            detail = f"{missing} satellites have not delivered an update"
+        pending = [g for g in range(len(self.groups)) if g not in self.ps.received]
         return (
-            f"no further progress at t={self.t:.1f}s: server in epoch {self.ps.epoch} "
-            f"({self.ps.__class__.__name__}), {detail}; satellites: {summary}"
+            f"no further progress at t={self.t:.1f}s: server in epoch {self.ps.epoch}, "
+            f"groups with no aggregate yet: {pending}; satellites: {summary}"
         )
 
     # -- main loop ---------------------------------------------------------------------

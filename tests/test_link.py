@@ -6,9 +6,7 @@ import pytest
 from orbitfl.link import (
     BOLTZMANN_J_PER_K,
     CONTROL_MESSAGE_BITS,
-    FixedRateLink,
     LinkParams,
-    LinkUnavailableError,
     ShannonLink,
     db,
     dbm_to_watts,
@@ -74,11 +72,6 @@ def test_snr_reference_value():
     assert db(got) == pytest.approx(-22.14, abs=0.05)
 
 
-def test_snr_zero_when_invisible():
-    assert snr(reference_link(), CHORD_M, visible=False) == 0.0
-    assert rate(reference_link(), CHORD_M, visible=False) == 0.0
-
-
 def test_snr_decreases_with_distance():
     params = reference_link()
     rng = np.random.default_rng(3)
@@ -130,11 +123,6 @@ def test_transfer_time_zero_payload_is_propagation_plus_delays():
     assert got == pytest.approx(3e8 / SPEED_OF_LIGHT_M_S + 0.75, rel=1e-9)
 
 
-def test_transfer_time_requires_visibility():
-    with pytest.raises(LinkUnavailableError):
-        transfer_time(reference_link(), CHORD_M, 1000, visible=False)
-
-
 def test_transfer_time_monotone_in_payload_and_distance():
     params = reference_link()
     assert transfer_time(params, CHORD_M, 2000) > transfer_time(params, CHORD_M, 1000)
@@ -163,12 +151,3 @@ def test_shannon_link_wraps_functions():
     params = reference_link()
     model = ShannonLink(params)
     assert model.transfer_time(CHORD_M, 251_200) == transfer_time(params, CHORD_M, 251_200)
-
-
-def test_fixed_rate_link():
-    model = FixedRateLink(1000.0, fixed_delay_s=0.5)
-    assert model.transfer_time(12345.0, 2000) == pytest.approx(2.5)
-    with pytest.raises(LinkUnavailableError):
-        model.transfer_time(1.0, 1, visible=False)
-    with pytest.raises(ValueError):
-        FixedRateLink(0.0)

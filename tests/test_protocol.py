@@ -12,7 +12,6 @@ from orbitfl.protocol import (
     SEND_MODEL,
     TERMINATE,
     WAIT,
-    DirectPsState,
     ProtocolError,
     PsState,
     SatelliteState,
@@ -233,6 +232,10 @@ def test_select_sink_no_contact_at_all():
     assert select_sink(geo, [31, 32], 0, 0.0, 30.0, 3600.0) == 31
 
 
+def test_select_sink_group_of_one_skips_geometry():
+    assert select_sink(object(), [41], 0, 0.0, 30.0, 3600.0) == 41
+
+
 def test_select_sink_on_real_constellation():
     orbits = walker_planes(5, 8, 2000.0, math.radians(80.0))
     ps = OrbitSpec(
@@ -293,12 +296,12 @@ def test_fallback_exhausted_ring():
     assert fallback_next_hop(geo, [4, 9], 4, 9, 0, 0.0) is None
 
 
-# -- ring-protocol server -------------------------------------------------------------
+# -- server, one group per plane -------------------------------------------------------
 
 
-def fresh_ps(num_planes=2, dim=4, totals=100):
+def fresh_ps(num_groups=2, dim=4, totals=100):
     return PsState(
-        num_planes=num_planes,
+        num_groups=num_groups,
         total_samples=totals,
         global_params=np.zeros(dim),
     )
@@ -320,7 +323,7 @@ def test_ps_serves_each_plane_once():
 
 
 def test_ps_epoch_roundtrip_weighted_average():
-    ps = fresh_ps(num_planes=2, dim=3, totals=50)
+    ps = fresh_ps(num_groups=2, dim=3, totals=50)
     ps.handle_connection(0)
     ps.downlink_acked(0)
     ps.handle_connection(1)
@@ -339,7 +342,7 @@ def test_ps_epoch_roundtrip_weighted_average():
 
 def test_ps_accepts_early_partial_during_distribution():
     # one plane finished its whole round before the other ever connected
-    ps = fresh_ps(num_planes=2, dim=2, totals=10)
+    ps = fresh_ps(num_groups=2, dim=2, totals=10)
     ps.handle_connection(0)
     ps.downlink_acked(0)
     assert ps.handle_partial(0, np.ones(2)) == ACCEPT
@@ -349,7 +352,7 @@ def test_ps_accepts_early_partial_during_distribution():
 
 def test_ps_fold_order_is_ascending_plane_id():
     vals = [np.array([0.1]), np.array([0.2]), np.array([0.3e-17])]
-    ps = fresh_ps(num_planes=3, dim=1, totals=1)
+    ps = fresh_ps(num_groups=3, dim=1, totals=1)
     for plane in (2, 0, 1):  # arrival order scrambled on purpose
         ps.handle_connection(plane)
         ps.downlink_acked(plane)
@@ -359,25 +362,26 @@ def test_ps_fold_order_is_ascending_plane_id():
     assert ps.global_params.tobytes() == expect.tobytes()
 
 
-# -- direct-protocol server ------------------------------------------------------------
+# -- server, one group per satellite (the direct protocol) -------------------------------
 
 
 def test_direct_ps_per_satellite_bookkeeping():
-    ps = DirectPsState(num_satellites=3, total_samples=30, global_params=np.zeros(2))
-    assert ps.handle_connection(1) == SEND_MODEL
-    assert ps.handle_connection(1) == RECONNECT
-    ps.downlink_acked(1)
-    assert ps.handle_connection(1) == TERMINATE
+    ps = fresh_ps(num_groups=3, dim=2, totals=30)
+    assert ps.handle_connection(0) == SEND_MODEL
+    assert ps.handle_connection(0) == RECONNECT
+    ps.downlink_acked(0)
+    # the satellite already has this epoch's model; the engine retries it later
+    assert ps.handle_connection(0) == WAIT
     # uploads and downloads interleave freely
-    assert ps.handle_update(1, 10 * np.array([1.0, 1.0])) == ACCEPT
+    assert ps.handle_partial(0, 10 * np.array([1.0, 1.0])) == ACCEPT
+    assert ps.handle_connection(1) == SEND_MODEL
+    ps.downlink_acked(1)
     assert ps.handle_connection(2) == SEND_MODEL
     ps.downlink_acked(2)
-    assert ps.handle_connection(3) == SEND_MODEL
-    ps.downlink_acked(3)
-    assert ps.handle_update(1, np.zeros(2)) == TERMINATE
-    ps.handle_update(2, 10 * np.array([2.0, 0.0]))
+    assert ps.handle_partial(0, np.zeros(2)) == TERMINATE
+    ps.handle_partial(1, 10 * np.array([2.0, 0.0]))
     assert ps.epoch == 1
-    ps.handle_update(3, 10 * np.array([0.0, 2.0]))
+    ps.handle_partial(2, 10 * np.array([0.0, 2.0]))
     assert ps.epoch == 2
     np.testing.assert_allclose(ps.global_params, np.array([1.0, 1.0]), rtol=1e-15)
     assert ps.sent == set() and ps.received == {}
@@ -387,13 +391,11 @@ def test_direct_ps_matches_sample_weighted_average():
     rng = np.random.default_rng(7)
     sizes = [17, 5, 28, 11]
     models = [rng.normal(size=6) for _ in sizes]
-    ps = DirectPsState(
-        num_satellites=4, total_samples=sum(sizes), global_params=np.zeros(6)
-    )
-    for sat in range(1, 5):
+    ps = fresh_ps(num_groups=4, dim=6, totals=sum(sizes))
+    for sat in range(4):
         ps.handle_connection(sat)
         ps.downlink_acked(sat)
-        ps.handle_update(sat, sizes[sat - 1] * models[sat - 1])
+        ps.handle_partial(sat, sizes[sat] * models[sat])
     expect = np.average(models, axis=0, weights=sizes)
     np.testing.assert_allclose(ps.global_params, expect, rtol=1e-12)
 
@@ -402,7 +404,7 @@ def test_direct_ps_matches_sample_weighted_average():
 
 
 def test_satellite_reset_keeps_identity_and_holdings():
-    sat = SatelliteState(node=3, plane=0, num_samples=40)
+    sat = SatelliteState(node=3, group=0, num_samples=40)
     sat.has_model = True
     sat.sink = 5
     sat.global_params = np.ones(3)
@@ -412,7 +414,7 @@ def test_satellite_reset_keeps_identity_and_holdings():
     sat.holding_epoch = 1
     sat.reset_for_next_epoch()
     assert sat.epoch == 2
-    assert sat.node == 3 and sat.plane == 0 and sat.num_samples == 40
+    assert sat.node == 3 and sat.group == 0 and sat.num_samples == 40
     assert not sat.has_model and sat.sink is None and sat.cached_partials == {}
     assert not sat.partial_sent
     assert sat.holding is not None and sat.holding_epoch == 1

@@ -7,6 +7,7 @@ import orbitfl.protocol as protocol
 from orbitfl.orbital import PS_NODE
 from orbitfl.sim import (
     CompareResult,
+    _Simulation,
     ConfigError,
     DeadlockError,
     ScenarioConfig,
@@ -175,6 +176,14 @@ def test_protocols_agree_epoch_by_epoch():
     assert ring_acc == pytest.approx(direct_acc, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "server", [{}, {"ps_kind": "ground", "ps_latitude_deg": 40.0}], ids=["orbit", "ground"]
+)
+def test_direct_is_ring_with_single_satellite_groups(server):
+    cfg = desk_scenario(seed=7, sats_per_plane=1, num_planes=5, until_epochs=3, **server)
+    assert run_scenario(cfg, "fedisl").records == run_scenario(cfg, "fednonisl").records
+
+
 def test_runs_are_deterministic():
     cfg = small_scenario()
     a = run_scenario(cfg, "fedisl")
@@ -226,6 +235,14 @@ def test_deadlock_reported_when_server_unreachable():
     )
     with pytest.raises(DeadlockError, match="no further progress"):
         run_scenario(cfg, "fedisl")
+
+
+def test_duplicate_aggregate_is_a_protocol_error():
+    engine = _Simulation(small_scenario(), "fedisl")
+    weighted = np.zeros(engine.dim)
+    engine._ps_recv_update(1, 0, 1, weighted)
+    with pytest.raises(protocol.ProtocolError):
+        engine._ps_recv_update(2, 0, 1, weighted)
 
 
 def test_time_limit_truncates_cleanly():
