@@ -30,7 +30,7 @@ from .learning import (
     partition_dataset,
     synthetic_pool,
 )
-from .link import LinkParams, ShannonLink, model_size_bits
+from .link import LinkParams, model_size_bits
 from .orbital import (
     Constellation,
     ContactWindow,
@@ -81,7 +81,6 @@ __all__ = [
     "RoutingTree",
     "RunResult",
     "ScenarioConfig",
-    "ShannonLink",
     "build_constellation",
     "build_datasets",
     "build_routing_tree",

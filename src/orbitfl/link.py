@@ -92,13 +92,3 @@ def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> f
     r = rate(params, distance_m)
     propagation = distance_m / SPEED_OF_LIGHT_M_S
     return payload_bits / r + propagation + params.tx_delay_s + params.rx_delay_s
-
-
-class ShannonLink:
-    """Distance-dependent link model used by the simulator."""
-
-    def __init__(self, params: LinkParams):
-        self.params = params
-
-    def transfer_time(self, distance_m: float, payload_bits: int) -> float:
-        return transfer_time(self.params, distance_m, payload_bits)

@@ -355,24 +355,6 @@ class Constellation:
         end = t_end if drop is None else self._refine(a, b, drop[0], drop[1], tol_s)
         return ContactWindow(a, b, start, end)
 
-    def remaining_contact_time(
-        self,
-        a: int,
-        b: int,
-        t: float,
-        horizon_s: float,
-        *,
-        step_s: float = 10.0,
-        tol_s: float = 0.1,
-    ) -> float:
-        """Seconds of uninterrupted visibility left at t, clamped to the horizon."""
-        if not bool(self.visible(a, b, t)):
-            return 0.0
-        drop = self._scan_for(a, b, t, t + horizon_s, want=False, step_s=step_s)
-        if drop is None:
-            return horizon_s
-        return self._refine(a, b, drop[0], drop[1], tol_s) - t
-
     def contact_windows(
         self,
         a: int,

@@ -154,42 +154,29 @@ def estimate_aggregation_time(
     return half * adjacent_transfer_s + learning_s + half * adjacent_transfer_s
 
 
-def select_sink(
-    constellation,
-    group_ids: list[int],
-    ps_node: int,
-    t_decision: float,
-    estimate_s: float,
-    horizon_s: float,
-) -> int:
-    """Pick the group's delivery satellite for this epoch.
+def select_sink(group_ids: list[int], t_target: float, window_of) -> int:
+    """Pick the group's delivery satellite for this epoch from predicted windows.
 
-    Among satellites predicted visible to the server when aggregation is
-    expected to finish, take the one with the longest remaining contact
-    (clamped to ``horizon_s``; ties go to the smallest id). If none will be
-    visible, take the one whose next server contact opens soonest after that
-    moment. A group of one is its own sink, with no geometry to consult.
+    ``window_of(sat, t)`` gives the satellite's server window open at t, else
+    its next window within the prediction horizon, else None. Among members
+    whose window is open at ``t_target``, when aggregation is expected to
+    finish, take the one with the most contact left; failing that, the one
+    whose window opens soonest; failing that, the smallest id. Ties go to the
+    smallest id. A group of one is its own sink, with nothing to look up.
     """
     if len(group_ids) == 1:
         return group_ids[0]
-    t_target = t_decision + estimate_s
-    best_id = None
-    best_remaining = -1.0
-    for sat in sorted(group_ids):
-        if bool(constellation.visible(sat, ps_node, t_target)):
-            remaining = constellation.remaining_contact_time(sat, ps_node, t_target, horizon_s)
-            if remaining > best_remaining:
-                best_id, best_remaining = sat, remaining
-    if best_id is not None:
-        return best_id
-    soonest_start = None
-    for sat in sorted(group_ids):
-        window = constellation.next_contact(sat, ps_node, t_target, horizon_s)
-        if window is not None and (soonest_start is None or window.start_s < soonest_start):
-            best_id, soonest_start = sat, window.start_s
-    if best_id is not None:
-        return best_id
-    return sorted(group_ids)[0]  # nothing in range this horizon; fallback delivery will cope
+    windows = [(sat, window_of(sat, t_target)) for sat in sorted(group_ids)]
+    # ranked by (seconds of contact left, negated) or by opening time, then id
+    in_view = [
+        (t_target - w.end_s, sat) for sat, w in windows if w is not None and w.start_s <= t_target
+    ]
+    if in_view:
+        return min(in_view)[1]
+    upcoming = [(w.start_s, sat) for sat, w in windows if w is not None]
+    if upcoming:
+        return min(upcoming)[1]
+    return min(group_ids)  # nothing in range this horizon; fallback delivery will cope
 
 
 def fallback_next_hop(

@@ -11,10 +11,11 @@ randomness enters only through the scenario seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from . import learning, link, protocol
 from .orbital import (
     PS_NODE,
     Constellation,
+    ContactWindow,
     GroundStationSpec,
     OrbitSpec,
     intra_plane_isl_feasible,
@@ -152,66 +154,45 @@ _RING_INFEASIBLE = (
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Every problem with the scenario, one line each; empty when it can run."""
+    """Every problem with the scenario, one line each; empty when it can run.
+
+    Each layer's constructor applies its own rules to its part of the scenario,
+    named by INI section; the data is built, and so checked, last.
+    """
     problems = _setting_problems(cfg)
-    if not problems and cfg.sats_per_plane >= 2 and not _ring_feasible(cfg):
+    parts = [("constellation", _planes), ("ps", _server), ("link", _link_params)]
+    parts += [("learning", _learner_config), ("data", build_datasets)]
+    for section, build in parts:
+        if section == "data" and problems:
+            break  # sizes may still be unsound; skip the costly build
+        try:
+            build(cfg)
+        except (ValueError, OSError) as exc:
+            problems.append(f"[{section}] {exc}")
+    if not problems and not intra_plane_isl_feasible(_planes(cfg)[0]):
         problems.append(_RING_INFEASIBLE)
     return problems
-
-
-def _ring_feasible(cfg: ScenarioConfig) -> bool:
-    """Whether adjacent satellites of a plane stay within line of sight."""
-    orbit = OrbitSpec(
-        plane_index=0,
-        altitude_km=cfg.altitude_km,
-        inclination_rad=math.radians(cfg.inclination_deg),
-        raan_rad=0.0,
-        num_satellites=cfg.sats_per_plane,
-    )
-    return intra_plane_isl_feasible(orbit)
 
 
 def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     problems = []
     if not isinstance(cfg.seed, int):
         problems.append("seed must be an integer")
-    if cfg.num_planes < 1 or cfg.sats_per_plane < 1:
-        problems.append("constellation needs at least one plane of one satellite")
-    if cfg.altitude_km <= 0:
-        problems.append("altitude_km must be positive")
-    if not 0.0 <= cfg.inclination_deg <= 180.0:
-        problems.append("inclination_deg must lie in [0, 180]")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{f.name} must be finite, got {value}")
     if cfg.ps_kind not in ("orbit", "ground"):
         problems.append(f"ps_kind must be 'orbit' or 'ground', got {cfg.ps_kind!r}")
-    if cfg.ps_kind == "orbit" and cfg.ps_altitude_km <= 0:
-        problems.append("ps_altitude_km must be positive")
-    for name in ("bandwidth_hz", "carrier_hz", "noise_temperature_k"):
-        if getattr(cfg, name) <= 0:
-            problems.append(f"{name} must be positive")
-    if cfg.learning_rate <= 0:
-        problems.append("learning_rate must be positive")
-    if cfg.local_iterations < 1:
-        problems.append("local_iterations must be at least 1")
-    if cfg.cpu_hz <= 0 or cfg.cycles_per_sample < 0 or cfg.compute_time_factor < 0:
-        problems.append("compute cost parameters must be non-negative, cpu_hz positive")
     if cfg.data_source not in ("synthetic", "idx"):
         problems.append(f"data_source must be 'synthetic' or 'idx', got {cfg.data_source!r}")
     if cfg.data_scheme not in ("iid", "label_split"):
         problems.append(f"data_scheme must be 'iid' or 'label_split', got {cfg.data_scheme!r}")
     if cfg.data_source == "idx":
-        import os
-
-        for name in (
-            "train_images_path",
-            "train_labels_path",
-            "test_images_path",
-            "test_labels_path",
-        ):
-            path = getattr(cfg, name)
-            if not path:
+        paths = ("train_images_path", "train_labels_path", "test_images_path", "test_labels_path")
+        for name in paths:
+            if not getattr(cfg, name):
                 problems.append(f"{name} is required when data_source is 'idx'")
-            elif not os.path.exists(path):
-                problems.append(f"{name}: no such file: {path}")
     if cfg.samples_per_satellite < 1 or cfg.test_samples < 1:
         problems.append("samples_per_satellite and test_samples must be at least 1")
     if cfg.num_features < 1 or cfg.num_classes < 2:
@@ -232,28 +213,56 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
 
 
 def build_constellation(cfg: ScenarioConfig) -> Constellation:
-    orbits = walker_planes(
+    return Constellation(_planes(cfg), _server(cfg))
+
+
+def _planes(cfg: ScenarioConfig) -> list[OrbitSpec]:
+    return walker_planes(
         cfg.num_planes,
         cfg.sats_per_plane,
         cfg.altitude_km,
         math.radians(cfg.inclination_deg),
         phasing_factor=cfg.phasing_factor,
     )
+
+
+def _server(cfg: ScenarioConfig) -> OrbitSpec | GroundStationSpec:
     if cfg.ps_kind == "orbit":
-        ps = OrbitSpec(
+        return OrbitSpec(
             plane_index=-1,
             altitude_km=cfg.ps_altitude_km,
             inclination_rad=math.radians(cfg.ps_inclination_deg),
             raan_rad=math.radians(cfg.ps_raan_deg),
             num_satellites=1,
         )
-    else:
-        ps = GroundStationSpec(
-            latitude_rad=math.radians(cfg.ps_latitude_deg),
-            longitude_rad=math.radians(cfg.ps_longitude_deg),
-            min_elevation_rad=math.radians(cfg.ps_min_elevation_deg),
-        )
-    return Constellation(orbits, ps)
+    return GroundStationSpec(
+        latitude_rad=math.radians(cfg.ps_latitude_deg),
+        longitude_rad=math.radians(cfg.ps_longitude_deg),
+        min_elevation_rad=math.radians(cfg.ps_min_elevation_deg),
+    )
+
+
+def _link_params(cfg: ScenarioConfig) -> link.LinkParams:
+    return link.LinkParams(
+        tx_power_w=link.dbm_to_watts(cfg.tx_power_dbm),
+        tx_gain=link.from_db(cfg.antenna_gain_dbi),
+        rx_gain=link.from_db(cfg.antenna_gain_dbi),
+        bandwidth_hz=cfg.bandwidth_hz,
+        noise_temperature_k=cfg.noise_temperature_k,
+        carrier_hz=cfg.carrier_hz,
+        tx_delay_s=cfg.tx_delay_s,
+        rx_delay_s=cfg.rx_delay_s,
+    )
+
+
+def _learner_config(cfg: ScenarioConfig) -> learning.LearnerConfig:
+    return learning.LearnerConfig(
+        learning_rate=cfg.learning_rate,
+        local_iterations=cfg.local_iterations,
+        cycles_per_sample=cfg.cycles_per_sample,
+        cpu_hz=cfg.cpu_hz,
+        compute_time_factor=cfg.compute_time_factor,
+    )
 
 
 def build_datasets(cfg: ScenarioConfig):
@@ -345,37 +354,24 @@ class _Simulation:
             raise ConfigError("; ".join(problems))
         self.cfg = cfg
         self.protocol = protocol_name
-        self.con = build_constellation(cfg)
+        try:
+            self.con = build_constellation(cfg)
+            self.link_params = _link_params(cfg)
+            self.lcfg = _learner_config(cfg)
+            self.data, self.test_set = build_datasets(cfg)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc)) from exc
         # A group shares one server downlink and one uplink per epoch: a whole
         # plane for the ring protocol, a single satellite for the direct one.
         if protocol_name == "fedisl":
             self.groups = [self.con.ring_ids(p) for p in self.con.plane_indices()]
         else:
             self.groups = [[sid] for sid in self.con.satellite_ids()]
-        if any(len(group) > 1 for group in self.groups) and not _ring_feasible(cfg):
+        ring_ok = intra_plane_isl_feasible(self.con.orbits[0])
+        if any(len(group) > 1 for group in self.groups) and not ring_ok:
             raise ConfigError(_RING_INFEASIBLE)
-        self.data, self.test_set = build_datasets(cfg)
         self.dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
         self.model_bits = link.model_size_bits(self.dim)
-        self.lcfg = learning.LearnerConfig(
-            learning_rate=cfg.learning_rate,
-            local_iterations=cfg.local_iterations,
-            cycles_per_sample=cfg.cycles_per_sample,
-            cpu_hz=cfg.cpu_hz,
-            compute_time_factor=cfg.compute_time_factor,
-        )
-        self.link = link.ShannonLink(
-            link.LinkParams(
-                tx_power_w=link.dbm_to_watts(cfg.tx_power_dbm),
-                tx_gain=link.from_db(cfg.antenna_gain_dbi),
-                rx_gain=link.from_db(cfg.antenna_gain_dbi),
-                bandwidth_hz=cfg.bandwidth_hz,
-                noise_temperature_k=cfg.noise_temperature_k,
-                carrier_hz=cfg.carrier_hz,
-                tx_delay_s=cfg.tx_delay_s,
-                rx_delay_s=cfg.rx_delay_s,
-            )
-        )
 
         ids = self.con.satellite_ids()
         self.sats = {
@@ -401,7 +397,7 @@ class _Simulation:
             isl_s = 0.0
             if len(ring) >= 2:
                 chord_km = self.con.distance_km(ring[0], ring[1], 0.0)
-                isl_s = self.link.transfer_time(chord_km * 1000.0, self.model_bits)
+                isl_s = link.transfer_time(self.link_params, chord_km * 1000.0, self.model_bits)
             self.isl_model_s.append(isl_s)
             self.group_learning_s.append(max(self.compute_s[s] for s in ring))
 
@@ -414,7 +410,10 @@ class _Simulation:
         self.epoch_started = 0.0
         self.done = False
         self.stop_reason = ""
-        self._win: dict[int, object] = {}
+        # the contact plan: each satellite's server windows so far, in time
+        # order, and where its forward scan resumes
+        self._plan: dict[int, list[ContactWindow]] = {sid: [] for sid in ids}
+        self._scan_from: dict[int, float] = dict.fromkeys(ids, 0.0)
         self._poll_scheduled: dict[int, bool] = {sid: False for sid in ids}
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
@@ -427,27 +426,40 @@ class _Simulation:
 
     # -- geometry shortcuts ---------------------------------------------------
 
-    def _window(self, sat: int, t: float):
-        w = self._win.get(sat)
-        if w is None or t > w.end_s:
-            w = self.con.next_contact(
-                sat,
-                PS_NODE,
-                t,
-                self.cfg.contact_horizon_s,
-                step_s=self.cfg.contact_step_s,
-                tol_s=self.cfg.contact_tol_s,
-            )
-            self._win[sat] = w
-        return w
+    def _window(self, sid: int, t: float) -> ContactWindow | None:
+        """The server window open at t, else the next one opening within the
+        contact horizon, else None: the engine's one contact scan.
 
-    def _visible_now(self, sat: int, t: float) -> bool:
-        w = self._window(sat, t)
-        return w is not None and w.start_s <= t <= w.end_s
+        Each satellite's windows come from one forward scan from t = 0, extended
+        on demand, each step starting ``contact_tol_s`` past the last window, so
+        they do not depend on when they are asked for and equal the rows of
+        :func:`contact_table`.
+        """
+        cfg = self.cfg
+        horizon = cfg.contact_horizon_s
+        windows = self._plan[sid]
+        while not (windows and windows[-1].end_s >= t) and self._scan_from[sid] <= t + horizon:
+            w = self.con.next_contact(
+                sid,
+                PS_NODE,
+                self._scan_from[sid],
+                horizon,
+                step_s=cfg.contact_step_s,
+                tol_s=cfg.contact_tol_s,
+            )
+            if w is None:
+                self._scan_from[sid] += horizon
+            else:
+                windows.append(w)
+                self._scan_from[sid] = w.end_s + cfg.contact_tol_s
+        i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
+        if i == len(windows) or windows[i].start_s > t + horizon:
+            return None
+        return windows[i]
 
     def _ps_transfer_s(self, sat: int, t: float, bits: int) -> float:
         d_m = float(self.con.distance_km(sat, PS_NODE, t)) * 1000.0
-        return self.link.transfer_time(d_m, bits)
+        return link.transfer_time(self.link_params, d_m, bits)
 
     def _tree(self, group: int, sink: int) -> protocol.RoutingTree:
         key = (group, sink)
@@ -476,7 +488,8 @@ class _Simulation:
         self._poll_scheduled[sid] = False
         if not self._wants_model(self.sats[sid]):
             return
-        if not self._visible_now(sid, self.t):
+        w = self._window(sid, self.t)
+        if w is None or w.start_s > self.t:
             self._schedule_poll(sid, self.t)
             return
         self._request_inflight[sid] = True
@@ -507,9 +520,7 @@ class _Simulation:
                 estimate = dt + protocol.estimate_aggregation_time(
                     len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
                 )
-                sink = protocol.select_sink(
-                    self.con, ring, PS_NODE, self.t, estimate, self.cfg.contact_horizon_s
-                )
+                sink = protocol.select_sink(ring, self.t + estimate, self._window)
                 self.counters.ps_down_msgs += 1
                 self.counters.ps_down_bits += self.model_bits
                 params = self.ps.global_params.copy()
@@ -647,9 +658,9 @@ class _Simulation:
                     t + dt, self._ps_recv_update, sid, sat.group, sat.holding_epoch, sat.holding
                 )
                 return
-            next_start = self._next_window_start(sid, w.end_s + self.cfg.contact_tol_s)
-        else:
-            next_start = None if w is None else w.start_s
+            # the window after this one, where the plan's scan resumed
+            w = self._window(sid, w.end_s + self.cfg.contact_tol_s)
+        next_start = None if w is None else w.start_s
         if len(self.groups[sat.group]) == 1:
             # no relays to lean on: wait out the gap however long it is
             at = t + self.cfg.contact_horizon_s if next_start is None else next_start
@@ -659,17 +670,6 @@ class _Simulation:
             self.schedule(next_start, self._try_deliver, sid)
             return
         self._hand_off(sid)
-
-    def _next_window_start(self, sid: int, after: float) -> float | None:
-        w = self.con.next_contact(
-            sid,
-            PS_NODE,
-            after,
-            self.cfg.contact_horizon_s,
-            step_s=self.cfg.contact_step_s,
-            tol_s=self.cfg.contact_tol_s,
-        )
-        return None if w is None else w.start_s
 
     def _hand_off(self, sid: int):
         """Server out of reach for too long: pass the aggregate along the ring."""

@@ -1,3 +1,5 @@
+import configparser
+import io
 import math
 
 import pytest
@@ -255,6 +257,48 @@ def test_contacts_lists_windows(small_ini, tmp_path):
 def test_validate_accepts_good_config(small_ini, capsys):
     assert main(["validate", "--config", small_ini]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def ini_with(overrides) -> str:
+    """SMALL with some keys replaced, as INI text."""
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL)
+    parser.read_dict(overrides)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"learning": {"compute_time_factor": "0"}},
+        {"learning": {"cycles_per_sample": "0"}},
+        {"learning": {"learning_rate": "nan"}},
+        {"protocol": {"contact_horizon_s": "nan"}},
+        {"link": {"tx_power_dbm": "nan"}},
+        {"link": {"tx_delay_s": "-1"}},
+        {"ps": {"kind": "ground", "latitude_deg": "120"}},
+        {"ps": {"kind": "ground", "min_elevation_deg": "95"}},
+        {"ps": {"raan_deg": "400"}},
+        {"data": {"samples_per_satellite": "1", "num_classes": "60"}},
+        {"data": {"test_samples": "5", "num_classes": "10"}},
+        {
+            "constellation": {"num_planes": "1", "sats_per_plane": "1"},
+            "data": {"scheme": "label_split"},
+        },
+        {"ps": {"altitude_km": "nan"}},
+    ],
+    ids=lambda overrides: ",".join(
+        f"{key}={value}" for keys in overrides.values() for key, value in keys.items()
+    ),
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, overrides):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with(overrides))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_validate_reports_problems(tmp_path, capsys):

@@ -7,7 +7,6 @@ from orbitfl.link import (
     BOLTZMANN_J_PER_K,
     CONTROL_MESSAGE_BITS,
     LinkParams,
-    ShannonLink,
     db,
     dbm_to_watts,
     from_db,
@@ -147,7 +146,7 @@ def test_link_params_validation():
         LinkParams(1.0, 1.0, 1.0, 1e6, 300.0, 1e9, tx_delay_s=-1.0)
 
 
-def test_shannon_link_wraps_functions():
+def test_transfer_time_is_serialization_plus_propagation():
     params = reference_link()
-    model = ShannonLink(params)
-    assert model.transfer_time(CHORD_M, 251_200) == transfer_time(params, CHORD_M, 251_200)
+    want = 251_200 / rate(params, CHORD_M) + CHORD_M / SPEED_OF_LIGHT_M_S
+    assert transfer_time(params, CHORD_M, 251_200) == pytest.approx(want, rel=1e-15)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitfl.orbital import Constellation, OrbitSpec, walker_planes
+from orbitfl.orbital import Constellation, ContactWindow, OrbitSpec, walker_planes
 from orbitfl.protocol import (
     ACCEPT,
     AGGREGATION,
@@ -186,54 +186,42 @@ def test_estimate_aggregation_time_cases():
 # -- sink election -----------------------------------------------------------------
 
 
-class ScriptedGeometry:
-    """Duck-typed stand-in: visibility and contact data straight from tables."""
+def window_table(spans):
+    """A ``window_of`` lookup over fixed windows: {sat: (start_s, end_s)}."""
 
-    def __init__(self, visible=(), remaining=None, upcoming=None):
-        self._visible = set(visible)
-        self._remaining = remaining or {}
-        self._upcoming = upcoming or {}
+    def window_of(sat, t):
+        span = spans.get(sat)
+        return None if span is None else ContactWindow(sat, 0, *span)
 
-    def visible(self, a, b, t):
-        return a in self._visible
-
-    def remaining_contact_time(self, a, b, t, horizon_s):
-        return min(self._remaining.get(a, 0.0), horizon_s)
-
-    def next_contact(self, a, b, t, horizon_s):
-        start = self._upcoming.get(a)
-        if start is None or start > t + horizon_s:
-            return None
-        from orbitfl.orbital import ContactWindow
-
-        return ContactWindow(a, b, start, start + 100.0)
-
-    def distance_km(self, a, b, t):
-        raise AssertionError("not used here")
+    return window_of
 
 
 def test_select_sink_longest_remaining_contact():
-    geo = ScriptedGeometry(visible={11, 13, 14}, remaining={11: 40.0, 13: 90.0, 14: 55.0})
-    assert select_sink(geo, [11, 12, 13, 14], 0, 100.0, 20.0, 3600.0) == 13
+    lookup = window_table(
+        {11: (100.0, 160.0), 12: (500.0, 600.0), 13: (50.0, 210.0), 14: (120.0, 175.0)}
+    )
+    assert select_sink([11, 12, 13, 14], 120.0, lookup) == 13
 
 
 def test_select_sink_tie_prefers_smallest_id():
-    geo = ScriptedGeometry(visible={11, 12, 14}, remaining={11: 3600.0, 12: 3600.0, 14: 3600.0})
-    assert select_sink(geo, [14, 12, 11], 0, 0.0, 10.0, 60.0) == 11
+    lookup = window_table({11: (0.0, 3610.0), 12: (0.0, 3610.0), 14: (0.0, 3610.0)})
+    assert select_sink([14, 12, 11], 10.0, lookup) == 11
 
 
 def test_select_sink_falls_back_to_soonest_contact():
-    geo = ScriptedGeometry(visible=set(), upcoming={21: 500.0, 22: 120.0, 23: 300.0})
-    assert select_sink(geo, [21, 22, 23], 0, 0.0, 30.0, 3600.0) == 22
+    lookup = window_table({21: (500.0, 600.0), 22: (120.0, 220.0), 23: (300.0, 400.0)})
+    assert select_sink([21, 22, 23], 30.0, lookup) == 22
 
 
 def test_select_sink_no_contact_at_all():
-    geo = ScriptedGeometry(visible=set(), upcoming={})
-    assert select_sink(geo, [31, 32], 0, 0.0, 30.0, 3600.0) == 31
+    assert select_sink([32, 31], 30.0, window_table({})) == 31
 
 
 def test_select_sink_group_of_one_skips_geometry():
-    assert select_sink(object(), [41], 0, 0.0, 30.0, 3600.0) == 41
+    def no_lookup(sat, t):
+        raise AssertionError("a group of one needs no window")
+
+    assert select_sink([41], 30.0, no_lookup) == 41
 
 
 def test_select_sink_on_real_constellation():
@@ -248,21 +236,25 @@ def test_select_sink_on_real_constellation():
     con = Constellation(orbits, ps)
     plane_ids = con.ring_ids(0)
     horizon = 4 * 3600.0
+
+    def window_of(sat, t):
+        return con.next_contact(sat, 0, t, horizon)
+
     for t in (0.0, 900.0, 2400.0, 5000.0):
-        estimate = 76.0
-        chosen = select_sink(con, plane_ids, 0, t, estimate, horizon)
-        target = t + estimate
+        target = t + 76.0
+        chosen = select_sink(plane_ids, target, window_of)
         best = None
         for sat in plane_ids:
             if not con.visible(sat, 0, target):
                 continue
-            rem = con.remaining_contact_time(sat, 0, target, horizon)
+            rem = window_of(sat, target).end_s - target
             if best is None or rem > best[0] or (rem == best[0] and sat < best[1]):
                 best = (rem, sat)
         if best is not None:
             assert chosen == best[1]
         else:
-            assert chosen in plane_ids
+            starts = {sat: window_of(sat, target).start_s for sat in plane_ids}
+            assert starts[chosen] == min(starts.values())
 
 
 # -- fallback hop choice ------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orbitfl.protocol as protocol
-from orbitfl.orbital import PS_NODE
+from orbitfl.orbital import PS_NODE, Constellation
 from orbitfl.sim import (
     CompareResult,
     _Simulation,
@@ -199,10 +199,13 @@ def test_misjudged_sink_hops_until_delivered(monkeypatch):
     """Force the election to pick satellites blind to the server: aggregates
     must circle the ring to someone with a window, with no duplicates."""
 
-    def worst_sink(con, plane_ids, ps_node, t, estimate, horizon):
-        target = t + estimate
-        hidden = [s for s in sorted(plane_ids) if not con.visible(s, ps_node, target)]
-        return hidden[0] if hidden else max(plane_ids)
+    def worst_sink(group_ids, t_target, window_of):
+        def shut(sat):
+            w = window_of(sat, t_target)
+            return w is None or w.start_s > t_target
+
+        hidden = [s for s in sorted(group_ids) if shut(s)]
+        return hidden[0] if hidden else max(group_ids)
 
     cfg = small_scenario(until_epochs=2)
     clean = run_scenario(cfg, "fedisl")
@@ -301,3 +304,49 @@ def test_contact_table_matches_geometry():
     for row, w in zip(sat_one, want):
         assert row[2] == pytest.approx(w.start_s, abs=1e-9)
         assert row[3] == pytest.approx(w.end_s, abs=1e-9)
+
+
+# -- the contact plan ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
+@pytest.mark.parametrize(
+    "server", [{}, {"ps_kind": "ground", "ps_latitude_deg": 40.0}], ids=["orbit", "ground"]
+)
+def test_engine_windows_are_contact_table_rows(protocol_name, server):
+    engine = _Simulation(small_scenario(until_epochs=1, **server), protocol_name)
+    used = set()
+    query = engine._window
+
+    def recording(sid, t):
+        w = query(sid, t)
+        if w is not None:
+            used.add((sid, w.start_s, w.end_s))
+        return w
+
+    engine._window = recording
+    engine.run()
+    # reach far enough past every scan that no used window is cut at the horizon
+    horizon = max(engine._scan_from.values()) + 3600.0
+    rows = {(sat, start, end) for sat, _, start, end in contact_table(engine.cfg, horizon)}
+    assert used and used <= rows
+
+
+def test_contact_settings_reach_every_scan(monkeypatch):
+    steps, tols = set(), set()
+    scan_for, refine = Constellation._scan_for, Constellation._refine
+
+    def scan_recorded(self, a, b, t0, t1, want, step_s):
+        steps.add(step_s)
+        return scan_for(self, a, b, t0, t1, want, step_s)
+
+    def refine_recorded(self, a, b, t_lo, t_hi, tol_s):
+        tols.add(tol_s)
+        return refine(self, a, b, t_lo, t_hi, tol_s)
+
+    monkeypatch.setattr(Constellation, "_scan_for", scan_recorded)
+    monkeypatch.setattr(Constellation, "_refine", refine_recorded)
+    cfg = small_scenario(contact_step_s=30.0, contact_tol_s=0.5, until_epochs=2)
+    run_scenario(cfg, "fedisl")
+    assert steps == {30.0}
+    assert tols == {0.5}
