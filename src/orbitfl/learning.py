@@ -115,14 +115,21 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _scores(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
+    """Class scores of every row, one column per class."""
+    return _augment(dataset.features) @ _unpack(params, dataset.num_features)
+
+
+def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
+    log_probs = _log_softmax(scores)
+    if np.any(labels < 0) or np.any(labels >= scores.shape[1]):
+        raise ValueError("labels outside the class range of the parameter vector")
+    return float(-log_probs[np.arange(labels.size), labels].mean())
+
+
 def local_loss(params: np.ndarray, dataset: LocalDataset) -> float:
     """Mean cross-entropy of the shard under the given parameters."""
-    weights = _unpack(params, dataset.num_features)
-    scores = _augment(dataset.features) @ weights
-    log_probs = _log_softmax(scores)
-    if np.any(dataset.labels < 0) or np.any(dataset.labels >= weights.shape[1]):
-        raise ValueError("labels outside the class range of the parameter vector")
-    return float(-log_probs[np.arange(dataset.num_samples), dataset.labels].mean())
+    return _cross_entropy(_scores(params, dataset), dataset.labels)
 
 
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
@@ -191,11 +198,9 @@ def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:
     Predictions take the highest-scoring class; score ties resolve to the
     lowest class index.
     """
-    weights = _unpack(params, dataset.num_features)
-    scores = _augment(dataset.features) @ weights
-    predictions = np.argmax(scores, axis=1)
-    accuracy = float(np.mean(predictions == dataset.labels))
-    return accuracy, local_loss(params, dataset)
+    scores = _scores(params, dataset)
+    accuracy = float(np.mean(np.argmax(scores, axis=1) == dataset.labels))
+    return accuracy, _cross_entropy(scores, dataset.labels)
 
 
 def partition_dataset(

@@ -2,8 +2,12 @@
 
 Two-body motion around a spherical, rotating Earth. Satellites move on circular
 orbits grouped into equally spaced planes; ground stations rotate with the
-Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers,
-returned as numpy arrays so callers can evaluate whole time grids at once.
+Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
+Each node's position constants are computed once per ``Constellation``; a
+query at a scalar t is evaluated with ``math`` and yields floats (a distance)
+or a bool (visibility), while an array of times is evaluated with numpy in one
+pass, so window scans cover whole time grids at once. The public
+``satellite_position``/``ground_position`` return numpy arrays of shape (..., 3).
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
@@ -32,6 +36,25 @@ class GeometryError(ValueError):
     pass
 
 
+class AngleRangeError(GeometryError):
+    """An angle outside its allowed range, kept as numbers so that a caller
+    whose users write another unit can restate the rule with ``describe``."""
+
+    def __init__(self, name: str, value: float, low: float, high: float, high_open: bool):
+        self.name, self.low, self.high, self.high_open = name, low, high, high_open
+        super().__init__(self.describe(name, value))
+
+    def describe(self, name: str, value: float, convert=float) -> str:
+        """The rule for ``name`` with its bounds passed through ``convert``."""
+        close = ")" if self.high_open else "]"
+        return f"{name} outside [{convert(self.low):g}, {convert(self.high):g}{close}: {value}"
+
+
+def _check_angle(name: str, value: float, low: float, high: float, high_open: bool = False):
+    if not (low <= value < high if high_open else low <= value <= high):
+        raise AngleRangeError(name, value, low, high, high_open)
+
+
 @dataclass(frozen=True)
 class OrbitSpec:
     """One circular orbital plane holding equally spaced satellites.
@@ -52,12 +75,9 @@ class OrbitSpec:
     def __post_init__(self):
         if self.altitude_km <= 0:
             raise GeometryError(f"altitude_km must be positive, got {self.altitude_km}")
-        if not 0 <= self.inclination_rad <= math.pi:
-            raise GeometryError(f"inclination_rad outside [0, pi]: {self.inclination_rad}")
-        if not 0 <= self.raan_rad < _TWO_PI:
-            raise GeometryError(f"raan_rad outside [0, 2*pi): {self.raan_rad}")
-        if not 0 <= self.phase_offset_rad < _TWO_PI:
-            raise GeometryError(f"phase_offset_rad outside [0, 2*pi): {self.phase_offset_rad}")
+        _check_angle("inclination_rad", self.inclination_rad, 0.0, math.pi)
+        _check_angle("raan_rad", self.raan_rad, 0.0, _TWO_PI, high_open=True)
+        _check_angle("phase_offset_rad", self.phase_offset_rad, 0.0, _TWO_PI, high_open=True)
         if self.num_satellites < 1:
             raise GeometryError(f"num_satellites must be >= 1, got {self.num_satellites}")
 
@@ -76,10 +96,8 @@ class GroundStationSpec:
     altitude_km: float = 0.0
 
     def __post_init__(self):
-        if not -math.pi / 2 <= self.latitude_rad <= math.pi / 2:
-            raise GeometryError(f"latitude_rad outside [-pi/2, pi/2]: {self.latitude_rad}")
-        if not 0 <= self.min_elevation_rad < math.pi / 2:
-            raise GeometryError(f"min_elevation_rad outside [0, pi/2): {self.min_elevation_rad}")
+        _check_angle("latitude_rad", self.latitude_rad, -math.pi / 2, math.pi / 2)
+        _check_angle("min_elevation_rad", self.min_elevation_rad, 0.0, math.pi / 2, high_open=True)
         if self.altitude_km < 0:
             raise GeometryError(f"altitude_km must be >= 0, got {self.altitude_km}")
 
@@ -113,6 +131,86 @@ def orbital_period(altitude_km: float) -> float:
     return _TWO_PI * radius_m / orbital_speed(altitude_km)
 
 
+class _OrbitTrack:
+    """Position constants of satellite ``sat_index`` of ``orbit`` (see OrbitSpec)."""
+
+    __slots__ = ("altitude_km", "theta0", "period", "r", "co", "so", "si", "so_ci", "co_ci")
+
+    def __init__(self, orbit: OrbitSpec, sat_index: int):
+        if not 0 <= sat_index < orbit.num_satellites:
+            raise GeometryError(f"sat_index {sat_index} outside plane of {orbit.num_satellites}")
+        self.altitude_km = orbit.altitude_km
+        self.theta0 = orbit.phase_offset_rad + _TWO_PI * sat_index / orbit.num_satellites
+        self.period = orbital_period(orbit.altitude_km)
+        self.r = orbit.radius_km
+        ci, self.si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
+        self.co, self.so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
+        self.so_ci = self.so * ci
+        self.co_ci = self.co * ci
+
+    def at(self, t, m):
+        theta = self.theta0 + _TWO_PI * t / self.period
+        x_plane = self.r * m.cos(theta)
+        y_plane = self.r * m.sin(theta)
+        # rotate the in-plane point by inclination about x, then by RAAN about z
+        return (
+            self.co * x_plane - self.so_ci * y_plane,
+            self.so * x_plane + self.co_ci * y_plane,
+            self.si * y_plane,
+        )
+
+
+class _GroundTrack:
+    """Position and elevation-mask constants of a ground station on the rotating Earth."""
+
+    __slots__ = ("lon0", "r_cl", "z", "sin_mask")
+
+    def __init__(self, station: GroundStationSpec, earth_angle0_rad: float):
+        r = EARTH_RADIUS_KM + station.altitude_km
+        self.lon0 = station.longitude_rad + earth_angle0_rad
+        self.r_cl = r * math.cos(station.latitude_rad)
+        self.z = r * math.sin(station.latitude_rad)
+        self.sin_mask = math.sin(station.min_elevation_rad)
+
+    def at(self, t, m):
+        lon = self.lon0 + EARTH_ROTATION_RAD_S * t
+        return (self.r_cl * m.cos(lon), self.r_cl * m.sin(lon), self.z)
+
+
+def _clock(t):
+    """t and the module ``m`` that evaluates the tracks' ``at(t, m)`` at it.
+
+    ``at`` is the one position formula: ``math`` runs it for a scalar t, so
+    point queries build no arrays, and numpy for a time grid. Both round every
+    operation alike, so a scalar answer equals its grid entry bit for bit.
+    """
+    if isinstance(t, (int, float)):
+        return t, math
+    return np.asarray(t, dtype=float), np
+
+
+def _distance(a, b, sqrt):
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _elevated(sat, ground, sin_mask, sqrt):
+    """sin(elevation) >= sin(mask), both angles in [-pi/2, pi/2]."""
+    gx, gy, gz = ground
+    rx, ry, rz = sat[0] - gx, sat[1] - gy, sat[2] - gz
+    num = gx * rx + gy * ry + gz * rz
+    den = sqrt(gx * gx + gy * gy + gz * gz) * sqrt(rx * rx + ry * ry + rz * rz)
+    return num >= den * sin_mask
+
+
+def _stack(xyz):
+    return np.stack(np.broadcast_arrays(*xyz), axis=-1)
+
+
+def _components(pos):
+    return np.moveaxis(np.asarray(pos, dtype=float), -1, 0)
+
+
 def satellite_position(orbit: OrbitSpec, sat_index: int, t):
     """ECI position (km) of satellite ``sat_index`` of ``orbit`` at time t.
 
@@ -124,24 +222,7 @@ def satellite_position(orbit: OrbitSpec, sat_index: int, t):
     Returns:
         Array of shape (3,) for scalar t, or (..., 3) matching t's shape.
     """
-    if not 0 <= sat_index < orbit.num_satellites:
-        raise GeometryError(f"sat_index {sat_index} outside plane of {orbit.num_satellites}")
-    t = np.asarray(t, dtype=float)
-    theta = (
-        orbit.phase_offset_rad
-        + _TWO_PI * sat_index / orbit.num_satellites
-        + _TWO_PI * t / orbital_period(orbit.altitude_km)
-    )
-    r = orbit.radius_km
-    x_plane = r * np.cos(theta)
-    y_plane = r * np.sin(theta)
-    ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
-    co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
-    # rotate the in-plane point by inclination about x, then by RAAN about z
-    x = co * x_plane - so * ci * y_plane
-    y = so * x_plane + co * ci * y_plane
-    z = si * y_plane
-    return np.stack([x, y, z], axis=-1)
+    return _stack(_OrbitTrack(orbit, sat_index).at(*_clock(t)))
 
 
 def ground_position(station: GroundStationSpec, t, earth_angle0_rad: float = 0.0):
@@ -151,14 +232,7 @@ def ground_position(station: GroundStationSpec, t, earth_angle0_rad: float = 0.0
     EARTH_RADIUS_KM + altitude and rotates eastward at the sidereal rate.
     ``earth_angle0_rad`` is the Earth's rotation angle at t = 0.
     """
-    t = np.asarray(t, dtype=float)
-    lon = station.longitude_rad + earth_angle0_rad + EARTH_ROTATION_RAD_S * t
-    r = EARTH_RADIUS_KM + station.altitude_km
-    cl = math.cos(station.latitude_rad)
-    x = r * cl * np.cos(lon)
-    y = r * cl * np.sin(lon)
-    z = np.broadcast_to(r * math.sin(station.latitude_rad), t.shape)
-    return np.stack([x, y, np.asarray(z, dtype=float)], axis=-1)
+    return _stack(_GroundTrack(station, earth_angle0_rad).at(*_clock(t)))
 
 
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
@@ -173,9 +247,7 @@ def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
 
 def sat_sat_visible(pos_a, pos_b, altitude_a_km: float, altitude_b_km: float):
     """True where the inter-satellite distance is below the limb-clearing range."""
-    pos_a = np.asarray(pos_a, dtype=float)
-    pos_b = np.asarray(pos_b, dtype=float)
-    d = np.linalg.norm(pos_a - pos_b, axis=-1)
+    d = _distance(_components(pos_a), _components(pos_b), np.sqrt)
     return d < max_isl_range_km(altitude_a_km, altitude_b_km)
 
 
@@ -185,13 +257,9 @@ def sat_ground_visible(pos_sat, pos_ground, min_elevation_rad: float):
     Elevation is pi/2 minus the angle between the station's zenith direction and
     the station-to-satellite vector.
     """
-    pos_sat = np.asarray(pos_sat, dtype=float)
-    pos_ground = np.asarray(pos_ground, dtype=float)
-    rel = pos_sat - pos_ground
-    num = np.sum(pos_ground * rel, axis=-1)
-    den = np.linalg.norm(pos_ground, axis=-1) * np.linalg.norm(rel, axis=-1)
-    # sin(elevation) >= sin(mask), both angles in [-pi/2, pi/2]
-    return num >= den * math.sin(min_elevation_rad)
+    return _elevated(
+        _components(pos_sat), _components(pos_ground), math.sin(min_elevation_rad), np.sqrt
+    )
 
 
 def walker_planes(
@@ -268,6 +336,12 @@ class Constellation:
         self.ps_is_satellite = isinstance(ps, OrbitSpec)
         if not self.ps_is_satellite and not isinstance(ps, GroundStationSpec):
             raise GeometryError(f"unsupported parameter server spec: {type(ps).__name__}")
+        # node id -> position constants, the server first
+        if self.ps_is_satellite:
+            ps_track = _OrbitTrack(ps, 0)
+        else:
+            ps_track = _GroundTrack(ps, earth_angle0_rad)
+        self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
 
     # -- node table ---------------------------------------------------------
 
@@ -293,33 +367,25 @@ class Constellation:
     # -- geometry -----------------------------------------------------------
 
     def position(self, node: int, t):
-        if node == PS_NODE:
-            if self.ps_is_satellite:
-                return satellite_position(self.ps, 0, t)
-            return ground_position(self.ps, t, self.earth_angle0_rad)
-        orbit, index = self._sat_plane[node]
-        return satellite_position(orbit, index, t)
+        return _stack(self._tracks[node].at(*_clock(t)))
 
     def distance_km(self, a: int, b: int, t):
-        return np.linalg.norm(self.position(a, t) - self.position(b, t), axis=-1)
+        """Distance between two nodes: a float for scalar t, else an array."""
+        t, m = _clock(t)
+        return _distance(self._tracks[a].at(t, m), self._tracks[b].at(t, m), m.sqrt)
 
     def visible(self, a: int, b: int, t):
         """Line-of-sight predicate between two nodes; t may be an array."""
-        a_ground = a == PS_NODE and not self.ps_is_satellite
-        b_ground = b == PS_NODE and not self.ps_is_satellite
-        if a_ground and b_ground:
+        sat, other = self._tracks[a], self._tracks[b]
+        if isinstance(sat, _GroundTrack):
+            sat, other = other, sat
+        if isinstance(sat, _GroundTrack):
             raise GeometryError("visibility between two ground nodes is undefined")
-        if a_ground or b_ground:
-            ground = self.ps
-            sat = b if a_ground else a
-            return sat_ground_visible(
-                self.position(sat, t),
-                ground_position(ground, t, self.earth_angle0_rad),
-                ground.min_elevation_rad,
-            )
-        return sat_sat_visible(
-            self.position(a, t), self.position(b, t), self.altitude_km(a), self.altitude_km(b)
-        )
+        t, m = _clock(t)
+        if isinstance(other, _GroundTrack):
+            return _elevated(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
+        d = _distance(sat.at(t, m), other.at(t, m), m.sqrt)
+        return d < max_isl_range_km(sat.altitude_km, other.altitude_km)
 
     # -- contact prediction --------------------------------------------------
 
@@ -342,7 +408,7 @@ class Constellation:
         Windows shorter than ``step_s`` can be missed.
         """
         t_end = from_t + horizon_s
-        if bool(self.visible(a, b, from_t)):
+        if self.visible(a, b, from_t):
             start = from_t
             after_rise = from_t
         else:
@@ -405,10 +471,10 @@ class Constellation:
 
     def _refine(self, a, b, t_lo, t_hi, tol_s):
         """Bisect a visibility flip bracketed by (t_lo, t_hi) down to tol_s."""
-        state_lo = bool(self.visible(a, b, t_lo))
+        state_lo = self.visible(a, b, t_lo)
         while t_hi - t_lo > tol_s:
             mid = 0.5 * (t_lo + t_hi)
-            if bool(self.visible(a, b, mid)) == state_lo:
+            if self.visible(a, b, mid) == state_lo:
                 t_lo = mid
             else:
                 t_hi = mid

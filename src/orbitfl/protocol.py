@@ -192,7 +192,7 @@ def fallback_next_hop(
     candidates = [n for n in ring_neighbors(ring_ids, node) if n != exclude]
     best = None
     for neighbor in candidates:
-        d = float(constellation.distance_km(neighbor, ps_node, t))
+        d = constellation.distance_km(neighbor, ps_node, t)
         if best is None or d < best[0] or (d == best[0] and neighbor < best[1]):
             best = (d, neighbor)
     return None if best is None else best[1]

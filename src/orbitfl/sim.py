@@ -22,6 +22,7 @@ import numpy as np
 from . import learning, link, protocol
 from .orbital import (
     PS_NODE,
+    AngleRangeError,
     Constellation,
     ContactWindow,
     GroundStationSpec,
@@ -217,29 +218,50 @@ def build_constellation(cfg: ScenarioConfig) -> Constellation:
 
 
 def _planes(cfg: ScenarioConfig) -> list[OrbitSpec]:
-    return walker_planes(
-        cfg.num_planes,
-        cfg.sats_per_plane,
-        cfg.altitude_km,
-        math.radians(cfg.inclination_deg),
+    return _in_degrees(
+        walker_planes,
+        num_planes=cfg.num_planes,
+        sats_per_plane=cfg.sats_per_plane,
+        altitude_km=cfg.altitude_km,
+        inclination_deg=cfg.inclination_deg,
         phasing_factor=cfg.phasing_factor,
     )
 
 
 def _server(cfg: ScenarioConfig) -> OrbitSpec | GroundStationSpec:
     if cfg.ps_kind == "orbit":
-        return OrbitSpec(
+        return _in_degrees(
+            OrbitSpec,
             plane_index=-1,
             altitude_km=cfg.ps_altitude_km,
-            inclination_rad=math.radians(cfg.ps_inclination_deg),
-            raan_rad=math.radians(cfg.ps_raan_deg),
+            inclination_deg=cfg.ps_inclination_deg,
+            raan_deg=cfg.ps_raan_deg,
             num_satellites=1,
         )
-    return GroundStationSpec(
-        latitude_rad=math.radians(cfg.ps_latitude_deg),
-        longitude_rad=math.radians(cfg.ps_longitude_deg),
-        min_elevation_rad=math.radians(cfg.ps_min_elevation_deg),
+    return _in_degrees(
+        GroundStationSpec,
+        latitude_deg=cfg.ps_latitude_deg,
+        longitude_deg=cfg.ps_longitude_deg,
+        min_elevation_deg=cfg.ps_min_elevation_deg,
     )
+
+
+def _in_degrees(build, **kwargs):
+    """``build`` called with each ``<name>_deg`` argument as ``<name>_rad``.
+
+    The scenario keys take degrees, so a layer's angle rule broken by one of
+    them is restated for that key, e.g. ``raan_deg outside [0, 360): 400.0``.
+    """
+    degrees = {k: v for k, v in kwargs.items() if k.endswith("_deg")}
+    args = {k: v for k, v in kwargs.items() if k not in degrees}
+    args.update({k[: -len("_deg")] + "_rad": math.radians(v) for k, v in degrees.items()})
+    try:
+        return build(**args)
+    except AngleRangeError as exc:
+        key = exc.name[: -len("_rad")] + "_deg"
+        if key not in degrees:
+            raise
+        raise ConfigError(exc.describe(key, degrees[key], math.degrees)) from exc
 
 
 def _link_params(cfg: ScenarioConfig) -> link.LinkParams:
@@ -458,7 +480,7 @@ class _Simulation:
         return windows[i]
 
     def _ps_transfer_s(self, sat: int, t: float, bits: int) -> float:
-        d_m = float(self.con.distance_km(sat, PS_NODE, t)) * 1000.0
+        d_m = self.con.distance_km(sat, PS_NODE, t) * 1000.0
         return link.transfer_time(self.link_params, d_m, bits)
 
     def _tree(self, group: int, sink: int) -> protocol.RoutingTree:

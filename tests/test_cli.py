@@ -301,6 +301,30 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, line",
+    [
+        ({"ps": {"raan_deg": "400"}}, "[ps] raan_deg outside [0, 360): 400.0"),
+        (
+            {"ps": {"kind": "ground", "latitude_deg": "120"}},
+            "[ps] latitude_deg outside [-90, 90]: 120.0",
+        ),
+        (
+            {"constellation": {"inclination_deg": "200"}},
+            "[constellation] inclination_deg outside [0, 180]: 200.0",
+        ),
+    ],
+    ids=["raan", "latitude", "inclination"],
+)
+def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with(overrides))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert line.split("] ", 1)[1] in capsys.readouterr().err
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[constellation]\naltitude_km = -3.0\n\n[sim]\nseed = 1\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitfl import orbital
 from orbitfl.orbital import (
@@ -308,3 +310,65 @@ def test_ground_ps_constellation_dispatch():
     # visibility dispatch works both ways around
     t = 123.0
     assert bool(con.visible(1, PS_NODE, t)) == bool(con.visible(PS_NODE, 1, t))
+
+
+# -- scalar and grid queries ------------------------------------------------------
+
+# Contact windows are scanned on time grids, while the engine asks for single
+# times (transfer distances, fallback hops, the bisection of window edges). The
+# two answers must be equal to the last bit, or window edges and transfer times
+# would depend on which path computed them.
+
+
+@st.composite
+def constellations(draw):
+    planes = walker_planes(
+        draw(st.integers(1, 6)),
+        draw(st.integers(1, 12)),
+        draw(st.floats(300.0, 3000.0)),
+        draw(st.floats(0.0, math.pi)),
+        phasing_factor=draw(st.integers(0, 1)),
+    )
+    if draw(st.booleans()):
+        ps = OrbitSpec(
+            -1,
+            draw(st.floats(300.0, 36000.0)),
+            draw(st.floats(0.0, math.pi)),
+            draw(st.floats(0.0, 6.28)),
+            1,
+        )
+    else:
+        ps = GroundStationSpec(
+            draw(st.floats(-math.pi / 2, math.pi / 2)),
+            draw(st.floats(-math.pi, math.pi)),
+            draw(st.floats(0.0, 1.5)),
+            draw(st.floats(0.0, 2.0)),
+        )
+    return Constellation(planes, ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(con=constellations(), data=st.data())
+def test_scalar_queries_equal_grid_queries(con, data):
+    ids = con.satellite_ids()
+    nodes = [PS_NODE] + ids
+    times = data.draw(st.lists(st.floats(0.0, 3e6), min_size=1, max_size=8))
+    for t in times:
+        a = data.draw(st.sampled_from(nodes))
+        b = data.draw(st.sampled_from([n for n in nodes if n != a]))
+        grid = np.array([t])
+        d = con.distance_km(a, b, t)
+        assert type(d) is float and d == con.distance_km(a, b, grid)[0]
+        v = con.visible(a, b, t)
+        assert type(v) is bool and v == con.visible(a, b, grid)[0]
+        for node in (a, b):
+            assert np.array_equal(con.position(node, t), con.position(node, grid)[0])
+        sat = data.draw(st.sampled_from(ids))
+        orbit = con.orbits[con.plane_of(sat)]
+        index = con.ring_ids(orbit.plane_index).index(sat)
+        assert np.array_equal(satellite_position(orbit, index, t), con.position(sat, t))
+        if con.ps_is_satellite:
+            server = satellite_position(con.ps, 0, t)
+        else:
+            server = ground_position(con.ps, t, con.earth_angle0_rad)
+        assert np.array_equal(server, con.position(PS_NODE, t))
