@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import math
 import os
 import re
 import sys
-from dataclasses import replace
 
 from .sim import (
     ConfigError,
@@ -38,10 +39,8 @@ from .sim import (
 
 SEED_ENV_VAR = "ORBITFL_SEED"
 
-RUN_HEADER = (
-    "sim_time_s,epoch,test_accuracy,test_loss,ps_down_msgs,ps_down_bits,"
-    "ps_up_msgs,ps_up_bits,isl_msgs,isl_bits,fallback_hops,epoch_duration_s"
-)
+_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsRecord))
+RUN_HEADER = ",".join(_RUN_FIELDS)
 COMPARE_HEADER = "speedup,traffic_ratio"
 CONTACTS_HEADER = "satellite,plane,start_s,end_s"
 
@@ -191,7 +190,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
             f"no seed: set [sim] seed in {path}, pass --seed, or export {SEED_ENV_VAR}"
         )
     seed = fields.pop("seed")
-    return replace(ScenarioConfig(seed=seed), **fields)
+    return dataclasses.replace(ScenarioConfig(seed=seed), **fields)
 
 
 def emit_config(cfg: ScenarioConfig) -> str:
@@ -224,25 +223,7 @@ def _cell(value) -> str:
 def render_run_csv(records: list[MetricsRecord], seed: int) -> str:
     lines = [f"# seed={seed}", RUN_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.sim_time_s,
-                    r.epoch,
-                    r.test_accuracy,
-                    r.test_loss,
-                    r.ps_down_msgs,
-                    r.ps_down_bits,
-                    r.ps_up_msgs,
-                    r.ps_up_bits,
-                    r.isl_msgs,
-                    r.isl_bits,
-                    r.fallback_hops,
-                    r.epoch_duration_s,
-                )
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, name)) for name in _RUN_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -294,6 +275,13 @@ def _load_scenario(args) -> ScenarioConfig:
     return ScenarioConfig(seed=seed)
 
 
+def _hours(text: str) -> float:
+    hours = float(text)
+    if not 0 < hours < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of hours, got {text!r}")
+    return hours
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitfl",
@@ -322,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_con)
     p_con.add_argument(
         "--horizon-hours",
-        type=float,
+        type=_hours,
         default=12.0,
         help="how far ahead to search (default 12)",
     )

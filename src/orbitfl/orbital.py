@@ -271,13 +271,14 @@ def walker_planes(
 ) -> list[OrbitSpec]:
     """Equally spaced planes with a relative phase shift between neighbors.
 
-    Plane p gets RAAN 2*pi*p/P and phase offset 2*pi*p*F/(P*K), F the phasing
-    factor.
+    Plane p gets RAAN 2*pi*p/P and phase offset 2*pi*p*F/(P*K) mod 2*pi, F the
+    phasing factor, so F and F + P*K give the same planes.
     """
     if num_planes < 1:
         raise GeometryError(f"num_planes must be >= 1, got {num_planes}")
     planes = []
     for p in range(num_planes):
+        phase = _TWO_PI * p * phasing_factor / (num_planes * sats_per_plane)
         planes.append(
             OrbitSpec(
                 plane_index=p,
@@ -285,7 +286,7 @@ def walker_planes(
                 inclination_rad=inclination_rad,
                 raan_rad=_TWO_PI * p / num_planes,
                 num_satellites=sats_per_plane,
-                phase_offset_rad=_TWO_PI * p * phasing_factor / (num_planes * sats_per_plane),
+                phase_offset_rad=phase % _TWO_PI,
             )
         )
     return planes

@@ -1,7 +1,9 @@
 """Discrete-event simulation of federated training rounds over a constellation.
 
 The engine moves a single clock over a heap of timestamped events: connection
-attempts, message arrivals, training completions, and retry timers. Geometry
+attempts, message arrivals, training completions, and waits for a server
+window. Every message goes out through one send path that charges its bits to
+the run's traffic counters and schedules its arrival. Geometry
 and link rates come from :mod:`orbitfl.orbital` and :mod:`orbitfl.link`; node
 behavior comes from :mod:`orbitfl.protocol`; the math being trained lives in
 :mod:`orbitfl.learning`. Everything is deterministic for a fixed scenario:
@@ -131,6 +133,12 @@ class MetricsRecord:
     isl_bits: int
     fallback_hops: int
     epoch_duration_s: float
+
+
+# the cumulative traffic counters of a run, named as MetricsRecord fields
+_TRAFFIC = tuple(
+    f.name for f in fields(MetricsRecord) if f.name.endswith(("_msgs", "_bits", "_hops"))
+)
 
 
 @dataclass
@@ -347,26 +355,6 @@ def contact_table(cfg: ScenarioConfig, horizon_s: float):
 # -- the engine ------------------------------------------------------------------
 
 
-class _Counters:
-    __slots__ = (
-        "ps_down_msgs",
-        "ps_down_bits",
-        "ps_up_msgs",
-        "ps_up_bits",
-        "isl_msgs",
-        "isl_bits",
-        "fallback_hops",
-        "duplicate_models",
-    )
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
@@ -426,7 +414,7 @@ class _Simulation:
         self.queue: list = []
         self.seq = itertools.count()
         self.t = 0.0
-        self.counters = _Counters()
+        self.counters = dict.fromkeys(_TRAFFIC + ("duplicate_models",), 0)
         self.records: list[MetricsRecord] = []
         self.epoch_params: dict[int, np.ndarray] = {}
         self.epoch_started = 0.0
@@ -436,7 +424,8 @@ class _Simulation:
         # order, and where its forward scan resumes
         self._plan: dict[int, list[ContactWindow]] = {sid: [] for sid in ids}
         self._scan_from: dict[int, float] = dict.fromkeys(ids, 0.0)
-        self._poll_scheduled: dict[int, bool] = {sid: False for sid in ids}
+        # when each satellite's booked poll fires, None when none is booked
+        self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._trees: dict[tuple[int, int], protocol.RoutingTree] = {}
@@ -445,6 +434,18 @@ class _Simulation:
 
     def schedule(self, t: float, fn, *args):
         heapq.heappush(self.queue, (t, next(self.seq), fn, args))
+
+    def _send(self, hop: str, dt: float, fn, *args, control: bool = False):
+        """One message over ``hop`` ("ps_down", "ps_up" or "isl"), arriving as
+        ``fn(*args)`` after ``dt``: its bits always count, and it counts as a
+        message when it carries a model rather than control."""
+        c = self.counters
+        if control:
+            c[hop + "_bits"] += link.CONTROL_MESSAGE_BITS
+        else:
+            c[hop + "_msgs"] += 1
+            c[hop + "_bits"] += self.model_bits
+        self.schedule(self.t + dt, fn, *args)
 
     # -- geometry shortcuts ---------------------------------------------------
 
@@ -499,15 +500,20 @@ class _Simulation:
         )
 
     def _schedule_poll(self, sid: int, t: float):
-        if self._poll_scheduled[sid] or not self._wants_model(self.sats[sid]):
+        """Book a poll for the satellite's server window open at t or next."""
+        if self._poll_at[sid] is not None or not self._wants_model(self.sats[sid]):
             return
         w = self._window(sid, t)
         at = t + self.cfg.contact_horizon_s if w is None else max(t, w.start_s)
-        self._poll_scheduled[sid] = True
+        self._poll_at[sid] = at
         self.schedule(at, self._fire_poll, sid)
 
     def _fire_poll(self, sid: int):
-        self._poll_scheduled[sid] = False
+        """Ask the server for the model when in view, else book a poll. A retry
+        after a busy reply leaves the asking to a poll booked since."""
+        if self._poll_at[sid] not in (None, self.t):
+            return
+        self._poll_at[sid] = None
         if not self._wants_model(self.sats[sid]):
             return
         w = self._window(sid, self.t)
@@ -515,15 +521,8 @@ class _Simulation:
             self._schedule_poll(sid, self.t)
             return
         self._request_inflight[sid] = True
-        self.counters.ps_up_bits += link.CONTROL_MESSAGE_BITS
         dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
-        self.schedule(self.t + dt, self._ps_recv_request, sid)
-
-    def _retry_poll_later(self, sid: int):
-        self.schedule(self.t + self.cfg.reconnect_wait_s, self._poll_retry, sid)
-
-    def _poll_retry(self, sid: int):
-        self._schedule_poll(sid, self.t)
+        self._send("ps_up", dt, self._ps_recv_request, sid, control=True)
 
     # -- server side -------------------------------------------------------------
 
@@ -543,23 +542,11 @@ class _Simulation:
                     len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
                 )
                 sink = protocol.select_sink(ring, self.t + estimate, self._window)
-                self.counters.ps_down_msgs += 1
-                self.counters.ps_down_bits += self.model_bits
-                params = self.ps.global_params.copy()
-                self.schedule(
-                    self.t + dt,
-                    self._sat_recv_model,
-                    sid,
-                    self.ps.epoch,
-                    sink,
-                    sid,
-                    None,
-                    params,
-                )
+                epoch, model = self.ps.epoch, self.ps.global_params.copy()
+                self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
                 return
-        self.counters.ps_down_bits += link.CONTROL_MESSAGE_BITS
         dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
-        self.schedule(self.t + dt, self._sat_recv_ctrl, sid, action, self.ps.epoch)
+        self._send("ps_down", dt, self._sat_recv_ctrl, sid, action, self.ps.epoch, control=True)
 
     def _sat_recv_ctrl(self, sid: int, action: str, ps_epoch: int):
         sat = self.sats[sid]
@@ -569,7 +556,7 @@ class _Simulation:
             # way over the ring, so stop asking
             sat.told_to_wait = True
         else:
-            self._retry_poll_later(sid)
+            self.schedule(self.t + self.cfg.reconnect_wait_s, self._fire_poll, sid)
 
     def _ps_recv_ack(self, sid: int):
         self.ps.downlink_acked(self.sats[sid].group)
@@ -583,7 +570,7 @@ class _Simulation:
         if from_ps:
             self._request_inflight[sid] = False
         if sat.has_model:
-            self.counters.duplicate_models += 1
+            self.counters["duplicate_models"] += 1
             return
         sat.has_model = True
         sat.epoch = epoch
@@ -592,22 +579,14 @@ class _Simulation:
         sat.sink = sink
         sat.source = source
         if from_ps:
-            self.counters.ps_up_bits += link.CONTROL_MESSAGE_BITS
             dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
-            self.schedule(self.t + dt, self._ps_recv_ack, sid)
+            self._send("ps_up", dt, self._ps_recv_ack, sid, control=True)
         ring = self.groups[sat.group]
         received_from = None if from_ps else sender
+        dt = self.isl_model_s[sat.group]
         for target in protocol.distribution_targets(ring, sid, source, received_from):
-            self._send_isl_model(sid, target, epoch, sink, source, params)
+            self._send("isl", dt, self._sat_recv_model, target, epoch, sink, source, sid, params)
         self.schedule(self.t + self.compute_s[sid], self._compute_done, sid)
-
-    def _send_isl_model(self, sid, target, epoch, sink, source, params):
-        self.counters.isl_msgs += 1
-        self.counters.isl_bits += self.model_bits
-        dt = self.isl_model_s[self.sats[sid].group]
-        self.schedule(
-            self.t + dt, self._sat_recv_model, target, epoch, sink, source, sid, params
-        )
 
     def _compute_done(self, sid: int):
         sat = self.sats[sid]
@@ -638,10 +617,8 @@ class _Simulation:
             self._try_deliver(sid)
             return
         parent = tree.parent[sid]
-        self.counters.isl_msgs += 1
-        self.counters.isl_bits += self.model_bits
         dt = self.isl_model_s[sat.group]
-        self.schedule(self.t + dt, self._sat_recv_partial, parent, sid, sat.epoch, weighted)
+        self._send("isl", dt, self._sat_recv_partial, parent, sid, sat.epoch, weighted)
         self._advance_sat(sid)
 
     def _sat_recv_partial(self, sid, child, epoch, weighted):
@@ -674,11 +651,7 @@ class _Simulation:
             dt = self._ps_transfer_s(sid, t, self.model_bits)
             if t + dt <= w.end_s:
                 self._delivery_inflight[sid] = True
-                self.counters.ps_up_msgs += 1
-                self.counters.ps_up_bits += self.model_bits
-                self.schedule(
-                    t + dt, self._ps_recv_update, sid, sat.group, sat.holding_epoch, sat.holding
-                )
+                self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
                 return
             # the window after this one, where the plan's scan resumed
             w = self._window(sid, w.end_s + self.cfg.contact_tol_s)
@@ -702,13 +675,9 @@ class _Simulation:
         if target is None:
             self.schedule(self.t + self.cfg.reconnect_wait_s, self._try_deliver, sid)
             return
-        self.counters.isl_msgs += 1
-        self.counters.isl_bits += self.model_bits
-        self.counters.fallback_hops += 1
+        self.counters["fallback_hops"] += 1
         dt = self.isl_model_s[sat.group]
-        self.schedule(
-            self.t + dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding
-        )
+        self._send("isl", dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding)
         holding_epoch = sat.holding_epoch
         sat.holding = None
         sat.holding_from = None
@@ -724,11 +693,11 @@ class _Simulation:
         sat.holding_from = sender
         self._try_deliver(sid)
 
-    def _ps_recv_update(self, sid, group, epoch, weighted):
+    def _ps_recv_update(self, sid, epoch, weighted):
         sat = self.sats[sid]
         self._delivery_inflight[sid] = False
         before = self.ps.epoch
-        if self.ps.handle_partial(group, weighted) != protocol.ACCEPT:
+        if self.ps.handle_partial(sat.group, weighted) != protocol.ACCEPT:
             raise protocol.ProtocolError(f"server refused the aggregate from {sid}")
         sat.holding = None
         sat.holding_from = None
@@ -741,21 +710,15 @@ class _Simulation:
 
     def _record(self, epoch: int, duration: float):
         acc, loss = learning.evaluate(self.ps.global_params, self.test_set)
-        c = self.counters
+        traffic = {name: self.counters[name] for name in _TRAFFIC}
         self.records.append(
             MetricsRecord(
                 sim_time_s=self.t,
                 epoch=epoch,
                 test_accuracy=acc,
                 test_loss=loss,
-                ps_down_msgs=c.ps_down_msgs,
-                ps_down_bits=c.ps_down_bits,
-                ps_up_msgs=c.ps_up_msgs,
-                ps_up_bits=c.ps_up_bits,
-                isl_msgs=c.isl_msgs,
-                isl_bits=c.isl_bits,
-                fallback_hops=c.fallback_hops,
                 epoch_duration_s=duration,
+                **traffic,
             )
         )
 
@@ -803,21 +766,18 @@ class _Simulation:
             self.t = t
             fn(*args)
         if not self.done:
-            completed = self.ps.epoch - 1
             if truncated and limit is not None:
                 self.stop_reason = "time_limit"
-            elif completed < 1:
-                raise DeadlockError(self._diagnose())
+            elif truncated and self.ps.epoch > 1:  # an epoch done before the cap
+                self.stop_reason = "time_cap"
             else:
-                self.stop_reason = "time_cap" if truncated else "stalled"
-                if not truncated:
-                    raise DeadlockError(self._diagnose())
+                raise DeadlockError(self._diagnose())
         return RunResult(
             protocol=self.protocol,
             records=self.records,
             final_params=self.ps.global_params.copy(),
             epoch_params=self.epoch_params,
-            counters=self.counters.as_dict(),
+            counters=dict(self.counters),
             stop_reason=self.stop_reason,
         )
 

@@ -251,6 +251,15 @@ def test_contacts_lists_windows(small_ini, tmp_path):
     assert float(end) == pytest.approx(want[0][3], abs=1e-9)
 
 
+@pytest.mark.parametrize("hours", ["inf", "nan", "-1", "0"])
+def test_contacts_rejects_bad_horizon_as_usage_error(small_ini, capsys, hours):
+    with pytest.raises(SystemExit) as exit_:
+        main(["contacts", "--config", small_ini, "--horizon-hours", hours])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--horizon-hours" in err
+
+
 # -- validate subcommand -------------------------------------------------------------------
 
 
@@ -323,6 +332,14 @@ def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, line):
     assert capsys.readouterr().out.splitlines() == [line]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
     assert line.split("] ", 1)[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["10", "-1"])
+def test_validate_accepts_any_phasing_factor(tmp_path, capsys, factor):
+    path = tmp_path / "phased.ini"
+    path.write_text(ini_with({"constellation": {"phasing_factor": factor}}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_validate_reports_problems(tmp_path, capsys):

@@ -183,6 +183,15 @@ def test_walker_planes_layout():
         assert orbit.num_satellites == 8
 
 
+@pytest.mark.parametrize("factor", [1, 3, 10, -1])
+def test_walker_phasing_factor_wraps_mod_planes_times_sats(factor):
+    planes = walker_planes(5, 8, 2000.0, math.radians(80.0), phasing_factor=factor)
+    same = walker_planes(5, 8, 2000.0, math.radians(80.0), phasing_factor=factor + 40)
+    for a, b in zip(planes, same):
+        assert 0.0 <= a.phase_offset_rad < 2 * math.pi
+        assert abs(math.remainder(a.phase_offset_rad - b.phase_offset_rad, 2 * math.pi)) <= 1e-12
+
+
 def test_constellation_node_table():
     con = reference_constellation()
     assert con.num_satellites == 40

@@ -151,6 +151,27 @@ def test_direct_run_message_counts():
     assert res.records[-1].fallback_hops == 0
 
 
+@pytest.mark.parametrize("protocol_name, groups", [("fedisl", 5), ("fednonisl", 40)])
+def test_model_as_small_as_a_control_message_counts_as_a_model(protocol_name, groups):
+    from orbitfl.learning import model_dimension
+    from orbitfl.link import CONTROL_MESSAGE_BITS, model_size_bits
+
+    # 3 features and 2 classes make a model exactly as large as a control message
+    cfg = desk_scenario(
+        7,
+        num_features=3,
+        num_classes=2,
+        samples_per_satellite=10,
+        test_samples=20,
+        until_epochs=2,
+    )
+    assert model_size_bits(model_dimension(3, 2)) == CONTROL_MESSAGE_BITS
+    res = run_scenario(cfg, protocol_name)
+    # only the model transfers count as messages, one each way per group per epoch
+    assert epoch_deltas(res.records, "ps_down_msgs") == [groups, groups]
+    assert epoch_deltas(res.records, "ps_up_msgs") == [groups, groups]
+
+
 def test_initial_record_is_untrained_model():
     res = run_scenario(small_scenario(until_epochs=1), "fedisl")
     first = res.records[0]
@@ -243,9 +264,22 @@ def test_deadlock_reported_when_server_unreachable():
 def test_duplicate_aggregate_is_a_protocol_error():
     engine = _Simulation(small_scenario(), "fedisl")
     weighted = np.zeros(engine.dim)
-    engine._ps_recv_update(1, 0, 1, weighted)
+    engine._ps_recv_update(1, 1, weighted)
     with pytest.raises(protocol.ProtocolError):
-        engine._ps_recv_update(2, 0, 1, weighted)
+        engine._ps_recv_update(2, 1, weighted)
+
+
+def test_poll_retry_leaves_asking_to_a_booked_poll():
+    engine = _Simulation(small_scenario(), "fednonisl")
+    sid = next(s for s in engine.sats if engine._window(s, 0.0).start_s > 100.0)
+    opens = engine._window(sid, 0.0).start_s
+    engine._schedule_poll(sid, 0.0)
+    # a retry timer firing before that window, out of view of the server
+    engine.t = 50.0
+    engine._fire_poll(sid)
+    polls = [t for t, _, fn, args in engine.queue if fn == engine._fire_poll and args == (sid,)]
+    assert polls == [opens]
+    assert engine._poll_at[sid] == opens and engine.counters["ps_up_bits"] == 0
 
 
 def test_time_limit_truncates_cleanly():
