@@ -223,15 +223,14 @@ def partition_dataset(
     if num_workers < 1:
         raise PartitionError(f"num_workers must be >= 1, got {num_workers}")
     rng = np.random.default_rng(seed)
-    assignments: list[list[int]] = [[] for _ in range(num_workers)]
     if scheme == "iid":
         order = rng.permutation(pool.num_samples)
-        for pos, sample in enumerate(order):
-            assignments[pos % num_workers].append(int(sample))
+        assignments = [order[w::num_workers] for w in range(num_workers)]
     elif scheme == "label_split":
         if not label_groups:
             raise PartitionError("label_split requires label_groups")
         worker_blocks = np.array_split(np.arange(num_workers), len(label_groups))
+        assignments = []
         for group, block in zip(label_groups, worker_blocks):
             if block.size == 0:
                 raise PartitionError(
@@ -239,16 +238,14 @@ def partition_dataset(
                 )
             members = np.nonzero(np.isin(pool.labels, sorted(group)))[0]
             order = members[rng.permutation(members.size)]
-            for pos, sample in enumerate(order):
-                assignments[int(block[pos % block.size])].append(int(sample))
+            assignments += [order[j :: block.size] for j in range(block.size)]
     else:
         raise PartitionError(f"unknown partition scheme: {scheme!r}")
     shards = []
     for worker, rows in enumerate(assignments):
-        if not rows:
+        if rows.size == 0:
             raise PartitionError(f"worker {worker} would receive zero samples")
-        idx = np.asarray(rows, dtype=np.int64)
-        shards.append(LocalDataset(pool.features[idx], pool.labels[idx]))
+        shards.append(LocalDataset(pool.features[rows], pool.labels[rows]))
     return shards
 
 

@@ -10,7 +10,7 @@ fixed processing delays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .orbital import SPEED_OF_LIGHT_M_S
 
@@ -52,6 +52,10 @@ class LinkParams:
     carrier_hz: float
     tx_delay_s: float = 0.0
     rx_delay_s: float = 0.0
+    # the link budget's distance-free factors, derived once
+    signal_w: float = field(init=False, repr=False, compare=False)  # received at unit loss
+    noise_w: float = field(init=False, repr=False, compare=False)
+    loss_factor: float = field(init=False, repr=False, compare=False)  # 4*pi*f
 
     def __post_init__(self):
         for name in ("tx_power_w", "tx_gain", "rx_gain", "bandwidth_hz",
@@ -60,6 +64,13 @@ class LinkParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.tx_delay_s < 0 or self.rx_delay_s < 0:
             raise ValueError("processing delays must be >= 0")
+        derived = {
+            "signal_w": self.tx_power_w * self.tx_gain * self.rx_gain,
+            "noise_w": BOLTZMANN_J_PER_K * self.noise_temperature_k * self.bandwidth_hz,
+            "loss_factor": 4.0 * math.pi * self.carrier_hz,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
@@ -71,9 +82,7 @@ def path_loss(distance_m: float, carrier_hz: float) -> float:
 
 def snr(params: LinkParams, distance_m: float) -> float:
     """Received signal-to-noise ratio."""
-    loss = path_loss(distance_m, params.carrier_hz)
-    noise_w = BOLTZMANN_J_PER_K * params.noise_temperature_k * params.bandwidth_hz
-    return params.tx_power_w * params.tx_gain * params.rx_gain / (noise_w * loss)
+    return params.signal_w / (params.noise_w * path_loss(distance_m, params.carrier_hz))
 
 
 def rate(params: LinkParams, distance_m: float) -> float:
@@ -85,10 +94,18 @@ def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> f
     """Seconds to move ``payload_bits`` across the link.
 
     Serialization at the achievable rate, plus one-way propagation, plus the
-    fixed transmit/receive processing delays.
+    fixed transmit/receive processing delays. This is :func:`rate` written out
+    over the parameters' derived factors, rounding as the composed functions do.
     """
     if payload_bits < 0:
         raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
-    r = rate(params, distance_m)
-    propagation = distance_m / SPEED_OF_LIGHT_M_S
-    return payload_bits / r + propagation + params.tx_delay_s + params.rx_delay_s
+    if distance_m <= 0:
+        raise ValueError(f"distance_m must be positive, got {distance_m}")
+    loss = (params.loss_factor * distance_m / SPEED_OF_LIGHT_M_S) ** 2
+    signal_to_noise = params.signal_w / (params.noise_w * loss)
+    return (
+        payload_bits / (params.bandwidth_hz * math.log2(1.0 + signal_to_noise))
+        + distance_m / SPEED_OF_LIGHT_M_S
+        + params.tx_delay_s
+        + params.rx_delay_s
+    )

@@ -2,13 +2,18 @@
 
 The engine moves a single clock over a heap of timestamped events: connection
 attempts, message arrivals, training completions, and waits for a server
-window. Every message goes out through one send path that charges its bits to
-the run's traffic counters and schedules its arrival. Geometry
-and link rates come from :mod:`orbitfl.orbital` and :mod:`orbitfl.link`; node
-behavior comes from :mod:`orbitfl.protocol`; the math being trained lives in
-:mod:`orbitfl.learning`. Everything is deterministic for a fixed scenario:
-ties in time are broken by scheduling order, floats fold in fixed orders, and
-randomness enters only through the scenario seed.
+window. Every message is charged to the run's traffic counters in one place
+and, through one send path, scheduled to arrive. A satellite that is ahead of
+the server, done with the server's epoch and asking for the next model, is
+answered "not yet" until the epoch advances. Its poll chains are parked off the
+heap and replayed in a local loop, stage by stage with the same transfer times,
+server answers and charges, whenever the server's state is about to change and
+when the run stops at its time limit or cap. Geometry and link rates come from
+:mod:`orbitfl.orbital` and :mod:`orbitfl.link`; node behavior comes from
+:mod:`orbitfl.protocol`; the math being trained lives in :mod:`orbitfl.learning`.
+Everything is deterministic for a fixed scenario: ties in time are broken by
+scheduling order, floats fold in fixed orders, and randomness enters only
+through the scenario seed.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -34,6 +40,10 @@ from .orbital import (
 )
 
 DEFAULT_TIME_CAP_S = 30 * 86400.0
+
+# the stages of a parked poll chain, named by the handler that runs each as an event
+_FIRE, _REQUEST, _REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
+_DUE = operator.itemgetter(0)
 
 
 class DeadlockError(RuntimeError):
@@ -428,6 +438,9 @@ class _Simulation:
         self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
+        # the parked poll chains of satellites ahead of the server: per
+        # satellite, each chain's next stage as [t, handler name, reply args]
+        self._parked: dict[int, list[list]] = {}
         self._trees: dict[tuple[int, int], protocol.RoutingTree] = {}
 
     # -- scheduling ---------------------------------------------------------
@@ -435,16 +448,21 @@ class _Simulation:
     def schedule(self, t: float, fn, *args):
         heapq.heappush(self.queue, (t, next(self.seq), fn, args))
 
-    def _send(self, hop: str, dt: float, fn, *args, control: bool = False):
-        """One message over ``hop`` ("ps_down", "ps_up" or "isl"), arriving as
-        ``fn(*args)`` after ``dt``: its bits always count, and it counts as a
-        message when it carries a model rather than control."""
+    def _charge(self, hop: str, control: bool):
+        """Count one message over ``hop`` ("ps_down", "ps_up" or "isl"): its
+        bits always count, and it counts as a message when it carries a model
+        rather than control."""
         c = self.counters
         if control:
             c[hop + "_bits"] += link.CONTROL_MESSAGE_BITS
         else:
             c[hop + "_msgs"] += 1
             c[hop + "_bits"] += self.model_bits
+
+    def _send(self, hop: str, dt: float, fn, *args, control: bool = False):
+        """One message over ``hop``, charged now and arriving as ``fn(*args)``
+        after ``dt``."""
+        self._charge(hop, control)
         self.schedule(self.t + dt, fn, *args)
 
     # -- geometry shortcuts ---------------------------------------------------
@@ -499,25 +517,30 @@ class _Simulation:
             and not self._request_inflight[sat.node]
         )
 
+    def _poll_time(self, sid: int, t: float) -> float:
+        """When a poll wanted at t goes out: at once inside a server window,
+        else when the next window opens, else a contact horizon on."""
+        w = self._window(sid, t)
+        return t + self.cfg.contact_horizon_s if w is None else max(t, w.start_s)
+
     def _schedule_poll(self, sid: int, t: float):
         """Book a poll for the satellite's server window open at t or next."""
         if self._poll_at[sid] is not None or not self._wants_model(self.sats[sid]):
             return
-        w = self._window(sid, t)
-        at = t + self.cfg.contact_horizon_s if w is None else max(t, w.start_s)
-        self._poll_at[sid] = at
+        at = self._poll_at[sid] = self._poll_time(sid, t)
         self.schedule(at, self._fire_poll, sid)
 
     def _fire_poll(self, sid: int):
         """Ask the server for the model when in view, else book a poll. A retry
         after a busy reply leaves the asking to a poll booked since."""
+        if self._parked.get(sid):
+            self._replay(sid, self.t)  # a second chain of the same satellite
         if self._poll_at[sid] not in (None, self.t):
             return
         self._poll_at[sid] = None
         if not self._wants_model(self.sats[sid]):
             return
-        w = self._window(sid, self.t)
-        if w is None or w.start_s > self.t:
+        if self._poll_time(sid, self.t) > self.t:  # out of view
             self._schedule_poll(sid, self.t)
             return
         self._request_inflight[sid] = True
@@ -550,13 +573,85 @@ class _Simulation:
 
     def _sat_recv_ctrl(self, sid: int, action: str, ps_epoch: int):
         sat = self.sats[sid]
+        if self._parked.get(sid):
+            self._replay(sid, self.t)
         self._request_inflight[sid] = False
         if action == protocol.WAIT and sat.epoch == ps_epoch:
             # the model for this epoch already went to the group; it is on its
             # way over the ring, so stop asking
             sat.told_to_wait = True
-        else:
-            self.schedule(self.t + self.cfg.reconnect_wait_s, self._fire_poll, sid)
+            return
+        retry_at = self.t + self.cfg.reconnect_wait_s
+        if sat.epoch <= self.ps.epoch:
+            self.schedule(retry_at, self._fire_poll, sid)
+            return
+        # Ahead of the server: its group was served this epoch, so every poll
+        # until the epoch advances is answered "not yet" and changes nothing but
+        # the control-traffic counters. Park the chain instead of booking it.
+        if sat.group not in self.ps.sent and sat.group not in self.ps.inflight:
+            raise protocol.ProtocolError(
+                f"satellite {sid} is in epoch {sat.epoch} but the server, in epoch "
+                f"{self.ps.epoch}, never served its group {sat.group}"
+            )
+        self._parked.setdefault(sid, []).append([retry_at, _FIRE])
+
+    def _replay(self, sid: int, until: float):
+        """Carry the satellite's parked poll chains through every stage due by
+        ``until``, earliest first, as the events `_fire_poll`,
+        `_ps_recv_request` and `_sat_recv_ctrl` would: the same guards,
+        transfer times, server calls and charges. The server, still in the
+        epoch the satellite finished, never answers with the model, and the
+        satellite ignores which "not yet" it gets (an ack may have changed it
+        since the request was due), so a chain cycles until a guard of
+        `_fire_poll` ends it or its next stage is due after ``until``."""
+        chains = self._parked[sid]
+        sat, ps = self.sats[sid], self.ps
+        poll_at, requesting = self._poll_at, self._request_inflight
+        bits = link.CONTROL_MESSAGE_BITS
+        while chains:
+            chain = chains[0] if len(chains) == 1 else min(chains, key=_DUE)
+            t, stage = chain[0], chain[1]
+            if t > until:
+                return
+            if stage == _FIRE:
+                if poll_at[sid] not in (None, t):
+                    chains.remove(chain)
+                    continue
+                poll_at[sid] = None
+                if not self._wants_model(sat):
+                    chains.remove(chain)
+                    continue
+                at = self._poll_time(sid, t)
+                if at > t:  # out of view: the chain's booked poll
+                    poll_at[sid] = chain[0] = at
+                    continue
+                requesting[sid] = True
+                self._charge("ps_up", control=True)
+                chain[0] = t + self._ps_transfer_s(sid, t, bits)
+                chain[1] = _REQUEST
+            elif stage == _REQUEST:
+                action = ps.handle_connection(sat.group)
+                if action == protocol.SEND_MODEL:
+                    raise protocol.ProtocolError(
+                        f"the server sent satellite {sid} a second model in epoch {ps.epoch}"
+                    )
+                self._charge("ps_down", control=True)
+                chain[:] = t + self._ps_transfer_s(sid, t, bits), _REPLY, action, ps.epoch
+            else:
+                requesting[sid] = False
+                chain[:] = t + self.cfg.reconnect_wait_s, _FIRE
+
+    def _replay_parked(self, until: float):
+        for sid in self._parked:
+            self._replay(sid, until)
+
+    def _unpark(self):
+        """The epoch advanced: every parked chain's next stage becomes an event
+        again, at its exact time."""
+        for sid, chains in self._parked.items():
+            for t, stage, *reply in sorted(chains, key=_DUE):
+                self.schedule(t, getattr(self, stage), sid, *reply)
+        self._parked.clear()
 
     def _ps_recv_ack(self, sid: int):
         self.ps.downlink_acked(self.sats[sid].group)
@@ -694,11 +789,15 @@ class _Simulation:
         self._try_deliver(sid)
 
     def _ps_recv_update(self, sid, epoch, weighted):
+        # parked chains catch up while the server is still in their epoch
+        self._replay_parked(self.t)
         sat = self.sats[sid]
         self._delivery_inflight[sid] = False
         before = self.ps.epoch
         if self.ps.handle_partial(sat.group, weighted) != protocol.ACCEPT:
             raise protocol.ProtocolError(f"server refused the aggregate from {sid}")
+        if self.ps.epoch != before:
+            self._unpark()
         sat.holding = None
         sat.holding_from = None
         if sat.epoch == epoch:
@@ -766,12 +865,15 @@ class _Simulation:
             self.t = t
             fn(*args)
         if not self.done:
+            # a parked chain polls forever, so the run did not run dry
+            truncated = truncated or any(self._parked.values())
             if truncated and limit is not None:
                 self.stop_reason = "time_limit"
             elif truncated and self.ps.epoch > 1:  # an epoch done before the cap
                 self.stop_reason = "time_cap"
             else:
                 raise DeadlockError(self._diagnose())
+            self._replay_parked(end)
         return RunResult(
             protocol=self.protocol,
             records=self.records,

@@ -5,14 +5,18 @@ protocols), ``orbitfl compare --seed 7`` and ``orbitfl contacts --seed 7``.
 A refactor must leave them unchanged; an intended output change regenerates
 them and says why. The run files are rendered from one ``compare`` outcome,
 which runs both protocols exactly as ``run`` does, to keep the suite quick.
+
+Further runs are pinned by digest rather than by file: the sha256 of each
+run's CSV, its traffic counters and its stop reason.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from orbitfl.cli import main, render_compare_csv, render_run_csv
-from orbitfl.sim import ScenarioConfig, compare
+from orbitfl.sim import ScenarioConfig, compare, desk_scenario, reference_scenario, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
@@ -46,3 +50,75 @@ def test_contacts_match_golden(tmp_path):
     out = tmp_path / "contacts.csv"
     assert main(["contacts", "--seed", str(SEED), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == golden("contacts_seed7.csv")
+
+
+# Satellites that finish an epoch before the server does poll it in vain until
+# the epoch advances; the engine parks those polls and replays them. These
+# scenarios cover that on orbit and ground servers, with a satellite running
+# two poll chains at once (the reference case at one cycle per sample), with a
+# satellite ahead while the server still waits for its group's downlink ack
+# (the tiny model), and with the run cut off by its time limit while satellites
+# are parked. The digests were taken from the engine that booked every poll.
+PINNED = {
+    "desk7": (
+        desk_scenario(7, until_epochs=5),
+        "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
+        "dc970b2c8d728d839e5e86a989b5203fd8f75164ac8beec841289f955585938a",
+    ),
+    "desk11": (
+        desk_scenario(11, until_epochs=5),
+        "e481e45f801b132fa1309161b6fec9d5a37b73a51817e2d918d7a67484f3f442",
+        "4346ee62b2f9761ffe292ba94562397c624ce282bfd6de9870ae27976032328a",
+    ),
+    "ground": (
+        desk_scenario(
+            11,
+            num_planes=4,
+            sats_per_plane=6,
+            ps_kind="ground",
+            ps_latitude_deg=40.0,
+            until_epochs=3,
+        ),
+        "4e120f992afb69db152e3eea8cb4520b79aabdafd26ee4c70c88a3f7a6200a80",
+        "7f9e0ccce31303bd7a163b1381784e3502ec6b83a2add0a83894ff1f821dece4",
+    ),
+    "two-chains": (
+        reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
+        "4ddaf3a242b9a2adec9ba463ce515dd270b79f1a73189a3975bd94dd50bb46e2",
+        "e8f5f37329cd5f0782b27f22901a169e62d73e8f65151b65c5f1bbef6c890dc9",
+    ),
+    "tiny-model": (
+        desk_scenario(
+            7,
+            num_features=3,
+            num_classes=2,
+            samples_per_satellite=10,
+            test_samples=20,
+            until_epochs=4,
+        ),
+        "7f022583b50db46db27878dcf757f2f5bbcf66035085baab1a80bf1fa490f953",
+        "d7fc032d326166a2700cf487a68843085d5fcd141cee74049a5987f650b1f15d",
+    ),
+    "time-limit": (
+        desk_scenario(7, until_epochs=5, time_limit_s=4000.0),
+        "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
+        "dd6a762f939cc153e84057e45e6e221ba25f9ab29105debc4f0512196cccd7f3",
+    ),
+}
+
+
+def run_digest(cfg: ScenarioConfig, protocol_name: str) -> str:
+    result = run_scenario(cfg, protocol_name)
+    h = hashlib.sha256()
+    h.update(render_run_csv(result.records, cfg.seed).encode())
+    h.update(repr(sorted(result.counters.items())).encode())
+    h.update(result.stop_reason.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_run_matches_pinned_digest(case, protocol_name):
+    cfg, fedisl, fednonisl = PINNED[case]
+    want = fedisl if protocol_name == "fedisl" else fednonisl
+    assert run_digest(cfg, protocol_name) == want

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,3 +151,27 @@ def test_transfer_time_is_serialization_plus_propagation():
     params = reference_link()
     want = 251_200 / rate(params, CHORD_M) + CHORD_M / SPEED_OF_LIGHT_M_S
     assert transfer_time(params, CHORD_M, 251_200) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("delays", [(0.0, 0.0), (0.25, 0.5)])
+@pytest.mark.parametrize("distance_m", [1.0, CHORD_M, 2.1e7, 4.2e8])
+@pytest.mark.parametrize("payload_bits", [0, 512, 251_200])
+def test_transfer_time_rounds_as_the_composed_link_budget(delays, distance_m, payload_bits):
+    tx_delay_s, rx_delay_s = delays
+    params = replace(reference_link(), tx_delay_s=tx_delay_s, rx_delay_s=rx_delay_s)
+    want = (
+        payload_bits / rate(params, distance_m)
+        + distance_m / SPEED_OF_LIGHT_M_S
+        + tx_delay_s
+        + rx_delay_s
+    )
+    assert transfer_time(params, distance_m, payload_bits) == want
+
+
+def test_transfer_time_rejects_a_bad_distance_or_payload():
+    params = reference_link()
+    for distance_m in (0.0, -1.0):
+        with pytest.raises(ValueError, match="distance_m must be positive"):
+            transfer_time(params, distance_m, 512)
+    with pytest.raises(ValueError, match="payload_bits must be >= 0"):
+        transfer_time(params, CHORD_M, -1)

@@ -282,6 +282,30 @@ def test_poll_retry_leaves_asking_to_a_booked_poll():
     assert engine._poll_at[sid] == opens and engine.counters["ps_up_bits"] == 0
 
 
+def ahead_of_the_server(protocol_name):
+    """An engine at t = 100 s whose satellite 1 has finished the server's epoch."""
+    engine = _Simulation(small_scenario(), protocol_name)
+    engine.t = 100.0
+    engine.sats[1].reset_for_next_epoch()
+    return engine, engine.sats[1].group
+
+
+@pytest.mark.parametrize("served", ["sent", "inflight"])
+def test_reply_to_a_satellite_ahead_parks_its_poll(served):
+    engine, group = ahead_of_the_server("fedisl")
+    getattr(engine.ps, served).add(group)
+    engine._sat_recv_ctrl(1, protocol.RECONNECT, engine.ps.epoch)
+    assert engine.queue == []
+    assert [chain[0] for chain in engine._parked[1]] == [110.0]
+
+
+def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
+    engine, group = ahead_of_the_server("fednonisl")
+    assert group not in engine.ps.sent | engine.ps.inflight
+    with pytest.raises(protocol.ProtocolError, match="never served its group"):
+        engine._sat_recv_ctrl(1, protocol.WAIT, engine.ps.epoch)
+
+
 def test_time_limit_truncates_cleanly():
     cfg = small_scenario(time_limit_s=30.0)
     res = run_scenario(cfg, "fednonisl")
