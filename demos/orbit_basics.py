@@ -7,7 +7,13 @@ lists the first server contact for one satellite per plane.
 import math
 
 from orbitfl import build_constellation, reference_scenario
-from orbitfl.orbital import intra_plane_isl_feasible, max_isl_range_km, orbital_period, orbital_speed
+from orbitfl.orbital import (
+    ContactPlan,
+    intra_plane_isl_feasible,
+    max_isl_range_km,
+    orbital_period,
+    orbital_speed,
+)
 
 cfg = reference_scenario(seed=0)
 con = build_constellation(cfg)
@@ -25,12 +31,13 @@ print(f"ring chord      {chord:.0f} km "
 
 print()
 print("first server contact per plane (satellite ids are plane-ordered):")
+# each satellite's server windows over six hours, from the scan a run reads them from
+plan = ContactPlan(con, 6 * 3600.0, 6 * 3600.0)
 for plane in con.plane_indices():
     sat = con.ring_ids(plane)[0]
-    windows = con.contact_windows(sat, 0, 0.0, 6 * 3600.0)
-    if not windows:
+    w = plan.window(sat, 0.0)
+    if w is None:
         print(f"  plane {plane}: satellite {sat} sees no server within 6 h")
         continue
-    w = windows[0]
     print(f"  plane {plane}: satellite {sat} from {w.start_s:8.1f} s "
           f"to {w.end_s:8.1f} s ({w.duration_s / 60:.1f} min)")

@@ -2,7 +2,7 @@
 
 The package splits into five layers, each usable on its own:
 
-* :mod:`orbitfl.orbital` for circular-orbit geometry, visibility, contact windows
+* :mod:`orbitfl.orbital` for circular-orbit geometry, visibility, the contact plan
 * :mod:`orbitfl.link` for link budgets and transfer times
 * :mod:`orbitfl.learning` for the model, local training, and aggregation math
 * :mod:`orbitfl.protocol` for node state machines and routing decisions
@@ -33,6 +33,7 @@ from .learning import (
 from .link import LinkParams, model_size_bits
 from .orbital import (
     Constellation,
+    ContactPlan,
     ContactWindow,
     GroundStationSpec,
     OrbitSpec,
@@ -69,6 +70,7 @@ __all__ = [
     "CompareResult",
     "ConfigError",
     "Constellation",
+    "ContactPlan",
     "ContactWindow",
     "DeadlockError",
     "GroundStationSpec",

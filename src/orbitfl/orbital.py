@@ -6,17 +6,19 @@ Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
 Each node's position constants are computed once per ``Constellation``; a
 query at a scalar t is evaluated with ``math`` and yields floats (a distance)
 or a bool (visibility), while an array of times is evaluated with numpy in one
-pass, so window scans cover whole time grids at once. The public
-``satellite_position``/``ground_position`` return numpy arrays of shape (..., 3).
+pass, so window scans cover whole time grids at once.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
-minimum elevation above the local horizon. Contact windows are located by a
-coarse time scan refined with bisection.
+minimum elevation above the local horizon. ``Constellation.next_contact``
+locates one window by a coarse time scan refined with bisection, and a
+``ContactPlan`` strings those scans into every node's windows with one peer,
+the single source of predicted windows for a run and for ``orbitfl contacts``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -137,8 +139,6 @@ class _OrbitTrack:
     __slots__ = ("altitude_km", "theta0", "period", "r", "co", "so", "si", "so_ci", "co_ci")
 
     def __init__(self, orbit: OrbitSpec, sat_index: int):
-        if not 0 <= sat_index < orbit.num_satellites:
-            raise GeometryError(f"sat_index {sat_index} outside plane of {orbit.num_satellites}")
         self.altitude_km = orbit.altitude_km
         self.theta0 = orbit.phase_offset_rad + _TWO_PI * sat_index / orbit.num_satellites
         self.period = orbital_period(orbit.altitude_km)
@@ -203,38 +203,6 @@ def _elevated(sat, ground, sin_mask, sqrt):
     return num >= den * sin_mask
 
 
-def _stack(xyz):
-    return np.stack(np.broadcast_arrays(*xyz), axis=-1)
-
-
-def _components(pos):
-    return np.moveaxis(np.asarray(pos, dtype=float), -1, 0)
-
-
-def satellite_position(orbit: OrbitSpec, sat_index: int, t):
-    """ECI position (km) of satellite ``sat_index`` of ``orbit`` at time t.
-
-    Args:
-        orbit: the plane the satellite belongs to.
-        sat_index: position within the plane, 0 <= sat_index < num_satellites.
-        t: seconds since epoch; scalar or ndarray.
-
-    Returns:
-        Array of shape (3,) for scalar t, or (..., 3) matching t's shape.
-    """
-    return _stack(_OrbitTrack(orbit, sat_index).at(*_clock(t)))
-
-
-def ground_position(station: GroundStationSpec, t, earth_angle0_rad: float = 0.0):
-    """ECI position (km) of a ground station at time t.
-
-    The station sits at its geocentric latitude/longitude on a sphere of radius
-    EARTH_RADIUS_KM + altitude and rotates eastward at the sidereal rate.
-    ``earth_angle0_rad`` is the Earth's rotation angle at t = 0.
-    """
-    return _stack(_GroundTrack(station, earth_angle0_rad).at(*_clock(t)))
-
-
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
     """Longest line of sight between two satellites that clears the Earth.
 
@@ -243,23 +211,6 @@ def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
     ra = EARTH_RADIUS_KM + altitude_a_km
     rb = EARTH_RADIUS_KM + altitude_b_km
     return math.sqrt(ra * ra - EARTH_RADIUS_KM**2) + math.sqrt(rb * rb - EARTH_RADIUS_KM**2)
-
-
-def sat_sat_visible(pos_a, pos_b, altitude_a_km: float, altitude_b_km: float):
-    """True where the inter-satellite distance is below the limb-clearing range."""
-    d = _distance(_components(pos_a), _components(pos_b), np.sqrt)
-    return d < max_isl_range_km(altitude_a_km, altitude_b_km)
-
-
-def sat_ground_visible(pos_sat, pos_ground, min_elevation_rad: float):
-    """True where the satellite's elevation above the station horizon meets the mask.
-
-    Elevation is pi/2 minus the angle between the station's zenith direction and
-    the station-to-satellite vector.
-    """
-    return _elevated(
-        _components(pos_sat), _components(pos_ground), math.sin(min_elevation_rad), np.sqrt
-    )
 
 
 def walker_planes(
@@ -368,7 +319,8 @@ class Constellation:
     # -- geometry -----------------------------------------------------------
 
     def position(self, node: int, t):
-        return _stack(self._tracks[node].at(*_clock(t)))
+        """ECI position (km): shape (3,) for scalar t, else t's shape plus (3,)."""
+        return np.stack(np.broadcast_arrays(*self._tracks[node].at(*_clock(t))), axis=-1)
 
     def distance_km(self, a: int, b: int, t):
         """Distance between two nodes: a float for scalar t, else an array."""
@@ -422,29 +374,6 @@ class Constellation:
         end = t_end if drop is None else self._refine(a, b, drop[0], drop[1], tol_s)
         return ContactWindow(a, b, start, end)
 
-    def contact_windows(
-        self,
-        a: int,
-        b: int,
-        from_t: float,
-        until_t: float,
-        *,
-        step_s: float = 10.0,
-        tol_s: float = 0.1,
-    ) -> list[ContactWindow]:
-        """All visibility windows between ``from_t`` and ``until_t``."""
-        windows = []
-        t = from_t
-        while t < until_t:
-            w = self.next_contact(a, b, t, until_t - t, step_s=step_s, tol_s=tol_s)
-            if w is None:
-                break
-            windows.append(w)
-            if w.end_s >= until_t:
-                break
-            t = w.end_s + tol_s
-        return windows
-
     def _scan_for(self, a, b, t0, t1, want, step_s):
         """First grid time in [t0, t1] where visible == want, with the prior grid time.
 
@@ -480,3 +409,83 @@ class Constellation:
             else:
                 t_hi = mid
         return 0.5 * (t_lo + t_hi)
+
+
+class ContactPlan:
+    """Every node's contact windows with one peer, predicted from t = 0 to ``end_s``.
+
+    A node's windows come from one forward scan of ``Constellation.next_contact``
+    calls, extended on demand a horizon at a time, each horizon ``horizon_s``
+    rounded up to whole ``step_s`` so that one scan's time grid runs on into
+    the next. The scan resumes ``tol_s`` past each window it closes, and a
+    window still open where a horizon ends is continued, not split, so every
+    window runs from a rise to a drop, or to ``end_s``. The windows therefore
+    do not depend on the horizon, nor on when or in what order they are
+    asked for.
+    """
+
+    def __init__(
+        self,
+        con: Constellation,
+        horizon_s: float,
+        end_s: float,
+        *,
+        peer: int = PS_NODE,
+        step_s: float = 10.0,
+        tol_s: float = 0.1,
+    ):
+        self.con, self.peer = con, peer
+        self.horizon_s, self.end_s = horizon_s, end_s
+        self.step_s, self.tol_s = step_s, tol_s
+        self._chunk_s = step_s * math.ceil(horizon_s / step_s)
+        self._windows: dict[int, list[ContactWindow]] = {}
+        self._resume: dict[int, float] = {}  # where each node's scan goes on
+
+    def window(self, node: int, t: float) -> ContactWindow | None:
+        """The window open at t, else the next one opening within the
+        horizon of t, else None."""
+        reach = t + self.horizon_s
+        windows = self._windows.setdefault(node, [])
+        while not (windows and windows[-1].end_s >= t) and self._resume.get(node, 0.0) <= reach:
+            if not self._extend(node):
+                break
+        i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
+        if i == len(windows) or windows[i].start_s > reach:
+            return None
+        return windows[i]
+
+    def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
+        """The window after ``w``: the one open ``tol_s`` past its end, where the
+        scan resumed, else the next opening within the horizon of that time."""
+        return self.window(node, w.end_s + self.tol_s)
+
+    def windows(self, node: int, until: float) -> list[ContactWindow]:
+        """Every window opening by ``until``, in time order."""
+        windows = self._windows.setdefault(node, [])
+        while self._resume.get(node, 0.0) < until and self._extend(node):
+            pass
+        return [w for w in windows if w.start_s <= until]
+
+    def _extend(self, node: int) -> bool:
+        """Scan the node's next horizon; False once the plan has reached ``end_s``."""
+        s = self._resume.get(node, 0.0)
+        if s >= self.end_s:
+            return False
+        w = self._scan(node, s)
+        if w is None:
+            self._resume[node] = s + self._chunk_s
+            return True
+        start = w.start_s
+        # visible to the horizon's last sample: the next scan opens on the same window
+        while w.end_s == s + self._chunk_s and w.end_s < self.end_s:
+            s = w.end_s
+            w = self._scan(node, s)
+        self._windows[node].append(ContactWindow(node, self.peer, start, w.end_s))
+        self._resume[node] = w.end_s + self.tol_s
+        return True
+
+    def _scan(self, node: int, s: float) -> ContactWindow | None:
+        horizon = min(self._chunk_s, self.end_s - s)
+        return self.con.next_contact(
+            node, self.peer, s, horizon, step_s=self.step_s, tol_s=self.tol_s
+        )

@@ -8,9 +8,12 @@ the server, done with the server's epoch and asking for the next model, is
 answered "not yet" until the epoch advances. Its poll chains are parked off the
 heap and replayed in a local loop, stage by stage with the same transfer times,
 server answers and charges, whenever the server's state is about to change and
-when the run stops at its time limit or cap. Geometry and link rates come from
-:mod:`orbitfl.orbital` and :mod:`orbitfl.link`; node behavior comes from
-:mod:`orbitfl.protocol`; the math being trained lives in :mod:`orbitfl.learning`.
+when the run stops at its time limit or cap. Polls, transfers, deliveries and
+sink election read every server window from the run's one
+:class:`orbitfl.orbital.ContactPlan`, the plan :func:`contact_table` prints.
+Geometry and link rates come from :mod:`orbitfl.orbital` and
+:mod:`orbitfl.link`; node behavior comes from :mod:`orbitfl.protocol`; the
+math being trained lives in :mod:`orbitfl.learning`.
 Everything is deterministic for a fixed scenario: ties in time are broken by
 scheduling order, floats fold in fixed orders, and randomness enters only
 through the scenario seed.
@@ -18,7 +21,6 @@ through the scenario seed.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -32,7 +34,7 @@ from .orbital import (
     PS_NODE,
     AngleRangeError,
     Constellation,
-    ContactWindow,
+    ContactPlan,
     GroundStationSpec,
     OrbitSpec,
     intra_plane_isl_feasible,
@@ -349,15 +351,23 @@ def build_datasets(cfg: ScenarioConfig):
     return by_sat, test
 
 
+def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> ContactPlan:
+    """The scenario's satellite-to-server contact plan up to ``end_s``."""
+    return ContactPlan(
+        con, cfg.contact_horizon_s, end_s, step_s=cfg.contact_step_s, tol_s=cfg.contact_tol_s
+    )
+
+
 def contact_table(cfg: ScenarioConfig, horizon_s: float):
-    """Server visibility windows for every satellite, sorted by opening time."""
+    """Server visibility windows for every satellite, sorted by opening time:
+    the windows a run reads, cut at ``horizon_s``."""
     con = build_constellation(cfg)
-    rows = []
-    for sat in con.satellite_ids():
-        for w in con.contact_windows(
-            sat, PS_NODE, 0.0, horizon_s, step_s=cfg.contact_step_s, tol_s=cfg.contact_tol_s
-        ):
-            rows.append((sat, con.plane_of(sat), w.start_s, w.end_s))
+    plan = _contact_plan(cfg, con, horizon_s)
+    rows = [
+        (sat, con.plane_of(sat), w.start_s, w.end_s)
+        for sat in con.satellite_ids()
+        for w in plan.windows(sat, horizon_s)
+    ]
     rows.sort(key=lambda r: (r[2], r[0]))
     return rows
 
@@ -430,10 +440,10 @@ class _Simulation:
         self.epoch_started = 0.0
         self.done = False
         self.stop_reason = ""
-        # the contact plan: each satellite's server windows so far, in time
-        # order, and where its forward scan resumes
-        self._plan: dict[int, list[ContactWindow]] = {sid: [] for sid in ids}
-        self._scan_from: dict[int, float] = dict.fromkeys(ids, 0.0)
+        limit = cfg.time_limit_s
+        self.end = DEFAULT_TIME_CAP_S if limit is None else limit
+        # no event runs after the end, so no question looks past a horizon beyond it
+        self.plan = _contact_plan(cfg, self.con, self.end + cfg.contact_horizon_s)
         # when each satellite's booked poll fires, None when none is booked
         self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
@@ -467,37 +477,6 @@ class _Simulation:
 
     # -- geometry shortcuts ---------------------------------------------------
 
-    def _window(self, sid: int, t: float) -> ContactWindow | None:
-        """The server window open at t, else the next one opening within the
-        contact horizon, else None: the engine's one contact scan.
-
-        Each satellite's windows come from one forward scan from t = 0, extended
-        on demand, each step starting ``contact_tol_s`` past the last window, so
-        they do not depend on when they are asked for and equal the rows of
-        :func:`contact_table`.
-        """
-        cfg = self.cfg
-        horizon = cfg.contact_horizon_s
-        windows = self._plan[sid]
-        while not (windows and windows[-1].end_s >= t) and self._scan_from[sid] <= t + horizon:
-            w = self.con.next_contact(
-                sid,
-                PS_NODE,
-                self._scan_from[sid],
-                horizon,
-                step_s=cfg.contact_step_s,
-                tol_s=cfg.contact_tol_s,
-            )
-            if w is None:
-                self._scan_from[sid] += horizon
-            else:
-                windows.append(w)
-                self._scan_from[sid] = w.end_s + cfg.contact_tol_s
-        i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
-        if i == len(windows) or windows[i].start_s > t + horizon:
-            return None
-        return windows[i]
-
     def _ps_transfer_s(self, sat: int, t: float, bits: int) -> float:
         d_m = self.con.distance_km(sat, PS_NODE, t) * 1000.0
         return link.transfer_time(self.link_params, d_m, bits)
@@ -520,7 +499,7 @@ class _Simulation:
     def _poll_time(self, sid: int, t: float) -> float:
         """When a poll wanted at t goes out: at once inside a server window,
         else when the next window opens, else a contact horizon on."""
-        w = self._window(sid, t)
+        w = self.plan.window(sid, t)
         return t + self.cfg.contact_horizon_s if w is None else max(t, w.start_s)
 
     def _schedule_poll(self, sid: int, t: float):
@@ -554,7 +533,7 @@ class _Simulation:
         action = self.ps.handle_connection(gid)
         if action == protocol.SEND_MODEL:
             dt = self._ps_transfer_s(sid, self.t, self.model_bits)
-            w = self._window(sid, self.t)
+            w = self.plan.window(sid, self.t)
             if w is None or self.t + dt > w.end_s:
                 # transfer would outlive the pass; treat as a busy signal
                 self.ps.inflight.discard(gid)
@@ -564,7 +543,7 @@ class _Simulation:
                 estimate = dt + protocol.estimate_aggregation_time(
                     len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
                 )
-                sink = protocol.select_sink(ring, self.t + estimate, self._window)
+                sink = protocol.select_sink(ring, self.t + estimate, self.plan.window)
                 epoch, model = self.ps.epoch, self.ps.global_params.copy()
                 self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
                 return
@@ -741,15 +720,14 @@ class _Simulation:
         if sat.holding is None or self._delivery_inflight[sid]:
             return
         t = self.t
-        w = self._window(sid, t)
+        w = self.plan.window(sid, t)
         if w is not None and w.start_s <= t:
             dt = self._ps_transfer_s(sid, t, self.model_bits)
             if t + dt <= w.end_s:
                 self._delivery_inflight[sid] = True
                 self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
                 return
-            # the window after this one, where the plan's scan resumed
-            w = self._window(sid, w.end_s + self.cfg.contact_tol_s)
+            w = self.plan.after(sid, w)
         next_start = None if w is None else w.start_s
         if len(self.groups[sat.group]) == 1:
             # no relays to lean on: wait out the gap however long it is
@@ -851,8 +829,7 @@ class _Simulation:
 
     def run(self, until_epochs: int | None = None) -> RunResult:
         self.until_epochs = self.cfg.until_epochs if until_epochs is None else until_epochs
-        limit = self.cfg.time_limit_s
-        end = DEFAULT_TIME_CAP_S if limit is None else limit
+        limit, end = self.cfg.time_limit_s, self.end
         self._record(0, 0.0)
         for sid in self.con.satellite_ids():
             self._schedule_poll(sid, 0.0)

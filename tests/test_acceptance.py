@@ -21,7 +21,7 @@ import pytest
 
 from orbitfl import learning, protocol
 from orbitfl.cli import main
-from orbitfl.orbital import PS_NODE
+from orbitfl.orbital import PS_NODE, ContactPlan
 from orbitfl.sim import build_constellation, compare, desk_scenario, run_scenario
 
 from helpers import brute_windows, ring_hop_distances
@@ -210,7 +210,7 @@ def test_criterion_6_contact_windows_match_dense_scan():
     horizon = 12 * 3600.0
     for a, b in pairs:
         brute = brute_windows(con, a, b, 0.0, horizon, step_s=1.0)
-        got = con.contact_windows(a, b, 0.0, horizon)
+        got = ContactPlan(con, horizon, horizon, peer=b).windows(a, horizon)
         for start, end in brute:
             if end - start <= 10.0:
                 continue  # below the coarse scan's resolution by design

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from orbitfl import orbital
 from orbitfl.orbital import (
     Constellation,
+    ContactPlan,
     ContactWindow,
     GeometryError,
     GroundStationSpec,
     OrbitSpec,
     PS_NODE,
-    ground_position,
     intra_plane_isl_feasible,
     max_isl_range_km,
     orbital_period,
     orbital_speed,
-    sat_ground_visible,
-    sat_sat_visible,
-    satellite_position,
     walker_planes,
 )
 
@@ -63,11 +60,11 @@ def test_period_speed_identity():
 
 def test_satellite_position_axis_cases():
     orbit = OrbitSpec(0, 2000.0, 0.0, 0.0, 4)
-    p = satellite_position(orbit, 0, 0.0)
+    p = Constellation([orbit], MEO_PS).position(1, 0.0)
     np.testing.assert_allclose(p, [8371.0, 0.0, 0.0], atol=1e-9)
-    # quarter ring ahead, polar plane: the +y in-plane direction maps to +z
+    # quarter ring ahead (node 2), polar plane: the +y in-plane direction maps to +z
     polar = OrbitSpec(0, 2000.0, math.pi / 2, 0.0, 4)
-    p = satellite_position(polar, 1, 0.0)
+    p = Constellation([polar], MEO_PS).position(2, 0.0)
     np.testing.assert_allclose(p, [0.0, 0.0, 8371.0], atol=1e-9)
 
 
@@ -82,34 +79,33 @@ def test_satellite_position_periodicity_and_radius():
             num_satellites=int(rng.integers(1, 12)),
             phase_offset_rad=float(rng.uniform(0, 2 * math.pi)),
         )
-        idx = int(rng.integers(0, orbit.num_satellites))
+        con = Constellation([orbit], MEO_PS)
+        node = int(rng.integers(1, orbit.num_satellites + 1))
         ts = rng.uniform(0, 1e6, size=200)
-        pos = satellite_position(orbit, idx, ts)
+        pos = con.position(node, ts)
         assert pos.shape == (200, 3)
         np.testing.assert_allclose(
             np.linalg.norm(pos, axis=-1), orbit.radius_km, rtol=1e-12
         )
         period = orbital_period(orbit.altitude_km)
+        np.testing.assert_allclose(pos, con.position(node, ts + period), atol=1e-6)
         np.testing.assert_allclose(
-            pos, satellite_position(orbit, idx, ts + period), atol=1e-6
+            con.distance_km(node, PS_NODE, ts),
+            np.linalg.norm(pos - con.position(PS_NODE, ts), axis=-1),
+            rtol=1e-12,
         )
 
 
-def test_satellite_position_rejects_bad_index():
-    orbit = OrbitSpec(0, 2000.0, 0.0, 0.0, 4)
-    with pytest.raises(GeometryError):
-        satellite_position(orbit, 4, 0.0)
-
-
 def test_ground_position_pole_and_equator():
-    pole = GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0))
+    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
+    pole = Constellation(planes, GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0)))
     for t in (0.0, 1234.5, 86400.0):
-        np.testing.assert_allclose(ground_position(pole, t), [0.0, 0.0, 6371.0], atol=1e-9)
-    equator = GroundStationSpec(0.0, 0.0, 0.0)
-    np.testing.assert_allclose(ground_position(equator, 0.0), [6371.0, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(pole.position(PS_NODE, t), [0.0, 0.0, 6371.0], atol=1e-9)
+    equator = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
+    np.testing.assert_allclose(equator.position(PS_NODE, 0.0), [6371.0, 0.0, 0.0], atol=1e-9)
     sidereal = 2 * math.pi / orbital.EARTH_ROTATION_RAD_S
     np.testing.assert_allclose(
-        ground_position(equator, sidereal), ground_position(equator, 0.0), atol=1e-6
+        equator.position(PS_NODE, sidereal), equator.position(PS_NODE, 0.0), atol=1e-6
     )
 
 
@@ -121,12 +117,9 @@ def test_max_isl_range_values():
 
 def test_sat_sat_visible_ring_cases():
     # adjacent satellites of the reference ring see each other, antipodal ones do not
-    orbit = OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 8)
-    p0 = satellite_position(orbit, 0, 0.0)
-    p1 = satellite_position(orbit, 1, 0.0)
-    p4 = satellite_position(orbit, 4, 0.0)
-    assert bool(sat_sat_visible(p0, p1, 2000.0, 2000.0))
-    assert not bool(sat_sat_visible(p0, p4, 2000.0, 2000.0))
+    con = Constellation([OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 8)], MEO_PS)
+    assert con.visible(1, 2, 0.0)
+    assert not con.visible(1, 5, 0.0)
 
 
 def test_visibility_symmetric():
@@ -140,14 +133,21 @@ def test_visibility_symmetric():
 
 
 def test_sat_ground_visible_zenith_and_mask():
-    gs = GroundStationSpec(0.0, 0.0, math.radians(10.0))
-    g = ground_position(gs, 0.0)
-    overhead = np.array([8371.0, 0.0, 0.0])
-    assert bool(sat_ground_visible(overhead, g, gs.min_elevation_rad))
-    # a satellite in the station's horizon plane sits at zero elevation
-    horizon = np.array([6371.0, 8000.0, 0.0])
-    assert not bool(sat_ground_visible(horizon, g, gs.min_elevation_rad))
-    assert bool(sat_ground_visible(horizon, g, 0.0))
+    # an equatorial station at longitude 0: satellite 1 is overhead at t = 0,
+    # satellite 2 (its own plane) is 8000 km away at 5 degrees of elevation
+    r_e = orbital.EARTH_RADIUS_KM
+    low = math.radians(5.0)
+    x, y = r_e + 8000.0 * math.sin(low), 8000.0 * math.cos(low)
+    planes = [
+        OrbitSpec(0, 2000.0, 0.0, 0.0, 1),
+        OrbitSpec(1, math.hypot(x, y) - r_e, 0.0, 0.0, 1, math.atan2(y, x)),
+    ]
+    masked = Constellation(planes, GroundStationSpec(0.0, 0.0, math.radians(10.0)))
+    open_sky = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
+    np.testing.assert_allclose(masked.position(2, 0.0), [x, y, 0.0], atol=1e-9)
+    assert masked.visible(1, PS_NODE, 0.0) and open_sky.visible(1, PS_NODE, 0.0)
+    assert not masked.visible(2, PS_NODE, 0.0)
+    assert open_sky.visible(2, PS_NODE, 0.0)
 
 
 # With a zero mask, visibility must match a line-of-sight check against the sphere:
@@ -170,7 +170,7 @@ def test_sat_ground_visible_matches_segment_oracle():
         closest = np.linalg.norm(g + s_min * seg)
         if abs(closest - r_e) < 1e-9:
             continue  # tangent to within float noise; either verdict is defensible
-        assert bool(sat_ground_visible(sat, g, 0.0)) == bool(closest >= r_e)
+        assert orbital._elevated(tuple(sat), tuple(g), 0.0, math.sqrt) == bool(closest >= r_e)
 
 
 def test_walker_planes_layout():
@@ -276,7 +276,7 @@ def test_next_contact_matches_brute_windows():
     horizon = 43200.0
     for a, b in ((1, PS_NODE), (23, PS_NODE), (1, 23)):
         brute = brute_windows(con, a, b, 0.0, horizon)
-        predicted = con.contact_windows(a, b, 0.0, horizon)
+        predicted = ContactPlan(con, horizon, horizon, peer=b).windows(a, horizon)
         long_brute = [w for w in brute if w[1] - w[0] > 10.0]
         assert len(predicted) >= len(long_brute)
         for bs, be in long_brute:
@@ -295,11 +295,48 @@ def test_polar_station_windows_recur_every_period():
     pole = GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0))
     con = Constellation(planes, pole)
     period = orbital_period(2000.0)
-    windows = con.contact_windows(1, PS_NODE, 0.0, 43200.0)
+    windows = ContactPlan(con, 43200.0, 43200.0).windows(1, 43200.0)
     assert len(windows) >= 5
     starts = [w.start_s for w in windows]
     gaps = np.diff(starts)
     np.testing.assert_allclose(gaps, period, rtol=0.2)
+
+
+# A window longer than the scan's horizon is continued, not split at the cut,
+# so a plan's windows do not depend on the horizon it scans with.
+@pytest.mark.parametrize("ps", [MEO_PS, GroundStationSpec(math.radians(40.0), 0.0, 0.0)])
+def test_contact_plan_windows_do_not_depend_on_the_horizon(ps):
+    con = reference_constellation(ps)
+    end = 6 * 3600.0
+    whole = ContactPlan(con, end, end)
+    for horizon in (8.0, 600.0):
+        plan = ContactPlan(con, horizon, end)
+        for sat in (1, 30):
+            windows = plan.windows(sat, end)
+            assert windows == whole.windows(sat, end)
+            assert any(w.duration_s > horizon for w in windows)
+            for w, nxt in zip(windows, windows[1:]):
+                assert nxt.start_s >= w.end_s + plan.tol_s
+
+
+def test_contact_plan_window_and_after_read_the_same_windows():
+    con = reference_constellation()
+    plan = ContactPlan(con, 600.0, 43200.0)
+    windows = ContactPlan(con, 600.0, 43200.0).windows(3, 43200.0)
+    for w, nxt in zip(windows, windows[1:]):
+        mid = 0.5 * (w.start_s + w.end_s)
+        assert plan.window(3, mid) == w
+        assert plan.window(3, w.start_s - 1.0) in (w, None)  # None: opens past the horizon
+        assert plan.after(3, w) == (nxt if nxt.start_s <= w.end_s + plan.tol_s + 600.0 else None)
+    assert plan.window(3, 43200.0 + 1.0) is None
+
+
+def test_contact_plan_stops_at_its_end():
+    # ring neighbors never lose sight of each other: one window, cut at the end
+    con = reference_constellation()
+    plan = ContactPlan(con, 60.0, 5000.0, peer=2)
+    assert plan.window(1, 100.0) == ContactWindow(1, 2, 0.0, 5000.0)
+    assert plan.windows(1, 1e9) == [ContactWindow(1, 2, 0.0, 5000.0)]
 
 
 def test_intra_plane_isl_feasibility():
@@ -372,12 +409,3 @@ def test_scalar_queries_equal_grid_queries(con, data):
         assert type(v) is bool and v == con.visible(a, b, grid)[0]
         for node in (a, b):
             assert np.array_equal(con.position(node, t), con.position(node, grid)[0])
-        sat = data.draw(st.sampled_from(ids))
-        orbit = con.orbits[con.plane_of(sat)]
-        index = con.ring_ids(orbit.plane_index).index(sat)
-        assert np.array_equal(satellite_position(orbit, index, t), con.position(sat, t))
-        if con.ps_is_satellite:
-            server = satellite_position(con.ps, 0, t)
-        else:
-            server = ground_position(con.ps, t, con.earth_angle0_rad)
-        assert np.array_equal(server, con.position(PS_NODE, t))

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import orbitfl.protocol as protocol
-from orbitfl.orbital import PS_NODE, Constellation
+from orbitfl.orbital import Constellation, ContactPlan
 from orbitfl.sim import (
     CompareResult,
     _Simulation,
@@ -271,8 +272,8 @@ def test_duplicate_aggregate_is_a_protocol_error():
 
 def test_poll_retry_leaves_asking_to_a_booked_poll():
     engine = _Simulation(small_scenario(), "fednonisl")
-    sid = next(s for s in engine.sats if engine._window(s, 0.0).start_s > 100.0)
-    opens = engine._window(sid, 0.0).start_s
+    sid = next(s for s in engine.sats if engine.plan.window(s, 0.0).start_s > 100.0)
+    opens = engine.plan.window(sid, 0.0).start_s
     engine._schedule_poll(sid, 0.0)
     # a retry timer firing before that window, out of view of the server
     engine.t = 50.0
@@ -356,38 +357,70 @@ def test_contact_table_matches_geometry():
     for sat, plane, start, end in rows:
         assert con.plane_of(sat) == plane
         assert 0.0 <= start < end <= horizon
-    sat_one = [r for r in rows if r[0] == 1]
-    want = con.contact_windows(1, PS_NODE, 0.0, horizon)
-    assert len(sat_one) == len(want)
-    for row, w in zip(sat_one, want):
-        assert row[2] == pytest.approx(w.start_s, abs=1e-9)
-        assert row[3] == pytest.approx(w.end_s, abs=1e-9)
+    # the table's plan scans a 12 h horizon; one scanning 10 min finds the same windows
+    sat_one = [(start, end) for sat, _, start, end in rows if sat == 1]
+    want = ContactPlan(con, 600.0, horizon).windows(1, horizon)
+    assert sat_one == [(w.start_s, w.end_s) for w in want]
 
 
 # -- the contact plan ----------------------------------------------------------------------
 
 
+_GROUND = {"ps_kind": "ground", "ps_latitude_deg": 40.0}
+
+
+# the default horizon, and a 600 s one that server passes outlast
 @pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
 @pytest.mark.parametrize(
-    "server", [{}, {"ps_kind": "ground", "ps_latitude_deg": 40.0}], ids=["orbit", "ground"]
+    "server",
+    [{}, _GROUND, {"contact_horizon_s": 600.0}, dict(_GROUND, contact_horizon_s=600.0)],
+    ids=["orbit", "ground", "orbit_horizon600", "ground_horizon600"],
 )
 def test_engine_windows_are_contact_table_rows(protocol_name, server):
     engine = _Simulation(small_scenario(until_epochs=1, **server), protocol_name)
     used = set()
-    query = engine._window
+    plan = engine.plan
+    window, after = plan.window, plan.after
 
-    def recording(sid, t):
-        w = query(sid, t)
+    def record(w):
         if w is not None:
-            used.add((sid, w.start_s, w.end_s))
+            used.add((w.node_a, w.start_s, w.end_s))
         return w
 
-    engine._window = recording
+    plan.window = lambda sid, t: record(window(sid, t))
+    plan.after = lambda sid, w: record(after(sid, w))
     engine.run()
-    # reach far enough past every scan that no used window is cut at the horizon
-    horizon = max(engine._scan_from.values()) + 3600.0
-    rows = {(sat, start, end) for sat, _, start, end in contact_table(engine.cfg, horizon)}
-    assert used and used <= rows
+    # reach far enough past every scan that no used window is cut at the table's
+    # end, and scan with the default horizon, so no row is split at a shorter one
+    horizon = max(plan._resume.values()) + 3600.0
+    default = replace(engine.cfg, contact_horizon_s=ScenarioConfig.contact_horizon_s)
+    rows = contact_table(default, horizon)
+    assert used
+    for sid, start, end in used:
+        row = next((r for r in rows if r[0] == sid and r[2] == start), None)
+        assert row is not None, f"satellite {sid}: window from {start} is no table row"
+        assert end <= row[3]
+
+
+# A 8 s horizon is shorter than a model transfer. A plan that cut windows at
+# the horizon would make every window too short to send a model in, and the
+# server would answer "busy" until the time limit.
+def test_horizon_shorter_than_a_transfer_still_trains():
+    engine = _Simulation(
+        desk_scenario(7, contact_horizon_s=8.0, until_epochs=1, time_limit_s=20000.0), "fedisl"
+    )
+    booked = []
+    schedule = engine.schedule
+
+    def checked(t, fn, *args):
+        booked.append((t, engine.t))
+        schedule(t, fn, *args)
+
+    engine.schedule = checked
+    res = engine.run()
+    assert res.stop_reason == "epochs"
+    assert res.records[-1].ps_down_msgs == len(engine.groups)
+    assert booked and all(t >= now for t, now in booked)
 
 
 def test_contact_settings_reach_every_scan(monkeypatch):
