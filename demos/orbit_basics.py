@@ -32,7 +32,7 @@ print(f"ring chord      {chord:.0f} km "
 print()
 print("first server contact per plane (satellite ids are plane-ordered):")
 # each satellite's server windows over six hours, from the scan a run reads them from
-plan = ContactPlan(con, 6 * 3600.0, 6 * 3600.0)
+plan = ContactPlan(con, 6 * 3600.0)
 for plane in con.plane_indices():
     sat = con.ring_ids(plane)[0]
     w = plan.window(sat, 0.0)

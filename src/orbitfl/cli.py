@@ -113,7 +113,6 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "grace_factor": ("grace_factor", _float),
         "contact_step_s": ("contact_step_s", _float),
         "contact_tol_s": ("contact_tol_s", _float),
-        "contact_horizon_s": ("contact_horizon_s", _float),
     },
     "sim": {
         "seed": ("seed", _int),

@@ -12,8 +12,9 @@ Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. ``Constellation.next_contact``
 locates one window by a coarse time scan refined with bisection, and a
-``ContactPlan`` strings those scans into every node's windows with one peer,
-the single source of predicted windows for a run and for ``orbitfl contacts``.
+``ContactPlan`` strings those scans, each reaching to the plan's end, into
+every node's windows with one peer, the single source of predicted windows for
+a run and for ``orbitfl contacts``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ EARTH_ROTATION_RAD_S = 7.2921159e-5  # sidereal rate
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 PS_NODE = 0  # the parameter server's node id; satellites are numbered from 1
+
+# Grid points per visibility call of a window scan. A scan may reach far past
+# the window it finds, and the points past the find in its chunk are wasted.
+_SCAN_CHUNK = 1024
 
 _TWO_PI = 2.0 * math.pi
 
@@ -227,6 +232,8 @@ def walker_planes(
     """
     if num_planes < 1:
         raise GeometryError(f"num_planes must be >= 1, got {num_planes}")
+    if sats_per_plane < 1:
+        raise GeometryError(f"sats_per_plane must be >= 1, got {sats_per_plane}")
     planes = []
     for p in range(num_planes):
         phase = _TWO_PI * p * phasing_factor / (num_planes * sats_per_plane)
@@ -383,11 +390,10 @@ class Constellation:
         if t1 <= t0:
             return None
         n = int(math.ceil((t1 - t0) / step_s)) + 1
-        chunk = 8192
         prev_t = t0
         i = 0
         while i < n:
-            ts = t0 + step_s * np.arange(i, min(i + chunk, n), dtype=float)
+            ts = t0 + step_s * np.arange(i, min(i + _SCAN_CHUNK, n), dtype=float)
             ts = np.minimum(ts, t1)
             vis = np.asarray(self.visible(a, b, ts), dtype=bool)
             hits = np.nonzero(vis == want)[0]
@@ -396,7 +402,7 @@ class Constellation:
                 t_before = float(ts[j - 1]) if j > 0 else prev_t
                 return (t_before, float(ts[j]))
             prev_t = float(ts[-1])
-            i += chunk
+            i += _SCAN_CHUNK
         return None
 
     def _refine(self, a, b, t_lo, t_hi, tol_s):
@@ -414,49 +420,38 @@ class Constellation:
 class ContactPlan:
     """Every node's contact windows with one peer, predicted from t = 0 to ``end_s``.
 
-    A node's windows come from one forward scan of ``Constellation.next_contact``
-    calls, extended on demand a horizon at a time, each horizon ``horizon_s``
-    rounded up to whole ``step_s`` so that one scan's time grid runs on into
-    the next. The scan resumes ``tol_s`` past each window it closes, and a
-    window still open where a horizon ends is continued, not split, so every
-    window runs from a rise to a drop, or to ``end_s``. The windows therefore
-    do not depend on the horizon, nor on when or in what order they are
-    asked for.
+    A node's windows come from one forward scan: each ``Constellation.next_contact``
+    call reaches to ``end_s`` and finds the node's next window, and the scan
+    resumes ``tol_s`` past each window it closes. Every window runs from a rise
+    to a drop, or to ``end_s``, and does not depend on when or in what order
+    it is asked for.
     """
 
     def __init__(
         self,
         con: Constellation,
-        horizon_s: float,
         end_s: float,
         *,
         peer: int = PS_NODE,
         step_s: float = 10.0,
         tol_s: float = 0.1,
     ):
-        self.con, self.peer = con, peer
-        self.horizon_s, self.end_s = horizon_s, end_s
+        self.con, self.peer, self.end_s = con, peer, end_s
         self.step_s, self.tol_s = step_s, tol_s
-        self._chunk_s = step_s * math.ceil(horizon_s / step_s)
         self._windows: dict[int, list[ContactWindow]] = {}
         self._resume: dict[int, float] = {}  # where each node's scan goes on
 
     def window(self, node: int, t: float) -> ContactWindow | None:
-        """The window open at t, else the next one opening within the
-        horizon of t, else None."""
-        reach = t + self.horizon_s
+        """The window open at t, else the next one before ``end_s``, else None."""
         windows = self._windows.setdefault(node, [])
-        while not (windows and windows[-1].end_s >= t) and self._resume.get(node, 0.0) <= reach:
-            if not self._extend(node):
-                break
+        while not (windows and windows[-1].end_s >= t) and self._extend(node):
+            pass
         i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
-        if i == len(windows) or windows[i].start_s > reach:
-            return None
-        return windows[i]
+        return windows[i] if i < len(windows) else None
 
     def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
         """The window after ``w``: the one open ``tol_s`` past its end, where the
-        scan resumed, else the next opening within the horizon of that time."""
+        scan resumed, else the next one."""
         return self.window(node, w.end_s + self.tol_s)
 
     def windows(self, node: int, until: float) -> list[ContactWindow]:
@@ -467,25 +462,16 @@ class ContactPlan:
         return [w for w in windows if w.start_s <= until]
 
     def _extend(self, node: int) -> bool:
-        """Scan the node's next horizon; False once the plan has reached ``end_s``."""
+        """Scan for the node's next window; False once none is left before ``end_s``."""
         s = self._resume.get(node, 0.0)
         if s >= self.end_s:
             return False
-        w = self._scan(node, s)
+        w = self.con.next_contact(
+            node, self.peer, s, self.end_s - s, step_s=self.step_s, tol_s=self.tol_s
+        )
         if w is None:
-            self._resume[node] = s + self._chunk_s
-            return True
-        start = w.start_s
-        # visible to the horizon's last sample: the next scan opens on the same window
-        while w.end_s == s + self._chunk_s and w.end_s < self.end_s:
-            s = w.end_s
-            w = self._scan(node, s)
-        self._windows[node].append(ContactWindow(node, self.peer, start, w.end_s))
+            self._resume[node] = self.end_s
+            return False
+        self._windows[node].append(w)
         self._resume[node] = w.end_s + self.tol_s
         return True
-
-    def _scan(self, node: int, s: float) -> ContactWindow | None:
-        horizon = min(self._chunk_s, self.end_s - s)
-        return self.con.next_contact(
-            node, self.peer, s, horizon, step_s=self.step_s, tol_s=self.tol_s
-        )

@@ -158,7 +158,7 @@ def select_sink(group_ids: list[int], t_target: float, window_of) -> int:
     """Pick the group's delivery satellite for this epoch from predicted windows.
 
     ``window_of(sat, t)`` gives the satellite's server window open at t, else
-    its next window within the prediction horizon, else None. Among members
+    its next window before the end of the contact plan, else None. Among members
     whose window is open at ``t_target``, when aggregation is expected to
     finish, take the one with the most contact left; failing that, the one
     whose window opens soonest; failing that, the smallest id. Ties go to the
@@ -176,7 +176,7 @@ def select_sink(group_ids: list[int], t_target: float, window_of) -> int:
     upcoming = [(w.start_s, sat) for sat, w in windows if w is not None]
     if upcoming:
         return min(upcoming)[1]
-    return min(group_ids)  # nothing in range this horizon; fallback delivery will cope
+    return min(group_ids)  # no window left in the plan; fallback delivery will cope
 
 
 def fallback_next_hop(

@@ -10,7 +10,9 @@ heap and replayed in a local loop, stage by stage with the same transfer times,
 server answers and charges, whenever the server's state is about to change and
 when the run stops at its time limit or cap. Polls, transfers, deliveries and
 sink election read every server window from the run's one
-:class:`orbitfl.orbital.ContactPlan`, the plan :func:`contact_table` prints.
+:class:`orbitfl.orbital.ContactPlan`, the plan :func:`contact_table` prints; a
+poll or delivery with no window left before the plan's end is booked at
+infinity, so a stalled run wakes nothing until it stops.
 Geometry and link rates come from :mod:`orbitfl.orbital` and
 :mod:`orbitfl.link`; node behavior comes from :mod:`orbitfl.protocol`; the
 math being trained lives in :mod:`orbitfl.learning`.
@@ -42,6 +44,10 @@ from .orbital import (
 )
 
 DEFAULT_TIME_CAP_S = 30 * 86400.0
+# How far past the run's end the engine's contact plan reaches. Sink election
+# ranks a group's members by the contact they have left when aggregation is
+# due, so a window cut at the end would rank a member by the cut, not its pass.
+PLAN_REACH_S = 43200.0
 
 # the stages of a parked poll chain, named by the handler that runs each as an event
 _FIRE, _REQUEST, _REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
@@ -112,7 +118,6 @@ class ScenarioConfig:
     grace_factor: float = 2.0
     contact_step_s: float = 10.0
     contact_tol_s: float = 0.1
-    contact_horizon_s: float = 43200.0
     # run goals
     until_epochs: int = 10
     time_limit_s: float | None = None
@@ -197,8 +202,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
 def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     problems = []
-    if not isinstance(cfg.seed, int):
-        problems.append("seed must be an integer")
+    if not isinstance(cfg.seed, int) or cfg.seed < 0:
+        problems.append(f"seed must be a non-negative integer, got {cfg.seed!r}")
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
@@ -222,8 +227,6 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
         problems.append("reconnect_wait_s, contact_step_s, contact_tol_s must be positive")
     if cfg.grace_factor < 0:
         problems.append("grace_factor must be non-negative")
-    if cfg.contact_horizon_s <= 0:
-        problems.append("contact_horizon_s must be positive")
     if cfg.until_epochs < 1:
         problems.append("until_epochs must be at least 1")
     if cfg.time_limit_s is not None and cfg.time_limit_s <= 0:
@@ -353,9 +356,7 @@ def build_datasets(cfg: ScenarioConfig):
 
 def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> ContactPlan:
     """The scenario's satellite-to-server contact plan up to ``end_s``."""
-    return ContactPlan(
-        con, cfg.contact_horizon_s, end_s, step_s=cfg.contact_step_s, tol_s=cfg.contact_tol_s
-    )
+    return ContactPlan(con, end_s, step_s=cfg.contact_step_s, tol_s=cfg.contact_tol_s)
 
 
 def contact_table(cfg: ScenarioConfig, horizon_s: float):
@@ -442,8 +443,7 @@ class _Simulation:
         self.stop_reason = ""
         limit = cfg.time_limit_s
         self.end = DEFAULT_TIME_CAP_S if limit is None else limit
-        # no event runs after the end, so no question looks past a horizon beyond it
-        self.plan = _contact_plan(cfg, self.con, self.end + cfg.contact_horizon_s)
+        self.plan = _contact_plan(cfg, self.con, self.end + PLAN_REACH_S)
         # when each satellite's booked poll fires, None when none is booked
         self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
@@ -498,9 +498,9 @@ class _Simulation:
 
     def _poll_time(self, sid: int, t: float) -> float:
         """When a poll wanted at t goes out: at once inside a server window,
-        else when the next window opens, else a contact horizon on."""
+        else when the next window opens, else never (at infinity)."""
         w = self.plan.window(sid, t)
-        return t + self.cfg.contact_horizon_s if w is None else max(t, w.start_s)
+        return math.inf if w is None else max(t, w.start_s)
 
     def _schedule_poll(self, sid: int, t: float):
         """Book a poll for the satellite's server window open at t or next."""
@@ -728,13 +728,9 @@ class _Simulation:
                 self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
                 return
             w = self.plan.after(sid, w)
-        next_start = None if w is None else w.start_s
-        if len(self.groups[sat.group]) == 1:
-            # no relays to lean on: wait out the gap however long it is
-            at = t + self.cfg.contact_horizon_s if next_start is None else next_start
-            self.schedule(at, self._try_deliver, sid)
-            return
-        if next_start is not None and next_start - t <= self._grace_s(sat.group):
+        next_start = math.inf if w is None else w.start_s
+        # a group of one has no relays to lean on: it waits out the gap however long
+        if len(self.groups[sat.group]) == 1 or next_start - t <= self._grace_s(sat.group):
             self.schedule(next_start, self._try_deliver, sid)
             return
         self._hand_off(sid)

@@ -210,7 +210,7 @@ def test_criterion_6_contact_windows_match_dense_scan():
     horizon = 12 * 3600.0
     for a, b in pairs:
         brute = brute_windows(con, a, b, 0.0, horizon, step_s=1.0)
-        got = ContactPlan(con, horizon, horizon, peer=b).windows(a, horizon)
+        got = ContactPlan(con, horizon, peer=b).windows(a, horizon)
         for start, end in brute:
             if end - start <= 10.0:
                 continue  # below the coarse scan's resolution by design

@@ -42,9 +42,6 @@ kind = ground
 latitude_deg = 90.0
 min_elevation_deg = 10.0
 
-[protocol]
-contact_horizon_s = 3600.0
-
 [data]
 samples_per_satellite = 5
 test_samples = 10
@@ -284,7 +281,7 @@ def ini_with(overrides) -> str:
         {"learning": {"compute_time_factor": "0"}},
         {"learning": {"cycles_per_sample": "0"}},
         {"learning": {"learning_rate": "nan"}},
-        {"protocol": {"contact_horizon_s": "nan"}},
+        {"protocol": {"contact_tol_s": "nan"}},
         {"link": {"tx_power_dbm": "nan"}},
         {"link": {"tx_delay_s": "-1"}},
         {"ps": {"kind": "ground", "latitude_deg": "120"}},
@@ -297,6 +294,7 @@ def ini_with(overrides) -> str:
             "data": {"scheme": "label_split"},
         },
         {"ps": {"altitude_km": "nan"}},
+        {"constellation": {"sats_per_plane": "0"}},
     ],
     ids=lambda overrides: ",".join(
         f"{key}={value}" for keys in overrides.values() for key, value in keys.items()
@@ -340,6 +338,13 @@ def test_validate_accepts_any_phasing_factor(tmp_path, capsys, factor):
     path.write_text(ini_with({"constellation": {"phasing_factor": factor}}))
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_validate_names_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"sim": {"seed": "-1"}}))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["seed must be a non-negative integer, got -1"]
 
 
 def test_validate_reports_problems(tmp_path, capsys):

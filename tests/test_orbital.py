@@ -276,7 +276,7 @@ def test_next_contact_matches_brute_windows():
     horizon = 43200.0
     for a, b in ((1, PS_NODE), (23, PS_NODE), (1, 23)):
         brute = brute_windows(con, a, b, 0.0, horizon)
-        predicted = ContactPlan(con, horizon, horizon, peer=b).windows(a, horizon)
+        predicted = ContactPlan(con, horizon, peer=b).windows(a, horizon)
         long_brute = [w for w in brute if w[1] - w[0] > 10.0]
         assert len(predicted) >= len(long_brute)
         for bs, be in long_brute:
@@ -295,46 +295,48 @@ def test_polar_station_windows_recur_every_period():
     pole = GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0))
     con = Constellation(planes, pole)
     period = orbital_period(2000.0)
-    windows = ContactPlan(con, 43200.0, 43200.0).windows(1, 43200.0)
+    windows = ContactPlan(con, 43200.0).windows(1, 43200.0)
     assert len(windows) >= 5
     starts = [w.start_s for w in windows]
     gaps = np.diff(starts)
     np.testing.assert_allclose(gaps, period, rtol=0.2)
 
 
-# A window longer than the scan's horizon is continued, not split at the cut,
-# so a plan's windows do not depend on the horizon it scans with.
+# A scan evaluates its time grid a chunk at a time; the grid's values, and so
+# every window edge, do not depend on where the chunks are cut.
 @pytest.mark.parametrize("ps", [MEO_PS, GroundStationSpec(math.radians(40.0), 0.0, 0.0)])
-def test_contact_plan_windows_do_not_depend_on_the_horizon(ps):
+def test_contact_plan_windows_do_not_depend_on_the_scan_chunk(ps, monkeypatch):
     con = reference_constellation(ps)
     end = 6 * 3600.0
-    whole = ContactPlan(con, end, end)
-    for horizon in (8.0, 600.0):
-        plan = ContactPlan(con, horizon, end)
+    whole = ContactPlan(con, end)
+    want = {sat: whole.windows(sat, end) for sat in (1, 30)}
+    for chunk in (7, 60):
+        monkeypatch.setattr(orbital, "_SCAN_CHUNK", chunk)
+        plan = ContactPlan(con, end)
         for sat in (1, 30):
             windows = plan.windows(sat, end)
-            assert windows == whole.windows(sat, end)
-            assert any(w.duration_s > horizon for w in windows)
+            assert windows == want[sat]
+            assert any(w.duration_s > chunk * plan.step_s for w in windows)
             for w, nxt in zip(windows, windows[1:]):
                 assert nxt.start_s >= w.end_s + plan.tol_s
 
 
 def test_contact_plan_window_and_after_read_the_same_windows():
     con = reference_constellation()
-    plan = ContactPlan(con, 600.0, 43200.0)
-    windows = ContactPlan(con, 600.0, 43200.0).windows(3, 43200.0)
+    plan = ContactPlan(con, 43200.0)
+    windows = ContactPlan(con, 43200.0).windows(3, 43200.0)
     for w, nxt in zip(windows, windows[1:]):
         mid = 0.5 * (w.start_s + w.end_s)
         assert plan.window(3, mid) == w
-        assert plan.window(3, w.start_s - 1.0) in (w, None)  # None: opens past the horizon
-        assert plan.after(3, w) == (nxt if nxt.start_s <= w.end_s + plan.tol_s + 600.0 else None)
+        assert plan.window(3, w.start_s - 1.0) == w
+        assert plan.after(3, w) == nxt
     assert plan.window(3, 43200.0 + 1.0) is None
 
 
 def test_contact_plan_stops_at_its_end():
     # ring neighbors never lose sight of each other: one window, cut at the end
     con = reference_constellation()
-    plan = ContactPlan(con, 60.0, 5000.0, peer=2)
+    plan = ContactPlan(con, 5000.0, peer=2)
     assert plan.window(1, 100.0) == ContactWindow(1, 2, 0.0, 5000.0)
     assert plan.windows(1, 1e9) == [ContactWindow(1, 2, 0.0, 5000.0)]
 

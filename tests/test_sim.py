@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from orbitfl.sim import (
     _Simulation,
     ConfigError,
     DeadlockError,
-    ScenarioConfig,
     build_constellation,
     build_datasets,
     compare,
@@ -243,23 +241,42 @@ def test_misjudged_sink_hops_until_delivered(monkeypatch):
     assert np.max(np.abs(res.final_params - clean.final_params)) <= 1e-12 * scale
 
 
+# equatorial satellites never rise above a polar station's mask
+UNREACHABLE = desk_scenario(
+    seed=1,
+    num_planes=1,
+    sats_per_plane=5,
+    inclination_deg=0.0,
+    ps_kind="ground",
+    ps_latitude_deg=90.0,
+    ps_min_elevation_deg=10.0,
+    samples_per_satellite=5,
+    num_features=4,
+    num_classes=2,
+    test_samples=10,
+)
+
+
 def test_deadlock_reported_when_server_unreachable():
-    cfg = desk_scenario(
-        seed=1,
-        num_planes=1,
-        sats_per_plane=5,
-        inclination_deg=0.0,
-        ps_kind="ground",
-        ps_latitude_deg=90.0,
-        ps_min_elevation_deg=10.0,
-        contact_horizon_s=3600.0,
-        samples_per_satellite=5,
-        num_features=4,
-        num_classes=2,
-        test_samples=10,
-    )
-    with pytest.raises(DeadlockError, match="no further progress"):
-        run_scenario(cfg, "fedisl")
+    with pytest.raises(DeadlockError, match="no further progress at t=0.0s"):
+        run_scenario(UNREACHABLE, "fedisl")
+
+
+# With no server window left, a satellite's one poll is booked at infinity,
+# not woken again and again to find the server still out of sight.
+def test_unreachable_server_books_one_event_per_satellite():
+    engine = _Simulation(UNREACHABLE, "fedisl")
+    booked = []
+    schedule = engine.schedule
+
+    def counted(t, fn, *args):
+        booked.append(t)
+        schedule(t, fn, *args)
+
+    engine.schedule = counted
+    with pytest.raises(DeadlockError):
+        engine.run()
+    assert len(booked) <= len(engine.sats)
 
 
 def test_duplicate_aggregate_is_a_protocol_error():
@@ -357,9 +374,9 @@ def test_contact_table_matches_geometry():
     for sat, plane, start, end in rows:
         assert con.plane_of(sat) == plane
         assert 0.0 <= start < end <= horizon
-    # the table's plan scans a 12 h horizon; one scanning 10 min finds the same windows
+    # the table prints the plan's windows, the last one cut at the table's end
     sat_one = [(start, end) for sat, _, start, end in rows if sat == 1]
-    want = ContactPlan(con, 600.0, horizon).windows(1, horizon)
+    want = ContactPlan(con, horizon).windows(1, horizon)
     assert sat_one == [(w.start_s, w.end_s) for w in want]
 
 
@@ -369,13 +386,8 @@ def test_contact_table_matches_geometry():
 _GROUND = {"ps_kind": "ground", "ps_latitude_deg": 40.0}
 
 
-# the default horizon, and a 600 s one that server passes outlast
 @pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
-@pytest.mark.parametrize(
-    "server",
-    [{}, _GROUND, {"contact_horizon_s": 600.0}, dict(_GROUND, contact_horizon_s=600.0)],
-    ids=["orbit", "ground", "orbit_horizon600", "ground_horizon600"],
-)
+@pytest.mark.parametrize("server", [{}, _GROUND], ids=["orbit", "ground"])
 def test_engine_windows_are_contact_table_rows(protocol_name, server):
     engine = _Simulation(small_scenario(until_epochs=1, **server), protocol_name)
     used = set()
@@ -390,37 +402,14 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
     plan.window = lambda sid, t: record(window(sid, t))
     plan.after = lambda sid, w: record(after(sid, w))
     engine.run()
-    # reach far enough past every scan that no used window is cut at the table's
-    # end, and scan with the default horizon, so no row is split at a shorter one
+    # reach far enough past every scan that no used window is cut at the table's end
     horizon = max(plan._resume.values()) + 3600.0
-    default = replace(engine.cfg, contact_horizon_s=ScenarioConfig.contact_horizon_s)
-    rows = contact_table(default, horizon)
+    rows = contact_table(engine.cfg, horizon)
     assert used
     for sid, start, end in used:
         row = next((r for r in rows if r[0] == sid and r[2] == start), None)
         assert row is not None, f"satellite {sid}: window from {start} is no table row"
         assert end <= row[3]
-
-
-# A 8 s horizon is shorter than a model transfer. A plan that cut windows at
-# the horizon would make every window too short to send a model in, and the
-# server would answer "busy" until the time limit.
-def test_horizon_shorter_than_a_transfer_still_trains():
-    engine = _Simulation(
-        desk_scenario(7, contact_horizon_s=8.0, until_epochs=1, time_limit_s=20000.0), "fedisl"
-    )
-    booked = []
-    schedule = engine.schedule
-
-    def checked(t, fn, *args):
-        booked.append((t, engine.t))
-        schedule(t, fn, *args)
-
-    engine.schedule = checked
-    res = engine.run()
-    assert res.stop_reason == "epochs"
-    assert res.records[-1].ps_down_msgs == len(engine.groups)
-    assert booked and all(t >= now for t, now in booked)
 
 
 def test_contact_settings_reach_every_scan(monkeypatch):
