@@ -503,10 +503,15 @@ class _Simulation:
         return math.inf if w is None else max(t, w.start_s)
 
     def _schedule_poll(self, sid: int, t: float):
-        """Book a poll for the satellite's server window open at t or next."""
-        if self._poll_at[sid] is not None or not self._wants_model(self.sats[sid]):
+        """Book a poll for the satellite's server window open at t or next, in
+        place of a poll booked later (a retry)."""
+        if not self._wants_model(self.sats[sid]):
             return
-        at = self._poll_at[sid] = self._poll_time(sid, t)
+        at = self._poll_time(sid, t)
+        booked = self._poll_at[sid]
+        if booked is not None and booked <= at:
+            return
+        self._poll_at[sid] = at
         self.schedule(at, self._fire_poll, sid)
 
     def _fire_poll(self, sid: int):
@@ -514,7 +519,7 @@ class _Simulation:
         after a busy reply leaves the asking to a poll booked since."""
         if self._parked.get(sid):
             self._replay(sid, self.t)  # a second chain of the same satellite
-        if self._poll_at[sid] not in (None, self.t):
+        if self._poll_at[sid] != self.t:
             return
         self._poll_at[sid] = None
         if not self._wants_model(self.sats[sid]):
@@ -560,7 +565,7 @@ class _Simulation:
             # way over the ring, so stop asking
             sat.told_to_wait = True
             return
-        retry_at = self.t + self.cfg.reconnect_wait_s
+        retry_at = self._poll_at[sid] = self.t + self.cfg.reconnect_wait_s
         if sat.epoch <= self.ps.epoch:
             self.schedule(retry_at, self._fire_poll, sid)
             return
@@ -593,7 +598,7 @@ class _Simulation:
             if t > until:
                 return
             if stage == _FIRE:
-                if poll_at[sid] not in (None, t):
+                if poll_at[sid] != t:
                     chains.remove(chain)
                     continue
                 poll_at[sid] = None
@@ -618,7 +623,8 @@ class _Simulation:
                 chain[:] = t + self._ps_transfer_s(sid, t, bits), _REPLY, action, ps.epoch
             else:
                 requesting[sid] = False
-                chain[:] = t + self.cfg.reconnect_wait_s, _FIRE
+                poll_at[sid] = t + self.cfg.reconnect_wait_s
+                chain[:] = poll_at[sid], _FIRE
 
     def _replay_parked(self, until: float):
         for sid in self._parked:

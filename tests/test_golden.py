@@ -54,11 +54,15 @@ def test_contacts_match_golden(tmp_path):
 
 # Satellites that finish an epoch before the server does poll it in vain until
 # the epoch advances; the engine parks those polls and replays them. These
-# scenarios cover that on orbit and ground servers, with a satellite running
-# two poll chains at once (the reference case at one cycle per sample), with a
-# satellite ahead while the server still waits for its group's downlink ack
-# (the tiny model), and with the run cut off by its time limit while satellites
-# are parked. The digests were taken from the engine that booked every poll.
+# scenarios cover that on orbit and ground servers, with satellites that finish
+# training inside the wait before a poll retry, so that their fresh poll
+# replaces the retry (the reference case at one cycle per sample, named for the
+# second poll chain such a satellite used to run), with a satellite ahead while
+# the server still waits for its group's downlink ack (the tiny model), and
+# with the run cut off by its time limit while satellites are parked. The
+# digests were taken from the engine that booked every poll as a heap event; the
+# two fedisl cases whose satellites polled twice per wait were re-pinned when a
+# retry came to take the satellite's one poll booking.
 PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),
@@ -84,7 +88,7 @@ PINNED = {
     ),
     "two-chains": (
         reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
-        "4ddaf3a242b9a2adec9ba463ce515dd270b79f1a73189a3975bd94dd50bb46e2",
+        "dc01c555d0b61f38a2c2a0b465ae0b202c339db9643a8f1f215ccf74555ab889",
         "e8f5f37329cd5f0782b27f22901a169e62d73e8f65151b65c5f1bbef6c890dc9",
     ),
     "tiny-model": (
@@ -96,7 +100,7 @@ PINNED = {
             test_samples=20,
             until_epochs=4,
         ),
-        "7f022583b50db46db27878dcf757f2f5bbcf66035085baab1a80bf1fa490f953",
+        "f8d80ca4eede82127a75a24e10e29d3f28f64b89fcf08eca3f5520610838545b",
         "d7fc032d326166a2700cf487a68843085d5fcd141cee74049a5987f650b1f15d",
     ),
     "time-limit": (

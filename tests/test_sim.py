@@ -1,8 +1,10 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
+import orbitfl.link as link
 import orbitfl.protocol as protocol
 from orbitfl.orbital import Constellation, ContactPlan
 from orbitfl.sim import (
@@ -298,6 +300,28 @@ def test_poll_retry_leaves_asking_to_a_booked_poll():
     polls = [t for t, _, fn, args in engine.queue if fn == engine._fire_poll and args == (sid,)]
     assert polls == [opens]
     assert engine._poll_at[sid] == opens and engine.counters["ps_up_bits"] == 0
+
+
+def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
+    engine = _Simulation(small_scenario(), "fedisl")
+    wait = engine.cfg.reconnect_wait_s
+    sid, w = next(
+        (s, w) for s in engine.sats if (w := engine.plan.window(s, 0.0)).end_s - w.start_s > 5 * wait
+    )
+    # the group's downlink is on its way, so every poll is answered "not yet"
+    engine.ps.inflight.add(engine.sats[sid].group)
+    engine.t = w.start_s
+    engine._sat_recv_ctrl(sid, protocol.RECONNECT, engine.ps.epoch)
+    # the model arrives over the ring and training ends inside the retry's wait
+    engine.t += wait / 2
+    engine._advance_sat(sid)
+    until = engine.t + 2.5 * wait
+    while engine.queue and engine.queue[0][0] <= until:
+        engine.t, _, fn, args = heapq.heappop(engine.queue)
+        fn(*args)
+    engine._replay_parked(until)
+    # in view throughout, one chain polls at 0, 1 and 2 waits (and round trips) on
+    assert engine.counters["ps_up_bits"] == 3 * link.CONTROL_MESSAGE_BITS
 
 
 def ahead_of_the_server(protocol_name):
