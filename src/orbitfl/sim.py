@@ -3,13 +3,14 @@
 The engine moves a single clock over a heap of timestamped events: connection
 attempts, message arrivals, training completions, and waits for a server
 window. Every message is charged to the run's traffic counters in one place
-and, through one send path, scheduled to arrive. A satellite that is ahead of
-the server, done with the server's epoch and asking for the next model, is
-answered "not yet" until the epoch advances. Its poll chains are parked off the
-heap and replayed in a local loop, stage by stage with the same transfer times,
-server answers and charges, whenever the server's state is about to change and
-when the run stops at its time limit or cap. Polls, transfers, deliveries and
-sink election read every server window from the run's one
+and, through one send path, scheduled to arrive. A satellite runs at most one
+poll chain: poll, server answer, reply, retry. Its stages are written once, as
+a loop that runs one stage for an event. A satellite that is ahead of the
+server, done with the server's epoch and asking for the next model, is
+answered "not yet" until the epoch advances; its chain is parked off the heap
+and carried on by the same loop whenever the server's state is about to change
+and when the run stops at its time limit or cap. Polls, transfers, deliveries
+and sink election read every server window from the run's one
 :class:`orbitfl.orbital.ContactPlan`, the plan :func:`contact_table` prints; a
 poll or delivery with no window left before the plan's end is booked at
 infinity, so a stalled run wakes nothing until it stops.
@@ -23,10 +24,10 @@ through the scenario seed.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -49,9 +50,8 @@ DEFAULT_TIME_CAP_S = 30 * 86400.0
 # due, so a window cut at the end would rank a member by the cut, not its pass.
 PLAN_REACH_S = 43200.0
 
-# the stages of a parked poll chain, named by the handler that runs each as an event
+# the stages of a satellite's poll chain, named by the handler that runs each as an event
 _FIRE, _REQUEST, _REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
-_DUE = operator.itemgetter(0)
 
 
 class DeadlockError(RuntimeError):
@@ -236,6 +236,18 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     return problems
 
 
+@contextlib.contextmanager
+def _config_checked(cfg: ScenarioConfig):
+    """The scenario's setting problems, then any error building from it, as ConfigError."""
+    problems = _setting_problems(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_constellation(cfg: ScenarioConfig) -> Constellation:
     return Constellation(_planes(cfg), _server(cfg))
 
@@ -362,8 +374,9 @@ def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> Cont
 def contact_table(cfg: ScenarioConfig, horizon_s: float):
     """Server visibility windows for every satellite, sorted by opening time:
     the windows a run reads, cut at ``horizon_s``."""
-    con = build_constellation(cfg)
-    plan = _contact_plan(cfg, con, horizon_s)
+    with _config_checked(cfg):
+        con = build_constellation(cfg)
+        plan = _contact_plan(cfg, con, horizon_s)
     rows = [
         (sat, con.plane_of(sat), w.start_s, w.end_s)
         for sat in con.satellite_ids()
@@ -380,18 +393,13 @@ class _Simulation:
     def __init__(self, cfg: ScenarioConfig, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
             raise ConfigError(f"unknown protocol {protocol_name!r}")
-        problems = _setting_problems(cfg)
-        if problems:
-            raise ConfigError("; ".join(problems))
         self.cfg = cfg
         self.protocol = protocol_name
-        try:
+        with _config_checked(cfg):
             self.con = build_constellation(cfg)
             self.link_params = _link_params(cfg)
             self.lcfg = _learner_config(cfg)
             self.data, self.test_set = build_datasets(cfg)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc)) from exc
         # A group shares one server downlink and one uplink per epoch: a whole
         # plane for the ring protocol, a single satellite for the direct one.
         if protocol_name == "fedisl":
@@ -448,9 +456,9 @@ class _Simulation:
         self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
-        # the parked poll chains of satellites ahead of the server: per
-        # satellite, each chain's next stage as [t, handler name, reply args]
-        self._parked: dict[int, list[list]] = {}
+        # the poll chains of satellites ahead of the server, parked off the
+        # heap: each one's pending stage as (t, handler name, reply args)
+        self._parked: dict[int, tuple] = {}
         self._trees: dict[tuple[int, int], protocol.RoutingTree] = {}
 
     # -- scheduling ---------------------------------------------------------
@@ -507,135 +515,119 @@ class _Simulation:
         place of a poll booked later (a retry)."""
         if not self._wants_model(self.sats[sid]):
             return
-        at = self._poll_time(sid, t)
-        booked = self._poll_at[sid]
-        if booked is not None and booked <= at:
-            return
-        self._poll_at[sid] = at
-        self.schedule(at, self._fire_poll, sid)
+        at, booked = self._poll_time(sid, t), self._poll_at[sid]
+        if booked is None or at < booked:
+            self._poll_at[sid] = at
+            self.schedule(at, self._fire_poll, sid)
 
     def _fire_poll(self, sid: int):
-        """Ask the server for the model when in view, else book a poll. A retry
-        after a busy reply leaves the asking to a poll booked since."""
-        if self._parked.get(sid):
-            self._replay(sid, self.t)  # a second chain of the same satellite
-        if self._poll_at[sid] != self.t:
-            return
-        self._poll_at[sid] = None
-        if not self._wants_model(self.sats[sid]):
-            return
-        if self._poll_time(sid, self.t) > self.t:  # out of view
-            self._schedule_poll(sid, self.t)
-            return
-        self._request_inflight[sid] = True
-        dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
-        self._send("ps_up", dt, self._ps_recv_request, sid, control=True)
-
-    # -- server side -------------------------------------------------------------
+        """Ask the server for the model when in view, else book a poll. A heap
+        poll for a parked satellite is stale, as is a retry a fresh poll replaced."""
+        if sid not in self._parked:
+            self._poll(sid, self.t, _FIRE, (), self.t)
 
     def _ps_recv_request(self, sid: int):
-        gid = self.sats[sid].group
-        action = self.ps.handle_connection(gid)
-        if action == protocol.SEND_MODEL:
-            dt = self._ps_transfer_s(sid, self.t, self.model_bits)
-            w = self.plan.window(sid, self.t)
-            if w is None or self.t + dt > w.end_s:
-                # transfer would outlive the pass; treat as a busy signal
-                self.ps.inflight.discard(gid)
-                action = protocol.RECONNECT
-            else:
-                ring = self.groups[gid]
-                estimate = dt + protocol.estimate_aggregation_time(
-                    len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
-                )
-                sink = protocol.select_sink(ring, self.t + estimate, self.plan.window)
-                epoch, model = self.ps.epoch, self.ps.global_params.copy()
-                self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
-                return
-        dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
-        self._send("ps_down", dt, self._sat_recv_ctrl, sid, action, self.ps.epoch, control=True)
+        self._poll(sid, self.t, _REQUEST, (), self.t)
 
     def _sat_recv_ctrl(self, sid: int, action: str, ps_epoch: int):
-        sat = self.sats[sid]
-        if self._parked.get(sid):
-            self._replay(sid, self.t)
-        self._request_inflight[sid] = False
-        if action == protocol.WAIT and sat.epoch == ps_epoch:
-            # the model for this epoch already went to the group; it is on its
-            # way over the ring, so stop asking
-            sat.told_to_wait = True
-            return
-        retry_at = self._poll_at[sid] = self.t + self.cfg.reconnect_wait_s
-        if sat.epoch <= self.ps.epoch:
-            self.schedule(retry_at, self._fire_poll, sid)
-            return
-        # Ahead of the server: its group was served this epoch, so every poll
-        # until the epoch advances is answered "not yet" and changes nothing but
-        # the control-traffic counters. Park the chain instead of booking it.
-        if sat.group not in self.ps.sent and sat.group not in self.ps.inflight:
-            raise protocol.ProtocolError(
-                f"satellite {sid} is in epoch {sat.epoch} but the server, in epoch "
-                f"{self.ps.epoch}, never served its group {sat.group}"
-            )
-        self._parked.setdefault(sid, []).append([retry_at, _FIRE])
+        self._poll(sid, self.t, _REPLY, (action, ps_epoch), self.t)
 
-    def _replay(self, sid: int, until: float):
-        """Carry the satellite's parked poll chains through every stage due by
-        ``until``, earliest first, as the events `_fire_poll`,
-        `_ps_recv_request` and `_sat_recv_ctrl` would: the same guards,
-        transfer times, server calls and charges. The server, still in the
-        epoch the satellite finished, never answers with the model, and the
-        satellite ignores which "not yet" it gets (an ack may have changed it
-        since the request was due), so a chain cycles until a guard of
-        `_fire_poll` ends it or its next stage is due after ``until``."""
-        chains = self._parked[sid]
+    def _poll(self, sid: int, t: float, stage: str, reply: tuple, until: float):
+        """Carry the satellite's poll chain (fire, server answer, reply) from
+        its stage due at t through every stage due by ``until``, then book the
+        next stage as its event or keep it parked. Each next stage is due
+        later, so an event, with ``until`` at t, runs one stage.
+
+        A satellite ahead of the server is answered "not yet" until the epoch
+        advances, which changes only the control-traffic counters, so its chain
+        is parked once it books a retry. `_replay_parked` carries it on before
+        the server's state changes; a replayed request may get another "not
+        yet" than at its own time, and the satellite ignores which."""
+        parked = sid in self._parked
         sat, ps = self.sats[sid], self.ps
         poll_at, requesting = self._poll_at, self._request_inflight
         bits = link.CONTROL_MESSAGE_BITS
-        while chains:
-            chain = chains[0] if len(chains) == 1 else min(chains, key=_DUE)
-            t, stage = chain[0], chain[1]
-            if t > until:
-                return
+        while t <= until:
             if stage == _FIRE:
-                if poll_at[sid] != t:
-                    chains.remove(chain)
-                    continue
+                if poll_at[sid] != t:  # not the booked poll
+                    break
                 poll_at[sid] = None
                 if not self._wants_model(sat):
-                    chains.remove(chain)
-                    continue
+                    break
                 at = self._poll_time(sid, t)
-                if at > t:  # out of view: the chain's booked poll
-                    poll_at[sid] = chain[0] = at
+                if at > t:  # out of view: book a poll for the next window
+                    t = poll_at[sid] = at
                     continue
                 requesting[sid] = True
                 self._charge("ps_up", control=True)
-                chain[0] = t + self._ps_transfer_s(sid, t, bits)
-                chain[1] = _REQUEST
+                t += self._ps_transfer_s(sid, t, bits)
+                stage = _REQUEST
             elif stage == _REQUEST:
                 action = ps.handle_connection(sat.group)
                 if action == protocol.SEND_MODEL:
-                    raise protocol.ProtocolError(
-                        f"the server sent satellite {sid} a second model in epoch {ps.epoch}"
-                    )
+                    if sat.epoch > ps.epoch:
+                        raise protocol.ProtocolError(
+                            f"the server sent satellite {sid} a second model in epoch {ps.epoch}"
+                        )
+                    if self._serve(sid):  # an event: t is self.t
+                        break
+                    action = protocol.RECONNECT
                 self._charge("ps_down", control=True)
-                chain[:] = t + self._ps_transfer_s(sid, t, bits), _REPLY, action, ps.epoch
+                reply = action, ps.epoch
+                t += self._ps_transfer_s(sid, t, bits)
+                stage = _REPLY
             else:
                 requesting[sid] = False
-                poll_at[sid] = t + self.cfg.reconnect_wait_s
-                chain[:] = poll_at[sid], _FIRE
+                action, ps_epoch = reply
+                if action == protocol.WAIT and sat.epoch == ps_epoch:
+                    # the model for this epoch already went to the group; it is
+                    # on its way over the ring, so stop asking
+                    sat.told_to_wait = True
+                    break
+                t = poll_at[sid] = t + self.cfg.reconnect_wait_s
+                stage, reply = _FIRE, ()
+                if not parked and sat.epoch > ps.epoch:
+                    if sat.group not in ps.sent and sat.group not in ps.inflight:
+                        raise protocol.ProtocolError(
+                            f"satellite {sid} is in epoch {sat.epoch} but the server, in "
+                            f"epoch {ps.epoch}, never served its group {sat.group}"
+                        )
+                    parked = True
+        else:  # the next stage is due after until
+            if parked:
+                self._parked[sid] = t, stage, reply
+            else:
+                self.schedule(t, getattr(self, stage), sid, *reply)
+            return
+        if parked:  # the chain ended
+            del self._parked[sid]
+
+    def _serve(self, sid: int) -> bool:
+        """Send the group's model if the transfer fits in the pass, else turn busy."""
+        gid, t = self.sats[sid].group, self.t
+        dt = self._ps_transfer_s(sid, t, self.model_bits)
+        w = self.plan.window(sid, t)
+        if w is None or t + dt > w.end_s:
+            self.ps.inflight.discard(gid)
+            return False
+        ring = self.groups[gid]
+        estimate = dt + protocol.estimate_aggregation_time(
+            len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
+        )
+        sink = protocol.select_sink(ring, t + estimate, self.plan.window)
+        epoch, model = self.ps.epoch, self.ps.global_params.copy()
+        self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
+        return True
 
     def _replay_parked(self, until: float):
-        for sid in self._parked:
-            self._replay(sid, until)
+        for sid, pending in list(self._parked.items()):
+            self._poll(sid, *pending, until)
 
     def _unpark(self):
-        """The epoch advanced: every parked chain's next stage becomes an event
-        again, at its exact time."""
-        for sid, chains in self._parked.items():
-            for t, stage, *reply in sorted(chains, key=_DUE):
-                self.schedule(t, getattr(self, stage), sid, *reply)
+        """The epoch advanced: every parked chain's pending stage becomes an
+        event again, at its exact time."""
+        for sid, (t, stage, reply) in self._parked.items():
+            self.schedule(t, getattr(self, stage), sid, *reply)
         self._parked.clear()
 
     def _ps_recv_ack(self, sid: int):
@@ -845,7 +837,7 @@ class _Simulation:
             fn(*args)
         if not self.done:
             # a parked chain polls forever, so the run did not run dry
-            truncated = truncated or any(self._parked.values())
+            truncated = truncated or bool(self._parked)
             if truncated and limit is not None:
                 self.stop_reason = "time_limit"
             elif truncated and self.ps.epoch > 1:  # an epoch done before the cap

@@ -309,6 +309,25 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        {"constellation": {"altitude_km": "-5"}},
+        {"protocol": {"contact_step_s": "0"}},
+        {"ps": {"kind": "moon"}},
+    ],
+    ids=["altitude", "contact_step", "ps_kind"],
+)
+def test_contacts_rejects_what_run_rejects(tmp_path, capsys, overrides):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with(overrides))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert main(["contacts", "--config", str(path), "--out", str(tmp_path / "windows.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "windows.csv").exists()
+
+
+@pytest.mark.parametrize(
     "overrides, line",
     [
         ({"ps": {"raan_deg": "400"}}, "[ps] raan_deg outside [0, 360): 400.0"),

@@ -56,13 +56,11 @@ def test_contacts_match_golden(tmp_path):
 # the epoch advances; the engine parks those polls and replays them. These
 # scenarios cover that on orbit and ground servers, with satellites that finish
 # training inside the wait before a poll retry, so that their fresh poll
-# replaces the retry (the reference case at one cycle per sample, named for the
-# second poll chain such a satellite used to run), with a satellite ahead while
-# the server still waits for its group's downlink ack (the tiny model), and
-# with the run cut off by its time limit while satellites are parked. The
-# digests were taken from the engine that booked every poll as a heap event; the
-# two fedisl cases whose satellites polled twice per wait were re-pinned when a
-# retry came to take the satellite's one poll booking.
+# replaces the retry (the reference case at one cycle per sample), with a
+# satellite ahead while the server still waits for its group's downlink ack
+# (the tiny model), and with the run cut off by its time limit while satellites
+# are parked. The digests come from an engine that booked every poll as an
+# event, a satellite's retry and fresh poll sharing its one booking.
 PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),

@@ -1,21 +1,31 @@
-"""Properties of random scenarios: validation agrees with the engine, and INI
-text round-trips.
+"""Properties of random scenarios: validation agrees with the engine, INI
+text round-trips, and runs stop cleanly with the same models and one server
+model each way per group and epoch under both protocols.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
 around an orbit or a ground server. Data stays tiny so that building an
-engine is cheap.
+engine is cheap, and a run goes for at most two epochs and a few hours.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitfl.cli import emit_config, parse_config
-from orbitfl.sim import ConfigError, ScenarioConfig, _Simulation, validate_scenario
+from orbitfl.sim import (
+    ConfigError,
+    DeadlockError,
+    ScenarioConfig,
+    _Simulation,
+    validate_scenario,
+)
 
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+RUN_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 
 
 def _mostly(good, *odd):
@@ -78,3 +88,59 @@ def test_emitted_config_parses_back(tmp_path_factory, cfg):
     path.write_text(emit_config(cfg), encoding="utf-8")
     # repr, not ==, so that a nan field counts as equal to itself
     assert repr(parse_config(str(path))) == repr(cfg)
+
+
+def _goals():
+    """A run's time limit, 1-6 hours, and its epoch goal, at most two."""
+    return st.tuples(st.floats(3600.0, 6 * 3600.0), st.integers(1, 2))
+
+
+def _run(cfg, goals, protocol_name):
+    """The run's result, or None when the scenario cannot run under the
+    protocol (which scenarios those are is checked above) or gets stuck."""
+    limit, epochs = goals
+    try:
+        engine = _Simulation(replace(cfg, time_limit_s=limit, until_epochs=epochs), protocol_name)
+    except ConfigError:
+        return None
+    try:
+        return engine.run()
+    except DeadlockError:
+        return None
+
+
+@RUN_SETTINGS
+@given(scenarios(), _goals(), st.sampled_from(["fedisl", "fednonisl"]))
+def test_a_run_reaches_its_goal_or_its_time_limit_or_is_stuck(cfg, goals, protocol_name):
+    result = _run(cfg, goals, protocol_name)
+    if result is None:
+        return
+    limit, epochs = goals
+    finished = [r.epoch for r in result.records if r.epoch > 0]
+    assert result.stop_reason in ("epochs", "time_limit")
+    if result.stop_reason == "epochs":
+        assert finished == list(range(1, epochs + 1))
+    assert all(r.sim_time_s <= limit for r in result.records)
+
+
+@RUN_SETTINGS
+@given(scenarios(), _goals())
+def test_protocols_agree_epoch_by_epoch(cfg, goals):
+    ring, direct = _run(cfg, goals, "fedisl"), _run(cfg, goals, "fednonisl")
+    if ring is None or direct is None:
+        return
+    for epoch in set(ring.epoch_params) & set(direct.epoch_params):
+        a, b = ring.epoch_params[epoch], direct.epoch_params[epoch]
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1e-30)
+
+
+@RUN_SETTINGS
+@given(scenarios(), _goals(), st.sampled_from(["fedisl", "fednonisl"]))
+def test_each_epoch_sends_one_server_model_each_way_per_group(cfg, goals, protocol_name):
+    result = _run(cfg, goals, protocol_name)
+    if result is None:
+        return
+    groups = cfg.num_planes * (1 if protocol_name == "fedisl" else cfg.sats_per_plane)
+    for before, after in zip(result.records, result.records[1:]):
+        assert after.ps_down_msgs - before.ps_down_msgs == groups
+        assert after.ps_up_msgs - before.ps_up_msgs == groups

@@ -338,7 +338,7 @@ def test_reply_to_a_satellite_ahead_parks_its_poll(served):
     getattr(engine.ps, served).add(group)
     engine._sat_recv_ctrl(1, protocol.RECONNECT, engine.ps.epoch)
     assert engine.queue == []
-    assert [chain[0] for chain in engine._parked[1]] == [110.0]
+    assert engine._parked[1][0] == 110.0
 
 
 def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
