@@ -12,7 +12,7 @@ Typical use::
 
     from orbitfl import desk_scenario, run_scenario
 
-    result = run_scenario(desk_scenario(seed=7), "fedisl", until_epochs=3)
+    result = run_scenario(desk_scenario(seed=7, until_epochs=3), "fedisl")
     for rec in result.records:
         print(rec.epoch, rec.test_accuracy)
 """

@@ -9,8 +9,10 @@ Subcommands::
 
 Scenarios are INI files; every key is optional except the seed, which may come
 from --seed, the ORBITFL_SEED environment variable, or ``[sim] seed``, in that
-order of precedence. Angles in config files are degrees. Results are CSV on
-stdout or at --out.
+order of precedence. Each key is its ScenarioConfig field's name, less ``ps_``
+under ``[ps]`` and ``data_`` under ``[data]``, and values are read as written,
+``%`` included. Angles in config files are degrees. Results are CSV on stdout
+or at --out.
 
 Exit codes: 0 success, 1 bad configuration, 2 runtime failure, 3 simulation
 proved unable to make progress.
@@ -25,6 +27,7 @@ import math
 import os
 import re
 import sys
+import typing
 
 from .sim import (
     ConfigError,
@@ -45,82 +48,49 @@ COMPARE_HEADER = "speedup,traffic_ratio"
 CONTACTS_HEADER = "satellite,plane,start_s,end_s"
 
 
-def _int(text: str) -> int:
-    return int(text, 10)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _opt_float(text: str) -> float | None:
+def _optional_float(text: str) -> float | None:
     return None if text.strip().lower() in ("", "none") else float(text)
 
 
-def _str(text: str) -> str:
-    return text.strip()
+# how an INI value becomes each type a ScenarioConfig field is annotated with
+_CONVERTERS = {
+    int: lambda text: int(text, 10),
+    float: float,
+    str: str.strip,
+    float | None: _optional_float,
+}
+
+# each section's ScenarioConfig fields, in the order emit_config writes them
+_SECTION_FIELDS = {
+    "constellation": "num_planes sats_per_plane altitude_km inclination_deg phasing_factor",
+    "ps": "ps_kind ps_altitude_km ps_inclination_deg ps_raan_deg ps_latitude_deg "
+    "ps_longitude_deg ps_min_elevation_deg",
+    "link": "bandwidth_hz tx_power_dbm antenna_gain_dbi carrier_hz noise_temperature_k "
+    "tx_delay_s rx_delay_s",
+    "learning": "learning_rate local_iterations cycles_per_sample cpu_hz compute_time_factor",
+    "data": "data_source data_scheme samples_per_satellite test_samples num_features "
+    "num_classes separation train_images_path train_labels_path test_images_path "
+    "test_labels_path",
+    "protocol": "reconnect_wait_s grace_factor contact_step_s contact_tol_s",
+    "sim": "seed until_epochs time_limit_s target_accuracy",
+}
+
+
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """A key is its field's name, less the section's prefix under [ps] and [data];
+    a field annotated with a type that has no converter fails the import."""
+    hints = typing.get_type_hints(ScenarioConfig)
+    schema = {}
+    for section, names in _SECTION_FIELDS.items():
+        prefix = f"{section}_" if section in ("ps", "data") else ""
+        schema[section] = {
+            name.removeprefix(prefix): (name, _CONVERTERS[hints[name]]) for name in names.split()
+        }
+    return schema
 
 
 # (section, key) -> (ScenarioConfig field, converter)
-CONFIG_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "constellation": {
-        "num_planes": ("num_planes", _int),
-        "sats_per_plane": ("sats_per_plane", _int),
-        "altitude_km": ("altitude_km", _float),
-        "inclination_deg": ("inclination_deg", _float),
-        "phasing_factor": ("phasing_factor", _int),
-    },
-    "ps": {
-        "kind": ("ps_kind", _str),
-        "altitude_km": ("ps_altitude_km", _float),
-        "inclination_deg": ("ps_inclination_deg", _float),
-        "raan_deg": ("ps_raan_deg", _float),
-        "latitude_deg": ("ps_latitude_deg", _float),
-        "longitude_deg": ("ps_longitude_deg", _float),
-        "min_elevation_deg": ("ps_min_elevation_deg", _float),
-    },
-    "link": {
-        "bandwidth_hz": ("bandwidth_hz", _float),
-        "tx_power_dbm": ("tx_power_dbm", _float),
-        "antenna_gain_dbi": ("antenna_gain_dbi", _float),
-        "carrier_hz": ("carrier_hz", _float),
-        "noise_temperature_k": ("noise_temperature_k", _float),
-        "tx_delay_s": ("tx_delay_s", _float),
-        "rx_delay_s": ("rx_delay_s", _float),
-    },
-    "learning": {
-        "learning_rate": ("learning_rate", _float),
-        "local_iterations": ("local_iterations", _int),
-        "cycles_per_sample": ("cycles_per_sample", _float),
-        "cpu_hz": ("cpu_hz", _float),
-        "compute_time_factor": ("compute_time_factor", _float),
-    },
-    "data": {
-        "source": ("data_source", _str),
-        "scheme": ("data_scheme", _str),
-        "samples_per_satellite": ("samples_per_satellite", _int),
-        "test_samples": ("test_samples", _int),
-        "num_features": ("num_features", _int),
-        "num_classes": ("num_classes", _int),
-        "separation": ("separation", _float),
-        "train_images_path": ("train_images_path", _str),
-        "train_labels_path": ("train_labels_path", _str),
-        "test_images_path": ("test_images_path", _str),
-        "test_labels_path": ("test_labels_path", _str),
-    },
-    "protocol": {
-        "reconnect_wait_s": ("reconnect_wait_s", _float),
-        "grace_factor": ("grace_factor", _float),
-        "contact_step_s": ("contact_step_s", _float),
-        "contact_tol_s": ("contact_tol_s", _float),
-    },
-    "sim": {
-        "seed": ("seed", _int),
-        "until_epochs": ("until_epochs", _int),
-        "time_limit_s": ("time_limit_s", _opt_float),
-        "target_accuracy": ("target_accuracy", _opt_float),
-    },
-}
+CONFIG_SCHEMA = _schema()
 
 
 def _key_line(path: str, section: str, key: str) -> int | None:
@@ -131,7 +101,7 @@ def _key_line(path: str, section: str, key: str) -> int | None:
     except OSError:
         return None
     current = None
-    pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]")
+    pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
     for number, line in enumerate(lines, start=1):
         header = re.match(r"^\s*\[(.+?)\]", line)
         if header:
@@ -154,7 +124,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
     carry the offending key and its line. ``seed_override`` takes precedence
     over ``[sim] seed``; one of the two must provide a seed.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -209,7 +209,6 @@ class SatelliteState:
     group: int
     num_samples: int
     epoch: int = 1
-    phase: str = DISTRIBUTION
     has_model: bool = False
     told_to_wait: bool = False
     sink: int | None = None
@@ -226,7 +225,6 @@ class SatelliteState:
 
     def reset_for_next_epoch(self):
         self.epoch += 1
-        self.phase = DISTRIBUTION
         self.has_model = False
         self.told_to_wait = False
         self.sink = None

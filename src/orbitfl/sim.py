@@ -646,7 +646,6 @@ class _Simulation:
             return
         sat.has_model = True
         sat.epoch = epoch
-        sat.phase = protocol.COMPUTATION
         sat.global_params = params
         sat.sink = sink
         sat.source = source
@@ -663,7 +662,6 @@ class _Simulation:
     def _compute_done(self, sid: int):
         sat = self.sats[sid]
         sat.trained_params = learning.local_gd(sat.global_params, self.data[sid], self.lcfg)
-        sat.phase = protocol.AGGREGATION
         self._try_send_partial(sid)
 
     # -- ring aggregation -----------------------------------------------------------
@@ -804,14 +802,20 @@ class _Simulation:
         ):
             self.done = True
             self.stop_reason = "accuracy"
-        elif finished_epoch >= self.until_epochs:
+        elif finished_epoch >= self.cfg.until_epochs:
             self.done = True
             self.stop_reason = "epochs"
 
     def _diagnose(self) -> str:
         phases = {}
         for sat in self.sats.values():
-            phases[sat.phase] = phases.get(sat.phase, 0) + 1
+            if not sat.has_model:
+                phase = protocol.DISTRIBUTION
+            elif sat.trained_params is None:
+                phase = protocol.COMPUTATION
+            else:
+                phase = protocol.AGGREGATION
+            phases[phase] = phases.get(phase, 0) + 1
         summary = ", ".join(f"{n} {phase}" for phase, n in sorted(phases.items()))
         pending = [g for g in range(len(self.groups)) if g not in self.ps.received]
         return (
@@ -821,8 +825,7 @@ class _Simulation:
 
     # -- main loop ---------------------------------------------------------------------
 
-    def run(self, until_epochs: int | None = None) -> RunResult:
-        self.until_epochs = self.cfg.until_epochs if until_epochs is None else until_epochs
+    def run(self) -> RunResult:
         limit, end = self.cfg.time_limit_s, self.end
         self._record(0, 0.0)
         for sid in self.con.satellite_ids():
@@ -855,11 +858,9 @@ class _Simulation:
         )
 
 
-def run_scenario(
-    cfg: ScenarioConfig, protocol_name: str = "fedisl", until_epochs: int | None = None
-) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, protocol_name: str = "fedisl") -> RunResult:
     """Simulate one protocol over the scenario and return its full trace."""
-    return _Simulation(cfg, protocol_name).run(until_epochs)
+    return _Simulation(cfg, protocol_name).run()
 
 
 # -- protocol comparison -----------------------------------------------------------------
@@ -874,7 +875,7 @@ class CompareResult:
     treatment: RunResult
 
 
-def compare(cfg: ScenarioConfig, until_epochs: int | None = None) -> CompareResult:
+def compare(cfg: ScenarioConfig) -> CompareResult:
     """Run the direct protocol and the ring protocol on identical inputs.
 
     ``speedup`` is wall-clock time to the common goal (target accuracy when the
@@ -883,8 +884,8 @@ def compare(cfg: ScenarioConfig, until_epochs: int | None = None) -> CompareResu
     messages over the server links at equal epochs, and ``epoch_time_ratio``
     compares mean epoch duration over the first five common epochs.
     """
-    baseline = run_scenario(cfg, "fednonisl", until_epochs)
-    treatment = run_scenario(cfg, "fedisl", until_epochs)
+    baseline = run_scenario(cfg, "fednonisl")
+    treatment = run_scenario(cfg, "fedisl")
 
     def finished(run: RunResult):
         return [r for r in run.records if r.epoch > 0]

@@ -1,11 +1,15 @@
 import configparser
+import dataclasses
 import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from orbitfl.cli import (
     COMPARE_HEADER,
+    CONFIG_SCHEMA,
     CONTACTS_HEADER,
     RUN_HEADER,
     SEED_ENV_VAR,
@@ -14,7 +18,13 @@ from orbitfl.cli import (
     parse_config,
     render_run_csv,
 )
-from orbitfl.sim import ConfigError, contact_table, desk_scenario, reference_scenario
+from orbitfl.sim import (
+    ConfigError,
+    ScenarioConfig,
+    contact_table,
+    desk_scenario,
+    reference_scenario,
+)
 
 SMALL = """
 [data]
@@ -90,6 +100,39 @@ def test_parse_bad_value_reports_line(tmp_path):
         parse_config(str(path))
 
 
+def test_parse_mixed_case_key_reports_line(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[sim]\nseed = 1\n\n[constellation]\nAltitude_KM = high\n")
+    with pytest.raises(ConfigError, match=r"bad value 'high' .*altitude_km.*\(line 5\)"):
+        parse_config(str(path))
+
+
+PERCENT_PATHS = {"train_images_path": "/data/50%_split/x", "test_images_path": "/data/%(seed)s"}
+
+
+def test_values_are_read_as_written(tmp_path, capsys):
+    path = tmp_path / "percent.ini"
+    path.write_text(ini_with({"data": PERCENT_PATHS}))
+    cfg = parse_config(str(path))
+    assert cfg.train_images_path == "/data/50%_split/x"
+    assert cfg.test_images_path == "/data/%(seed)s"
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_every_field_is_set_by_exactly_one_key():
+    fields = [field for keys in CONFIG_SCHEMA.values() for field, _ in keys.values()]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+
+
+def test_readme_scenario_parses_to_the_desk_preset(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert parse_config(str(path)) == desk_scenario(7, until_epochs=5)
+
+
 def test_parse_unknown_section(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[orbits]\nnum_planes = 3\n")
@@ -144,6 +187,7 @@ def test_emit_round_trips(tmp_path):
             target_accuracy=0.9,
             data_scheme="label_split",
         ),
+        desk_scenario(seed=3, **PERCENT_PATHS),
     ):
         path = tmp_path / "echo.ini"
         path.write_text(emit_config(cfg))
@@ -267,7 +311,7 @@ def test_validate_accepts_good_config(small_ini, capsys):
 
 def ini_with(overrides) -> str:
     """SMALL with some keys replaced, as INI text."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(SMALL)
     parser.read_dict(overrides)
     text = io.StringIO()

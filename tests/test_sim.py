@@ -359,7 +359,7 @@ def test_time_limit_truncates_cleanly():
 
 
 def test_compare_ratios():
-    out = compare(small_scenario(), until_epochs=3)
+    out = compare(small_scenario())
     assert isinstance(out, CompareResult)
     assert out.traffic_ratio == 8.0
     assert out.speedup > 1.0
