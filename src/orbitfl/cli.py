@@ -71,7 +71,7 @@ _SECTION_FIELDS = {
     "data": "data_source data_scheme samples_per_satellite test_samples num_features "
     "num_classes separation train_images_path train_labels_path test_images_path "
     "test_labels_path",
-    "protocol": "reconnect_wait_s grace_factor contact_step_s contact_tol_s",
+    "protocol": "reconnect_wait_s grace_factor contact_tol_s",
     "sim": "seed until_epochs time_limit_s target_accuracy",
 }
 
@@ -93,38 +93,45 @@ def _schema() -> dict[str, dict[str, tuple[str, object]]]:
 CONFIG_SCHEMA = _schema()
 
 
-def _key_line(path: str, section: str, key: str) -> int | None:
-    """Best-effort line number of ``key`` inside ``[section]``."""
+def _key_line(path: str, section: str, key: str | None) -> int | None:
+    """Best-effort line number of ``key`` inside ``[section]``, or of the
+    section's header when ``key`` is None."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError:
         return None
     current = None
-    pattern = re.compile(rf"^\s*{re.escape(key)}\s*[=:]", re.IGNORECASE)
     for number, line in enumerate(lines, start=1):
         header = re.match(r"^\s*\[(.+?)\]", line)
         if header:
             current = header.group(1).strip()
-        elif current == section and pattern.match(line):
-            return number
+            if key is None and current == section:
+                return number
+        elif key is not None and current == section:
+            if re.match(rf"^\s*{re.escape(key)}\s*[=:]", line, re.IGNORECASE):
+                return number
     return None
 
 
-def _where(path: str, section: str, key: str) -> str:
+def _where(path: str, section: str, key: str | None = None) -> str:
     line = _key_line(path, section, key)
     suffix = f" (line {line})" if line is not None else ""
-    return f"[{section}] {key} in {path}{suffix}"
+    name = f"[{section}]" if key is None else f"[{section}] {key}"
+    return f"{name} in {path}{suffix}"
 
 
 def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
     """Read an INI scenario file into a ScenarioConfig.
 
     Unknown sections or keys are errors, as are unparseable values; messages
-    carry the offending key and its line. ``seed_override`` takes precedence
-    over ``[sim] seed``; one of the two must provide a seed.
+    carry the offending section or key and its line. ``[DEFAULT]`` is an
+    unknown section like any other, not one whose keys reach every section.
+    ``seed_override`` takes precedence over ``[sim] seed``; one of the two must
+    provide a seed.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty section, so no section holds defaults
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -137,9 +144,7 @@ def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
     for section in parser.sections():
         if section not in CONFIG_SCHEMA:
             known = ", ".join(sorted(CONFIG_SCHEMA))
-            raise ConfigError(
-                f"unknown section [{section}] in {path}; expected one of: {known}"
-            )
+            raise ConfigError(f"unknown section {_where(path, section)}; expected one of: {known}")
         for key, raw in parser.items(section):
             try:
                 field, convert = CONFIG_SCHEMA[section][key]
@@ -246,8 +251,10 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _hours(text: str) -> float:
     hours = float(text)
-    if not 0 < hours < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number of hours, got {text!r}")
+    if not 0 < hours * 3600.0 < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of hours, finite in seconds, got {text!r}"
+        )
     return hours
 
 

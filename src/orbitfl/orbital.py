@@ -6,15 +6,15 @@ Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
 Each node's position constants are computed once per ``Constellation``; a
 query at a scalar t is evaluated with ``math`` and yields floats (a distance)
 or a bool (visibility), while an array of times is evaluated with numpy in one
-pass, so window scans cover whole time grids at once.
+pass.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. ``Constellation.next_contact``
-locates one window by a coarse time scan refined with bisection, and a
-``ContactPlan`` strings those scans, each reaching to the plan's end, into
-every node's windows with one peer, the single source of predicted windows for
-a run and for ``orbitfl contacts``.
+locates one window by conservative advancement on the test's margin, refined
+with bisection, and a ``ContactPlan`` strings those scans, each reaching to the
+plan's end, into every node's windows with one peer, the single source of
+predicted windows for a run and for ``orbitfl contacts``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ EARTH_ROTATION_RAD_S = 7.2921159e-5  # sidereal rate
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 PS_NODE = 0  # the parameter server's node id; satellites are numbered from 1
-
-# Grid points per visibility call of a window scan. A scan may reach far past
-# the window it finds, and the points past the find in its chunk are wasted.
-_SCAN_CHUNK = 1024
 
 _TWO_PI = 2.0 * math.pi
 
@@ -199,13 +195,31 @@ def _distance(a, b, sqrt):
     return sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _elevated(sat, ground, sin_mask, sqrt):
-    """sin(elevation) >= sin(mask), both angles in [-pi/2, pi/2]."""
+def _elevation_margin(sat, ground, sin_mask, sqrt):
+    """|g| |r| (sin(elevation) - sin(mask)) for station g and r = sat - g."""
     gx, gy, gz = ground
     rx, ry, rz = sat[0] - gx, sat[1] - gy, sat[2] - gz
     num = gx * rx + gy * ry + gz * rz
     den = sqrt(gx * gx + gy * gy + gz * gz) * sqrt(rx * rx + ry * ry + rz * rz)
-    return num >= den * sin_mask
+    return num - den * sin_mask
+
+
+def _inside(margin, other):
+    """Visibility: a station sees a satellite on its mask, a satellite at range does not."""
+    return margin >= 0 if isinstance(other, _GroundTrack) else margin > 0
+
+
+def _margin_rate(sat, other) -> float:
+    """A bound on |d margin / dt|. Between satellites, range - d changes at most
+    as fast as v_a + v_b. For a station g (|g| = G, turning at w) and a satellite
+    at radius R and speed v, the margin is G (u.r - |r| sin(mask)), r = sat - g,
+    u = g / G; as |u'| <= w, |r| <= R + G and |r'| <= v + w G, its rate is at
+    most G (w (R + G) + (1 + sin(mask)) (v + w G))."""
+    v = _TWO_PI * sat.r / sat.period
+    if isinstance(other, _GroundTrack):
+        g, w = math.hypot(other.r_cl, other.z), EARTH_ROTATION_RAD_S
+        return g * (w * (sat.r + g) + (1.0 + other.sin_mask) * (v + w * g))
+    return v + _TWO_PI * other.r / other.period
 
 
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
@@ -336,85 +350,82 @@ class Constellation:
 
     def visible(self, a: int, b: int, t):
         """Line-of-sight predicate between two nodes; t may be an array."""
+        sat, other = self._pair(a, b)
+        t, m = _clock(t)
+        return _inside(self._margin(sat, other, t, m), other)
+
+    def _pair(self, a: int, b: int):
+        """The two nodes' tracks, a satellite first."""
         sat, other = self._tracks[a], self._tracks[b]
         if isinstance(sat, _GroundTrack):
             sat, other = other, sat
         if isinstance(sat, _GroundTrack):
             raise GeometryError("visibility between two ground nodes is undefined")
-        t, m = _clock(t)
+        return sat, other
+
+    def _margin(self, sat, other, t, m):
+        """How far inside visibility the pair is at t: range - distance, or the
+        elevation margin with a ground station."""
         if isinstance(other, _GroundTrack):
-            return _elevated(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
+            return _elevation_margin(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
         d = _distance(sat.at(t, m), other.at(t, m), m.sqrt)
-        return d < max_isl_range_km(sat.altitude_km, other.altitude_km)
+        return max_isl_range_km(sat.altitude_km, other.altitude_km) - d
 
     # -- contact prediction --------------------------------------------------
 
     def next_contact(
-        self,
-        a: int,
-        b: int,
-        from_t: float,
-        horizon_s: float,
-        *,
-        step_s: float = 10.0,
-        tol_s: float = 0.1,
+        self, a: int, b: int, from_t: float, horizon_s: float, *, tol_s: float = 0.1
     ) -> ContactWindow | None:
         """Earliest visibility window starting at or after ``from_t``.
 
         A window already open at ``from_t`` is reported with start = from_t.
-        Boundaries come from a coarse scan at ``step_s`` refined by bisection to
-        ``tol_s``; the window end is clamped to the horizon when visibility
-        persists. Returns None when no window begins within the horizon.
-        Windows shorter than ``step_s`` can be missed.
+        Boundaries come from a scan by conservative advancement (``_flips``)
+        refined by bisection to ``tol_s``; the window end is clamped to the
+        horizon when visibility persists. Returns None when no window begins
+        within the horizon. Windows shorter than ``tol_s`` can be missed.
         """
+        sat, other = self._pair(a, b)
         t_end = from_t + horizon_s
-        if self.visible(a, b, from_t):
-            start = from_t
-            after_rise = from_t
-        else:
-            rise = self._scan_for(a, b, from_t, t_end, want=True, step_s=step_s)
+        flips = self._flips(sat, other, from_t, t_end, tol_s)
+        start = from_t
+        if not self.visible(a, b, from_t):
+            rise = next(flips, None)
             if rise is None:
                 return None
             start = self._refine(a, b, rise[0], rise[1], tol_s)
-            after_rise = rise[1]
-        drop = self._scan_for(a, b, after_rise, t_end, want=False, step_s=step_s)
+        drop = next(flips, None)
         end = t_end if drop is None else self._refine(a, b, drop[0], drop[1], tol_s)
         return ContactWindow(a, b, start, end)
 
-    def _scan_for(self, a, b, t0, t1, want, step_s):
-        """First grid time in [t0, t1] where visible == want, with the prior grid time.
-
-        The caller guarantees visible(t0) != want. Returns (t_before, t_hit) or
-        None if the state never flips on the grid.
-        """
-        if t1 <= t0:
-            return None
-        n = int(math.ceil((t1 - t0) / step_s)) + 1
-        prev_t = t0
-        i = 0
-        while i < n:
-            ts = t0 + step_s * np.arange(i, min(i + _SCAN_CHUNK, n), dtype=float)
-            ts = np.minimum(ts, t1)
-            vis = np.asarray(self.visible(a, b, ts), dtype=bool)
-            hits = np.nonzero(vis == want)[0]
-            if hits.size:
-                j = int(hits[0])
-                t_before = float(ts[j - 1]) if j > 0 else prev_t
-                return (t_before, float(ts[j]))
-            prev_t = float(ts[-1])
-            i += _SCAN_CHUNK
-        return None
+    def _flips(self, sat, other, t, t_end, tol_s):
+        """Yield (t_before, t_after) for each step in [t, t_end] across which
+        visibility changes. The margin cannot reach zero within |margin| / rate,
+        and a step of ``tol_s`` or one float skips no window or gap of ``tol_s``
+        or longer."""
+        rate = _margin_rate(sat, other)
+        margin = self._margin(sat, other, t, math)
+        state = _inside(margin, other)
+        while t < t_end:
+            step = max(abs(margin) / rate, tol_s)
+            t_next = min(t_end, max(t + step, math.nextafter(t, math.inf)))
+            margin = self._margin(sat, other, t_next, math)
+            if _inside(margin, other) != state:
+                state = not state
+                yield (t, t_next)
+            t = t_next
 
     def _refine(self, a, b, t_lo, t_hi, tol_s):
-        """Bisect a visibility flip bracketed by (t_lo, t_hi) down to tol_s."""
+        """Bisect a visibility flip bracketed by (t_lo, t_hi) down to tol_s, or
+        until no float lies between the two ends."""
         state_lo = self.visible(a, b, t_lo)
-        while t_hi - t_lo > tol_s:
-            mid = 0.5 * (t_lo + t_hi)
+        mid = 0.5 * (t_lo + t_hi)
+        while t_hi - t_lo > tol_s and t_lo < mid < t_hi:
             if self.visible(a, b, mid) == state_lo:
                 t_lo = mid
             else:
                 t_hi = mid
-        return 0.5 * (t_lo + t_hi)
+            mid = 0.5 * (t_lo + t_hi)
+        return mid
 
 
 class ContactPlan:
@@ -428,16 +439,9 @@ class ContactPlan:
     """
 
     def __init__(
-        self,
-        con: Constellation,
-        end_s: float,
-        *,
-        peer: int = PS_NODE,
-        step_s: float = 10.0,
-        tol_s: float = 0.1,
+        self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
     ):
-        self.con, self.peer, self.end_s = con, peer, end_s
-        self.step_s, self.tol_s = step_s, tol_s
+        self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
         self._windows: dict[int, list[ContactWindow]] = {}
         self._resume: dict[int, float] = {}  # where each node's scan goes on
 
@@ -450,9 +454,9 @@ class ContactPlan:
         return windows[i] if i < len(windows) else None
 
     def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
-        """The window after ``w``: the one open ``tol_s`` past its end, where the
-        scan resumed, else the next one."""
-        return self.window(node, w.end_s + self.tol_s)
+        """The window after ``w``: the one open where the scan resumed past its
+        end, else the next one."""
+        return self.window(node, self._past(w))
 
     def windows(self, node: int, until: float) -> list[ContactWindow]:
         """Every window opening by ``until``, in time order."""
@@ -466,12 +470,14 @@ class ContactPlan:
         s = self._resume.get(node, 0.0)
         if s >= self.end_s:
             return False
-        w = self.con.next_contact(
-            node, self.peer, s, self.end_s - s, step_s=self.step_s, tol_s=self.tol_s
-        )
+        w = self.con.next_contact(node, self.peer, s, self.end_s - s, tol_s=self.tol_s)
         if w is None:
             self._resume[node] = self.end_s
             return False
         self._windows[node].append(w)
-        self._resume[node] = w.end_s + self.tol_s
+        self._resume[node] = self._past(w)
         return True
+
+    def _past(self, w: ContactWindow) -> float:
+        """Where the scan resumes: ``tol_s`` past the end of ``w``, one float at least."""
+        return max(w.end_s + self.tol_s, math.nextafter(w.end_s, math.inf))

@@ -116,7 +116,6 @@ class ScenarioConfig:
     # protocol timing
     reconnect_wait_s: float = 10.0
     grace_factor: float = 2.0
-    contact_step_s: float = 10.0
     contact_tol_s: float = 0.1
     # run goals
     until_epochs: int = 10
@@ -223,8 +222,8 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
         problems.append("samples_per_satellite and test_samples must be at least 1")
     if cfg.num_features < 1 or cfg.num_classes < 2:
         problems.append("need at least one feature and two classes")
-    if cfg.reconnect_wait_s <= 0 or cfg.contact_step_s <= 0 or cfg.contact_tol_s <= 0:
-        problems.append("reconnect_wait_s, contact_step_s, contact_tol_s must be positive")
+    if cfg.reconnect_wait_s <= 0 or cfg.contact_tol_s <= 0:
+        problems.append("reconnect_wait_s and contact_tol_s must be positive")
     if cfg.grace_factor < 0:
         problems.append("grace_factor must be non-negative")
     if cfg.until_epochs < 1:
@@ -368,7 +367,7 @@ def build_datasets(cfg: ScenarioConfig):
 
 def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> ContactPlan:
     """The scenario's satellite-to-server contact plan up to ``end_s``."""
-    return ContactPlan(con, end_s, step_s=cfg.contact_step_s, tol_s=cfg.contact_tol_s)
+    return ContactPlan(con, end_s, tol_s=cfg.contact_tol_s)
 
 
 def contact_table(cfg: ScenarioConfig, horizon_s: float):

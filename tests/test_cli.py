@@ -136,8 +136,36 @@ def test_readme_scenario_parses_to_the_desk_preset(tmp_path):
 def test_parse_unknown_section(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[orbits]\nnum_planes = 3\n")
-    with pytest.raises(ConfigError, match=r"unknown section \[orbits\]"):
+    with pytest.raises(ConfigError, match=r"unknown section \[orbits\] in .*\(line 1\)"):
         parse_config(str(path))
+
+
+# configparser would copy [DEFAULT]'s keys into every section, so beside
+# [constellation] its seed was an unknown key there, and alone it was ignored
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nseed = 2\n\n[constellation]\nnum_planes = 5\n",
+        "; scenario\n[DEFAULT]\nseed = 2\n",
+    ],
+    ids=["beside", "alone"],
+)
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    path = tmp_path / "defaults.ini"
+    path.write_text(text)
+    line = text.splitlines().index("[DEFAULT]") + 1
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown section [DEFAULT] in {path} (line {line})" in err
+
+
+# a scenario file that still sets the grid scan's step is refused at validate
+def test_contact_step_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "old.ini"
+    path.write_text("[protocol]\ncontact_step_s = 10.0\n\n[sim]\nseed = 1\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown key [protocol] contact_step_s in {path} (line 2)" in err
 
 
 def test_parse_missing_file():
@@ -292,7 +320,7 @@ def test_contacts_lists_windows(small_ini, tmp_path):
     assert float(end) == pytest.approx(want[0][3], abs=1e-9)
 
 
-@pytest.mark.parametrize("hours", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("hours", ["inf", "nan", "-1", "0", "1e306"])
 def test_contacts_rejects_bad_horizon_as_usage_error(small_ini, capsys, hours):
     with pytest.raises(SystemExit) as exit_:
         main(["contacts", "--config", small_ini, "--horizon-hours", hours])
@@ -356,10 +384,10 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, overrides):
     "overrides",
     [
         {"constellation": {"altitude_km": "-5"}},
-        {"protocol": {"contact_step_s": "0"}},
+        {"protocol": {"contact_tol_s": "0"}},
         {"ps": {"kind": "moon"}},
     ],
-    ids=["altitude", "contact_step", "ps_kind"],
+    ids=["altitude", "contact_tol", "ps_kind"],
 )
 def test_contacts_rejects_what_run_rejects(tmp_path, capsys, overrides):
     path = tmp_path / "bad.ini"

@@ -59,18 +59,19 @@ def test_contacts_match_golden(tmp_path):
 # replaces the retry (the reference case at one cycle per sample), with a
 # satellite ahead while the server still waits for its group's downlink ack
 # (the tiny model), and with the run cut off by its time limit while satellites
-# are parked. The digests come from an engine that booked every poll as an
-# event, a satellite's retry and fresh poll sharing its one booking.
+# are parked. The digests that did not move when window scans went from a
+# fixed grid to conservative advancement come from an engine that booked every
+# poll as an event, a satellite's retry and fresh poll sharing its one booking.
 PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),
         "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
-        "dc970b2c8d728d839e5e86a989b5203fd8f75164ac8beec841289f955585938a",
+        "e8cee0da4210292eacbbdc20c221930335eea115ba15e0403e01c5c7afee6b7e",
     ),
     "desk11": (
         desk_scenario(11, until_epochs=5),
         "e481e45f801b132fa1309161b6fec9d5a37b73a51817e2d918d7a67484f3f442",
-        "4346ee62b2f9761ffe292ba94562397c624ce282bfd6de9870ae27976032328a",
+        "b681dd637cf431ebce9799d29c07275f9b17a092f4efed404a2be13b722e420c",
     ),
     "ground": (
         desk_scenario(
@@ -81,13 +82,13 @@ PINNED = {
             ps_latitude_deg=40.0,
             until_epochs=3,
         ),
-        "4e120f992afb69db152e3eea8cb4520b79aabdafd26ee4c70c88a3f7a6200a80",
-        "7f9e0ccce31303bd7a163b1381784e3502ec6b83a2add0a83894ff1f821dece4",
+        "8d27a389efa6c99390dfa91f85578393297e438c49a8c193b5cce4c3e713459a",
+        "7e58687568b3d907458eb60f3190e08da19554c6f2073f709321852df1d15e94",
     ),
     "two-chains": (
         reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
         "dc01c555d0b61f38a2c2a0b465ae0b202c339db9643a8f1f215ccf74555ab889",
-        "e8f5f37329cd5f0782b27f22901a169e62d73e8f65151b65c5f1bbef6c890dc9",
+        "37ad3b0c49e893448e5fe88f71facc92f8656a52ddcd5d77f8478e675ebcaaa2",
     ),
     "tiny-model": (
         desk_scenario(
@@ -99,12 +100,12 @@ PINNED = {
             until_epochs=4,
         ),
         "f8d80ca4eede82127a75a24e10e29d3f28f64b89fcf08eca3f5520610838545b",
-        "d7fc032d326166a2700cf487a68843085d5fcd141cee74049a5987f650b1f15d",
+        "d9d2e27a17f8ba3256495a30a646f2e6f46f6466ea9c56be522aa872663cc743",
     ),
     "time-limit": (
         desk_scenario(7, until_epochs=5, time_limit_s=4000.0),
         "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
-        "dd6a762f939cc153e84057e45e6e221ba25f9ab29105debc4f0512196cccd7f3",
+        "e9beeb2d07fd26dc0f6dd611e4b5d71e7384ffa016d9c996e0217343139fc376",
     ),
 }
 

@@ -170,7 +170,8 @@ def test_sat_ground_visible_matches_segment_oracle():
         closest = np.linalg.norm(g + s_min * seg)
         if abs(closest - r_e) < 1e-9:
             continue  # tangent to within float noise; either verdict is defensible
-        assert orbital._elevated(tuple(sat), tuple(g), 0.0, math.sqrt) == bool(closest >= r_e)
+        margin = orbital._elevation_margin(tuple(sat), tuple(g), 0.0, math.sqrt)
+        assert (margin >= 0) == bool(closest >= r_e)
 
 
 def test_walker_planes_layout():
@@ -302,25 +303,6 @@ def test_polar_station_windows_recur_every_period():
     np.testing.assert_allclose(gaps, period, rtol=0.2)
 
 
-# A scan evaluates its time grid a chunk at a time; the grid's values, and so
-# every window edge, do not depend on where the chunks are cut.
-@pytest.mark.parametrize("ps", [MEO_PS, GroundStationSpec(math.radians(40.0), 0.0, 0.0)])
-def test_contact_plan_windows_do_not_depend_on_the_scan_chunk(ps, monkeypatch):
-    con = reference_constellation(ps)
-    end = 6 * 3600.0
-    whole = ContactPlan(con, end)
-    want = {sat: whole.windows(sat, end) for sat in (1, 30)}
-    for chunk in (7, 60):
-        monkeypatch.setattr(orbital, "_SCAN_CHUNK", chunk)
-        plan = ContactPlan(con, end)
-        for sat in (1, 30):
-            windows = plan.windows(sat, end)
-            assert windows == want[sat]
-            assert any(w.duration_s > chunk * plan.step_s for w in windows)
-            for w, nxt in zip(windows, windows[1:]):
-                assert nxt.start_s >= w.end_s + plan.tol_s
-
-
 def test_contact_plan_window_and_after_read_the_same_windows():
     con = reference_constellation()
     plan = ContactPlan(con, 43200.0)
@@ -362,10 +344,11 @@ def test_ground_ps_constellation_dispatch():
 
 # -- scalar and grid queries ------------------------------------------------------
 
-# Contact windows are scanned on time grids, while the engine asks for single
-# times (transfer distances, fallback hops, the bisection of window edges). The
-# two answers must be equal to the last bit, or window edges and transfer times
-# would depend on which path computed them.
+# Positions and dense-scan oracles query arrays of times, while the engine and
+# the window scan ask for single times (transfer distances, fallback hops, scan
+# steps, the bisection of window edges). The two answers must be equal to the
+# last bit, or a check against an array query would hold the engine to
+# different numbers than it computed.
 
 
 @st.composite
@@ -411,3 +394,42 @@ def test_scalar_queries_equal_grid_queries(con, data):
         assert type(v) is bool and v == con.visible(a, b, grid)[0]
         for node in (a, b):
             assert np.array_equal(con.position(node, t), con.position(node, grid)[0])
+
+
+# -- completeness of the window scan ----------------------------------------------
+
+# The scan steps by |margin| over a bound on the margin's rate. A finite
+# difference over one second is the mean rate over that second, so it may
+# never exceed the bound either.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(con=constellations(), data=st.data())
+def test_margin_rate_never_exceeds_its_bound(con, data):
+    ids = con.satellite_ids()
+    for t in data.draw(st.lists(st.floats(1.0, 3e6), min_size=1, max_size=8)):
+        a = data.draw(st.sampled_from(ids))
+        b = data.draw(st.sampled_from([PS_NODE] + [n for n in ids if n != a]))
+        sat, other = con._pair(a, b)
+        ahead = con._margin(sat, other, t + 0.5, math)
+        behind = con._margin(sat, other, t - 0.5, math)
+        assert abs(ahead - behind) <= orbital._margin_rate(sat, other)
+
+
+# No window of contact_tol_s (0.1 s) or longer can fall between two scan steps,
+# so every window that a 1 s dense scan sees at two grid times or more is in
+# the plan, with the server and with another satellite as the peer.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(con=constellations(), data=st.data())
+def test_every_dense_scan_window_overlaps_a_plan_window(con, data):
+    ids = con.satellite_ids()
+    sat = data.draw(st.sampled_from(ids))
+    peers = [PS_NODE]
+    if len(ids) > 1:
+        peers.append(data.draw(st.sampled_from([n for n in ids if n != sat])))
+    end = 6 * 3600.0
+    for peer in peers:
+        got = ContactPlan(con, end, peer=peer).windows(sat, end)
+        for start, stop in brute_windows(con, sat, peer, 0.0, end):
+            if stop > start:
+                assert any(w.start_s <= stop and w.end_s >= start for w in got), (
+                    f"({sat}, {peer}): window {start}-{stop} missed"
+                )

@@ -6,7 +6,8 @@ import pytest
 
 import orbitfl.link as link
 import orbitfl.protocol as protocol
-from orbitfl.orbital import Constellation, ContactPlan
+from orbitfl import orbital
+from orbitfl.orbital import PS_NODE, Constellation, ContactPlan
 from orbitfl.sim import (
     CompareResult,
     _Simulation,
@@ -259,6 +260,23 @@ UNREACHABLE = desk_scenario(
 )
 
 
+def _count_positions(monkeypatch, budget=math.inf):
+    """Count the times at which node positions are evaluated, an array of
+    times counting each entry: every geometry query evaluates two. Going past
+    ``budget`` fails the test, so a scan that would not end stops."""
+    count = [0]
+    for track in (orbital._OrbitTrack, orbital._GroundTrack):
+
+        def counted(self, t, m, at=track.at):
+            count[0] += np.size(t)
+            if count[0] > budget:
+                pytest.fail(f"more than {budget} positions evaluated")
+            return at(self, t, m)
+
+        monkeypatch.setattr(track, "at", counted)
+    return count
+
+
 def test_deadlock_reported_when_server_unreachable():
     with pytest.raises(DeadlockError, match="no further progress at t=0.0s"):
         run_scenario(UNREACHABLE, "fedisl")
@@ -279,6 +297,16 @@ def test_unreachable_server_books_one_event_per_satellite():
     with pytest.raises(DeadlockError):
         engine.run()
     assert len(booked) <= len(engine.sats)
+
+
+# The plan scans each satellite to its end, 30.5 days. A 10 s grid evaluated
+# 2,635,222 positions for it; a scan that steps by the margin over its rate
+# passes over an orbit that never rises in steps of many minutes.
+def test_unreachable_server_is_scanned_in_few_steps(monkeypatch):
+    positions = _count_positions(monkeypatch)
+    with pytest.raises(DeadlockError):
+        run_scenario(UNREACHABLE, "fedisl")
+    assert 0 < positions[0] < 50_000
 
 
 def test_duplicate_aggregate_is_a_protocol_error():
@@ -437,20 +465,51 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
 
 
 def test_contact_settings_reach_every_scan(monkeypatch):
-    steps, tols = set(), set()
-    scan_for, refine = Constellation._scan_for, Constellation._refine
+    tols = set()
+    flips, refine = Constellation._flips, Constellation._refine
 
-    def scan_recorded(self, a, b, t0, t1, want, step_s):
-        steps.add(step_s)
-        return scan_for(self, a, b, t0, t1, want, step_s)
+    def flips_recorded(self, sat, other, t, t_end, tol_s):
+        tols.add(tol_s)
+        return flips(self, sat, other, t, t_end, tol_s)
 
     def refine_recorded(self, a, b, t_lo, t_hi, tol_s):
         tols.add(tol_s)
         return refine(self, a, b, t_lo, t_hi, tol_s)
 
-    monkeypatch.setattr(Constellation, "_scan_for", scan_recorded)
+    monkeypatch.setattr(Constellation, "_flips", flips_recorded)
     monkeypatch.setattr(Constellation, "_refine", refine_recorded)
-    cfg = small_scenario(contact_step_s=30.0, contact_tol_s=0.5, until_epochs=2)
+    cfg = small_scenario(contact_tol_s=0.5, until_epochs=2)
     run_scenario(cfg, "fedisl")
-    assert steps == {30.0}
     assert tols == {0.5}
+
+
+# A pass that grazes a 40-degree station's 28.58433-degree mask for 2.85 s:
+# a 10 s grid stepped over it.
+def test_plan_holds_a_grazing_pass():
+    cfg = desk_scenario(0, ps_kind="ground", ps_latitude_deg=40.0, ps_min_elevation_deg=28.58433)
+    con = build_constellation(cfg)
+    windows = ContactPlan(con, 43200.0).windows(1, 43200.0)
+    (w,) = [w for w in windows if 8600.0 < w.start_s < 8700.0]
+    assert 8638.5 < w.start_s < 8638.7 and 2.7 < w.duration_s < 2.9
+    assert con.visible(1, PS_NODE, 8640.0)
+
+
+# Bisection cannot narrow a bracket below the spacing of floats, nor can a scan
+# step or the plan's resume point move t by less. Each stops there instead, so
+# a scan ends at any positive tolerance. The budgets are far above what these
+# calls take and bound a scan that would never end.
+@pytest.mark.parametrize("server", [{}, _GROUND], ids=["orbit", "ground"])
+def test_scans_end_at_any_positive_tolerance(monkeypatch, server):
+    visible, calls = Constellation.visible, [0]
+
+    def budgeted(self, a, b, t):
+        calls[0] += 1
+        if calls[0] > 20_000:
+            pytest.fail("visible called more than 20,000 times")
+        return visible(self, a, b, t)
+
+    monkeypatch.setattr(Constellation, "visible", budgeted)
+    _count_positions(monkeypatch, budget=1_000_000)
+    cfg = small_scenario(contact_tol_s=1e-20, until_epochs=1, **server)
+    assert contact_table(cfg, 3600.0)
+    assert run_scenario(cfg, "fedisl").stop_reason == "epochs"
