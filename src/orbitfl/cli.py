@@ -23,13 +23,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import math
 import os
 import re
 import sys
 import typing
 
 from .sim import (
+    MAX_SPAN_S,
     ConfigError,
     DeadlockError,
     MetricsRecord,
@@ -251,9 +251,9 @@ def _load_scenario(args) -> ScenarioConfig:
 
 def _hours(text: str) -> float:
     hours = float(text)
-    if not 0 < hours * 3600.0 < math.inf:
+    if not 0 < hours * 3600.0 <= MAX_SPAN_S:
         raise argparse.ArgumentTypeError(
-            f"must be a positive number of hours, finite in seconds, got {text!r}"
+            f"must be a number of hours in (0, {MAX_SPAN_S / 3600.0:g}] (one year), got {text!r}"
         )
     return hours
 

@@ -101,10 +101,20 @@ def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> f
         raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
     if distance_m <= 0:
         raise ValueError(f"distance_m must be positive, got {distance_m}")
+    return transfer_times(params, distance_m, payload_bits, math.log2)
+
+
+def transfer_times(params: LinkParams, distance_m, payload_bits: int, log2):
+    """:func:`transfer_time`, unchecked, at a float or an array of distances.
+
+    ``log2`` is ``math.log2`` for a float and ``math.log2`` mapped over the
+    entries for an array (``np.log2`` rounds some arguments differently). Every
+    other operation rounds alike on both, so each entry equals the float answer.
+    """
     loss = (params.loss_factor * distance_m / SPEED_OF_LIGHT_M_S) ** 2
     signal_to_noise = params.signal_w / (params.noise_w * loss)
     return (
-        payload_bits / (params.bandwidth_hz * math.log2(1.0 + signal_to_noise))
+        payload_bits / (params.bandwidth_hz * log2(1.0 + signal_to_noise))
         + distance_m / SPEED_OF_LIGHT_M_S
         + params.tx_delay_s
         + params.rx_delay_s

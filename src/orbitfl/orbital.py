@@ -137,17 +137,26 @@ def orbital_period(altitude_km: float) -> float:
 class _OrbitTrack:
     """Position constants of satellite ``sat_index`` of ``orbit`` (see OrbitSpec)."""
 
-    __slots__ = ("altitude_km", "theta0", "period", "r", "co", "so", "si", "so_ci", "co_ci")
+    __slots__ = ("horizon_km", "theta0", "period", "r", "co", "so", "si", "so_ci", "co_ci")
 
     def __init__(self, orbit: OrbitSpec, sat_index: int):
-        self.altitude_km = orbit.altitude_km
         self.theta0 = orbit.phase_offset_rad + _TWO_PI * sat_index / orbit.num_satellites
         self.period = orbital_period(orbit.altitude_km)
         self.r = orbit.radius_km
+        self.horizon_km = _horizon_km(self.r)
         ci, self.si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
         self.co, self.so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
         self.so_ci = self.so * ci
         self.co_ci = self.co * ci
+
+    @classmethod
+    def stacked(cls, tracks):
+        """One track whose constants are arrays, entry i from ``tracks[i]``: its
+        ``at(t, np)`` puts track i at t[i]."""
+        stack = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(stack, name, np.array([getattr(track, name) for track in tracks]))
+        return stack
 
     def at(self, t, m):
         theta = self.theta0 + _TWO_PI * t / self.period
@@ -222,14 +231,16 @@ def _margin_rate(sat, other) -> float:
     return v + _TWO_PI * other.r / other.period
 
 
-def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
-    """Longest line of sight between two satellites that clears the Earth.
+def _horizon_km(radius_km: float) -> float:
+    """Distance from a satellite at ``radius_km`` to its horizon on the Earth."""
+    return math.sqrt(radius_km * radius_km - EARTH_RADIUS_KM**2)
 
-    Sum of the two horizon distances: sqrt((r_E+h)^2 - r_E^2) for each side.
-    """
-    ra = EARTH_RADIUS_KM + altitude_a_km
-    rb = EARTH_RADIUS_KM + altitude_b_km
-    return math.sqrt(ra * ra - EARTH_RADIUS_KM**2) + math.sqrt(rb * rb - EARTH_RADIUS_KM**2)
+
+def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
+    """Longest line of sight between two satellites that clears the Earth:
+    the sum of their horizon distances."""
+    ra, rb = EARTH_RADIUS_KM + altitude_a_km, EARTH_RADIUS_KM + altitude_b_km
+    return _horizon_km(ra) + _horizon_km(rb)
 
 
 def walker_planes(
@@ -348,6 +359,14 @@ class Constellation:
         t, m = _clock(t)
         return _distance(self._tracks[a].at(t, m), self._tracks[b].at(t, m), m.sqrt)
 
+    def distances_to(self, nodes, b: int):
+        """The distance from each satellite of ``nodes`` to node ``b``, as a
+        function of an array t that puts ``nodes[i]`` at t[i]: its entry i
+        equals ``distance_km(nodes[i], b, t[i])``."""
+        track = _OrbitTrack.stacked([self._tracks[n] for n in nodes])
+        other = self._tracks[b]
+        return lambda t: _distance(track.at(t, np), other.at(t, np), np.sqrt)
+
     def visible(self, a: int, b: int, t):
         """Line-of-sight predicate between two nodes; t may be an array."""
         sat, other = self._pair(a, b)
@@ -369,7 +388,7 @@ class Constellation:
         if isinstance(other, _GroundTrack):
             return _elevation_margin(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
         d = _distance(sat.at(t, m), other.at(t, m), m.sqrt)
-        return max_isl_range_km(sat.altitude_km, other.altitude_km) - d
+        return sat.horizon_km + other.horizon_km - d
 
     # -- contact prediction --------------------------------------------------
 
@@ -392,16 +411,16 @@ class Constellation:
             rise = next(flips, None)
             if rise is None:
                 return None
-            start = self._refine(a, b, rise[0], rise[1], tol_s)
+            start = self._refine(a, b, *rise, tol_s, False)
         drop = next(flips, None)
-        end = t_end if drop is None else self._refine(a, b, drop[0], drop[1], tol_s)
+        end = t_end if drop is None else self._refine(a, b, *drop, tol_s, True)
         return ContactWindow(a, b, start, end)
 
     def _flips(self, sat, other, t, t_end, tol_s):
         """Yield (t_before, t_after) for each step in [t, t_end] across which
-        visibility changes. The margin cannot reach zero within |margin| / rate,
-        and a step of ``tol_s`` or one float skips no window or gap of ``tol_s``
-        or longer."""
+        visibility changes, so the flips alternate between a rise and a drop.
+        The margin cannot reach zero within |margin| / rate, and a step of
+        ``tol_s`` or one float skips no window or gap of ``tol_s`` or longer."""
         rate = _margin_rate(sat, other)
         margin = self._margin(sat, other, t, math)
         state = _inside(margin, other)
@@ -414,10 +433,10 @@ class Constellation:
                 yield (t, t_next)
             t = t_next
 
-    def _refine(self, a, b, t_lo, t_hi, tol_s):
-        """Bisect a visibility flip bracketed by (t_lo, t_hi) down to tol_s, or
-        until no float lies between the two ends."""
-        state_lo = self.visible(a, b, t_lo)
+    def _refine(self, a, b, t_lo, t_hi, tol_s, state_lo):
+        """Bisect a visibility flip bracketed by (t_lo, t_hi), visible at t_lo
+        when ``state_lo``, down to tol_s, or until no float lies between the
+        two ends."""
         mid = 0.5 * (t_lo + t_hi)
         while t_hi - t_lo > tol_s and t_lo < mid < t_hi:
             if self.visible(a, b, mid) == state_lo:

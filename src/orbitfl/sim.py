@@ -4,16 +4,19 @@ The engine moves a single clock over a heap of timestamped events: connection
 attempts, message arrivals, training completions, and waits for a server
 window. Every message is charged to the run's traffic counters in one place
 and, through one send path, scheduled to arrive. A satellite runs at most one
-poll chain: poll, server answer, reply, retry. Its stages are written once, as
-a loop that runs one stage for an event. A satellite that is ahead of the
-server, done with the server's epoch and asking for the next model, is
-answered "not yet" until the epoch advances; its chain is parked off the heap
-and carried on by the same loop whenever the server's state is about to change
-and when the run stops at its time limit or cap. Polls, transfers, deliveries
-and sink election read every server window from the run's one
-:class:`orbitfl.orbital.ContactPlan`, the plan :func:`contact_table` prints; a
-poll or delivery with no window left before the plan's end is booked at
-infinity, so a stalled run wakes nothing until it stops.
+poll chain: poll, server answer, reply, retry. Its stages are written once, in
+one method that runs the stage an event brings and books the next. A satellite
+that is ahead of the server, done with the server's epoch and asking for the
+next model, is answered "not yet" until the epoch advances, and it ignores
+which "not yet" it gets. So its chain is parked off the heap, where it
+coasts: when the epoch advances, and when the run stops at its time limit or
+cap, every parked chain runs its cycles up to that time in one pass, in
+lockstep, without asking the server. The pass charges their control traffic
+at once, and an advance turns each chain's next stage back into an event.
+Polls, transfers, deliveries and sink election read every server window from
+the run's one :class:`orbitfl.orbital.ContactPlan`, the plan
+:func:`contact_table` prints; a poll or delivery with no window left before the
+plan's end is booked at infinity, so a stalled run wakes nothing until it stops.
 Geometry and link rates come from :mod:`orbitfl.orbital` and
 :mod:`orbitfl.link`; node behavior comes from :mod:`orbitfl.protocol`; the
 math being trained lives in :mod:`orbitfl.learning`.
@@ -45,6 +48,10 @@ from .orbital import (
 )
 
 DEFAULT_TIME_CAP_S = 30 * 86400.0
+# The longest span a run's time limit or a contact table may cover, one year.
+# A window scan takes time in proportion to its span even when it finds no
+# window, so a span without a bound could keep a scan going for days.
+MAX_SPAN_S = 365 * 86400.0
 # How far past the run's end the engine's contact plan reaches. Sink election
 # ranks a group's members by the contact they have left when aggregation is
 # due, so a window cut at the end would rank a member by the cut, not its pass.
@@ -52,6 +59,8 @@ PLAN_REACH_S = 43200.0
 
 # the stages of a satellite's poll chain, named by the handler that runs each as an event
 _FIRE, _REQUEST, _REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
+# a coasting cycle's stages (poll, server answer, reply, next poll), by their order
+_CYCLE = (_FIRE, _REQUEST, _REPLY, _FIRE)
 
 
 class DeadlockError(RuntimeError):
@@ -228,8 +237,8 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
         problems.append("grace_factor must be non-negative")
     if cfg.until_epochs < 1:
         problems.append("until_epochs must be at least 1")
-    if cfg.time_limit_s is not None and cfg.time_limit_s <= 0:
-        problems.append("time_limit_s must be positive when set")
+    if cfg.time_limit_s is not None and not 0 < cfg.time_limit_s <= MAX_SPAN_S:
+        problems.append(f"time_limit_s must lie in (0, {MAX_SPAN_S:.0f}] when set (one year)")
     if cfg.target_accuracy is not None and not 0.0 < cfg.target_accuracy <= 1.0:
         problems.append("target_accuracy must lie in (0, 1]")
     return problems
@@ -388,6 +397,11 @@ def contact_table(cfg: ScenarioConfig, horizon_s: float):
 # -- the engine ------------------------------------------------------------------
 
 
+def _log2_each(x: np.ndarray) -> np.ndarray:
+    """math.log2 of each entry: np.log2 rounds some arguments differently."""
+    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
+
+
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
@@ -456,8 +470,8 @@ class _Simulation:
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
         self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
         # the poll chains of satellites ahead of the server, parked off the
-        # heap: each one's pending stage as (t, handler name, reply args)
-        self._parked: dict[int, tuple] = {}
+        # heap at a poll: when each one's next poll is due
+        self._parked: dict[int, float] = {}
         self._trees: dict[tuple[int, int], protocol.RoutingTree] = {}
 
     # -- scheduling ---------------------------------------------------------
@@ -465,16 +479,16 @@ class _Simulation:
     def schedule(self, t: float, fn, *args):
         heapq.heappush(self.queue, (t, next(self.seq), fn, args))
 
-    def _charge(self, hop: str, control: bool):
-        """Count one message over ``hop`` ("ps_down", "ps_up" or "isl"): its
-        bits always count, and it counts as a message when it carries a model
-        rather than control."""
+    def _charge(self, hop: str, control: bool, count: int = 1):
+        """Count ``count`` messages over ``hop`` ("ps_down", "ps_up" or "isl"):
+        their bits always count, and they count as messages when they carry a
+        model rather than control."""
         c = self.counters
         if control:
-            c[hop + "_bits"] += link.CONTROL_MESSAGE_BITS
+            c[hop + "_bits"] += count * link.CONTROL_MESSAGE_BITS
         else:
-            c[hop + "_msgs"] += 1
-            c[hop + "_bits"] += self.model_bits
+            c[hop + "_msgs"] += count
+            c[hop + "_bits"] += count * self.model_bits
 
     def _send(self, hop: str, dt: float, fn, *args, control: bool = False):
         """One message over ``hop``, charged now and arriving as ``fn(*args)``
@@ -523,83 +537,73 @@ class _Simulation:
         """Ask the server for the model when in view, else book a poll. A heap
         poll for a parked satellite is stale, as is a retry a fresh poll replaced."""
         if sid not in self._parked:
-            self._poll(sid, self.t, _FIRE, (), self.t)
+            self._poll(sid, _FIRE, ())
 
     def _ps_recv_request(self, sid: int):
-        self._poll(sid, self.t, _REQUEST, (), self.t)
+        self._poll(sid, _REQUEST, ())
 
     def _sat_recv_ctrl(self, sid: int, action: str, ps_epoch: int):
-        self._poll(sid, self.t, _REPLY, (action, ps_epoch), self.t)
+        self._poll(sid, _REPLY, (action, ps_epoch))
 
-    def _poll(self, sid: int, t: float, stage: str, reply: tuple, until: float):
-        """Carry the satellite's poll chain (fire, server answer, reply) from
-        its stage due at t through every stage due by ``until``, then book the
-        next stage as its event or keep it parked. Each next stage is due
-        later, so an event, with ``until`` at t, runs one stage.
+    def _poll(self, sid: int, stage: str, reply: tuple):
+        """Run the stage of the satellite's poll chain (fire, server answer,
+        reply) that an event brings now, then book the chain's next stage as
+        its event, or park the chain.
 
         A satellite ahead of the server is answered "not yet" until the epoch
-        advances, which changes only the control-traffic counters, so its chain
-        is parked once it books a retry. `_replay_parked` carries it on before
-        the server's state changes; a replayed request may get another "not
-        yet" than at its own time, and the satellite ignores which."""
-        parked = sid in self._parked
-        sat, ps = self.sats[sid], self.ps
-        poll_at, requesting = self._poll_at, self._request_inflight
+        advances, and it ignores which "not yet" it gets, so its chain is
+        parked once it books a retry. `_replay_parked` carries a parked chain
+        on without asking the server: when the epoch advances, to that time,
+        and when the run stops."""
+        t, sat, ps = self.t, self.sats[sid], self.ps
         bits = link.CONTROL_MESSAGE_BITS
-        while t <= until:
-            if stage == _FIRE:
-                if poll_at[sid] != t:  # not the booked poll
-                    break
-                poll_at[sid] = None
-                if not self._wants_model(sat):
-                    break
-                at = self._poll_time(sid, t)
-                if at > t:  # out of view: book a poll for the next window
-                    t = poll_at[sid] = at
-                    continue
-                requesting[sid] = True
+        if stage == _FIRE:
+            if self._poll_at[sid] != t:  # not the booked poll
+                return
+            self._poll_at[sid] = None
+            if not self._wants_model(sat):
+                return
+            at = self._poll_time(sid, t)
+            if at > t:  # out of view: book a poll for the next window
+                t = self._poll_at[sid] = at
+            else:
+                self._request_inflight[sid] = True
                 self._charge("ps_up", control=True)
                 t += self._ps_transfer_s(sid, t, bits)
                 stage = _REQUEST
-            elif stage == _REQUEST:
-                action = ps.handle_connection(sat.group)
-                if action == protocol.SEND_MODEL:
-                    if sat.epoch > ps.epoch:
-                        raise protocol.ProtocolError(
-                            f"the server sent satellite {sid} a second model in epoch {ps.epoch}"
-                        )
-                    if self._serve(sid):  # an event: t is self.t
-                        break
-                    action = protocol.RECONNECT
-                self._charge("ps_down", control=True)
-                reply = action, ps.epoch
-                t += self._ps_transfer_s(sid, t, bits)
-                stage = _REPLY
-            else:
-                requesting[sid] = False
-                action, ps_epoch = reply
-                if action == protocol.WAIT and sat.epoch == ps_epoch:
-                    # the model for this epoch already went to the group; it is
-                    # on its way over the ring, so stop asking
-                    sat.told_to_wait = True
-                    break
-                t = poll_at[sid] = t + self.cfg.reconnect_wait_s
-                stage, reply = _FIRE, ()
-                if not parked and sat.epoch > ps.epoch:
-                    if sat.group not in ps.sent and sat.group not in ps.inflight:
-                        raise protocol.ProtocolError(
-                            f"satellite {sid} is in epoch {sat.epoch} but the server, in "
-                            f"epoch {ps.epoch}, never served its group {sat.group}"
-                        )
-                    parked = True
-        else:  # the next stage is due after until
-            if parked:
-                self._parked[sid] = t, stage, reply
-            else:
-                self.schedule(t, getattr(self, stage), sid, *reply)
-            return
-        if parked:  # the chain ended
-            del self._parked[sid]
+        elif stage == _REQUEST:
+            action = ps.handle_connection(sat.group)
+            if action == protocol.SEND_MODEL:
+                if sat.epoch > ps.epoch:
+                    raise protocol.ProtocolError(
+                        f"the server sent satellite {sid} a second model in epoch {ps.epoch}"
+                    )
+                if self._serve(sid):
+                    return
+                action = protocol.RECONNECT
+            self._charge("ps_down", control=True)
+            reply = action, ps.epoch
+            t += self._ps_transfer_s(sid, t, bits)
+            stage = _REPLY
+        else:
+            self._request_inflight[sid] = False
+            action, ps_epoch = reply
+            if action == protocol.WAIT and sat.epoch == ps_epoch:
+                # the model for this epoch already went to the group; it is
+                # on its way over the ring, so stop asking
+                sat.told_to_wait = True
+                return
+            t = self._poll_at[sid] = t + self.cfg.reconnect_wait_s
+            stage, reply = _FIRE, ()
+            if sat.epoch > ps.epoch:
+                if sat.group not in ps.sent and sat.group not in ps.inflight:
+                    raise protocol.ProtocolError(
+                        f"satellite {sid} is in epoch {sat.epoch} but the server, in "
+                        f"epoch {ps.epoch}, never served its group {sat.group}"
+                    )
+                self._parked[sid] = t
+                return
+        self.schedule(t, getattr(self, stage), sid, *reply)
 
     def _serve(self, sid: int) -> bool:
         """Send the group's model if the transfer fits in the pass, else turn busy."""
@@ -618,16 +622,70 @@ class _Simulation:
         self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
         return True
 
-    def _replay_parked(self, until: float):
-        for sid, pending in list(self._parked.items()):
-            self._poll(sid, *pending, until)
+    def _replay_parked(self, until: float, ps_epoch: int | None = None) -> list[tuple]:
+        """Coast every parked chain to ``until`` and unpark it. Returns each
+        chain's stage due next, after ``until``, as (satellite, t, handler
+        name, reply args), in parking order.
 
-    def _unpark(self):
-        """The epoch advanced: every parked chain's pending stage becomes an
-        event again, at its exact time."""
-        for sid, (t, stage, reply) in self._parked.items():
-            self.schedule(t, getattr(self, stage), sid, *reply)
+        The chains run in lockstep, a cycle of each per round: a poll once in
+        view (a window is looked up only when the chain's last one has
+        closed), the server's "not yet", and the wait before the next poll.
+        The server is not asked: its answer to a parked chain changes no server
+        state, and the satellite ignores which "not yet" it gets, so a reply
+        left due reads RECONNECT in ``ps_epoch``, the server's epoch while the
+        chains were parked (the current one by default). The control messages
+        of all the cycles are charged in one count each way.
+        """
+        epoch = self.ps.epoch if ps_epoch is None else ps_epoch
+        due = [(sid, at, _FIRE, ()) for sid, at in self._parked.items()]
         self._parked.clear()
+        order = [i for i, (_, at, _, _) in enumerate(due) if at <= until]  # the chains going on
+        sids, t = [due[i][0] for i in order], np.array([due[i][1] for i in order])
+        w_start, w_end = np.zeros(len(sids)), np.full(len(sids), -math.inf)
+        params, bits, wait = self.link_params, link.CONTROL_MESSAGE_BITS, self.cfg.reconnect_wait_s
+        distance_km = self.con.distances_to(sids, PS_NODE)
+
+        def transfer_s(t):
+            # a chain that stops before this stage may sit at infinity; its entry goes unused
+            d_m = distance_km(np.minimum(t, until)) * 1000.0
+            return link.transfer_times(params, d_m, bits, _log2_each)
+
+        polls = answers = 0
+        while sids:
+            for i in np.flatnonzero(t > w_end).tolist():  # its window closed: find the next
+                w = self.plan.window(sids[i], float(t[i]))
+                w_start[i], w_end[i] = (math.inf, math.inf) if w is None else (w.start_s, w.end_s)
+            fire = np.maximum(t, w_start)  # out of view: poll when the window opens
+            asked = fire + transfer_s(fire)
+            answered = asked + transfer_s(asked)
+            t = answered + wait
+            stops = np.flatnonzero(t > until).tolist()
+            full = len(sids) - len(stops)  # the cycles that ended by until
+            polls, answers = polls + full, answers + full
+            if not stops:
+                continue
+            for i in stops:  # the first of the cycle's stages that is due after until
+                times = float(fire[i]), float(asked[i]), float(answered[i]), float(t[i])
+                k = next(k for k, at in enumerate(times) if at > until)
+                polls, answers = polls + (k > 0), answers + (k > 1)
+                reply = (protocol.RECONNECT, epoch) if k == 2 else ()
+                due[order[i]] = sids[i], times[k], _CYCLE[k], reply
+            going = np.flatnonzero(t <= until)
+            sids, order = [sids[i] for i in going], [order[i] for i in going]
+            t, w_start, w_end = t[going], w_start[going], w_end[going]
+            distance_km = self.con.distances_to(sids, PS_NODE)
+        self._charge("ps_up", control=True, count=polls)
+        self._charge("ps_down", control=True, count=answers)
+        for sid, at, stage, _ in due:
+            self._poll_at[sid] = at if stage == _FIRE else None
+            self._request_inflight[sid] = stage != _FIRE
+        return due
+
+    def _unpark(self, ps_epoch: int):
+        """The epoch advanced from ``ps_epoch``: every parked chain coasts to
+        now and its stage due next becomes an event again, at its exact time."""
+        for sid, t, stage, reply in self._replay_parked(self.t, ps_epoch):
+            self.schedule(t, getattr(self, stage), sid, *reply)
 
     def _ps_recv_ack(self, sid: int):
         self.ps.downlink_acked(self.sats[sid].group)
@@ -758,15 +816,13 @@ class _Simulation:
         self._try_deliver(sid)
 
     def _ps_recv_update(self, sid, epoch, weighted):
-        # parked chains catch up while the server is still in their epoch
-        self._replay_parked(self.t)
         sat = self.sats[sid]
         self._delivery_inflight[sid] = False
         before = self.ps.epoch
         if self.ps.handle_partial(sat.group, weighted) != protocol.ACCEPT:
             raise protocol.ProtocolError(f"server refused the aggregate from {sid}")
         if self.ps.epoch != before:
-            self._unpark()
+            self._unpark(before)
         sat.holding = None
         sat.holding_from = None
         if sat.epoch == epoch:

@@ -13,12 +13,14 @@ from orbitfl.cli import (
     CONTACTS_HEADER,
     RUN_HEADER,
     SEED_ENV_VAR,
+    _hours,
     emit_config,
     main,
     parse_config,
     render_run_csv,
 )
 from orbitfl.sim import (
+    MAX_SPAN_S,
     ConfigError,
     ScenarioConfig,
     contact_table,
@@ -329,6 +331,21 @@ def test_contacts_rejects_bad_horizon_as_usage_error(small_ini, capsys, hours):
     assert out == "" and "--horizon-hours" in err
 
 
+# A scan takes time in proportion to its span even when it finds no window: on
+# STUCK, where no satellite ever sees the server, a year of it takes about
+# 0.6 s and prints nothing, and 1e12 hours never ended. A span may be one year
+# at most.
+def test_contacts_rejects_a_horizon_past_a_year(tmp_path, capsys):
+    path = tmp_path / "stuck.ini"
+    path.write_text(STUCK)
+    with pytest.raises(SystemExit) as exit_:
+        main(["contacts", "--config", str(path), "--horizon-hours", "8760.001"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--horizon-hours" in err and "(0, 8760]" in err
+    assert _hours("8760") * 3600.0 == MAX_SPAN_S
+
+
 # -- validate subcommand -------------------------------------------------------------------
 
 
@@ -429,6 +446,18 @@ def test_validate_accepts_any_phasing_factor(tmp_path, capsys, factor):
     path.write_text(ini_with({"constellation": {"phasing_factor": factor}}))
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_validate_rejects_a_time_limit_past_a_year(tmp_path, capsys):
+    path = tmp_path / "long.ini"
+    path.write_text(ini_with({"sim": {"time_limit_s": "31536000.5"}}))
+    assert main(["validate", "--config", str(path)]) == 1
+    problem = "time_limit_s must lie in (0, 31536000] when set (one year)"
+    assert capsys.readouterr().out.splitlines() == [problem]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert problem in capsys.readouterr().err
+    path.write_text(ini_with({"sim": {"time_limit_s": "31536000"}}))
+    assert main(["validate", "--config", str(path)]) == 0
 
 
 def test_validate_names_a_negative_seed(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Properties of random scenarios: validation agrees with the engine, INI
-text round-trips, and runs stop cleanly with the same models and one server
-model each way per group and epoch under both protocols.
+text round-trips, runs stop cleanly with the same models and one server
+model each way per group and epoch under both protocols, and parked poll
+chains coast as they would run cycle by cycle.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
@@ -15,7 +16,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitfl import link, protocol
 from orbitfl.cli import emit_config, parse_config
+from orbitfl.orbital import PS_NODE
 from orbitfl.sim import (
     ConfigError,
     DeadlockError,
@@ -144,3 +147,88 @@ def test_each_epoch_sends_one_server_model_each_way_per_group(cfg, goals, protoc
     for before, after in zip(result.records, result.records[1:]):
         assert after.ps_down_msgs - before.ps_down_msgs == groups
         assert after.ps_up_msgs - before.ps_up_msgs == groups
+
+
+# -- coasting parked poll chains ---------------------------------------------------------
+
+FIRE, REQUEST, REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
+
+
+@st.composite
+def coast_cases(draw):
+    """A small engine that can run, the parked chains of some of its
+    satellites, each with its next poll due in the first 6 h, and a time to
+    coast them to."""
+    altitude_km = draw(st.floats(300.0, 20000.0))
+    cfg = ScenarioConfig(
+        seed=draw(st.integers(0, 2**16)),
+        num_planes=draw(st.integers(1, 4)),
+        sats_per_plane=draw(st.integers(1, 8)),
+        altitude_km=altitude_km,
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        ps_kind=draw(st.sampled_from(["orbit", "ground"])),
+        # off the satellites' shell, so that no satellite sits on the server
+        ps_altitude_km=altitude_km + draw(st.floats(100.0, 20000.0)),
+        ps_inclination_deg=draw(st.floats(0.0, 180.0)),
+        ps_latitude_deg=draw(st.floats(-90.0, 90.0)),
+        ps_min_elevation_deg=draw(st.floats(0.0, 60.0)),
+        reconnect_wait_s=draw(st.floats(1.0, 600.0)),
+        # delays long enough that a coast often stops between a poll and its reply
+        tx_delay_s=draw(st.floats(0.0, 5.0)),
+        rx_delay_s=draw(st.floats(0.0, 5.0)),
+        num_features=3,
+        num_classes=2,
+        samples_per_satellite=2,
+        test_samples=4,
+    )
+    engine = _Simulation(cfg, "fednonisl")
+    sids = draw(st.lists(st.sampled_from(engine.con.satellite_ids()), min_size=1, unique=True))
+    polls = {sid: draw(st.floats(0.0, 6 * 3600.0)) for sid in sids}
+    return engine, polls, draw(st.floats(0.0, 8 * 3600.0))
+
+
+def _coast_one(engine, sid, t, until):
+    """One chain from its poll due at t, carried stage by stage as the event
+    handlers would run it, to its first stage due after ``until``: (t,
+    stage, polls, answers)."""
+
+    def transfer_s(t):
+        d_m = engine.con.distance_km(sid, PS_NODE, t) * 1000.0
+        return link.transfer_time(engine.link_params, d_m, link.CONTROL_MESSAGE_BITS)
+
+    stage, polls, answers = FIRE, 0, 0
+    while t <= until:
+        if stage == FIRE:
+            w = engine.plan.window(sid, t)
+            at = math.inf if w is None else max(t, w.start_s)
+            if at > t:  # out of view: poll when the window opens
+                t = at
+                continue
+            polls += 1
+            t, stage = t + transfer_s(t), REQUEST
+        elif stage == REQUEST:
+            answers += 1
+            t, stage = t + transfer_s(t), REPLY
+        else:
+            t, stage = t + engine.cfg.reconnect_wait_s, FIRE
+    return t, stage, polls, answers
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(coast_cases())
+def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
+    engine, polls, until = case
+    for sid, t in polls.items():
+        engine._parked[sid] = engine._poll_at[sid] = t
+    due = engine._replay_parked(until)
+    assert engine._parked == {} and [sid for sid, *_ in due] == list(polls)
+    up = down = 0
+    for sid, at, stage, reply in due:
+        t, want, asked, answered = _coast_one(engine, sid, polls[sid], until)
+        up, down = up + asked, down + answered
+        assert (at, stage) == (t, want)
+        assert reply == ((protocol.RECONNECT, engine.ps.epoch) if stage == REPLY else ())
+        assert engine._poll_at[sid] == (t if stage == FIRE else None)
+        assert engine._request_inflight[sid] == (stage != FIRE)
+    assert engine.counters["ps_up_bits"] == up * link.CONTROL_MESSAGE_BITS
+    assert engine.counters["ps_down_bits"] == down * link.CONTROL_MESSAGE_BITS

@@ -11,6 +11,8 @@ from orbitfl.orbital import PS_NODE, Constellation, ContactPlan
 from orbitfl.sim import (
     CompareResult,
     _Simulation,
+    _link_params,
+    _log2_each,
     ConfigError,
     DeadlockError,
     build_constellation,
@@ -366,7 +368,7 @@ def test_reply_to_a_satellite_ahead_parks_its_poll(served):
     getattr(engine.ps, served).add(group)
     engine._sat_recv_ctrl(1, protocol.RECONNECT, engine.ps.epoch)
     assert engine.queue == []
-    assert engine._parked[1][0] == 110.0
+    assert engine._parked[1] == 110.0
 
 
 def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
@@ -374,6 +376,51 @@ def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
     assert group not in engine.ps.sent | engine.ps.inflight
     with pytest.raises(protocol.ProtocolError, match="never served its group"):
         engine._sat_recv_ctrl(1, protocol.WAIT, engine.ps.epoch)
+
+
+# A parked chain coasts when the epoch advances, up to that time, and one left
+# waiting for the server's reply carries the answer of the epoch it asked in.
+# Stamped with the new epoch, a "wait" would stop a satellite whose epoch now
+# matches from asking again, and its group would never be served.
+def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
+    engine = _Simulation(small_scenario(), "fednonisl")
+    wait, bits = engine.cfg.reconnect_wait_s, link.CONTROL_MESSAGE_BITS
+    sid, w = next(
+        (s, w) for s in engine.sats if (w := engine.plan.window(s, 0.0)).duration_s > 20 * wait
+    )
+    sat, last = engine.sats[sid], next(s for s in engine.sats if s != sid)
+    # the satellite has delivered epoch 1 and is told "not yet" from inside its window
+    sat.reset_for_next_epoch()
+    engine.ps.sent.add(sat.group)
+    engine.t = w.start_s
+    engine._sat_recv_ctrl(sid, protocol.WAIT, engine.ps.epoch)
+    fire = w.start_s + wait
+    asked = fire + engine._ps_transfer_s(sid, fire, bits)
+    # every other group has delivered; the last aggregate lands once the
+    # server has answered the next poll and before that answer arrives
+    zeros = np.zeros(engine.dim)
+    others = {engine.sats[s].group for s in engine.sats if s != last}
+    engine.ps.received = {g: zeros for g in others}
+    engine.t = asked
+    engine._ps_recv_update(last, 1, zeros)
+    assert engine.ps.epoch == 2 and engine._parked == {}
+    (reply,) = [args for _, _, fn, args in engine.queue if fn == engine._sat_recv_ctrl]
+    assert reply[0] == sid and reply[2] == 1
+    while engine.queue and not sat.has_model and engine.queue[0][0] <= w.end_s:
+        engine.t, _, fn, args = heapq.heappop(engine.queue)
+        fn(*args)
+    assert sat.has_model and sat.epoch == 2 and not sat.told_to_wait
+
+
+# np.log2 rounds some arguments otherwise than math.log2 does, and at these
+# server distances (m) it would move a control message's transfer time by an
+# ulp. A coast evaluates its transfer times on arrays, and each must equal the
+# time an event computes.
+def test_array_transfer_times_equal_scalar_ones():
+    params, bits = _link_params(desk_scenario(0)), link.CONTROL_MESSAGE_BITS
+    d_m = [25965709.286489364, 38160466.07458334, 38383949.87395545, 21209748.262874674]
+    want = [link.transfer_time(params, d, bits) for d in d_m]
+    assert link.transfer_times(params, np.array(d_m), bits, _log2_each).tolist() == want
 
 
 def test_time_limit_truncates_cleanly():
@@ -472,9 +519,9 @@ def test_contact_settings_reach_every_scan(monkeypatch):
         tols.add(tol_s)
         return flips(self, sat, other, t, t_end, tol_s)
 
-    def refine_recorded(self, a, b, t_lo, t_hi, tol_s):
+    def refine_recorded(self, a, b, t_lo, t_hi, tol_s, state_lo):
         tols.add(tol_s)
-        return refine(self, a, b, t_lo, t_hi, tol_s)
+        return refine(self, a, b, t_lo, t_hi, tol_s, state_lo)
 
     monkeypatch.setattr(Constellation, "_flips", flips_recorded)
     monkeypatch.setattr(Constellation, "_refine", refine_recorded)
