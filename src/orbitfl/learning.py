@@ -5,6 +5,13 @@ vector of length (num_features + 1) * num_classes is interpreted as a dense
 matrix mapping bias-augmented feature rows to class scores. Training is
 full-batch gradient descent on the mean cross-entropy of the local shard.
 
+A dataset holds its rows bias-augmented: one C-contiguous ``(n, F + 1)``
+block whose last column is 1, the block the model multiplies, made once when
+the dataset is. A pool's shards are row slices of one shard-ordered block: a
+synthetic pool is drawn straight into that order, a few rows at a time, and a
+loaded pool is gathered into it once. The blocks are read-only, so a write to
+one shard cannot reach another.
+
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
 and the final division by the total sample count happens once at the server.
@@ -14,12 +21,16 @@ model and never truncates the math.
 
 from __future__ import annotations
 
+import itertools
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
+# rows of a synthetic pool's noise drawn at a time; a chunked draw equals one draw bit for bit
+_DRAW_ROWS = 512
 
 
 class DataFormatError(ValueError):
@@ -34,35 +45,65 @@ class NumericDivergenceError(ArithmeticError):
     pass
 
 
-@dataclass
 class LocalDataset:
-    """One worker's shard: float64 features in rows, integer class labels."""
+    """One worker's shard: float64 feature rows and integer class labels.
 
-    features: np.ndarray
-    labels: np.ndarray
+    The rows are held in ``augmented``, an ``(n, F + 1)`` block whose last
+    column is 1; ``features`` is its ``[:, :-1]`` view. Both arrays are
+    read-only.
+    """
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise DataFormatError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
+    __slots__ = ("augmented", "labels")
+
+    def __init__(self, features, labels):
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise DataFormatError(f"features must be 2-D, got shape {features.shape}")
+        labels = np.array(labels, dtype=np.int64)
+        if labels.shape != (features.shape[0],):
             raise DataFormatError(
-                f"labels shape {self.labels.shape} does not match {self.features.shape[0]} rows"
+                f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
+        augmented = np.empty((features.shape[0], features.shape[1] + 1))
+        augmented[:, :-1] = features
+        augmented[:, -1] = 1.0
+        augmented.flags.writeable = labels.flags.writeable = False
+        self.augmented, self.labels = augmented, labels
+
+    @classmethod
+    def _over(cls, augmented: np.ndarray, labels: np.ndarray) -> LocalDataset:
+        """A dataset over the arrays as they are, with no copy and no check."""
+        dataset = cls.__new__(cls)
+        dataset.augmented, dataset.labels = augmented, labels
+        return dataset
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.augmented[:, :-1]
 
     @property
     def num_samples(self) -> int:
-        return self.features.shape[0]
+        return self.augmented.shape[0]
 
     @property
     def num_features(self) -> int:
-        return self.features.shape[1]
+        return self.augmented.shape[1] - 1
 
     @property
     def size_bits(self) -> int:
         """Modeled raw size of the shard as it sits on the satellite."""
         return self.num_samples * self.num_features * BITS_PER_FEATURE
+
+
+def _shards(augmented: np.ndarray, labels: np.ndarray, sizes: list[int]) -> list[LocalDataset]:
+    """Datasets over consecutive row slices of one block, ``sizes[i]`` rows in
+    the i-th; the block and its labels become read-only."""
+    augmented.flags.writeable = labels.flags.writeable = False
+    bounds = itertools.accumulate(sizes, initial=0)
+    return [
+        LocalDataset._over(augmented[start:stop], labels[start:stop])
+        for start, stop in itertools.pairwise(bounds)
+    ]
 
 
 @dataclass(frozen=True)
@@ -106,10 +147,6 @@ def _unpack(params: np.ndarray, num_features: int) -> np.ndarray:
     return params.reshape(num_features + 1, -1)
 
 
-def _augment(features: np.ndarray) -> np.ndarray:
-    return np.hstack([features, np.ones((features.shape[0], 1))])
-
-
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -117,7 +154,7 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 def _scores(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Class scores of every row, one column per class."""
-    return _augment(dataset.features) @ _unpack(params, dataset.num_features)
+    return dataset.augmented @ _unpack(params, dataset.num_features)
 
 
 def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -135,7 +172,7 @@ def local_loss(params: np.ndarray, dataset: LocalDataset) -> float:
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy, flattened to match ``params``."""
     weights = _unpack(params, dataset.num_features)
-    aug = _augment(dataset.features)
+    aug = dataset.augmented
     probs = np.exp(_log_softmax(aug @ weights))
     probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
     return (aug.T @ probs / dataset.num_samples).reshape(-1)
@@ -204,27 +241,34 @@ def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:
 
 
 def partition_dataset(
-    pool: LocalDataset,
+    pool: LocalDataset | np.ndarray,
     num_workers: int,
     scheme: str = "iid",
     seed: int = 0,
     label_groups: list[set[int]] | None = None,
-) -> list[LocalDataset]:
+) -> list[LocalDataset] | list[np.ndarray]:
     """Split a pool into per-worker shards.
 
     ``iid``: seeded shuffle of the whole pool, dealt round-robin. ``label_split``:
     workers are divided into len(label_groups) contiguous blocks; each block
     receives only the samples whose labels fall in its group, shuffled and dealt
-    round-robin within the block.
+    round-robin within the block. Which rows go where depends only on the
+    labels, the scheme and the seed.
+
+    ``pool`` is a dataset or its labels alone. A dataset's rows are gathered
+    once, in shard order, into one block of which each shard is a row slice.
+    Labels alone give each shard's rows of the pool instead, the order that
+    :func:`synthetic_pool` draws a pool straight into.
 
     Raises:
         PartitionError: if any worker would end up with zero samples.
     """
+    labels = pool.labels if isinstance(pool, LocalDataset) else np.asarray(pool)
     if num_workers < 1:
         raise PartitionError(f"num_workers must be >= 1, got {num_workers}")
     rng = np.random.default_rng(seed)
     if scheme == "iid":
-        order = rng.permutation(pool.num_samples)
+        order = rng.permutation(labels.size)
         assignments = [order[w::num_workers] for w in range(num_workers)]
     elif scheme == "label_split":
         if not label_groups:
@@ -236,17 +280,18 @@ def partition_dataset(
                 raise PartitionError(
                     f"more label groups ({len(label_groups)}) than workers ({num_workers})"
                 )
-            members = np.nonzero(np.isin(pool.labels, sorted(group)))[0]
+            members = np.nonzero(np.isin(labels, sorted(group)))[0]
             order = members[rng.permutation(members.size)]
             assignments += [order[j :: block.size] for j in range(block.size)]
     else:
         raise PartitionError(f"unknown partition scheme: {scheme!r}")
-    shards = []
     for worker, rows in enumerate(assignments):
         if rows.size == 0:
             raise PartitionError(f"worker {worker} would receive zero samples")
-        shards.append(LocalDataset(pool.features[rows], pool.labels[rows]))
-    return shards
+    if not isinstance(pool, LocalDataset):
+        return assignments
+    order = np.concatenate(assignments)
+    return _shards(pool.augmented[order], labels[order], [rows.size for rows in assignments])
 
 
 def synthetic_pool(
@@ -256,13 +301,20 @@ def synthetic_pool(
     seed: int,
     separation: float = 4.0,
     means_seed: int | None = None,
-) -> LocalDataset:
+    shard: Callable[[np.ndarray], list[np.ndarray]] | None = None,
+) -> LocalDataset | list[LocalDataset]:
     """Gaussian class-conditional pool with an exactly balanced label histogram.
 
     Class means are drawn once from ``means_seed`` (defaulting to ``seed``) so a
     train pool and a test pool sampled with different seeds share the same
     class geometry. Per-feature noise is unit Gaussian; ``separation`` scales
     the expected distance between class means.
+
+    ``shard``, when given, maps the pool's labels to each shard's rows of the
+    pool, as :func:`partition_dataset` does, and the shards come back instead
+    of the pool, each a row slice of one block. Either way the noise is drawn
+    a chunk of rows at a time, in pool order, and each row is written straight
+    into its place in the block, so the rows are those of one whole draw.
     """
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
@@ -275,8 +327,19 @@ def synthetic_pool(
         [np.full(base + (1 if c < extra else 0), c, dtype=np.int64) for c in range(num_classes)]
     )
     labels = labels[rng.permutation(num_samples)]
-    features = means[labels] + rng.normal(size=(num_samples, num_features))
-    return LocalDataset(features, labels)
+    rows = [np.arange(num_samples)] if shard is None else shard(labels)
+    order = np.concatenate(rows)
+    place = np.empty(num_samples, dtype=np.intp)  # where each pool row goes in the block
+    place[order] = np.arange(num_samples)
+    block = np.empty((num_samples, num_features + 1))
+    block[:, -1] = 1.0
+    for start in range(0, num_samples, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, num_samples)
+        chunk = rng.normal(size=(stop - start, num_features))
+        chunk += means[labels[start:stop]]
+        block[place[start:stop], :-1] = chunk
+    shards = _shards(block, labels[order], [r.size for r in rows])
+    return shards[0] if shard is None else shards
 
 
 _IDX_IMAGES_MAGIC = 0x00000803

@@ -33,6 +33,8 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 PS_NODE = 0  # the parameter server's node id; satellites are numbered from 1
 
 _TWO_PI = 2.0 * math.pi
+# two satellites that pass closer than this (10 m) collide
+_MIN_SEPARATION_KM = 0.01
 
 
 class GeometryError(ValueError):
@@ -236,6 +238,20 @@ def _horizon_km(radius_km: float) -> float:
     return math.sqrt(radius_km * radius_km - EARTH_RADIUS_KM**2)
 
 
+def _closest_approach_km(a: _OrbitTrack, b: _OrbitTrack) -> float:
+    """The least distance between two satellites over all time; infinite
+    unless they share a radius. On one radius they share a mean motion w, so
+    their squared distance is c + p cos(2wt) + q sin(2wt), whose least value,
+    c - hypot(p, q), its samples at t = 0, T/8 and T/4 fix."""
+    if a.r != b.r:
+        return math.inf
+    times = (0.0, a.period / 8, a.period / 4)
+    # _distance with no square root: the squared distance
+    d0, d1, d2 = (_distance(a.at(t, math), b.at(t, math), lambda x: x) for t in times)
+    c = (d0 + d2) / 2
+    return math.sqrt(max(0.0, c - math.hypot(d0 - c, d1 - c)))
+
+
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
     """Longest line of sight between two satellites that clears the Earth:
     the sum of their horizon distances."""
@@ -326,6 +342,13 @@ class Constellation:
         else:
             ps_track = _GroundTrack(ps, earth_angle0_rad)
         self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
+        if self.ps_is_satellite:
+            for n in range(1, node):
+                if _closest_approach_km(self._tracks[n], ps_track) <= _MIN_SEPARATION_KM:
+                    raise GeometryError(
+                        f"satellite {n} collides with the server: they share a radius "
+                        f"and pass within {_MIN_SEPARATION_KM * 1000:.0f} m of each other"
+                    )
 
     # -- node table ---------------------------------------------------------
 

@@ -19,7 +19,10 @@ the run's one :class:`orbitfl.orbital.ContactPlan`, the plan
 plan's end is booked at infinity, so a stalled run wakes nothing until it stops.
 Geometry and link rates come from :mod:`orbitfl.orbital` and
 :mod:`orbitfl.link`; node behavior comes from :mod:`orbitfl.protocol`; the
-math being trained lives in :mod:`orbitfl.learning`.
+math being trained lives in :mod:`orbitfl.learning`. What a run starts from
+does not depend on its protocol: the constellation, the read-only shards and
+test set, and the contact plan are built once per scenario, and
+:func:`compare` runs both protocols on that one build.
 Everything is deterministic for a fixed scenario: ties in time are broken by
 scheduling order, floats fold in fixed orders, and randomness enters only
 through the scenario seed.
@@ -31,7 +34,9 @@ import contextlib
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -191,20 +196,27 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every problem with the scenario, one line each; empty when it can run.
 
     Each layer's constructor applies its own rules to its part of the scenario,
-    named by INI section; the data is built, and so checked, last.
+    named by INI section. What is built from those parts is checked only once
+    they are sound: the server among the satellites, then the costly data.
     """
     problems = _setting_problems(cfg)
     parts = [("constellation", _planes), ("ps", _server), ("link", _link_params)]
-    parts += [("learning", _learner_config), ("data", build_datasets)]
+    problems += _build_problems(cfg, parts + [("learning", _learner_config)])
+    if not problems:
+        problems += _build_problems(cfg, [("ps", build_constellation), ("data", build_datasets)])
+    if not problems and not intra_plane_isl_feasible(_planes(cfg)[0]):
+        problems.append(_RING_INFEASIBLE)
+    return problems
+
+
+def _build_problems(cfg: ScenarioConfig, parts) -> list[str]:
+    """The error, if any, of building each (section, build) part of the scenario."""
+    problems = []
     for section, build in parts:
-        if section == "data" and problems:
-            break  # sizes may still be unsound; skip the costly build
         try:
             build(cfg)
         except (ValueError, OSError) as exc:
             problems.append(f"[{section}] {exc}")
-    if not problems and not intra_plane_isl_feasible(_planes(cfg)[0]):
-        problems.append(_RING_INFEASIBLE)
     return problems
 
 
@@ -331,8 +343,24 @@ def _learner_config(cfg: ScenarioConfig) -> learning.LearnerConfig:
 
 
 def build_datasets(cfg: ScenarioConfig):
-    """Per-satellite training shards plus the shared held-out test set."""
+    """Per-satellite training shards plus the shared held-out test set.
+
+    The shards are row slices of one read-only block, in satellite order; the
+    test set is its own block."""
     num_sats = cfg.num_planes * cfg.sats_per_plane
+    groups = None
+    if cfg.data_scheme == "label_split":
+        # Two-way class split: first half of the satellites sees only the lower
+        # label range, the second half only the upper.
+        half = max(1, cfg.num_classes // 2)
+        groups = [set(range(half)), set(range(half, cfg.num_classes))]
+        groups = [g for g in groups if g]
+
+    def shard(pool):
+        return learning.partition_dataset(
+            pool, num_sats, scheme=cfg.data_scheme, seed=cfg.seed, label_groups=groups
+        )
+
     if cfg.data_source == "idx":
         train = learning.load_idx(cfg.train_images_path, cfg.train_labels_path)
         test = learning.load_idx(cfg.test_images_path, cfg.test_labels_path)
@@ -343,40 +371,60 @@ def build_datasets(cfg: ScenarioConfig):
             test = learning.LocalDataset(
                 test.features[: cfg.test_samples], test.labels[: cfg.test_samples]
             )
+        shards = shard(train)
     else:
-        train = learning.synthetic_pool(
+        draw = dict(separation=cfg.separation, means_seed=cfg.seed)
+        shards = learning.synthetic_pool(
             num_sats * cfg.samples_per_satellite,
             cfg.num_features,
             cfg.num_classes,
             seed=cfg.seed + 1,
-            separation=cfg.separation,
-            means_seed=cfg.seed,
+            shard=shard,
+            **draw,
         )
         test = learning.synthetic_pool(
-            cfg.test_samples,
-            cfg.num_features,
-            cfg.num_classes,
-            seed=cfg.seed + 2,
-            separation=cfg.separation,
-            means_seed=cfg.seed,
+            cfg.test_samples, cfg.num_features, cfg.num_classes, seed=cfg.seed + 2, **draw
         )
-    groups = None
-    if cfg.data_scheme == "label_split":
-        # Two-way class split: first half of the satellites sees only the lower
-        # label range, the second half only the upper.
-        half = max(1, cfg.num_classes // 2)
-        groups = [set(range(half)), set(range(half, cfg.num_classes))]
-        groups = [g for g in groups if g]
-    shards = learning.partition_dataset(
-        train, num_sats, scheme=cfg.data_scheme, seed=cfg.seed, label_groups=groups
-    )
     by_sat = {sat: shards[sat - 1] for sat in range(1, num_sats + 1)}
     return by_sat, test
+
+
+def _end_s(cfg: ScenarioConfig) -> float:
+    """When a run stops at the latest: its time limit, else the default cap."""
+    return DEFAULT_TIME_CAP_S if cfg.time_limit_s is None else cfg.time_limit_s
 
 
 def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> ContactPlan:
     """The scenario's satellite-to-server contact plan up to ``end_s``."""
     return ContactPlan(con, end_s, tol_s=cfg.contact_tol_s)
+
+
+@dataclass(frozen=True)
+class _Build:
+    """What every run of a scenario starts from, whatever its protocol.
+
+    The shards and the test set are read-only. The contact plan extends itself
+    as it is read, and its windows do not depend on the order they are asked
+    for, so runs that share it see the same windows.
+    """
+
+    cfg: ScenarioConfig
+    con: Constellation
+    link_params: link.LinkParams
+    lcfg: learning.LearnerConfig
+    data: Mapping[int, learning.LocalDataset]
+    test_set: learning.LocalDataset
+    plan: ContactPlan
+
+
+def _build(cfg: ScenarioConfig) -> _Build:
+    """Build the scenario once, for any number of runs."""
+    with _config_checked(cfg):
+        con = build_constellation(cfg)
+        link_params, lcfg = _link_params(cfg), _learner_config(cfg)
+        data, test_set = build_datasets(cfg)
+        plan = _contact_plan(cfg, con, _end_s(cfg) + PLAN_REACH_S)
+    return _Build(cfg, con, link_params, lcfg, MappingProxyType(data), test_set, plan)
 
 
 def contact_table(cfg: ScenarioConfig, horizon_s: float):
@@ -403,16 +451,13 @@ def _log2_each(x: np.ndarray) -> np.ndarray:
 
 
 class _Simulation:
-    def __init__(self, cfg: ScenarioConfig, protocol_name: str):
+    def __init__(self, build: _Build, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
             raise ConfigError(f"unknown protocol {protocol_name!r}")
-        self.cfg = cfg
+        self.cfg = cfg = build.cfg
         self.protocol = protocol_name
-        with _config_checked(cfg):
-            self.con = build_constellation(cfg)
-            self.link_params = _link_params(cfg)
-            self.lcfg = _learner_config(cfg)
-            self.data, self.test_set = build_datasets(cfg)
+        self.con, self.link_params, self.lcfg = build.con, build.link_params, build.lcfg
+        self.data, self.test_set, self.plan = build.data, build.test_set, build.plan
         # A group shares one server downlink and one uplink per epoch: a whole
         # plane for the ring protocol, a single satellite for the direct one.
         if protocol_name == "fedisl":
@@ -462,9 +507,7 @@ class _Simulation:
         self.epoch_started = 0.0
         self.done = False
         self.stop_reason = ""
-        limit = cfg.time_limit_s
-        self.end = DEFAULT_TIME_CAP_S if limit is None else limit
-        self.plan = _contact_plan(cfg, self.con, self.end + PLAN_REACH_S)
+        self.end = _end_s(cfg)
         # when each satellite's booked poll fires, None when none is booked
         self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
         self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
@@ -915,7 +958,7 @@ class _Simulation:
 
 def run_scenario(cfg: ScenarioConfig, protocol_name: str = "fedisl") -> RunResult:
     """Simulate one protocol over the scenario and return its full trace."""
-    return _Simulation(cfg, protocol_name).run()
+    return _Simulation(_build(cfg), protocol_name).run()
 
 
 # -- protocol comparison -----------------------------------------------------------------
@@ -937,10 +980,12 @@ def compare(cfg: ScenarioConfig) -> CompareResult:
     scenario sets one, otherwise the last common epoch) for the direct protocol
     divided by the ring protocol's. ``traffic_ratio`` compares model-bearing
     messages over the server links at equal epochs, and ``epoch_time_ratio``
-    compares mean epoch duration over the first five common epochs.
+    compares mean epoch duration over the first five common epochs. Both
+    protocols run on one build of the scenario.
     """
-    baseline = run_scenario(cfg, "fednonisl")
-    treatment = run_scenario(cfg, "fedisl")
+    build = _build(cfg)
+    baseline = _Simulation(build, "fednonisl").run()
+    treatment = _Simulation(build, "fedisl").run()
 
     def finished(run: RunResult):
         return [r for r in run.records if r.epoch > 0]

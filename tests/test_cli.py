@@ -397,6 +397,34 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+# one plane on the server's own equatorial orbit, satellite 1 at its phase
+ON_THE_SERVER = {
+    "constellation": {
+        "num_planes": "1",
+        "sats_per_plane": "4",
+        "altitude_km": "20000.0",
+        "inclination_deg": "0.0",
+    }
+}
+
+
+@pytest.mark.parametrize("protocol", ["fedisl", "fednonisl"])
+def test_a_satellite_on_the_server_is_a_config_error(tmp_path, capsys, protocol):
+    path = tmp_path / "on_server.ini"
+    path.write_text(ini_with(ON_THE_SERVER))
+    assert main(["validate", "--config", str(path), "--seed", "7"]) == 1
+    problem = (
+        "satellite 1 collides with the server: "
+        "they share a radius and pass within 10 m of each other"
+    )
+    assert capsys.readouterr().out.splitlines() == [f"[ps] {problem}"]
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(path), "--seed", "7", "--protocol", protocol, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {problem}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -199,6 +199,60 @@ def test_partition_label_split_reference_layout():
     assert sum(s.num_samples for s in shards) == 4000
 
 
+def _dealt(pool_size=103, workers=10, features=6):
+    """Shards drawn straight into shard order, and the same pool drawn whole and then dealt."""
+    def shard(labels):
+        return partition_dataset(labels, workers, "iid", seed=1)
+
+    drawn = synthetic_pool(pool_size, features, 3, seed=4, shard=shard)
+    pool = synthetic_pool(pool_size, features, 3, seed=4)
+    dealt = partition_dataset(pool, workers, "iid", seed=1)
+    return drawn, dealt
+
+
+def test_shards_are_row_slices_of_one_block():
+    for shards in _dealt():
+        block = shards[0].augmented.base
+        assert block.shape == (103, 7) and block.flags.c_contiguous
+        assert all(np.shares_memory(s.augmented, block) for s in shards)
+        assert all(np.shares_memory(s.labels, shards[0].labels.base) for s in shards)
+        assert sum(s.num_samples for s in shards) == 103
+        assert np.all(block[:, -1] == 1.0)
+
+
+def test_a_write_to_a_shard_or_a_test_set_raises():
+    drawn, dealt = _dealt()
+    test_set = synthetic_pool(20, 6, 3, seed=5, means_seed=4)
+    for ds in (drawn[0], dealt[3], test_set, LocalDataset(np.zeros((2, 3)), [0, 1])):
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.augmented[0, -1] = 0.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 2
+
+
+def test_a_dataset_augments_a_copy_of_its_features_once():
+    features, labels = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
+    ds = LocalDataset(features, labels)
+    features[0, 0], labels[0] = 9.0, 1  # the caller's arrays stay its own and writable
+    np.testing.assert_array_equal(ds.augmented, [[0.0, 1.0, 1.0], [2.0, 3.0, 1.0], [4.0, 5.0, 1.0]])
+    assert ds.labels.tolist() == [0, 1, 0]
+    assert ds.features.base is ds.augmented
+
+
+def test_sizes_count_the_features_not_the_bias_column():
+    cfg = LearnerConfig(learning_rate=0.1)
+    drawn, _ = _dealt(pool_size=100, workers=10, features=20)
+    made = LocalDataset(np.zeros((10, 20)), np.zeros(10, dtype=int))
+    for ds in (drawn[0], made):
+        assert ds.augmented.shape == (10, 21)
+        assert (ds.num_samples, ds.num_features) == (10, 20)
+        assert ds.features.shape == (10, 20)
+        assert ds.size_bits == 10 * 20 * 8
+        assert compute_time(ds, cfg) == 1e3 * 10 * 20 * 8 / 1e9
+
+
 def test_partition_errors():
     pool = small_dataset(seed=10, n=5, c=3)
     with pytest.raises(PartitionError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from orbitfl import orbital
@@ -330,6 +330,33 @@ def test_intra_plane_isl_feasibility():
     assert intra_plane_isl_feasible(OrbitSpec(0, 2000.0, 0.0, 0.0, 1))
 
 
+@pytest.mark.parametrize(
+    "inclination_deg, raan_deg, phase_deg, meets",
+    [
+        (0.0, 0.0, 0.0, True),  # on the server's orbit, at its phase
+        (0.0, 90.0, 270.0, True),  # the same, reached by another node and anomaly
+        (80.0, 0.0, 0.0, True),  # another plane, crossing the server's path in step
+        (180.0, 0.0, 180.0, True),  # retrograde, head on
+        (0.0, 0.0, 90.0, False),  # on the server's orbit, a quarter turn behind
+        (80.0, 90.0, 90.0, False),  # another plane, out of step
+    ],
+)
+def test_a_satellite_that_meets_the_server_is_rejected(inclination_deg, raan_deg, phase_deg, meets):
+    inclination, raan, phase = (math.radians(a) for a in (inclination_deg, raan_deg, phase_deg))
+    orbit = OrbitSpec(0, 20000.0, inclination, raan, 1, phase)
+    track, ps_track = orbital._OrbitTrack(orbit, 0), orbital._OrbitTrack(MEO_PS, 0)
+    ts = np.linspace(0.0, track.period, 40001)
+    brute = np.min(np.linalg.norm(np.subtract(track.at(ts, np), ps_track.at(ts, np)), axis=0))
+    closest = orbital._closest_approach_km(track, ps_track)
+    assert closest <= brute + 1e-6
+    assert brute <= closest + 2 * orbital_speed(20000.0) / 1000.0 * (ts[1] - ts[0])
+    if meets:
+        with pytest.raises(GeometryError, match="satellite 1 collides with the server"):
+            Constellation([orbit], MEO_PS)
+    else:
+        Constellation([orbit], MEO_PS)
+
+
 def test_ground_ps_constellation_dispatch():
     planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
     bremen = GroundStationSpec(math.radians(53.08), math.radians(8.80), math.radians(10.0))
@@ -375,7 +402,12 @@ def constellations(draw):
             draw(st.floats(0.0, 1.5)),
             draw(st.floats(0.0, 2.0)),
         )
-    return Constellation(planes, ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+    try:
+        return Constellation(planes, ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+    except GeometryError:
+        # a satellite on the server's radius and in step with it collides with
+        # it, which no constellation may have
+        reject()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

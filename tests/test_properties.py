@@ -1,7 +1,8 @@
 """Properties of random scenarios: validation agrees with the engine, INI
 text round-trips, runs stop cleanly with the same models and one server
-model each way per group and epoch under both protocols, and parked poll
-chains coast as they would run cycle by cycle.
+model each way per group and epoch under both protocols, parked poll
+chains coast as they would run cycle by cycle, and a pool drawn straight into
+shard order holds the bytes of one drawn whole and then dealt out.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
@@ -11,18 +12,20 @@ engine is cheap, and a run goes for at most two epochs and a few hours.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitfl import link, protocol
+from orbitfl import learning, link, protocol
 from orbitfl.cli import emit_config, parse_config
 from orbitfl.orbital import PS_NODE
 from orbitfl.sim import (
     ConfigError,
     DeadlockError,
     ScenarioConfig,
+    _build,
     _Simulation,
     validate_scenario,
 )
@@ -77,7 +80,7 @@ def scenarios(draw):
 def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
     problems = validate_scenario(cfg)
     try:
-        _Simulation(cfg, "fedisl")
+        _Simulation(_build(cfg), "fedisl")
     except ConfigError:
         assert problems
     else:
@@ -103,7 +106,8 @@ def _run(cfg, goals, protocol_name):
     protocol (which scenarios those are is checked above) or gets stuck."""
     limit, epochs = goals
     try:
-        engine = _Simulation(replace(cfg, time_limit_s=limit, until_epochs=epochs), protocol_name)
+        build = _build(replace(cfg, time_limit_s=limit, until_epochs=epochs))
+        engine = _Simulation(build, protocol_name)
     except ConfigError:
         return None
     try:
@@ -181,7 +185,7 @@ def coast_cases(draw):
         samples_per_satellite=2,
         test_samples=4,
     )
-    engine = _Simulation(cfg, "fednonisl")
+    engine = _Simulation(_build(cfg), "fednonisl")
     sids = draw(st.lists(st.sampled_from(engine.con.satellite_ids()), min_size=1, unique=True))
     polls = {sid: draw(st.floats(0.0, 6 * 3600.0)) for sid in sids}
     return engine, polls, draw(st.floats(0.0, 8 * 3600.0))
@@ -232,3 +236,68 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
         assert engine._request_inflight[sid] == (stage != FIRE)
     assert engine.counters["ps_up_bits"] == up * link.CONTROL_MESSAGE_BITS
     assert engine.counters["ps_down_bits"] == down * link.CONTROL_MESSAGE_BITS
+
+
+def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups):
+    """Each shard's (features, labels) as a pool was built before it was drawn
+    into shard order: the whole pool drawn at once, in pool order, and then
+    each shard's rows gathered from it. None when a worker would get no rows
+    or a label group no worker."""
+    means = np.random.default_rng(seed).normal(size=(num_classes, num_features))
+    means *= 3.0 / np.sqrt(num_features)
+    rng = np.random.default_rng(seed + 1)
+    base, extra = divmod(num_samples, num_classes)
+    labels = np.repeat(np.arange(num_classes), [base + (c < extra) for c in range(num_classes)])
+    labels = labels[rng.permutation(num_samples)]
+    features = means[labels] + rng.normal(size=(num_samples, num_features))
+    deal = np.random.default_rng(seed + 2)
+    if scheme == "iid":
+        order = deal.permutation(num_samples)
+        rows = [order[w::workers] for w in range(workers)]
+    else:
+        rows = []
+        for group, block in zip(groups, np.array_split(np.arange(workers), len(groups))):
+            if block.size == 0:
+                return None
+            members = np.nonzero(np.isin(labels, sorted(group)))[0]
+            order = members[deal.permutation(members.size)]
+            rows += [order[j :: block.size] for j in range(block.size)]
+    if any(r.size == 0 for r in rows):
+        return None
+    return [(features[r], labels[r]) for r in rows]
+
+
+@SETTINGS
+@given(
+    num_samples=st.integers(2, 60),
+    num_features=st.integers(1, 6),
+    num_classes=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+    workers=st.integers(1, 7),
+    scheme=st.sampled_from(["iid", "label_split"]),
+    chunk=st.integers(1, 11),
+)
+def test_a_pool_drawn_into_shard_order_equals_one_drawn_whole_then_dealt(
+    num_samples, num_features, num_classes, seed, workers, scheme, chunk
+):
+    num_samples = max(num_samples, num_classes)
+    groups = [set(range(num_classes // 2)), set(range(num_classes // 2, num_classes))]
+    want = _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups)
+
+    def shard(labels):
+        return learning.partition_dataset(
+            labels, workers, scheme, seed=seed + 2, label_groups=groups
+        )
+
+    with mock.patch.object(learning, "_DRAW_ROWS", chunk):
+        try:
+            shards = learning.synthetic_pool(
+                num_samples, num_features, num_classes, seed + 1, 3.0, means_seed=seed, shard=shard
+            )
+        except learning.PartitionError:
+            assert want is None
+            return
+    assert want is not None and len(shards) == len(want)
+    for got, (features, labels) in zip(shards, want):
+        assert got.features.tobytes() == features.tobytes()
+        assert got.labels.tolist() == labels.tolist()

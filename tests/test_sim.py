@@ -6,10 +6,12 @@ import pytest
 
 import orbitfl.link as link
 import orbitfl.protocol as protocol
+import orbitfl.sim as sim
 from orbitfl import orbital
 from orbitfl.orbital import PS_NODE, Constellation, ContactPlan
 from orbitfl.sim import (
     CompareResult,
+    _build,
     _Simulation,
     _link_params,
     _log2_each,
@@ -96,6 +98,30 @@ def test_datasets_partition_evenly_and_deterministically():
     again, _ = build_datasets(cfg)
     for sat in by_sat:
         assert by_sat[sat].features.tobytes() == again[sat].features.tobytes()
+
+
+def test_shards_share_one_read_only_block():
+    by_sat, test_set = build_datasets(small_scenario())
+    block = by_sat[1].augmented.base
+    assert block.shape == (400, 17)
+    assert all(np.shares_memory(d.augmented, block) for d in by_sat.values())
+    assert not np.shares_memory(test_set.augmented, block)
+    for ds in (by_sat[7], test_set):
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 0.0
+
+
+def test_compare_builds_the_scenario_once(monkeypatch):
+    builds = []
+
+    def counted(cfg):
+        builds.append(cfg)
+        return build_datasets(cfg)
+
+    monkeypatch.setattr(sim, "build_datasets", counted)
+    result = compare(small_scenario(until_epochs=1))
+    assert len(builds) == 1
+    assert result.baseline.records[-1].epoch == result.treatment.records[-1].epoch == 1
 
 
 def test_label_split_halves_class_range():
@@ -287,7 +313,7 @@ def test_deadlock_reported_when_server_unreachable():
 # With no server window left, a satellite's one poll is booked at infinity,
 # not woken again and again to find the server still out of sight.
 def test_unreachable_server_books_one_event_per_satellite():
-    engine = _Simulation(UNREACHABLE, "fedisl")
+    engine = _Simulation(_build(UNREACHABLE), "fedisl")
     booked = []
     schedule = engine.schedule
 
@@ -312,7 +338,7 @@ def test_unreachable_server_is_scanned_in_few_steps(monkeypatch):
 
 
 def test_duplicate_aggregate_is_a_protocol_error():
-    engine = _Simulation(small_scenario(), "fedisl")
+    engine = _Simulation(_build(small_scenario()), "fedisl")
     weighted = np.zeros(engine.dim)
     engine._ps_recv_update(1, 1, weighted)
     with pytest.raises(protocol.ProtocolError):
@@ -320,7 +346,7 @@ def test_duplicate_aggregate_is_a_protocol_error():
 
 
 def test_poll_retry_leaves_asking_to_a_booked_poll():
-    engine = _Simulation(small_scenario(), "fednonisl")
+    engine = _Simulation(_build(small_scenario()), "fednonisl")
     sid = next(s for s in engine.sats if engine.plan.window(s, 0.0).start_s > 100.0)
     opens = engine.plan.window(sid, 0.0).start_s
     engine._schedule_poll(sid, 0.0)
@@ -333,7 +359,7 @@ def test_poll_retry_leaves_asking_to_a_booked_poll():
 
 
 def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
-    engine = _Simulation(small_scenario(), "fedisl")
+    engine = _Simulation(_build(small_scenario()), "fedisl")
     wait = engine.cfg.reconnect_wait_s
     sid, w = next(
         (s, w) for s in engine.sats if (w := engine.plan.window(s, 0.0)).end_s - w.start_s > 5 * wait
@@ -356,7 +382,7 @@ def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
 
 def ahead_of_the_server(protocol_name):
     """An engine at t = 100 s whose satellite 1 has finished the server's epoch."""
-    engine = _Simulation(small_scenario(), protocol_name)
+    engine = _Simulation(_build(small_scenario()), protocol_name)
     engine.t = 100.0
     engine.sats[1].reset_for_next_epoch()
     return engine, engine.sats[1].group
@@ -383,7 +409,7 @@ def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
 # Stamped with the new epoch, a "wait" would stop a satellite whose epoch now
 # matches from asking again, and its group would never be served.
 def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
-    engine = _Simulation(small_scenario(), "fednonisl")
+    engine = _Simulation(_build(small_scenario()), "fednonisl")
     wait, bits = engine.cfg.reconnect_wait_s, link.CONTROL_MESSAGE_BITS
     sid, w = next(
         (s, w) for s in engine.sats if (w := engine.plan.window(s, 0.0)).duration_s > 20 * wait
@@ -488,7 +514,7 @@ _GROUND = {"ps_kind": "ground", "ps_latitude_deg": 40.0}
 @pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
 @pytest.mark.parametrize("server", [{}, _GROUND], ids=["orbit", "ground"])
 def test_engine_windows_are_contact_table_rows(protocol_name, server):
-    engine = _Simulation(small_scenario(until_epochs=1, **server), protocol_name)
+    engine = _Simulation(_build(small_scenario(until_epochs=1, **server)), protocol_name)
     used = set()
     plan = engine.plan
     window, after = plan.window, plan.after
