@@ -15,6 +15,9 @@ one shard cannot reach another.
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
 and the final division by the total sample count happens once at the server.
+Each sum folds into its own fresh array, in place, which rounds as an
+out-of-place fold does. Every model made here, initial, trained or
+aggregated, comes back read-only, so it can be shared instead of copied.
 Everything here is float64; the 32-bit wire size is purely a transfer-cost
 model and never truncates the math.
 """
@@ -125,6 +128,12 @@ class LearnerConfig:
             raise ValueError(f"compute_time_factor must be positive, got {self.compute_time_factor}")
 
 
+def _read_only(params: np.ndarray) -> np.ndarray:
+    """``params``, a model made here, with writes to it turned off."""
+    params.flags.writeable = False
+    return params
+
+
 def model_dimension(num_features: int, num_classes: int) -> int:
     return (num_features + 1) * num_classes
 
@@ -133,9 +142,9 @@ def init_params(num_features: int, num_classes: int, seed: int | None = None) ->
     """Zero parameters, or a small seeded Gaussian draw when a seed is given."""
     dim = model_dimension(num_features, num_classes)
     if seed is None:
-        return np.zeros(dim, dtype=np.float64)
+        return _read_only(np.zeros(dim, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    return rng.normal(scale=0.01, size=dim)
+    return _read_only(rng.normal(scale=0.01, size=dim))
 
 
 def _unpack(params: np.ndarray, num_features: int) -> np.ndarray:
@@ -186,7 +195,7 @@ def local_gd(params: np.ndarray, dataset: LocalDataset, config: LearnerConfig) -
             current -= config.learning_rate * local_gradient(current, dataset)
             if not np.all(np.isfinite(current)):
                 raise NumericDivergenceError("parameters left the finite range during descent")
-    return current
+    return _read_only(current)
 
 
 def compute_time(dataset: LocalDataset, config: LearnerConfig) -> float:
@@ -210,8 +219,8 @@ def partial_aggregate(
         part = np.asarray(part, dtype=np.float64)
         if part.shape != out.shape:
             raise ValueError(f"partial of shape {part.shape} does not match {out.shape}")
-        out = out + part
-    return out
+        out += part
+    return _read_only(out)
 
 
 def global_aggregate(partials: list[np.ndarray], total_samples: int) -> np.ndarray:
@@ -225,8 +234,9 @@ def global_aggregate(partials: list[np.ndarray], total_samples: int) -> np.ndarr
         part = np.asarray(part, dtype=np.float64)
         if part.shape != acc.shape:
             raise ValueError(f"partial of shape {part.shape} does not match {acc.shape}")
-        acc = acc + part
-    return acc / total_samples
+        acc += part
+    acc /= total_samples
+    return _read_only(acc)
 
 
 def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:

@@ -203,7 +203,12 @@ def fallback_next_hop(
 
 @dataclass
 class SatelliteState:
-    """Everything one satellite tracks across an epoch."""
+    """Everything one satellite tracks across an epoch.
+
+    Its models are the run's read-only arrays, shared with the server, the
+    ring and the event queue. Once its partial sum is folded, it drops the
+    global model, its trained update and its children's partials.
+    """
 
     node: int
     group: int
@@ -223,6 +228,13 @@ class SatelliteState:
     holding_epoch: int = 0
     holding_from: int | None = None
 
+    def partial_folded(self):
+        """The satellite's partial sum is made; it keeps none of its inputs."""
+        self.partial_sent = True
+        self.global_params = None
+        self.trained_params = None
+        self.cached_partials = {}
+
     def reset_for_next_epoch(self):
         self.epoch += 1
         self.has_model = False
@@ -240,7 +252,11 @@ class SatelliteState:
 
 @dataclass
 class PsState:
-    """The server: serves each group once per epoch, collects one aggregate each."""
+    """The server: serves each group once per epoch, collects one aggregate each.
+
+    It never writes a model: ``global_params`` and the aggregates it collects
+    are shared, and each epoch's model is a new read-only array.
+    """
 
     num_groups: int
     total_samples: int

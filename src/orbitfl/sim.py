@@ -22,7 +22,10 @@ Geometry and link rates come from :mod:`orbitfl.orbital` and
 math being trained lives in :mod:`orbitfl.learning`. What a run starts from
 does not depend on its protocol: the constellation, the read-only shards and
 test set, and the contact plan are built once per scenario, and
-:func:`compare` runs both protocols on that one build.
+:func:`compare` runs both protocols on that one build. A model is made once
+and shared: the server's global model goes out to every group as it is,
+every trained update and partial sum is read-only, and a satellite lets go
+of its models once its partial sum is folded.
 Everything is deterministic for a fixed scenario: ties in time are broken by
 scheduling order, floats fold in fixed orders, and randomness enters only
 through the scenario seed.
@@ -173,6 +176,13 @@ _TRAFFIC = tuple(
 
 @dataclass
 class RunResult:
+    """A run's records and models.
+
+    ``final_params`` and the ``epoch_params`` entries are the run's own
+    read-only model arrays, shared with it rather than copied: copy one
+    before writing to it.
+    """
+
     protocol: str
     records: list[MetricsRecord]
     final_params: np.ndarray
@@ -661,7 +671,7 @@ class _Simulation:
             len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
         )
         sink = protocol.select_sink(ring, t + estimate, self.plan.window)
-        epoch, model = self.ps.epoch, self.ps.global_params.copy()
+        epoch, model = self.ps.epoch, self.ps.global_params
         self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
         return True
 
@@ -779,7 +789,7 @@ class _Simulation:
             sat.num_samples,
             [sat.cached_partials[k] for k in kids],  # kids are already ascending
         )
-        sat.partial_sent = True
+        sat.partial_folded()
         if sid == sat.sink:
             sat.holding = weighted
             sat.holding_epoch = sat.epoch
@@ -890,7 +900,7 @@ class _Simulation:
         )
 
     def _epoch_completed(self, finished_epoch: int):
-        self.epoch_params[finished_epoch] = self.ps.global_params.copy()
+        self.epoch_params[finished_epoch] = self.ps.global_params
         self._record(finished_epoch, self.t - self.epoch_started)
         self.epoch_started = self.t
         rec = self.records[-1]
@@ -909,10 +919,10 @@ class _Simulation:
         for sat in self.sats.values():
             if not sat.has_model:
                 phase = protocol.DISTRIBUTION
-            elif sat.trained_params is None:
-                phase = protocol.COMPUTATION
-            else:
+            elif sat.partial_sent or sat.trained_params is not None:
                 phase = protocol.AGGREGATION
+            else:
+                phase = protocol.COMPUTATION
             phases[phase] = phases.get(phase, 0) + 1
         summary = ", ".join(f"{n} {phase}" for phase, n in sorted(phases.items()))
         pending = [g for g in range(len(self.groups)) if g not in self.ps.received]
@@ -949,7 +959,7 @@ class _Simulation:
         return RunResult(
             protocol=self.protocol,
             records=self.records,
-            final_params=self.ps.global_params.copy(),
+            final_params=self.ps.global_params,
             epoch_params=self.epoch_params,
             counters=dict(self.counters),
             stop_reason=self.stop_reason,

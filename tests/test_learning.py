@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from orbitfl.learning import (
     DataFormatError,
@@ -145,6 +148,44 @@ def test_global_aggregate_is_weighted_average():
     np.testing.assert_array_equal(global_aggregate(parts, 3), [2.0, 2.0])
     with pytest.raises(ValueError):
         global_aggregate([], 3)
+
+
+def test_every_model_made_here_is_read_only():
+    ds = small_dataset()
+    start = init_params(5, 3, seed=1)
+    trained = local_gd(start, ds, LearnerConfig(learning_rate=0.1))
+    part = partial_aggregate(trained, ds.num_samples, [])
+    models = (init_params(5, 3), start, trained, part, global_aggregate([part], ds.num_samples))
+    for params in models:
+        with pytest.raises(ValueError):
+            params[0] = 1.0
+        with pytest.raises(ValueError):
+            params += 1.0
+
+
+# The folds add into a fresh array in place; the reference below is the
+# out-of-place fold, which rounds every sum the same way
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_in_place_folds_are_bit_equal_to_out_of_place_folds(data):
+    shape = data.draw(hnp.array_shapes(max_dims=2, max_side=12))
+    models = hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False, width=64))
+    own = data.draw(models)
+    incoming = data.draw(st.lists(models, max_size=6))
+    num_samples = data.draw(st.integers(1, 10**6))
+    total = data.draw(st.integers(1, 10**9))
+    with np.errstate(all="ignore"):  # sums of large entries overflow, alike in both
+        out = num_samples * own
+        for part in incoming:
+            out = out + part
+        acc = np.zeros(shape)
+        for part in [own] + incoming:
+            acc = acc + part
+        expected = acc / total
+        folded = partial_aggregate(own, num_samples, incoming)
+        averaged = global_aggregate([own] + incoming, total)
+    assert folded.tobytes() == out.tobytes()
+    assert averaged.tobytes() == expected.tobytes()
 
 
 # Folding weighted contributions up an arbitrary tree must equal the flat

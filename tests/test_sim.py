@@ -243,6 +243,79 @@ def test_runs_are_deterministic():
     assert a.final_params.tobytes() == b.final_params.tobytes()
 
 
+# -- shared, read-only models -----------------------------------------------------------
+
+
+def _watched_run(monkeypatch, protocol_name):
+    """Run a small scenario, keeping every model served, trained and folded,
+    and each satellite's state just after its partial sum is folded."""
+    engine = _Simulation(_build(small_scenario()), protocol_name)
+    served, trained, partials, folded = [], [], [], []
+
+    def kept(made, fn):
+        def wrapper(*args):
+            made.append(fn(*args))
+            return made[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(sim.learning, "local_gd", kept(trained, sim.learning.local_gd))
+    monkeypatch.setattr(
+        sim.learning, "partial_aggregate", kept(partials, sim.learning.partial_aggregate)
+    )
+    recv_model, try_send = engine._sat_recv_model, engine._try_send_partial
+
+    def recv(sid, epoch, sink, source, sender, params):
+        if sender is None:
+            assert params is engine.ps.global_params
+            served.append(params)
+        recv_model(sid, epoch, sink, source, sender, params)
+
+    def send(sid):
+        try_send(sid)
+        sat = engine.sats[sid]
+        if sat.partial_sent:  # still in the epoch: a sink that holds its group's sum
+            folded.append((sat.global_params, sat.trained_params, sat.cached_partials))
+
+    engine._sat_recv_model, engine._try_send_partial = recv, send
+    result = engine.run()
+    return engine, result, served, trained, partials, folded
+
+
+@pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
+def test_a_run_shares_one_read_only_array_per_model(monkeypatch, protocol_name):
+    engine, res, served, trained, partials, _ = _watched_run(monkeypatch, protocol_name)
+    assert len(served) == 3 * len(engine.groups) and len(trained) == len(partials) == 3 * 40
+    assert len({id(p) for p in served}) == 3  # one model per epoch, whoever it goes to
+    assert res.final_params is res.epoch_params[3] is engine.ps.global_params
+    models = served + trained + partials + [res.final_params, *res.epoch_params.values()]
+    for params in models:
+        with pytest.raises(ValueError):
+            params[0] = 0.0
+        with pytest.raises(ValueError):
+            params += 1.0
+
+
+@pytest.mark.parametrize("protocol_name", ["fedisl", "fednonisl"])
+def test_a_satellite_lets_go_of_its_models_once_its_partial_is_folded(
+    monkeypatch, protocol_name
+):
+    engine, _, _, _, _, folded = _watched_run(monkeypatch, protocol_name)
+    assert len(folded) == 3 * len(engine.groups)  # one sink per group and epoch
+    assert all(state == (None, None, {}) for state in folded)
+    assert all(sat.trained_params is None for sat in engine.sats.values())
+
+
+def test_a_satellite_whose_partial_is_folded_is_diagnosed_in_aggregation():
+    engine = _Simulation(_build(small_scenario()), "fednonisl")
+    for sid in (1, 2):
+        engine._sat_recv_model(sid, 1, sid, sid, None, engine.ps.global_params)
+    engine._compute_done(1)
+    assert engine.sats[1].partial_sent and engine.sats[1].trained_params is None
+    assert engine.sats[1].holding is not None
+    assert "satellites: 1 aggregation, 1 computation, 38 distribution" in engine._diagnose()
+
+
 # -- delivery resilience --------------------------------------------------------------
 
 
