@@ -300,17 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            cfg = parse_config(args.config, seed_override=_resolve_seed(args))
-            problems = validate_scenario(cfg)
-            for problem in problems:
-                print(problem)
-            if problems:
-                return 1
-            print("ok")
-            return 0
-
         cfg = _load_scenario(args)
+        if args.command == "validate":
+            problems = validate_scenario(cfg)
+            print("\n".join(problems) or "ok")
+            return 1 if problems else 0
         if args.command == "run":
             result = run_scenario(cfg, args.protocol)
             _deliver(render_run_csv(result.records, cfg.seed), args.out)

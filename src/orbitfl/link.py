@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .orbital import SPEED_OF_LIGHT_M_S
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -101,18 +103,23 @@ def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> f
         raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
     if distance_m <= 0:
         raise ValueError(f"distance_m must be positive, got {distance_m}")
-    return transfer_times(params, distance_m, payload_bits, math.log2)
+    return transfer_times(params, distance_m, payload_bits)
 
 
-def transfer_times(params: LinkParams, distance_m, payload_bits: int, log2):
+def _log2_each(x: np.ndarray) -> np.ndarray:
+    """math.log2 of each entry: np.log2 rounds some arguments differently."""
+    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
+
+
+def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     """:func:`transfer_time`, unchecked, at a float or an array of distances.
 
-    ``log2`` is ``math.log2`` for a float and ``math.log2`` mapped over the
-    entries for an array (``np.log2`` rounds some arguments differently). Every
-    other operation rounds alike on both, so each entry equals the float answer.
+    The log is ``math.log2``, of each entry for an array. Every other operation
+    rounds alike on both, so each entry equals the float answer.
     """
     loss = (params.loss_factor * distance_m / SPEED_OF_LIGHT_M_S) ** 2
     signal_to_noise = params.signal_w / (params.noise_w * loss)
+    log2 = _log2_each if isinstance(distance_m, np.ndarray) else math.log2
     return (
         payload_bits / (params.bandwidth_hz * log2(1.0 + signal_to_noise))
         + distance_m / SPEED_OF_LIGHT_M_S

@@ -26,6 +26,9 @@ test set, and the contact plan are built once per scenario, and
 and shared: the server's global model goes out to every group as it is,
 every trained update and partial sum is read-only, and a satellite lets go
 of its models once its partial sum is folded.
+A scenario is checked only where it is built: :func:`_build` raises one
+:class:`ConfigError` with every problem found, and the engine's constructor
+rejects a protocol the geometry cannot carry.
 Everything is deterministic for a fixed scenario: ties in time are broken by
 scheduling order, floats fold in fixed orders, and randomness enters only
 through the scenario seed.
@@ -33,7 +36,6 @@ through the scenario seed.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
@@ -76,7 +78,12 @@ class DeadlockError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    pass
+    """A scenario that cannot run: ``problems`` has a line per problem, tagged
+    with the INI section when a section's part refused it; ``str()`` joins them by "; "."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 @dataclass
@@ -205,29 +212,17 @@ _RING_INFEASIBLE = (
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every problem with the scenario, one line each; empty when it can run.
 
-    Each layer's constructor applies its own rules to its part of the scenario,
-    named by INI section. What is built from those parts is checked only once
-    they are sound: the server among the satellites, then the costly data.
+    These are the problems of building it (:func:`_build`), else of setting up
+    the engine of either protocol on that build, so a scenario that validates
+    builds and starts under both protocols, and ``run`` reports the same lines.
     """
-    problems = _setting_problems(cfg)
-    parts = [("constellation", _planes), ("ps", _server), ("link", _link_params)]
-    problems += _build_problems(cfg, parts + [("learning", _learner_config)])
-    if not problems:
-        problems += _build_problems(cfg, [("ps", build_constellation), ("data", build_datasets)])
-    if not problems and not intra_plane_isl_feasible(_planes(cfg)[0]):
-        problems.append(_RING_INFEASIBLE)
-    return problems
-
-
-def _build_problems(cfg: ScenarioConfig, parts) -> list[str]:
-    """The error, if any, of building each (section, build) part of the scenario."""
-    problems = []
-    for section, build in parts:
-        try:
-            build(cfg)
-        except (ValueError, OSError) as exc:
-            problems.append(f"[{section}] {exc}")
-    return problems
+    try:
+        build = _build(cfg)
+        for name in ("fednonisl", "fedisl"):
+            _Simulation(build, name)
+    except ConfigError as exc:
+        return exc.problems
+    return []
 
 
 def _setting_problems(cfg: ScenarioConfig) -> list[str]:
@@ -264,18 +259,6 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     if cfg.target_accuracy is not None and not 0.0 < cfg.target_accuracy <= 1.0:
         problems.append("target_accuracy must lie in (0, 1]")
     return problems
-
-
-@contextlib.contextmanager
-def _config_checked(cfg: ScenarioConfig):
-    """The scenario's setting problems, then any error building from it, as ConfigError."""
-    problems = _setting_problems(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    try:
-        yield
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_constellation(cfg: ScenarioConfig) -> Constellation:
@@ -404,11 +387,6 @@ def _end_s(cfg: ScenarioConfig) -> float:
     return DEFAULT_TIME_CAP_S if cfg.time_limit_s is None else cfg.time_limit_s
 
 
-def _contact_plan(cfg: ScenarioConfig, con: Constellation, end_s: float) -> ContactPlan:
-    """The scenario's satellite-to-server contact plan up to ``end_s``."""
-    return ContactPlan(con, end_s, tol_s=cfg.contact_tol_s)
-
-
 @dataclass(frozen=True)
 class _Build:
     """What every run of a scenario starts from, whatever its protocol.
@@ -427,22 +405,45 @@ class _Build:
     plan: ContactPlan
 
 
+def _build_parts(cfg: ScenarioConfig):
+    """The constellation, link and learner: :func:`_build` but the data and plan.
+
+    Each layer's constructor applies its own rules to its section's part, and
+    the server is placed among the satellites once the parts are sound."""
+    problems, parts = _setting_problems(cfg), []
+    for section, build in (("constellation", _planes), ("ps", _server),
+                           ("link", _link_params), ("learning", _learner_config)):
+        try:
+            parts.append(build(cfg))
+        except ValueError as exc:
+            problems.append(f"[{section}] {exc}")
+    if not problems:
+        planes, server, link_params, lcfg = parts
+        try:
+            return Constellation(planes, server), link_params, lcfg
+        except ValueError as exc:
+            problems.append(f"[ps] {exc}")
+    raise ConfigError(*problems)
+
+
 def _build(cfg: ScenarioConfig) -> _Build:
-    """Build the scenario once, for any number of runs."""
-    with _config_checked(cfg):
-        con = build_constellation(cfg)
-        link_params, lcfg = _link_params(cfg), _learner_config(cfg)
+    """Build the scenario once, for any number of runs: its parts, then the
+    costly data, then the contact plan. Raises ConfigError on any problem."""
+    con, link_params, lcfg = _build_parts(cfg)
+    try:
         data, test_set = build_datasets(cfg)
-        plan = _contact_plan(cfg, con, _end_s(cfg) + PLAN_REACH_S)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"[data] {exc}") from exc
+    plan = ContactPlan(con, _end_s(cfg) + PLAN_REACH_S, tol_s=cfg.contact_tol_s)
     return _Build(cfg, con, link_params, lcfg, MappingProxyType(data), test_set, plan)
 
 
 def contact_table(cfg: ScenarioConfig, horizon_s: float):
     """Server visibility windows for every satellite, sorted by opening time:
-    the windows a run reads, cut at ``horizon_s``."""
-    with _config_checked(cfg):
-        con = build_constellation(cfg)
-        plan = _contact_plan(cfg, con, horizon_s)
+    the windows a run reads, cut at ``horizon_s``. The scenario is checked as
+    a run checks it, but its data is never built."""
+    con = _build_parts(cfg)[0]
+    plan = ContactPlan(con, horizon_s, tol_s=cfg.contact_tol_s)
     rows = [
         (sat, con.plane_of(sat), w.start_s, w.end_s)
         for sat in con.satellite_ids()
@@ -455,15 +456,12 @@ def contact_table(cfg: ScenarioConfig, horizon_s: float):
 # -- the engine ------------------------------------------------------------------
 
 
-def _log2_each(x: np.ndarray) -> np.ndarray:
-    """math.log2 of each entry: np.log2 rounds some arguments differently."""
-    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
-
-
 class _Simulation:
     def __init__(self, build: _Build, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
             raise ConfigError(f"unknown protocol {protocol_name!r}")
+        if protocol_name == "fedisl" and not intra_plane_isl_feasible(build.con.orbits[0]):
+            raise ConfigError(_RING_INFEASIBLE)
         self.cfg = cfg = build.cfg
         self.protocol = protocol_name
         self.con, self.link_params, self.lcfg = build.con, build.link_params, build.lcfg
@@ -474,9 +472,6 @@ class _Simulation:
             self.groups = [self.con.ring_ids(p) for p in self.con.plane_indices()]
         else:
             self.groups = [[sid] for sid in self.con.satellite_ids()]
-        ring_ok = intra_plane_isl_feasible(self.con.orbits[0])
-        if any(len(group) > 1 for group in self.groups) and not ring_ok:
-            raise ConfigError(_RING_INFEASIBLE)
         self.dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
         self.model_bits = link.model_size_bits(self.dim)
 
@@ -701,7 +696,7 @@ class _Simulation:
         def transfer_s(t):
             # a chain that stops before this stage may sit at infinity; its entry goes unused
             d_m = distance_km(np.minimum(t, until)) * 1000.0
-            return link.transfer_times(params, d_m, bits, _log2_each)
+            return link.transfer_times(params, d_m, bits)
 
         polls = answers = 0
         while sids:
@@ -991,11 +986,12 @@ def compare(cfg: ScenarioConfig) -> CompareResult:
     divided by the ring protocol's. ``traffic_ratio`` compares model-bearing
     messages over the server links at equal epochs, and ``epoch_time_ratio``
     compares mean epoch duration over the first five common epochs. Both
-    protocols run on one build of the scenario.
+    protocols run on one build of the scenario, and both engines are set up
+    before either runs, so a scenario one protocol cannot carry runs neither.
     """
     build = _build(cfg)
-    baseline = _Simulation(build, "fednonisl").run()
-    treatment = _Simulation(build, "fedisl").run()
+    engines = [_Simulation(build, name) for name in ("fednonisl", "fedisl")]
+    baseline, treatment = (engine.run() for engine in engines)
 
     def finished(run: RunResult):
         return [r for r in run.records if r.epoch > 0]

@@ -421,8 +421,25 @@ def test_a_satellite_on_the_server_is_a_config_error(tmp_path, capsys, protocol)
     out = tmp_path / "out.csv"
     argv = ["run", "--config", str(path), "--seed", "7", "--protocol", protocol, "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.strip() == f"config error: {problem}"
+    assert capsys.readouterr().err.strip() == f"config error: [ps] {problem}"
     assert not out.exists()
+
+
+# one bad value in [link] and one in [learning]: every command names both
+def test_every_command_reports_every_problem_by_section(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"link": {"bandwidth_hz": "-5"}, "learning": {"learning_rate": "-1"}}))
+    problems = [
+        "[link] bandwidth_hz must be positive, got -5.0",
+        "[learning] learning_rate must be positive, got -1.0",
+    ]
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == problems
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: " + "; ".join(problems) + "\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from orbitfl.sim import (
     _build,
     _Simulation,
     _link_params,
-    _log2_each,
     ConfigError,
     DeadlockError,
     build_constellation,
@@ -122,6 +121,19 @@ def test_compare_builds_the_scenario_once(monkeypatch):
     result = compare(small_scenario(until_epochs=1))
     assert len(builds) == 1
     assert result.baseline.records[-1].epoch == result.treatment.records[-1].epoch == 1
+
+
+# two planes of two satellites at 500 km: the Earth blocks every ring link
+def test_compare_sets_up_both_engines_before_running_either(monkeypatch):
+    runs = []
+    run = _Simulation.run
+    monkeypatch.setattr(_Simulation, "run", lambda engine: runs.append(engine) or run(engine))
+    cfg = small_scenario(num_planes=2, sats_per_plane=2, altitude_km=500.0)
+    with pytest.raises(ConfigError) as err:
+        compare(cfg)
+    assert runs == []
+    ring = "ring protocol: adjacent satellites in a plane exceed line-of-sight range on this geometry"
+    assert err.value.problems == [ring] and str(err.value) == ring
 
 
 def test_label_split_halves_class_range():
@@ -519,7 +531,7 @@ def test_array_transfer_times_equal_scalar_ones():
     params, bits = _link_params(desk_scenario(0)), link.CONTROL_MESSAGE_BITS
     d_m = [25965709.286489364, 38160466.07458334, 38383949.87395545, 21209748.262874674]
     want = [link.transfer_time(params, d, bits) for d in d_m]
-    assert link.transfer_times(params, np.array(d_m), bits, _log2_each).tolist() == want
+    assert link.transfer_times(params, np.array(d_m), bits).tolist() == want
 
 
 def test_time_limit_truncates_cleanly():
