@@ -29,6 +29,7 @@ import sys
 import typing
 
 from .sim import (
+    INI_KEYS,
     MAX_SPAN_S,
     ConfigError,
     DeadlockError,
@@ -60,32 +61,13 @@ _CONVERTERS = {
     float | None: _optional_float,
 }
 
-# each section's ScenarioConfig fields, in the order emit_config writes them
-_SECTION_FIELDS = {
-    "constellation": "num_planes sats_per_plane altitude_km inclination_deg phasing_factor",
-    "ps": "ps_kind ps_altitude_km ps_inclination_deg ps_raan_deg ps_latitude_deg "
-    "ps_longitude_deg ps_min_elevation_deg",
-    "link": "bandwidth_hz tx_power_dbm antenna_gain_dbi carrier_hz noise_temperature_k "
-    "tx_delay_s rx_delay_s",
-    "learning": "learning_rate local_iterations cycles_per_sample cpu_hz compute_time_factor",
-    "data": "data_source data_scheme samples_per_satellite test_samples num_features "
-    "num_classes separation train_images_path train_labels_path test_images_path "
-    "test_labels_path",
-    "protocol": "reconnect_wait_s grace_factor contact_tol_s",
-    "sim": "seed until_epochs time_limit_s target_accuracy",
-}
-
-
 def _schema() -> dict[str, dict[str, tuple[str, object]]]:
-    """A key is its field's name, less the section's prefix under [ps] and [data];
-    a field annotated with a type that has no converter fails the import."""
+    """Each section's keys, in ``INI_KEYS`` order; a field annotated with a
+    type that has no converter fails the import."""
     hints = typing.get_type_hints(ScenarioConfig)
     schema = {}
-    for section, names in _SECTION_FIELDS.items():
-        prefix = f"{section}_" if section in ("ps", "data") else ""
-        schema[section] = {
-            name.removeprefix(prefix): (name, _CONVERTERS[hints[name]]) for name in names.split()
-        }
+    for name, (section, key) in INI_KEYS.items():
+        schema.setdefault(section, {})[key] = (name, _CONVERTERS[hints[name]])
     return schema
 
 

@@ -10,17 +10,18 @@ pass.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
-minimum elevation above the local horizon. ``Constellation.next_contact``
-locates one window by conservative advancement on the test's margin, refined
-with bisection, and a ``ContactPlan`` strings those scans, each reaching to the
-plan's end, into every node's windows with one peer, the single source of
-predicted windows for a run and for ``orbitfl contacts``.
+minimum elevation above the local horizon. ``Constellation.contacts`` finds a
+pair's windows over a span in one scan by conservative advancement on the
+test's margin, each edge bisected onto the grid of ``tol_s`` multiples, and a
+``ContactPlan`` runs one such scan per node with one peer, the single source
+of predicted windows for a run and for ``orbitfl contacts``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,29 +416,28 @@ class Constellation:
 
     # -- contact prediction --------------------------------------------------
 
-    def next_contact(
-        self, a: int, b: int, from_t: float, horizon_s: float, *, tol_s: float = 0.1
-    ) -> ContactWindow | None:
-        """Earliest visibility window starting at or after ``from_t``.
+    def contacts(self, a: int, b: int, t: float, t_end: float, *, tol_s: float = 0.1):
+        """Yield every visibility window of ``a`` and ``b`` in [t, t_end], in order.
 
-        A window already open at ``from_t`` is reported with start = from_t.
-        Boundaries come from a scan by conservative advancement (``_flips``)
-        refined by bisection to ``tol_s``; the window end is clamped to the
-        horizon when visibility persists. Returns None when no window begins
-        within the horizon. Windows shorter than ``tol_s`` can be missed.
+        One scan by conservative advancement (``_flips``) runs over the span.
+        Each edge is the first grid time ``k * tol_s`` at or after the flip
+        (``_refine``), so it depends on the geometry and ``tol_s`` alone, not
+        on how the scan stepped. A window open at t starts at t, and a window
+        open at t_end ends there. A window or gap shorter than ``tol_s`` can be
+        missed, and a window that snaps to less than one grid step is dropped.
         """
         sat, other = self._pair(a, b)
-        t_end = from_t + horizon_s
-        flips = self._flips(sat, other, from_t, t_end, tol_s)
-        start = from_t
-        if not self.visible(a, b, from_t):
-            rise = next(flips, None)
-            if rise is None:
-                return None
-            start = self._refine(a, b, *rise, tol_s, False)
-        drop = next(flips, None)
-        end = t_end if drop is None else self._refine(a, b, *drop, tol_s, True)
-        return ContactWindow(a, b, start, end)
+        state = _inside(self._margin(sat, other, t, math), other)
+        start, last = (t if state else None), t
+        for t_lo, t_hi in self._flips(sat, other, t, t_end, tol_s):
+            last = max(last, min(t_end, self._refine(sat, other, t_lo, t_hi, tol_s, state)))
+            state = not state
+            if state:
+                start = last
+            elif start < last:
+                yield ContactWindow(a, b, start, last)
+        if state and start < t_end:
+            yield ContactWindow(a, b, start, t_end)
 
     def _flips(self, sat, other, t, t_end, tol_s):
         """Yield (t_before, t_after) for each step in [t, t_end] across which
@@ -456,70 +456,62 @@ class Constellation:
                 yield (t, t_next)
             t = t_next
 
-    def _refine(self, a, b, t_lo, t_hi, tol_s, state_lo):
-        """Bisect a visibility flip bracketed by (t_lo, t_hi), visible at t_lo
-        when ``state_lo``, down to tol_s, or until no float lies between the
-        two ends."""
-        mid = 0.5 * (t_lo + t_hi)
-        while t_hi - t_lo > tol_s and t_lo < mid < t_hi:
-            if self.visible(a, b, mid) == state_lo:
-                t_lo = mid
+    def _refine(self, sat, other, t_lo, t_hi, tol_s, state_lo):
+        """The first grid time ``k * tol_s`` at or after a visibility flip
+        bracketed by (t_lo, t_hi), visible before it when ``state_lo``: a
+        bisection over the integer k between bounds padded by one grid step,
+        so it ends whatever ``tol_s`` is."""
+        k_lo, k_hi = math.floor(t_lo / tol_s) - 1, math.ceil(t_hi / tol_s) + 1
+        while k_hi - k_lo > 1:
+            k = (k_lo + k_hi) // 2
+            if _inside(self._margin(sat, other, k * tol_s, math), other) == state_lo:
+                k_lo = k
             else:
-                t_hi = mid
-            mid = 0.5 * (t_lo + t_hi)
-        return mid
+                k_hi = k
+        return k_hi * tol_s
 
 
 class ContactPlan:
     """Every node's contact windows with one peer, predicted from t = 0 to ``end_s``.
 
-    A node's windows come from one forward scan: each ``Constellation.next_contact``
-    call reaches to ``end_s`` and finds the node's next window, and the scan
-    resumes ``tol_s`` past each window it closes. Every window runs from a rise
-    to a drop, or to ``end_s``, and does not depend on when or in what order
-    it is asked for.
+    A node's windows come from one ``Constellation.contacts`` scan over
+    [0, ``end_s``], run only as far as a query needs. Every window runs from a
+    rise to a drop, or to ``end_s``, its edges on the ``tol_s`` grid, and does
+    not depend on when or in what order it is asked for.
     """
 
     def __init__(
         self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
     ):
         self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
-        self._windows: dict[int, list[ContactWindow]] = {}
-        self._resume: dict[int, float] = {}  # where each node's scan goes on
+        # node -> its windows found so far and the scan that finds the rest
+        self._scans: dict[int, tuple[list[ContactWindow], Iterator[ContactWindow]]] = {}
 
     def window(self, node: int, t: float) -> ContactWindow | None:
         """The window open at t, else the next one before ``end_s``, else None."""
-        windows = self._windows.setdefault(node, [])
-        while not (windows and windows[-1].end_s >= t) and self._extend(node):
-            pass
+        windows = self._scan(node, lambda w: w.end_s >= t)
         i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
         return windows[i] if i < len(windows) else None
 
     def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
-        """The window after ``w``: the one open where the scan resumed past its
-        end, else the next one."""
-        return self.window(node, self._past(w))
+        """The node's next window after ``w``, else None."""
+        return self.window(node, math.nextafter(w.end_s, math.inf))
 
     def windows(self, node: int, until: float) -> list[ContactWindow]:
         """Every window opening by ``until``, in time order."""
-        windows = self._windows.setdefault(node, [])
-        while self._resume.get(node, 0.0) < until and self._extend(node):
-            pass
+        windows = self._scan(node, lambda w: w.start_s > until)
         return [w for w in windows if w.start_s <= until]
 
-    def _extend(self, node: int) -> bool:
-        """Scan for the node's next window; False once none is left before ``end_s``."""
-        s = self._resume.get(node, 0.0)
-        if s >= self.end_s:
-            return False
-        w = self.con.next_contact(node, self.peer, s, self.end_s - s, tol_s=self.tol_s)
-        if w is None:
-            self._resume[node] = self.end_s
-            return False
-        self._windows[node].append(w)
-        self._resume[node] = self._past(w)
-        return True
-
-    def _past(self, w: ContactWindow) -> float:
-        """Where the scan resumes: ``tol_s`` past the end of ``w``, one float at least."""
-        return max(w.end_s + self.tol_s, math.nextafter(w.end_s, math.inf))
+    def _scan(self, node: int, enough) -> list[ContactWindow]:
+        """The node's windows, its scan run on until ``enough`` holds for the
+        last one found or the scan ends."""
+        if node not in self._scans:
+            scan = self.con.contacts(node, self.peer, 0.0, self.end_s, tol_s=self.tol_s)
+            self._scans[node] = ([], scan)
+        windows, scan = self._scans[node]
+        while not (windows and enough(windows[-1])):
+            w = next(scan, None)
+            if w is None:
+                break
+            windows.append(w)
+        return windows

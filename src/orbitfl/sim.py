@@ -147,6 +147,29 @@ class ScenarioConfig:
     target_accuracy: float | None = None
 
 
+# each section's ScenarioConfig fields, in the order a scenario file lists them
+_SECTION_FIELDS = {
+    "constellation": "num_planes sats_per_plane altitude_km inclination_deg phasing_factor",
+    "ps": "ps_kind ps_altitude_km ps_inclination_deg ps_raan_deg ps_latitude_deg "
+    "ps_longitude_deg ps_min_elevation_deg",
+    "link": "bandwidth_hz tx_power_dbm antenna_gain_dbi carrier_hz noise_temperature_k "
+    "tx_delay_s rx_delay_s",
+    "learning": "learning_rate local_iterations cycles_per_sample cpu_hz compute_time_factor",
+    "data": "data_source data_scheme samples_per_satellite test_samples num_features "
+    "num_classes separation train_images_path train_labels_path test_images_path "
+    "test_labels_path",
+    "protocol": "reconnect_wait_s grace_factor contact_tol_s",
+    "sim": "seed until_epochs time_limit_s target_accuracy",
+}
+# field -> (INI section, key), in that order: a key is its field's name, less
+# the section's prefix under [ps] and [data]
+INI_KEYS = {
+    name: (section, name.removeprefix(f"{section}_") if section in ("ps", "data") else name)
+    for section, names in _SECTION_FIELDS.items()
+    for name in names.split()
+}
+
+
 def reference_scenario(seed: int = 0, **overrides) -> ScenarioConfig:
     """The study-case deployment at its published scale."""
     return replace(ScenarioConfig(seed=seed), **overrides)
@@ -226,39 +249,42 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
 
 def _setting_problems(cfg: ScenarioConfig) -> list[str]:
-    problems = []
+    """The problems of single settings, each tagged with its INI section and key."""
+    bad = []  # (field, what is wrong with its value)
     if not isinstance(cfg.seed, int) or cfg.seed < 0:
-        problems.append(f"seed must be a non-negative integer, got {cfg.seed!r}")
+        bad.append(("seed", f"must be a non-negative integer, got {cfg.seed!r}"))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            problems.append(f"{f.name} must be finite, got {value}")
+            bad.append((f.name, f"must be finite, got {value}"))
     if cfg.ps_kind not in ("orbit", "ground"):
-        problems.append(f"ps_kind must be 'orbit' or 'ground', got {cfg.ps_kind!r}")
+        bad.append(("ps_kind", f"must be 'orbit' or 'ground', got {cfg.ps_kind!r}"))
     if cfg.data_source not in ("synthetic", "idx"):
-        problems.append(f"data_source must be 'synthetic' or 'idx', got {cfg.data_source!r}")
+        bad.append(("data_source", f"must be 'synthetic' or 'idx', got {cfg.data_source!r}"))
     if cfg.data_scheme not in ("iid", "label_split"):
-        problems.append(f"data_scheme must be 'iid' or 'label_split', got {cfg.data_scheme!r}")
+        bad.append(("data_scheme", f"must be 'iid' or 'label_split', got {cfg.data_scheme!r}"))
     if cfg.data_source == "idx":
         paths = ("train_images_path", "train_labels_path", "test_images_path", "test_labels_path")
-        for name in paths:
-            if not getattr(cfg, name):
-                problems.append(f"{name} is required when data_source is 'idx'")
-    if cfg.samples_per_satellite < 1 or cfg.test_samples < 1:
-        problems.append("samples_per_satellite and test_samples must be at least 1")
-    if cfg.num_features < 1 or cfg.num_classes < 2:
-        problems.append("need at least one feature and two classes")
-    if cfg.reconnect_wait_s <= 0 or cfg.contact_tol_s <= 0:
-        problems.append("reconnect_wait_s and contact_tol_s must be positive")
+        bad += [(name, "is required when source is 'idx'") for name in paths
+                if not getattr(cfg, name)]
+    least = {"samples_per_satellite": 1, "test_samples": 1, "num_features": 1, "num_classes": 2}
+    for name, low in least.items():
+        if getattr(cfg, name) < low:
+            bad.append((name, f"must be at least {low}, got {getattr(cfg, name)}"))
+    if cfg.reconnect_wait_s <= 0:
+        bad.append(("reconnect_wait_s", f"must be positive, got {cfg.reconnect_wait_s}"))
+    # a window edge is k * contact_tol_s, and k must stay a float over a year
+    if cfg.contact_tol_s < 1e-300:
+        bad.append(("contact_tol_s", f"must be at least 1e-300, got {cfg.contact_tol_s}"))
     if cfg.grace_factor < 0:
-        problems.append("grace_factor must be non-negative")
+        bad.append(("grace_factor", f"must be non-negative, got {cfg.grace_factor}"))
     if cfg.until_epochs < 1:
-        problems.append("until_epochs must be at least 1")
+        bad.append(("until_epochs", f"must be at least 1, got {cfg.until_epochs}"))
     if cfg.time_limit_s is not None and not 0 < cfg.time_limit_s <= MAX_SPAN_S:
-        problems.append(f"time_limit_s must lie in (0, {MAX_SPAN_S:.0f}] when set (one year)")
+        bad.append(("time_limit_s", f"must lie in (0, {MAX_SPAN_S:.0f}] when set (one year)"))
     if cfg.target_accuracy is not None and not 0.0 < cfg.target_accuracy <= 1.0:
-        problems.append("target_accuracy must lie in (0, 1]")
-    return problems
+        bad.append(("target_accuracy", "must lie in (0, 1]"))
+    return ["[{}] {} {}".format(*INI_KEYS[name], rule) for name, rule in bad]
 
 
 def build_constellation(cfg: ScenarioConfig) -> Constellation:

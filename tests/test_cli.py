@@ -371,6 +371,7 @@ def ini_with(overrides) -> str:
         {"learning": {"cycles_per_sample": "0"}},
         {"learning": {"learning_rate": "nan"}},
         {"protocol": {"contact_tol_s": "nan"}},
+        {"protocol": {"contact_tol_s": "1e-310"}},
         {"link": {"tx_power_dbm": "nan"}},
         {"link": {"tx_delay_s": "-1"}},
         {"ps": {"kind": "ground", "latitude_deg": "120"}},
@@ -497,7 +498,7 @@ def test_validate_rejects_a_time_limit_past_a_year(tmp_path, capsys):
     path = tmp_path / "long.ini"
     path.write_text(ini_with({"sim": {"time_limit_s": "31536000.5"}}))
     assert main(["validate", "--config", str(path)]) == 1
-    problem = "time_limit_s must lie in (0, 31536000] when set (one year)"
+    problem = "[sim] time_limit_s must lie in (0, 31536000] when set (one year)"
     assert capsys.readouterr().out.splitlines() == [problem]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
     assert problem in capsys.readouterr().err
@@ -509,7 +510,28 @@ def test_validate_names_a_negative_seed(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(ini_with({"sim": {"seed": "-1"}}))
     assert main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines() == ["seed must be a non-negative integer, got -1"]
+    problem = "[sim] seed must be a non-negative integer, got -1"
+    assert capsys.readouterr().out.splitlines() == [problem]
+
+
+# Every problem names the section and the key to edit, the settings' own rules
+# as the layers' rules do, and every command prints the same lines.
+def test_every_problem_is_tagged_with_its_section_and_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    overrides = {"ps": {"kind": "moon"}, "sim": {"time_limit_s": "31536000.5"}}
+    path.write_text(ini_with({**overrides, "link": {"bandwidth_hz": "-5"}}))
+    problems = [
+        "[ps] kind must be 'orbit' or 'ground', got 'moon'",
+        "[sim] time_limit_s must lie in (0, 31536000] when set (one year)",
+        "[link] bandwidth_hz must be positive, got -5.0",
+    ]
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == problems
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: " + "; ".join(problems) + "\n"
+        assert not out.exists()
 
 
 def test_validate_reports_problems(tmp_path, capsys):

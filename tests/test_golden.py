@@ -15,8 +15,16 @@ from pathlib import Path
 
 import pytest
 
+from orbitfl import orbital
 from orbitfl.cli import main, render_compare_csv, render_run_csv
-from orbitfl.sim import ScenarioConfig, compare, desk_scenario, reference_scenario, run_scenario
+from orbitfl.sim import (
+    ScenarioConfig,
+    compare,
+    contact_table,
+    desk_scenario,
+    reference_scenario,
+    run_scenario,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
@@ -52,6 +60,27 @@ def test_contacts_match_golden(tmp_path):
     assert out.read_text(encoding="utf-8") == golden("contacts_seed7.csv")
 
 
+# A window edge is the first grid time k * contact_tol_s at or after its flip,
+# however the scan stepped to bracket the flip: a looser bound on the margin's
+# rate takes shorter steps, and changes neither the 48 h contact tables, with
+# an orbiting and with a ground server, nor the golden fednonisl run.
+@pytest.mark.parametrize("scale", [1.7, 3.0])
+def test_edges_do_not_depend_on_the_scan_steps(monkeypatch, outcome, scale):
+    servers = ({}, {"ps_kind": "ground", "ps_latitude_deg": 40.0})
+    cfgs = [ScenarioConfig(seed=SEED, **server) for server in servers]
+    tables = [contact_table(cfg, 48 * 3600.0) for cfg in cfgs]
+    rate = orbital._margin_rate
+    monkeypatch.setattr(orbital, "_margin_rate", lambda sat, other: scale * rate(sat, other))
+    assert [contact_table(cfg, 48 * 3600.0) for cfg in cfgs] == tables
+    run = run_scenario(ScenarioConfig(seed=SEED), "fednonisl")
+    want = outcome.baseline
+    assert (run.records, run.counters, run.stop_reason) == (
+        want.records,
+        want.counters,
+        want.stop_reason,
+    )
+
+
 # Satellites that finish an epoch before the server does poll it in vain until
 # the epoch advances; the engine parks those polls and replays them. These
 # scenarios cover that on orbit and ground servers, with satellites that finish
@@ -66,12 +95,12 @@ PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),
         "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
-        "e8cee0da4210292eacbbdc20c221930335eea115ba15e0403e01c5c7afee6b7e",
+        "e52bebde914eb559d023e64d8e1a4a5be37b988ccbc0469dc21f6ebba1e7e143",
     ),
     "desk11": (
         desk_scenario(11, until_epochs=5),
         "e481e45f801b132fa1309161b6fec9d5a37b73a51817e2d918d7a67484f3f442",
-        "b681dd637cf431ebce9799d29c07275f9b17a092f4efed404a2be13b722e420c",
+        "bf9f206abf3265e52776453ef76df8bceeec6a7586e53739e6469fd577753845",
     ),
     "ground": (
         desk_scenario(
@@ -82,13 +111,13 @@ PINNED = {
             ps_latitude_deg=40.0,
             until_epochs=3,
         ),
-        "8d27a389efa6c99390dfa91f85578393297e438c49a8c193b5cce4c3e713459a",
-        "7e58687568b3d907458eb60f3190e08da19554c6f2073f709321852df1d15e94",
+        "2abe2b69a611a29af9bf7ffb60a8f0bd5510a440ef059cb12873070d62a277b1",
+        "4d3568baa6eabb96a3abd31905446311d7250ad89f60f1a33a105d67d0e0cfd0",
     ),
     "two-chains": (
         reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
         "dc01c555d0b61f38a2c2a0b465ae0b202c339db9643a8f1f215ccf74555ab889",
-        "37ad3b0c49e893448e5fe88f71facc92f8656a52ddcd5d77f8478e675ebcaaa2",
+        "32f055f35255ea54f59c33926c59839b1e7a832ea2bf70bf1cceac356ee5e6f9",
     ),
     "tiny-model": (
         desk_scenario(
@@ -100,12 +129,12 @@ PINNED = {
             until_epochs=4,
         ),
         "f8d80ca4eede82127a75a24e10e29d3f28f64b89fcf08eca3f5520610838545b",
-        "d9d2e27a17f8ba3256495a30a646f2e6f46f6466ea9c56be522aa872663cc743",
+        "d8e6f66b8fdde1dc12afff7ce14dec2d5a374cb6c83a5aa2eaa9eb388d4c202c",
     ),
     "time-limit": (
         desk_scenario(7, until_epochs=5, time_limit_s=4000.0),
         "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
-        "e9beeb2d07fd26dc0f6dd611e4b5d71e7384ffa016d9c996e0217343139fc376",
+        "a2420d298d23ff38b6a82d65974a003bba6fc44f074e86acb57b3bdb1405aac4",
     ),
 }
 

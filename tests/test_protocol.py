@@ -238,7 +238,7 @@ def test_select_sink_on_real_constellation():
     horizon = 4 * 3600.0
 
     def window_of(sat, t):
-        return con.next_contact(sat, 0, t, horizon)
+        return next(con.contacts(sat, 0, t, t + horizon), None)
 
     for t in (0.0, 900.0, 2400.0, 5000.0):
         target = t + 76.0

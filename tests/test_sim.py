@@ -612,8 +612,8 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
     plan.window = lambda sid, t: record(window(sid, t))
     plan.after = lambda sid, w: record(after(sid, w))
     engine.run()
-    # reach far enough past every scan that no used window is cut at the table's end
-    horizon = max(plan._resume.values()) + 3600.0
+    # reach far enough past every used window that none is cut at the table's end
+    horizon = max(end for _, _, end in used) + 3600.0
     rows = contact_table(engine.cfg, horizon)
     assert used
     for sid, start, end in used:
@@ -630,9 +630,9 @@ def test_contact_settings_reach_every_scan(monkeypatch):
         tols.add(tol_s)
         return flips(self, sat, other, t, t_end, tol_s)
 
-    def refine_recorded(self, a, b, t_lo, t_hi, tol_s, state_lo):
+    def refine_recorded(self, sat, other, t_lo, t_hi, tol_s, state_lo):
         tols.add(tol_s)
-        return refine(self, a, b, t_lo, t_hi, tol_s, state_lo)
+        return refine(self, sat, other, t_lo, t_hi, tol_s, state_lo)
 
     monkeypatch.setattr(Constellation, "_flips", flips_recorded)
     monkeypatch.setattr(Constellation, "_refine", refine_recorded)
@@ -642,20 +642,23 @@ def test_contact_settings_reach_every_scan(monkeypatch):
 
 
 # A pass that grazes a 40-degree station's 28.58433-degree mask for 2.85 s:
-# a 10 s grid stepped over it.
+# a 10 s grid stepped over it. Its edges are the first grid times at or after
+# the rise and the drop.
 def test_plan_holds_a_grazing_pass():
     cfg = desk_scenario(0, ps_kind="ground", ps_latitude_deg=40.0, ps_min_elevation_deg=28.58433)
     con = build_constellation(cfg)
     windows = ContactPlan(con, 43200.0).windows(1, 43200.0)
     (w,) = [w for w in windows if 8600.0 < w.start_s < 8700.0]
-    assert 8638.5 < w.start_s < 8638.7 and 2.7 < w.duration_s < 2.9
+    assert con.visible(1, PS_NODE, w.start_s)
+    assert not con.visible(1, PS_NODE, w.start_s - cfg.contact_tol_s)
+    assert abs(w.duration_s - 2.85) <= cfg.contact_tol_s
     assert con.visible(1, PS_NODE, 8640.0)
 
 
-# Bisection cannot narrow a bracket below the spacing of floats, nor can a scan
-# step or the plan's resume point move t by less. Each stops there instead, so
-# a scan ends at any positive tolerance. The budgets are far above what these
-# calls take and bound a scan that would never end.
+# A scan step cannot move t by less than one float, and the bisection of an
+# edge runs over the integer k of the grid times k * tol, however little k * tol
+# moves a float, so a scan ends at any positive tolerance. The budgets are far
+# above what these calls take and bound a scan that would never end.
 @pytest.mark.parametrize("server", [{}, _GROUND], ids=["orbit", "ground"])
 def test_scans_end_at_any_positive_tolerance(monkeypatch, server):
     visible, calls = Constellation.visible, [0]
