@@ -136,6 +136,21 @@ PINNED = {
         "1f7a2866f69cb11603533f20a02098951760128bfefedbf9e5e7b6b447b9c047",
         "a2420d298d23ff38b6a82d65974a003bba6fc44f074e86acb57b3bdb1405aac4",
     ),
+    # 100 satellites, so a fednonisl coast round carries up to 99 chains
+    "wide-coast": (
+        desk_scenario(
+            7,
+            num_planes=10,
+            sats_per_plane=10,
+            num_features=8,
+            num_classes=4,
+            samples_per_satellite=20,
+            test_samples=100,
+            until_epochs=3,
+        ),
+        "b01a0f2fe434830b0c980ba6b0b2a3ee9a72e6bc31bdc25661d7cd33e3d57279",
+        "93668e538b87d1a182789e1fe120d7bd3f17b85bcb481424a550d56be8de9606",
+    ),
 }
 
 
