@@ -106,23 +106,27 @@ def transfer_time(params: LinkParams, distance_m: float, payload_bits: int) -> f
     return transfer_times(params, distance_m, payload_bits)
 
 
-def _log2_each(x: np.ndarray) -> np.ndarray:
-    """math.log2 of each entry: np.log2 rounds some arguments differently."""
-    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
-
-
 def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     """:func:`transfer_time`, unchecked, at a float or an array of distances.
 
-    The log is ``math.log2``, of each entry for an array. Every other operation
-    rounds alike on both, so each entry equals the float answer.
+    Both run the same operations in the same order, an array in place but for
+    the two reciprocals and the log. The log is ``math.log2``, of each entry
+    for an array (``np.log2`` rounds some arguments otherwise), so each entry
+    equals the float answer.
     """
-    loss = (params.loss_factor * distance_m / SPEED_OF_LIGHT_M_S) ** 2
-    signal_to_noise = params.signal_w / (params.noise_w * loss)
-    log2 = _log2_each if isinstance(distance_m, np.ndarray) else math.log2
-    return (
-        payload_bits / (params.bandwidth_hz * log2(1.0 + signal_to_noise))
-        + distance_m / SPEED_OF_LIGHT_M_S
-        + params.tx_delay_s
-        + params.rx_delay_s
-    )
+    x = params.loss_factor * distance_m
+    x /= SPEED_OF_LIGHT_M_S
+    x **= 2  # the path loss
+    x *= params.noise_w
+    x = params.signal_w / x  # the signal-to-noise ratio
+    x += 1.0
+    if isinstance(x, np.ndarray):
+        x = np.fromiter(map(math.log2, x.tolist()), float, len(x))
+    else:
+        x = math.log2(x)
+    x *= params.bandwidth_hz  # the rate
+    x = payload_bits / x
+    x += distance_m / SPEED_OF_LIGHT_M_S
+    x += params.tx_delay_s
+    x += params.rx_delay_s
+    return x

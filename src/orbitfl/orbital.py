@@ -6,7 +6,9 @@ Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
 Each node's position constants are computed once per ``Constellation``; a
 query at a scalar t is evaluated with ``math`` and yields floats (a distance)
 or a bool (visibility), while an array of times is evaluated with numpy in one
-pass.
+pass. The orbit constants of every node are also stacked once, so that
+``distances_to`` evaluates many satellites, each at its own time, and an
+orbiting peer in one numpy pass that rounds as the scalar query does.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
@@ -151,15 +153,6 @@ class _OrbitTrack:
         self.co, self.so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
         self.so_ci = self.so * ci
         self.co_ci = self.co * ci
-
-    @classmethod
-    def stacked(cls, tracks):
-        """One track whose constants are arrays, entry i from ``tracks[i]``: its
-        ``at(t, np)`` puts track i at t[i]."""
-        stack = cls.__new__(cls)
-        for name in cls.__slots__:
-            setattr(stack, name, np.array([getattr(track, name) for track in tracks]))
-        return stack
 
     def at(self, t, m):
         theta = self.theta0 + _TWO_PI * t / self.period
@@ -343,6 +336,16 @@ class Constellation:
         else:
             ps_track = _GroundTrack(ps, earth_angle0_rad)
         self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
+        # every node's orbit constants stacked once for ``distances_to``, column
+        # n for node n (NaN for a ground server): theta0, period and r, and the
+        # coefficients by which ``_OrbitTrack.at`` turns the in-plane x and y
+        # into x, y and z
+        stack = np.array([
+            (tr.theta0, tr.period, tr.r, tr.co, tr.so, 0.0, -tr.so_ci, tr.co_ci, tr.si)
+            if isinstance(tr, _OrbitTrack) else (math.nan,) * 9
+            for tr in self._tracks
+        ]).T
+        self._angle, self._rotation = stack[:3], stack[3:].reshape(2, 3, -1)
         if self.ps_is_satellite:
             for n in range(1, node):
                 if _closest_approach_km(self._tracks[n], ps_track) <= _MIN_SEPARATION_KM:
@@ -383,13 +386,19 @@ class Constellation:
         t, m = _clock(t)
         return _distance(self._tracks[a].at(t, m), self._tracks[b].at(t, m), m.sqrt)
 
-    def distances_to(self, nodes, b: int):
+    def distances_to(self, nodes, b: int) -> _Distances:
         """The distance from each satellite of ``nodes`` to node ``b``, as a
         function of an array t that puts ``nodes[i]`` at t[i]: its entry i
-        equals ``distance_km(nodes[i], b, t[i])``."""
-        track = _OrbitTrack.stacked([self._tracks[n] for n in nodes])
+        equals ``distance_km(nodes[i], b, t[i])`` bit for bit. Its ``take``
+        keeps some of the satellites. Both index the constellation's stack."""
+        rows = np.array(nodes, dtype=np.intp)
         other = self._tracks[b]
-        return lambda t: _distance(track.at(t, np), other.at(t, np), np.sqrt)
+        if isinstance(other, _OrbitTrack):
+            rows, other = np.stack((rows, np.full_like(rows, b))), None
+        else:
+            rows = rows[np.newaxis]
+        angle = self._angle[:, rows[:, np.newaxis]]
+        return _Distances(angle, self._rotation[..., rows].swapaxes(1, 2).copy(), other)
 
     def visible(self, a: int, b: int, t):
         """Line-of-sight predicate between two nodes; t may be an array."""
@@ -469,6 +478,54 @@ class Constellation:
             else:
                 k_hi = k
         return k_hi * tol_s
+
+
+class _Distances:
+    """``Constellation.distances_to``'s function: satellite i's distance to
+    one node at t[i].
+
+    Its constants are indexed [row, ..., i]: row 0 holds the satellites', and
+    row 1 an orbiting peer's, so that both are evaluated in one pass of
+    ``_OrbitTrack.at``'s operations, and each operation runs on contiguous
+    blocks. ``co * x - so_ci * y`` is computed as ``co * x + (-so_ci) * y``,
+    which rounds alike, and the squared distance is summed in ``_distance``'s
+    order. A ground peer keeps its own ``at``.
+    """
+
+    __slots__ = ("angle", "rotation", "ground")
+
+    def __init__(self, angle, rotation, ground: _GroundTrack | None):
+        # angle: theta0, period and r, each (k, 1, n); rotation: the x and the
+        # y coefficients of the three coordinates, each (k, 3, n)
+        self.angle, self.rotation, self.ground = tuple(angle), tuple(rotation), ground
+
+    def __call__(self, t):
+        theta0, period, r = self.angle
+        x_coef, y_coef = self.rotation
+        theta = _TWO_PI * t / period
+        theta += theta0
+        x_plane = np.cos(theta)
+        x_plane *= r
+        y_plane = np.sin(theta, theta)
+        y_plane *= r
+        pos = x_coef * x_plane
+        pos += y_coef * y_plane
+        d = pos[0]
+        if self.ground is None:
+            d -= pos[1]
+        else:
+            for axis, coord in zip(d, self.ground.at(t, np)):
+                axis -= coord
+        d *= d
+        squared = d[0] + d[1]
+        squared += d[2]
+        return np.sqrt(squared, squared)
+
+    def take(self, keep) -> _Distances:
+        """The distances of the satellites at indices ``keep`` alone."""
+        return _Distances(
+            [a[..., keep] for a in self.angle], [c[..., keep] for c in self.rotation], self.ground
+        )
 
 
 class ContactPlan:

@@ -709,6 +709,11 @@ class _Simulation:
         left due reads RECONNECT in ``ps_epoch``, the server's epoch while the
         chains were parked (the current one by default). The control messages
         of all the cycles are charged in one count each way.
+
+        A round evaluates every chain's server distance in one numpy pass
+        (``Constellation.distances_to``) and its transfer times in place. Its
+        arrays are re-indexed only in a round where chains stop, and times are
+        clamped to ``until`` only in a round where a chain ran out of windows.
         """
         epoch = self.ps.epoch if ps_epoch is None else ps_epoch
         due = [(sid, at, _FIRE, ()) for sid, at in self._parked.items()]
@@ -719,21 +724,29 @@ class _Simulation:
         params, bits, wait = self.link_params, link.CONTROL_MESSAGE_BITS, self.cfg.reconnect_wait_s
         distance_km = self.con.distances_to(sids, PS_NODE)
 
-        def transfer_s(t):
-            # a chain that stops before this stage may sit at infinity; its entry goes unused
-            d_m = distance_km(np.minimum(t, until)) * 1000.0
+        def transfer_s(t, clamp):
+            # a chain with no window left sits at infinity (then clamp is set);
+            # it stops this round, so its entry goes unused
+            d_m = distance_km(np.minimum(t, until) if clamp else t)
+            d_m *= 1000.0
             return link.transfer_times(params, d_m, bits)
 
         polls = answers = 0
         while sids:
-            for i in np.flatnonzero(t > w_end).tolist():  # its window closed: find the next
+            at_inf = False
+            for i in (t > w_end).nonzero()[0].tolist():  # its window closed: find the next
                 w = self.plan.window(sids[i], float(t[i]))
-                w_start[i], w_end[i] = (math.inf, math.inf) if w is None else (w.start_s, w.end_s)
+                if w is None:  # no window left: the chain goes to infinity
+                    w_start[i] = w_end[i] = math.inf
+                    at_inf = True
+                else:
+                    w_start[i], w_end[i] = w.start_s, w.end_s
             fire = np.maximum(t, w_start)  # out of view: poll when the window opens
-            asked = fire + transfer_s(fire)
-            answered = asked + transfer_s(asked)
+            asked = fire + transfer_s(fire, at_inf)
+            answered = asked + transfer_s(asked, at_inf)
             t = answered + wait
-            stops = np.flatnonzero(t > until).tolist()
+            late = t > until
+            stops = late.nonzero()[0].tolist()
             full = len(sids) - len(stops)  # the cycles that ended by until
             polls, answers = polls + full, answers + full
             if not stops:
@@ -744,10 +757,11 @@ class _Simulation:
                 polls, answers = polls + (k > 0), answers + (k > 1)
                 reply = (protocol.RECONNECT, epoch) if k == 2 else ()
                 due[order[i]] = sids[i], times[k], _CYCLE[k], reply
-            going = np.flatnonzero(t <= until)
-            sids, order = [sids[i] for i in going], [order[i] for i in going]
+            going = (~late).nonzero()[0]
+            keep = going.tolist()
+            sids, order = [sids[i] for i in keep], [order[i] for i in keep]
             t, w_start, w_end = t[going], w_start[going], w_end[going]
-            distance_km = self.con.distances_to(sids, PS_NODE)
+            distance_km = distance_km.take(going)
         self._charge("ps_up", control=True, count=polls)
         self._charge("ps_down", control=True, count=answers)
         for sid, at, stage, _ in due:

@@ -428,6 +428,40 @@ def test_scalar_queries_equal_grid_queries(con, data):
             assert np.array_equal(con.position(node, t), con.position(node, grid)[0])
 
 
+# A coast evaluates many satellites' server distances, each at its own time, in
+# one pass, and keeps evaluating the chains left when some stop. Every entry
+# must equal the point query an event makes, for any list of satellites (none,
+# repeats, the subsets left as chains drop out, up to every satellite of a
+# 20 x 20 constellation), to an orbiting or ground server or to a satellite.
+WIDE = [
+    Constellation(walker_planes(20, 20, 2000.0, math.radians(80.0)), ps, earth_angle0_rad=0.4)
+    for ps in (MEO_PS, GroundStationSpec(0.7, 0.3, 0.1, 0.5))
+]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(con=st.one_of(constellations(), st.sampled_from(WIDE)), data=st.data())
+def test_distances_to_equal_scalar_distances(con, data):
+    ids = con.satellite_ids()
+    rnd = data.draw(st.randoms(use_true_random=True))
+    kind = data.draw(st.sampled_from(["every", "subset", "any"]))
+    if kind == "every":
+        nodes = ids
+    elif kind == "subset":
+        keep = rnd.random()
+        nodes = [n for n in ids if rnd.random() < keep]
+    else:
+        nodes = [rnd.choice(ids) for _ in range(rnd.randint(0, 12))]
+    b = data.draw(st.one_of(st.just(PS_NODE), st.sampled_from(ids)))
+    t = np.array([rnd.uniform(0.0, 3e6) for _ in nodes])
+    distances = con.distances_to(nodes, b)
+    want = [con.distance_km(n, b, float(ti)) for n, ti in zip(nodes, t)]
+    assert distances(t).tolist() == want
+    # the chains left after some stop, as the coast re-indexes them
+    going = np.array([i for i in range(len(nodes)) if rnd.random() < 0.7], dtype=np.intp)
+    assert distances.take(going)(t[going]).tolist() == [want[i] for i in going]
+
+
 # -- completeness of the window scan ----------------------------------------------
 
 # The scan steps by |margin| over a bound on the margin's rate. A finite

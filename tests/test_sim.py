@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitfl.link as link
 import orbitfl.protocol as protocol
@@ -530,6 +532,28 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
 def test_array_transfer_times_equal_scalar_ones():
     params, bits = _link_params(desk_scenario(0)), link.CONTROL_MESSAGE_BITS
     d_m = [25965709.286489364, 38160466.07458334, 38383949.87395545, 21209748.262874674]
+    want = [link.transfer_time(params, d, bits) for d in d_m]
+    assert link.transfer_times(params, np.array(d_m), bits).tolist() == want
+
+
+# An array of distances runs the float's operations in the same order, so any
+# link, with processing delays too, and any payload give every entry the float
+# answer.
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    link_values=st.tuples(
+        *(st.floats(1e-3, 1e3) for _ in range(3)),  # tx power (W), tx and rx gains
+        st.floats(1e3, 1e9),  # bandwidth (Hz)
+        st.floats(1.0, 1e4),  # noise temperature (K)
+        st.floats(1e6, 1e11),  # carrier (Hz)
+        st.floats(1e-9, 1.0),  # tx delay (s)
+        st.floats(1e-9, 1.0),  # rx delay (s)
+    ),
+    bits=st.integers(0, 10**9),
+    d_m=st.lists(st.floats(1.0, 1e9), min_size=1, max_size=500),
+)
+def test_array_transfer_times_equal_scalar_ones_on_any_link(link_values, bits, d_m):
+    params = link.LinkParams(*link_values)
     want = [link.transfer_time(params, d, bits) for d in d_m]
     assert link.transfer_times(params, np.array(d_m), bits).tolist() == want
 
