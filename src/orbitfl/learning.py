@@ -32,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
-# rows of a synthetic pool's noise drawn at a time; a chunked draw equals one draw bit for bit
-_DRAW_ROWS = 512
+# rows of a synthetic pool's noise drawn at a time; a chunked draw equals one
+# draw bit for bit. A scenario's two pools are drawn at once, on two threads,
+# so a chunk is kept small in memory, yet large enough that the loop is free.
+_DRAW_ROWS = 64
 
 
 class DataFormatError(ValueError):
@@ -325,7 +327,16 @@ def synthetic_pool(
     of the pool, each a row slice of one block. Either way the noise is drawn
     a chunk of rows at a time, in pool order, and each row is written straight
     into its place in the block, so the rows are those of one whole draw.
+    The draw reads no state but its own generators and runs no BLAS, so two
+    pools can be drawn on two threads at once and come out as drawn in turn.
     """
+    return _synthetic_pool(
+        num_samples, num_features, num_classes, seed, separation, means_seed, shard
+    )
+
+
+def _synthetic_pool(num_samples, num_features, num_classes, seed, separation, means_seed, shard):
+    """:func:`synthetic_pool`, under the private name a worker thread calls."""
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
     means_rng = np.random.default_rng(seed if means_seed is None else means_seed)
@@ -362,6 +373,11 @@ def load_idx(images_path: str, labels_path: str) -> LocalDataset:
     Big-endian headers; image bytes are flattened row-major and scaled to
     [0, 1].
     """
+    return _load_idx(images_path, labels_path)
+
+
+def _load_idx(images_path: str, labels_path: str) -> LocalDataset:
+    """:func:`load_idx`, under the private name a worker thread calls."""
     with open(images_path, "rb") as f:
         header = f.read(16)
         if len(header) < 16:

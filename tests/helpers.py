@@ -2,8 +2,11 @@
 
 Everything here recomputes expected values by the dumbest defensible method
 (dense scans, direct enumeration, finite differences) so the library is checked
-against an independent implementation, not against itself.
+against an independent implementation, not against itself. ``write_idx_pair``
+writes the IDX files that data-loading tests read.
 """
+
+import struct
 
 import numpy as np
 
@@ -57,3 +60,20 @@ def numeric_gradient(loss_fn, params, eps=1e-6):
         dn[i] -= eps
         grad[i] = (loss_fn(up) - loss_fn(dn)) / (2 * eps)
     return grad
+
+
+def write_idx_pair(directory, images, labels, stem="data"):
+    """Write an IDX image file and label file under ``directory``; their paths.
+
+    ``images`` is an (n, rows, cols) array and ``labels`` has n entries, both
+    stored as unsigned bytes; the files are ``<stem>-images-idx3-ubyte`` and
+    ``<stem>-labels-idx1-ubyte``.
+    """
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, rows, cols = images.shape
+    ip = directory / f"{stem}-images-idx3-ubyte"
+    lp = directory / f"{stem}-labels-idx1-ubyte"
+    ip.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes())
+    lp.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
+    return str(ip), str(lp)

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbitfl.cli import (
@@ -27,6 +28,8 @@ from orbitfl.sim import (
     desk_scenario,
     reference_scenario,
 )
+
+from helpers import write_idx_pair
 
 SMALL = """
 [data]
@@ -539,6 +542,55 @@ def test_validate_reports_problems(tmp_path, capsys):
     path.write_text("[constellation]\naltitude_km = -3.0\n\n[sim]\nseed = 1\n")
     assert main(["validate", "--config", str(path)]) == 1
     assert "altitude_km" in capsys.readouterr().out
+
+
+def _idx_ini(tmp_path, side=None, fault=None) -> Path:
+    """SMALL read from idx files: 400 training and 60 test rows of 4x4 images
+    with labels in [0, 3), except that the ``side`` file pair has 4x3 images
+    when ``fault`` is "features", and a label of 11 when it is "labels"."""
+    rng = np.random.default_rng(2)
+    keys = {"source": "idx"}
+    for name, rows in (("train", 400), ("test", 60)):
+        shape = (rows, 4, 3) if (name, fault) == (side, "features") else (rows, 4, 4)
+        images = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        labels = rng.integers(0, 3, size=rows, dtype=np.uint8)
+        if (name, fault) == (side, "labels"):
+            labels[-1] = 11
+        pair = write_idx_pair(tmp_path, images, labels, stem=name)
+        keys[f"{name}_images_path"], keys[f"{name}_labels_path"] = pair
+    path = tmp_path / "idx.ini"
+    path.write_text(ini_with({"data": keys}))
+    return path
+
+
+def test_idx_files_that_fit_the_data_section_validate(tmp_path, capsys):
+    path = _idx_ini(tmp_path)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
+# An idx file must agree with [data]: its image size with num_features, and
+# its labels with num_classes. Otherwise every command that builds the data
+# names the file as a [data] problem, before a run starts.
+@pytest.mark.parametrize("side", ["train", "test"])
+@pytest.mark.parametrize("fault", ["features", "labels"])
+def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
+    tmp_path, capsys, side, fault
+):
+    path = _idx_ini(tmp_path, side, fault)
+    if fault == "features":
+        bad = tmp_path / f"{side}-images-idx3-ubyte"
+        problem = f"[data] {bad}: 12 features per image, but num_features is 16"
+    else:
+        bad = tmp_path / f"{side}-labels-idx1-ubyte"
+        problem = f"[data] {bad}: label 11, but num_classes is 3"
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [problem]
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
 
 
 # -- exit codes ------------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from orbitfl.learning import (
     synthetic_pool,
 )
 
-from helpers import numeric_gradient
+from helpers import numeric_gradient, write_idx_pair
 
 
 def small_dataset(seed=0, n=40, f=5, c=3):
@@ -377,24 +377,11 @@ def test_separable_pool_trains_quickly():
     assert accuracy >= 0.95
 
 
-def _write_idx_pair(tmp_path, images, labels):
-    import struct as _struct
-
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    ip = tmp_path / "images-idx3-ubyte"
-    lp = tmp_path / "labels-idx1-ubyte"
-    ip.write_bytes(_struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes())
-    lp.write_bytes(_struct.pack(">II", 0x00000801, n) + labels.tobytes())
-    return str(ip), str(lp)
-
-
 def test_load_idx_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     images = rng.integers(0, 256, size=(7, 4, 3), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7, dtype=np.uint8)
-    ip, lp = _write_idx_pair(tmp_path, images, labels)
+    ip, lp = write_idx_pair(tmp_path, images, labels)
     pool = load_idx(ip, lp)
     assert pool.num_samples == 7
     assert pool.num_features == 12
@@ -417,7 +404,7 @@ def test_load_idx_rejects_bad_magic(tmp_path):
 def test_load_idx_rejects_count_mismatch(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     labels = np.zeros(3, dtype=np.uint8)
-    ip, lp = _write_idx_pair(tmp_path, images, labels)
+    ip, lp = write_idx_pair(tmp_path, images, labels)
     # truncate one label
     raw = open(lp, "rb").read()
     open(lp, "wb").write(raw[:-1])

@@ -1,15 +1,19 @@
 import heapq
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitfl.learning as learning
 import orbitfl.link as link
 import orbitfl.protocol as protocol
 import orbitfl.sim as sim
 from orbitfl import orbital
+from orbitfl.cli import emit_config, main
 from orbitfl.orbital import PS_NODE, Constellation, ContactPlan
 from orbitfl.sim import (
     CompareResult,
@@ -27,6 +31,8 @@ from orbitfl.sim import (
     run_scenario,
     validate_scenario,
 )
+
+from helpers import write_idx_pair
 
 
 def small_scenario(**overrides):
@@ -152,6 +158,112 @@ def test_label_split_halves_class_range():
                                          until_epochs=1), "fednonisl")
     p, q = ring.epoch_params[1], direct.epoch_params[1]
     assert np.max(np.abs(p - q)) <= 1e-12 * max(np.max(np.abs(q)), 1e-30)
+
+
+# -- the data build: the test set is made on a worker thread ---------------------
+
+
+@pytest.mark.parametrize("scheme", ["iid", "label_split"])
+def test_build_equals_the_two_pools_drawn_in_turn(scheme):
+    # 400 training and 150 test rows: several draw chunks on each side
+    cfg = small_scenario(data_scheme=scheme, num_classes=4, test_samples=150)
+    groups = [{0, 1}, {2, 3}] if scheme == "label_split" else None
+
+    def shard(labels):
+        return learning.partition_dataset(
+            labels, 40, scheme=scheme, seed=cfg.seed, label_groups=groups
+        )
+
+    draw = dict(num_features=16, num_classes=4, separation=cfg.separation, means_seed=cfg.seed)
+    shards = learning.synthetic_pool(400, seed=cfg.seed + 1, shard=shard, **draw)
+    test = learning.synthetic_pool(150, seed=cfg.seed + 2, **draw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+    try:
+        by_sat, test_set = build_datasets(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
+        assert got.augmented.tobytes() == want.augmented.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def _idx_paths(tmp_path):
+    """Matching idx files for small_scenario: 400 training and 60 test rows of
+    4x4 images, labels in [0, 3)."""
+    rng = np.random.default_rng(5)
+    paths = {}
+    for side, rows in (("train", 400), ("test", 60)):
+        images = rng.integers(0, 256, size=(rows, 4, 4), dtype=np.uint8)
+        labels = rng.integers(0, 3, size=rows, dtype=np.uint8)
+        pair = write_idx_pair(tmp_path, images, labels, stem=side)
+        paths[f"{side}_images_path"], paths[f"{side}_labels_path"] = pair
+    return paths
+
+
+def test_an_idx_build_equals_the_two_files_loaded_in_turn(tmp_path):
+    paths = _idx_paths(tmp_path)
+    by_sat, test_set = build_datasets(small_scenario(data_source="idx", **paths))
+    train = learning.load_idx(paths["train_images_path"], paths["train_labels_path"])
+    shards = learning.partition_dataset(train, 40, seed=3)
+    test = learning.load_idx(paths["test_images_path"], paths["test_labels_path"])
+    for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
+        assert got.augmented.tobytes() == want.augmented.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def _build_problems(cfg, monkeypatch):
+    """The problems ``_build`` raises for ``cfg``, once it is checked to leave
+    no thread alive and to hand nothing to ``threading.excepthook``."""
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    threads = threading.active_count()
+    with pytest.raises(ConfigError) as err:
+        _build(cfg)
+    assert threading.active_count() == threads
+    assert hooked == []
+    return err.value.problems
+
+
+# A failed side raises the error a sequential build raises: the test side's
+# when it fails alone, else the training side's.
+@pytest.mark.parametrize(
+    "overrides, rows",
+    [(dict(test_samples=2), 2), (dict(samples_per_satellite=1, num_classes=60, test_samples=2), 40)],
+    ids=["test", "both"],
+)
+def test_a_failed_draw_is_the_error_a_sequential_build_raises(monkeypatch, overrides, rows):
+    problems = _build_problems(small_scenario(**overrides), monkeypatch)
+    assert problems == [f"[data] need at least one sample per class, got {rows}"]
+
+
+@pytest.mark.parametrize(
+    "gone, named", [(["test"], "test"), (["train", "test"], "train")], ids=["test", "both"]
+)
+def test_a_failed_load_is_the_error_a_sequential_build_raises(tmp_path, monkeypatch, gone, named):
+    paths = _idx_paths(tmp_path)
+    for side in gone:
+        paths[f"{side}_images_path"] = str(tmp_path / f"no-{side}")
+    problems = _build_problems(small_scenario(data_source="idx", **paths), monkeypatch)
+    missing = tmp_path / f"no-{named}"
+    assert problems == [f"[data] [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_a_build_leaves_no_thread_behind(tmp_path):
+    threads = threading.active_count()
+    build_datasets(small_scenario())
+    assert threading.active_count() == threads
+    build_datasets(small_scenario(data_source="idx", **_idx_paths(tmp_path)))
+    assert threading.active_count() == threads
+
+
+def test_a_cli_data_error_is_one_line_on_stderr(tmp_path, capfd):
+    path = tmp_path / "bad.ini"
+    path.write_text(emit_config(small_scenario(test_samples=2)))
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "config error: [data] need at least one sample per class, got 2\n"
 
 
 # -- ring protocol runs -----------------------------------------------------------
