@@ -215,9 +215,7 @@ class SatelliteState:
     num_samples: int
     epoch: int = 1
     has_model: bool = False
-    told_to_wait: bool = False
     sink: int | None = None
-    source: int | None = None
     global_params: np.ndarray | None = None
     trained_params: np.ndarray | None = None
     cached_partials: dict[int, np.ndarray] = field(default_factory=dict)
@@ -238,9 +236,7 @@ class SatelliteState:
     def reset_for_next_epoch(self):
         self.epoch += 1
         self.has_model = False
-        self.told_to_wait = False
         self.sink = None
-        self.source = None
         self.global_params = None
         self.trained_params = None
         self.cached_partials = {}

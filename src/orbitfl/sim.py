@@ -5,7 +5,8 @@ attempts, message arrivals, training completions, and waits for a server
 window. Every message is charged to the run's traffic counters in one place
 and, through one send path, scheduled to arrive. A satellite runs at most one
 poll chain: poll, server answer, reply, retry. Its stages are written once, in
-one method that runs the stage an event brings and books the next. A satellite
+one method that runs the stage an event brings and books the next, and its one
+record is the time and stage of that next event. A satellite
 that is ahead of the server, done with the server's epoch and asking for the
 next model, is answered "not yet" until the epoch advances, and it ignores
 which "not yet" it gets. So its chain is parked off the heap, where it
@@ -372,8 +373,8 @@ def build_datasets(cfg: ScenarioConfig):
     The worker calls the private bodies of the learning functions, so a
     profiler that wraps the public ones on one call stack for all threads
     (``perfbench/spans.py``) sees this thread's calls alone. An idx file must
-    hold ``num_features`` features per image and, in the rows used, labels
-    below ``num_classes``."""
+    hold at least one image, ``num_features`` features per image and, in the
+    rows used, labels below ``num_classes``."""
     num_sats = cfg.num_planes * cfg.sats_per_plane
     groups = None
     if cfg.data_scheme == "label_split":
@@ -393,6 +394,8 @@ def build_datasets(cfg: ScenarioConfig):
 
         def load(read, images_path, labels_path, rows):
             pool = read(images_path, labels_path)
+            if pool.num_samples == 0:
+                raise learning.DataFormatError(f"{images_path}: holds no images")
             if pool.num_features != cfg.num_features:
                 raise learning.DataFormatError(
                     f"{images_path}: {pool.num_features} features per image, "
@@ -585,10 +588,10 @@ class _Simulation:
         self.done = False
         self.stop_reason = ""
         self.end = _end_s(cfg)
-        # when each satellite's booked poll fires, None when none is booked
-        self._poll_at: dict[int, float | None] = dict.fromkeys(ids)
-        self._request_inflight: dict[int, bool] = {sid: False for sid in ids}
-        self._delivery_inflight: dict[int, bool] = {sid: False for sid in ids}
+        # each satellite's poll chain: the (time, stage) of its next stage, the
+        # one event of the chain that runs; None when it runs no chain or the
+        # chain is parked
+        self._due: dict[int, tuple[float, str] | None] = dict.fromkeys(ids)
         # the poll chains of satellites ahead of the server, parked off the
         # heap at a poll: when each one's next poll is due
         self._parked: dict[int, float] = {}
@@ -630,13 +633,6 @@ class _Simulation:
 
     # -- connection polling ----------------------------------------------------
 
-    def _wants_model(self, sat: protocol.SatelliteState) -> bool:
-        return (
-            not sat.has_model
-            and not sat.told_to_wait
-            and not self._request_inflight[sat.node]
-        )
-
     def _poll_time(self, sid: int, t: float) -> float:
         """When a poll wanted at t goes out: at once inside a server window,
         else when the next window opens, else never (at infinity)."""
@@ -645,19 +641,21 @@ class _Simulation:
 
     def _schedule_poll(self, sid: int, t: float):
         """Book a poll for the satellite's server window open at t or next, in
-        place of a poll booked later (a retry)."""
-        if not self._wants_model(self.sats[sid]):
+        place of a poll booked later (a retry). A chain that waits on the
+        server keeps its course."""
+        due = self._due[sid]
+        if due is not None and due[1] != _FIRE:
             return
-        at, booked = self._poll_time(sid, t), self._poll_at[sid]
-        if booked is None or at < booked:
-            self._poll_at[sid] = at
+        at = self._poll_time(sid, t)
+        if due is None or at < due[0]:
+            self._due[sid] = at, _FIRE
             self.schedule(at, self._fire_poll, sid)
 
     def _fire_poll(self, sid: int):
-        """Ask the server for the model when in view, else book a poll. A heap
-        poll for a parked satellite is stale, as is a retry a fresh poll replaced."""
-        if sid not in self._parked:
-            self._poll(sid, _FIRE, ())
+        """Ask the server for the model when in view, else book a poll. Runs
+        only as the chain's booked stage: a retry a fresh poll replaced, and a
+        poll of a parked or ended chain, are stale."""
+        self._poll(sid, _FIRE, ())
 
     def _ps_recv_request(self, sid: int):
         self._poll(sid, _REQUEST, ())
@@ -670,24 +668,28 @@ class _Simulation:
         reply) that an event brings now, then book the chain's next stage as
         its event, or park the chain.
 
+        The chain's one record is ``_due[sid]``: an event runs only when it
+        brings the stage due at this time, and clears the record; every stage
+        booked writes it, and a chain that ends or parks leaves it None, so
+        any other event of the chain on the heap is stale.
+
         A satellite ahead of the server is answered "not yet" until the epoch
         advances, and it ignores which "not yet" it gets, so its chain is
         parked once it books a retry. `_replay_parked` carries a parked chain
         on without asking the server: when the epoch advances, to that time,
         and when the run stops."""
         t, sat, ps = self.t, self.sats[sid], self.ps
+        if self._due[sid] != (t, stage):  # not the stage booked
+            return
+        self._due[sid] = None
         bits = link.CONTROL_MESSAGE_BITS
         if stage == _FIRE:
-            if self._poll_at[sid] != t:  # not the booked poll
-                return
-            self._poll_at[sid] = None
-            if not self._wants_model(sat):
+            if sat.has_model:  # it came over the ring
                 return
             at = self._poll_time(sid, t)
             if at > t:  # out of view: book a poll for the next window
-                t = self._poll_at[sid] = at
+                t = at
             else:
-                self._request_inflight[sid] = True
                 self._charge("ps_up", control=True)
                 t += self._ps_transfer_s(sid, t, bits)
                 stage = _REQUEST
@@ -706,14 +708,12 @@ class _Simulation:
             t += self._ps_transfer_s(sid, t, bits)
             stage = _REPLY
         else:
-            self._request_inflight[sid] = False
             action, ps_epoch = reply
             if action == protocol.WAIT and sat.epoch == ps_epoch:
                 # the model for this epoch already went to the group; it is
                 # on its way over the ring, so stop asking
-                sat.told_to_wait = True
                 return
-            t = self._poll_at[sid] = t + self.cfg.reconnect_wait_s
+            t += self.cfg.reconnect_wait_s
             stage, reply = _FIRE, ()
             if sat.epoch > ps.epoch:
                 if sat.group not in ps.sent and sat.group not in ps.inflight:
@@ -723,6 +723,7 @@ class _Simulation:
                     )
                 self._parked[sid] = t
                 return
+        self._due[sid] = t, stage
         self.schedule(t, getattr(self, stage), sid, *reply)
 
     def _serve(self, sid: int) -> bool:
@@ -745,7 +746,7 @@ class _Simulation:
     def _replay_parked(self, until: float, ps_epoch: int | None = None) -> list[tuple]:
         """Coast every parked chain to ``until`` and unpark it. Returns each
         chain's stage due next, after ``until``, as (satellite, t, handler
-        name, reply args), in parking order.
+        name, reply args), in parking order, and books it in ``_due``.
 
         The chains run in lockstep, a cycle of each per round: a poll once in
         view (a window is looked up only when the chain's last one has
@@ -811,8 +812,7 @@ class _Simulation:
         self._charge("ps_up", control=True, count=polls)
         self._charge("ps_down", control=True, count=answers)
         for sid, at, stage, _ in due:
-            self._poll_at[sid] = at if stage == _FIRE else None
-            self._request_inflight[sid] = stage != _FIRE
+            self._due[sid] = at, stage
         return due
 
     def _unpark(self, ps_epoch: int):
@@ -829,9 +829,6 @@ class _Simulation:
     def _sat_recv_model(self, sid, epoch, sink, source, sender, params):
         """A global model lands, from the server (sender None) or a neighbor."""
         sat = self.sats[sid]
-        from_ps = sender is None
-        if from_ps:
-            self._request_inflight[sid] = False
         if sat.has_model:
             self.counters["duplicate_models"] += 1
             return
@@ -839,14 +836,12 @@ class _Simulation:
         sat.epoch = epoch
         sat.global_params = params
         sat.sink = sink
-        sat.source = source
-        if from_ps:
+        if sender is None:
             dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
             self._send("ps_up", dt, self._ps_recv_ack, sid, control=True)
         ring = self.groups[sat.group]
-        received_from = None if from_ps else sender
         dt = self.isl_model_s[sat.group]
-        for target in protocol.distribution_targets(ring, sid, source, received_from):
+        for target in protocol.distribution_targets(ring, sid, source, sender):
             self._send("isl", dt, self._sat_recv_model, target, epoch, sink, source, sid, params)
         self.schedule(self.t + self.compute_s[sid], self._compute_done, sid)
 
@@ -859,7 +854,7 @@ class _Simulation:
 
     def _try_send_partial(self, sid: int):
         sat = self.sats[sid]
-        if sat.partial_sent or sat.trained_params is None:
+        if sat.trained_params is None:
             return
         tree = self._tree(sat.group, sat.sink)
         kids = tree.children.get(sid, ())
@@ -874,7 +869,6 @@ class _Simulation:
         if sid == sat.sink:
             sat.holding = weighted
             sat.holding_epoch = sat.epoch
-            sat.holding_from = None
             self._try_deliver(sid)
             return
         parent = tree.parent[sid]
@@ -903,15 +897,11 @@ class _Simulation:
     def _try_deliver(self, sid: int):
         """A satellite holding a group aggregate pushes it to the server as
         soon as geometry allows."""
-        sat = self.sats[sid]
-        if sat.holding is None or self._delivery_inflight[sid]:
-            return
-        t = self.t
+        sat, t = self.sats[sid], self.t
         w = self.plan.window(sid, t)
         if w is not None and w.start_s <= t:
             dt = self._ps_transfer_s(sid, t, self.model_bits)
             if t + dt <= w.end_s:
-                self._delivery_inflight[sid] = True
                 self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
                 return
             w = self.plan.after(sid, w)
@@ -951,7 +941,6 @@ class _Simulation:
 
     def _ps_recv_update(self, sid, epoch, weighted):
         sat = self.sats[sid]
-        self._delivery_inflight[sid] = False
         before = self.ps.epoch
         if self.ps.handle_partial(sat.group, weighted) != protocol.ACCEPT:
             raise protocol.ProtocolError(f"server refused the aggregate from {sid}")

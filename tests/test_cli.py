@@ -547,10 +547,12 @@ def test_validate_reports_problems(tmp_path, capsys):
 def _idx_ini(tmp_path, side=None, fault=None) -> Path:
     """SMALL read from idx files: 400 training and 60 test rows of 4x4 images
     with labels in [0, 3), except that the ``side`` file pair has 4x3 images
-    when ``fault`` is "features", and a label of 11 when it is "labels"."""
+    when ``fault`` is "features", a label of 11 when it is "labels", and no
+    images when it is "empty"."""
     rng = np.random.default_rng(2)
     keys = {"source": "idx"}
     for name, rows in (("train", 400), ("test", 60)):
+        rows = 0 if (name, fault) == (side, "empty") else rows
         shape = (rows, 4, 3) if (name, fault) == (side, "features") else (rows, 4, 4)
         images = rng.integers(0, 256, size=shape, dtype=np.uint8)
         labels = rng.integers(0, 3, size=rows, dtype=np.uint8)
@@ -569,21 +571,22 @@ def test_idx_files_that_fit_the_data_section_validate(tmp_path, capsys):
     assert capsys.readouterr().out == "ok\n"
 
 
-# An idx file must agree with [data]: its image size with num_features, and
-# its labels with num_classes. Otherwise every command that builds the data
-# names the file as a [data] problem, before a run starts.
+# An idx file must hold images and agree with [data]: its image size with
+# num_features, and its labels with num_classes. Otherwise every command that
+# builds the data names the file as a [data] problem, before a run starts; a
+# test file with no images would give every record a nan accuracy and loss.
 @pytest.mark.parametrize("side", ["train", "test"])
-@pytest.mark.parametrize("fault", ["features", "labels"])
+@pytest.mark.parametrize("fault", ["features", "labels", "empty"])
 def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
     tmp_path, capsys, side, fault
 ):
     path = _idx_ini(tmp_path, side, fault)
-    if fault == "features":
-        bad = tmp_path / f"{side}-images-idx3-ubyte"
-        problem = f"[data] {bad}: 12 features per image, but num_features is 16"
-    else:
-        bad = tmp_path / f"{side}-labels-idx1-ubyte"
-        problem = f"[data] {bad}: label 11, but num_classes is 3"
+    images, labels = tmp_path / f"{side}-images-idx3-ubyte", tmp_path / f"{side}-labels-idx1-ubyte"
+    problem = {
+        "features": f"[data] {images}: 12 features per image, but num_features is 16",
+        "labels": f"[data] {labels}: label 11, but num_classes is 3",
+        "empty": f"[data] {images}: holds no images",
+    }[fault]
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [problem]
     out = tmp_path / "out.csv"
@@ -591,6 +594,29 @@ def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not out.exists()
+
+
+# A run reads the first rows of an idx pair that holds more than it uses: its
+# CSV is that of files cut to exactly those rows.
+def test_an_idx_pair_longer_than_the_run_reads_its_first_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    sides = [
+        (name, rng.integers(0, 256, size=(rows, 4, 4)), rng.integers(0, 3, size=rows), used)
+        for name, rows, used in (("train", 435, 400), ("test", 75, 60))
+    ]
+    csvs = []
+    for folder in ("long", "cut"):
+        keys = {"source": "idx"}
+        (tmp_path / folder).mkdir()
+        for name, images, labels, used in sides:
+            rows = slice(used if folder == "cut" else None)
+            pair = write_idx_pair(tmp_path / folder, images[rows], labels[rows], stem=name)
+            keys[f"{name}_images_path"], keys[f"{name}_labels_path"] = pair
+        path, out = tmp_path / folder / "idx.ini", tmp_path / folder / "out.csv"
+        path.write_text(ini_with({"data": keys}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 # -- exit codes ------------------------------------------------------------------------------

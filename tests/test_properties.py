@@ -101,15 +101,18 @@ def _goals():
     return st.tuples(st.floats(3600.0, 6 * 3600.0), st.integers(1, 2))
 
 
-def _run(cfg, goals, protocol_name):
+def _run(cfg, goals, protocol_name, watch=None):
     """The run's result, or None when the scenario cannot run under the
-    protocol (which scenarios those are is checked above) or gets stuck."""
+    protocol (which scenarios those are is checked above) or gets stuck.
+    ``watch(engine)``, when given, is called before the engine runs."""
     limit, epochs = goals
     try:
         build = _build(replace(cfg, time_limit_s=limit, until_epochs=epochs))
         engine = _Simulation(build, protocol_name)
     except ConfigError:
         return None
+    if watch is not None:
+        watch(engine)
     try:
         return engine.run()
     except DeadlockError:
@@ -151,6 +154,71 @@ def test_each_epoch_sends_one_server_model_each_way_per_group(cfg, goals, protoc
     for before, after in zip(result.records, result.records[1:]):
         assert after.ps_down_msgs - before.ps_down_msgs == groups
         assert after.ps_up_msgs - before.ps_up_msgs == groups
+
+
+# The engine keeps no guard for states its events never meet: a satellite
+# runs _try_deliver only while it holds an aggregate and has none on its way
+# to the server, _try_send_partial only before its partial sum is folded, and
+# _schedule_poll only while its poll chain is not parked. Blind sinks, elected
+# out of view where the group has one, make deliveries wait and hand off.
+def _watch_unguarded_states(engine):
+    sats, parked, inflight = engine.sats, engine._parked, set()
+
+    def deliverable(sid):
+        assert sats[sid].holding is not None and sid not in inflight
+
+    def unfolded(sid):
+        assert not sats[sid].partial_sent
+
+    def unparked(sid):
+        assert sid not in parked
+
+    def before(name, check):
+        method = getattr(engine, name)
+
+        def wrapper(sid, *args):
+            check(sid)
+            return method(sid, *args)
+
+        setattr(engine, name, wrapper)
+
+    before("_try_deliver", deliverable)
+    before("_try_send_partial", unfolded)
+    before("_schedule_poll", unparked)
+    before("_ps_recv_update", inflight.discard)  # the aggregate has landed
+    schedule = engine.schedule
+
+    def booked(t, fn, *args):
+        if fn is engine._ps_recv_update:  # an aggregate on its way to the server
+            inflight.add(args[0])
+        schedule(t, fn, *args)
+
+    engine.schedule = booked
+
+
+def _blind_sink(group_ids, t_target, window_of):
+    """The first member out of the server's view at ``t_target``, else the last."""
+    for sat in sorted(group_ids):
+        w = window_of(sat, t_target)
+        if w is None or w.start_s > t_target:
+            return sat
+    return max(group_ids)
+
+
+@RUN_SETTINGS
+@given(
+    scenarios(),
+    _goals(),
+    st.sampled_from(["fedisl", "fednonisl"]),
+    st.sampled_from([0.0, 2.0]),
+    st.booleans(),
+)
+def test_no_event_meets_a_state_the_engine_keeps_no_guard_for(
+    cfg, goals, protocol_name, grace, blind
+):
+    cfg = replace(cfg, grace_factor=grace)
+    with mock.patch.object(protocol, "select_sink", _blind_sink if blind else protocol.select_sink):
+        _run(cfg, goals, protocol_name, _watch_unguarded_states)
 
 
 # -- coasting parked poll chains ---------------------------------------------------------
@@ -223,7 +291,7 @@ def _coast_one(engine, sid, t, until):
 def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
     engine, polls, until = case
     for sid, t in polls.items():
-        engine._parked[sid] = engine._poll_at[sid] = t
+        engine._parked[sid] = t
     due = engine._replay_parked(until)
     assert engine._parked == {} and [sid for sid, *_ in due] == list(polls)
     up = down = 0
@@ -232,8 +300,7 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
         up, down = up + asked, down + answered
         assert (at, stage) == (t, want)
         assert reply == ((protocol.RECONNECT, engine.ps.epoch) if stage == REPLY else ())
-        assert engine._poll_at[sid] == (t if stage == FIRE else None)
-        assert engine._request_inflight[sid] == (stage != FIRE)
+        assert engine._due[sid] == (t, stage)
     assert engine.counters["ps_up_bits"] == up * link.CONTROL_MESSAGE_BITS
     assert engine.counters["ps_down_bits"] == down * link.CONTROL_MESSAGE_BITS
 

@@ -75,6 +75,30 @@ def test_validate_flags_bad_values():
     assert any("until_epochs" in p for p in problems)
 
 
+# one setting out of range, and the one line validate gives for it
+BAD_SETTINGS = [
+    (dict(data_source="csv"), "[data] source must be 'synthetic' or 'idx', got 'csv'"),
+    (
+        dict(data_scheme="dirichlet"),
+        "[data] scheme must be 'iid' or 'label_split', got 'dirichlet'",
+    ),
+    (dict(samples_per_satellite=0), "[data] samples_per_satellite must be at least 1, got 0"),
+    (dict(test_samples=0), "[data] test_samples must be at least 1, got 0"),
+    (dict(num_features=0), "[data] num_features must be at least 1, got 0"),
+    (dict(num_classes=1), "[data] num_classes must be at least 2, got 1"),
+    (dict(reconnect_wait_s=0.0), "[protocol] reconnect_wait_s must be positive, got 0.0"),
+    (dict(grace_factor=-1.0), "[protocol] grace_factor must be non-negative, got -1.0"),
+    (dict(target_accuracy=1.5), "[sim] target_accuracy must lie in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, line", BAD_SETTINGS, ids=[next(iter(o)) for o, _ in BAD_SETTINGS]
+)
+def test_validate_names_each_bad_setting(overrides, line):
+    assert validate_scenario(desk_scenario(0, **overrides)) == [line]
+
+
 def test_validate_flags_infeasible_ring():
     cfg = reference_scenario(seed=0, num_planes=1, sats_per_plane=2)
     problems = validate_scenario(cfg)
@@ -554,7 +578,13 @@ def test_poll_retry_leaves_asking_to_a_booked_poll():
     engine._fire_poll(sid)
     polls = [t for t, _, fn, args in engine.queue if fn == engine._fire_poll and args == (sid,)]
     assert polls == [opens]
-    assert engine._poll_at[sid] == opens and engine.counters["ps_up_bits"] == 0
+    assert engine._due[sid] == (opens, sim._FIRE) and engine.counters["ps_up_bits"] == 0
+
+
+def _reply(engine, sid, action):
+    """The server's answer reaching the satellite now, as its chain's booked stage."""
+    engine._due[sid] = engine.t, sim._REPLY
+    engine._sat_recv_ctrl(sid, action, engine.ps.epoch)
 
 
 def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
@@ -566,7 +596,7 @@ def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
     # the group's downlink is on its way, so every poll is answered "not yet"
     engine.ps.inflight.add(engine.sats[sid].group)
     engine.t = w.start_s
-    engine._sat_recv_ctrl(sid, protocol.RECONNECT, engine.ps.epoch)
+    _reply(engine, sid, protocol.RECONNECT)
     # the model arrives over the ring and training ends inside the retry's wait
     engine.t += wait / 2
     engine._advance_sat(sid)
@@ -591,16 +621,16 @@ def ahead_of_the_server(protocol_name):
 def test_reply_to_a_satellite_ahead_parks_its_poll(served):
     engine, group = ahead_of_the_server("fedisl")
     getattr(engine.ps, served).add(group)
-    engine._sat_recv_ctrl(1, protocol.RECONNECT, engine.ps.epoch)
+    _reply(engine, 1, protocol.RECONNECT)
     assert engine.queue == []
-    assert engine._parked[1] == 110.0
+    assert engine._parked[1] == 110.0 and engine._due[1] is None
 
 
 def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
     engine, group = ahead_of_the_server("fednonisl")
     assert group not in engine.ps.sent | engine.ps.inflight
     with pytest.raises(protocol.ProtocolError, match="never served its group"):
-        engine._sat_recv_ctrl(1, protocol.WAIT, engine.ps.epoch)
+        _reply(engine, 1, protocol.WAIT)
 
 
 # A parked chain coasts when the epoch advances, up to that time, and one left
@@ -618,7 +648,7 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     sat.reset_for_next_epoch()
     engine.ps.sent.add(sat.group)
     engine.t = w.start_s
-    engine._sat_recv_ctrl(sid, protocol.WAIT, engine.ps.epoch)
+    _reply(engine, sid, protocol.WAIT)
     fire = w.start_s + wait
     asked = fire + engine._ps_transfer_s(sid, fire, bits)
     # every other group has delivered; the last aggregate lands once the
@@ -634,7 +664,7 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     while engine.queue and not sat.has_model and engine.queue[0][0] <= w.end_s:
         engine.t, _, fn, args = heapq.heappop(engine.queue)
         fn(*args)
-    assert sat.has_model and sat.epoch == 2 and not sat.told_to_wait
+    assert sat.has_model and sat.epoch == 2 and engine._due[sid] is None
 
 
 # np.log2 rounds some arguments otherwise than math.log2 does, and at these
@@ -675,6 +705,15 @@ def test_time_limit_truncates_cleanly():
     res = run_scenario(cfg, "fednonisl")
     assert res.stop_reason == "time_limit"
     assert res.records[-1].epoch == 0
+
+
+# With no time limit a run stops at the default cap, once an epoch is done.
+def test_a_run_without_a_time_limit_stops_at_the_cap(monkeypatch):
+    monkeypatch.setattr(sim, "DEFAULT_TIME_CAP_S", 300.0)
+    res = run_scenario(desk_scenario(7, until_epochs=50), "fedisl")
+    assert res.stop_reason == "time_cap"
+    assert [r.epoch for r in res.records] == [0, 1, 2, 3]
+    assert [r.sim_time_s for r in res.records] == pytest.approx([0, 82.9, 182.7, 282.9], abs=0.05)
 
 
 # -- cross-protocol comparison ----------------------------------------------------------
