@@ -40,7 +40,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
@@ -367,14 +366,10 @@ def build_datasets(cfg: ScenarioConfig):
     """Per-satellite training shards plus the shared held-out test set.
 
     The shards are row slices of one read-only block, in satellite order; the
-    test set is its own block. A worker thread makes the test set while this
-    thread makes the shards. Each pool has its own generator and neither side
-    runs BLAS, so the bytes do not depend on how the threads are scheduled.
-    The worker calls the private bodies of the learning functions, so a
-    profiler that wraps the public ones on one call stack for all threads
-    (``perfbench/spans.py``) sees this thread's calls alone. An idx file must
-    hold at least one image, ``num_features`` features per image and, in the
-    rows used, labels below ``num_classes``."""
+    test set is its own block. The shards are made first, then the test set,
+    each pool from its own generator. An idx file must hold at least the rows
+    the run uses, ``num_features`` features per image and, in the rows used,
+    labels below ``num_classes``."""
     num_sats = cfg.num_planes * cfg.sats_per_plane
     groups = None
     if cfg.data_scheme == "label_split":
@@ -392,10 +387,12 @@ def build_datasets(cfg: ScenarioConfig):
     size = num_sats * cfg.samples_per_satellite
     if cfg.data_source == "idx":
 
-        def load(read, images_path, labels_path, rows):
-            pool = read(images_path, labels_path)
-            if pool.num_samples == 0:
-                raise learning.DataFormatError(f"{images_path}: holds no images")
+        def load(images_path, labels_path, rows):
+            pool = learning.load_idx(images_path, labels_path)
+            if pool.num_samples < rows:
+                raise learning.DataFormatError(
+                    f"{images_path}: {pool.num_samples} images, but the run uses {rows}"
+                )
             if pool.num_features != cfg.num_features:
                 raise learning.DataFormatError(
                     f"{images_path}: {pool.num_features} features per image, "
@@ -410,51 +407,15 @@ def build_datasets(cfg: ScenarioConfig):
                 )
             return pool
 
-        def train():
-            paths = cfg.train_images_path, cfg.train_labels_path
-            return shard(load(learning.load_idx, *paths, size))
-
-        def test():
-            paths = cfg.test_images_path, cfg.test_labels_path
-            return load(learning._load_idx, *paths, cfg.test_samples)
-
+        shards = shard(load(cfg.train_images_path, cfg.train_labels_path, size))
+        test_set = load(cfg.test_images_path, cfg.test_labels_path, cfg.test_samples)
     else:
         draw = dict(num_features=cfg.num_features, num_classes=cfg.num_classes,
                     separation=cfg.separation, means_seed=cfg.seed)
-
-        def train():
-            return learning.synthetic_pool(size, seed=cfg.seed + 1, shard=shard, **draw)
-
-        def test():
-            return learning._synthetic_pool(cfg.test_samples, seed=cfg.seed + 2, shard=None, **draw)
-
-    shards, test_set = _alongside(train, test)
+        shards = learning.synthetic_pool(size, seed=cfg.seed + 1, shard=shard, **draw)
+        test_set = learning.synthetic_pool(cfg.test_samples, seed=cfg.seed + 2, **draw)
     by_sat = {sat: shards[sat - 1] for sat in range(1, num_sats + 1)}
     return by_sat, test_set
-
-
-def _alongside(main, side):
-    """``(main(), side())``, with ``side`` run on one worker thread while
-    ``main`` runs on this one. The worker is joined before this returns or
-    raises. An error on either side is raised here, ``main``'s first; the
-    worker keeps its own, so nothing reaches ``threading.excepthook``."""
-    out = {}
-
-    def work():
-        try:
-            out["value"] = side()
-        except BaseException as exc:
-            out["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        value = main()
-    finally:
-        worker.join()
-    if "error" in out:
-        raise out["error"]
-    return value, out["value"]
 
 
 def _end_s(cfg: ScenarioConfig) -> float:

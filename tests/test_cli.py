@@ -547,12 +547,13 @@ def test_validate_reports_problems(tmp_path, capsys):
 def _idx_ini(tmp_path, side=None, fault=None) -> Path:
     """SMALL read from idx files: 400 training and 60 test rows of 4x4 images
     with labels in [0, 3), except that the ``side`` file pair has 4x3 images
-    when ``fault`` is "features", a label of 11 when it is "labels", and no
-    images when it is "empty"."""
+    when ``fault`` is "features", a label of 11 when it is "labels", no
+    images when it is "empty", and one row fewer than the run uses when it is
+    "short"."""
     rng = np.random.default_rng(2)
     keys = {"source": "idx"}
     for name, rows in (("train", 400), ("test", 60)):
-        rows = 0 if (name, fault) == (side, "empty") else rows
+        rows = {"empty": 0, "short": rows - 1}.get(fault, rows) if name == side else rows
         shape = (rows, 4, 3) if (name, fault) == (side, "features") else (rows, 4, 4)
         images = rng.integers(0, 256, size=shape, dtype=np.uint8)
         labels = rng.integers(0, 3, size=rows, dtype=np.uint8)
@@ -571,21 +572,24 @@ def test_idx_files_that_fit_the_data_section_validate(tmp_path, capsys):
     assert capsys.readouterr().out == "ok\n"
 
 
-# An idx file must hold images and agree with [data]: its image size with
-# num_features, and its labels with num_classes. Otherwise every command that
-# builds the data names the file as a [data] problem, before a run starts; a
-# test file with no images would give every record a nan accuracy and loss.
+# An idx file must hold the rows a run uses and agree with [data]: its image
+# size with num_features, and its labels with num_classes. Otherwise every
+# command that builds the data names the file as a [data] problem, before a
+# run starts; a test file with no images would give every record a nan
+# accuracy and loss, and a short one would quietly shrink the run.
 @pytest.mark.parametrize("side", ["train", "test"])
-@pytest.mark.parametrize("fault", ["features", "labels", "empty"])
+@pytest.mark.parametrize("fault", ["features", "labels", "empty", "short"])
 def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
     tmp_path, capsys, side, fault
 ):
     path = _idx_ini(tmp_path, side, fault)
     images, labels = tmp_path / f"{side}-images-idx3-ubyte", tmp_path / f"{side}-labels-idx1-ubyte"
+    rows = {"train": 400, "test": 60}[side]
     problem = {
         "features": f"[data] {images}: 12 features per image, but num_features is 16",
         "labels": f"[data] {labels}: label 11, but num_classes is 3",
-        "empty": f"[data] {images}: holds no images",
+        "empty": f"[data] {images}: 0 images, but the run uses {rows}",
+        "short": f"[data] {images}: {rows - 1} images, but the run uses {rows}",
     }[fault]
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [problem]

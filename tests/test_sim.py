@@ -1,7 +1,5 @@
 import heapq
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -184,9 +182,6 @@ def test_label_split_halves_class_range():
     assert np.max(np.abs(p - q)) <= 1e-12 * max(np.max(np.abs(q)), 1e-30)
 
 
-# -- the data build: the test set is made on a worker thread ---------------------
-
-
 @pytest.mark.parametrize("scheme", ["iid", "label_split"])
 def test_build_equals_the_two_pools_drawn_in_turn(scheme):
     # 400 training and 150 test rows: several draw chunks on each side
@@ -201,12 +196,7 @@ def test_build_equals_the_two_pools_drawn_in_turn(scheme):
     draw = dict(num_features=16, num_classes=4, separation=cfg.separation, means_seed=cfg.seed)
     shards = learning.synthetic_pool(400, seed=cfg.seed + 1, shard=shard, **draw)
     test = learning.synthetic_pool(150, seed=cfg.seed + 2, **draw)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
-    try:
-        by_sat, test_set = build_datasets(cfg)
-    finally:
-        sys.setswitchinterval(interval)
+    by_sat, test_set = build_datasets(cfg)
     for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
         assert got.augmented.tobytes() == want.augmented.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
@@ -236,16 +226,10 @@ def test_an_idx_build_equals_the_two_files_loaded_in_turn(tmp_path):
         assert got.labels.tobytes() == want.labels.tobytes()
 
 
-def _build_problems(cfg, monkeypatch):
-    """The problems ``_build`` raises for ``cfg``, once it is checked to leave
-    no thread alive and to hand nothing to ``threading.excepthook``."""
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    threads = threading.active_count()
+def _build_problems(cfg):
+    """The problems ``_build`` raises for ``cfg``."""
     with pytest.raises(ConfigError) as err:
         _build(cfg)
-    assert threading.active_count() == threads
-    assert hooked == []
     return err.value.problems
 
 
@@ -256,29 +240,21 @@ def _build_problems(cfg, monkeypatch):
     [(dict(test_samples=2), 2), (dict(samples_per_satellite=1, num_classes=60, test_samples=2), 40)],
     ids=["test", "both"],
 )
-def test_a_failed_draw_is_the_error_a_sequential_build_raises(monkeypatch, overrides, rows):
-    problems = _build_problems(small_scenario(**overrides), monkeypatch)
+def test_a_failed_draw_is_the_error_a_sequential_build_raises(overrides, rows):
+    problems = _build_problems(small_scenario(**overrides))
     assert problems == [f"[data] need at least one sample per class, got {rows}"]
 
 
 @pytest.mark.parametrize(
     "gone, named", [(["test"], "test"), (["train", "test"], "train")], ids=["test", "both"]
 )
-def test_a_failed_load_is_the_error_a_sequential_build_raises(tmp_path, monkeypatch, gone, named):
+def test_a_failed_load_is_the_error_a_sequential_build_raises(tmp_path, gone, named):
     paths = _idx_paths(tmp_path)
     for side in gone:
         paths[f"{side}_images_path"] = str(tmp_path / f"no-{side}")
-    problems = _build_problems(small_scenario(data_source="idx", **paths), monkeypatch)
+    problems = _build_problems(small_scenario(data_source="idx", **paths))
     missing = tmp_path / f"no-{named}"
     assert problems == [f"[data] [Errno 2] No such file or directory: '{missing}'"]
-
-
-def test_a_build_leaves_no_thread_behind(tmp_path):
-    threads = threading.active_count()
-    build_datasets(small_scenario())
-    assert threading.active_count() == threads
-    build_datasets(small_scenario(data_source="idx", **_idx_paths(tmp_path)))
-    assert threading.active_count() == threads
 
 
 def test_a_cli_data_error_is_one_line_on_stderr(tmp_path, capfd):
