@@ -7,10 +7,9 @@ full-batch gradient descent on the mean cross-entropy of the local shard.
 
 A dataset holds its rows bias-augmented: one C-contiguous ``(n, F + 1)``
 block whose last column is 1, the block the model multiplies, made once when
-the dataset is. A pool's shards are row slices of one shard-ordered block: a
-synthetic pool is drawn straight into that order, a few rows at a time, and a
-loaded pool is gathered into it once. The blocks are read-only, so a write to
-one shard cannot reach another.
+the dataset is. A pool's shards are row slices of one shard-ordered block,
+which a synthetic draw or an idx file's rows fill a few rows at a time. The
+blocks are read-only, so a write to one shard cannot reach another.
 
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
@@ -25,6 +24,8 @@ model and never truncates the math.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
-# rows of a synthetic pool's noise drawn at a time into one reused buffer; a
-# chunked draw equals one draw bit for bit. On a 2-vCPU host a desk data build
-# in a fresh interpreter takes 144 ms and peaks at 84.3 MB with 64 rows,
-# against 156 ms and 90.0 MB with 512.
+# rows of a pool, drawn (into one reused noise buffer) or read, written into its
+# block at a time; a chunked draw equals one draw bit for bit. On a 2-vCPU host
+# a desk data build in a fresh interpreter takes 144 ms and peaks at 84.3 MB
+# with 64 rows, against 156 ms and 90.0 MB with 512.
 _DRAW_ROWS = 64
+Shard = Callable[[np.ndarray], list[np.ndarray]]  # a pool's labels to each shard's rows
 
 
 class DataFormatError(ValueError):
@@ -271,7 +273,7 @@ def partition_dataset(
     ``pool`` is a dataset or its labels alone. A dataset's rows are gathered
     once, in shard order, into one block of which each shard is a row slice.
     Labels alone give each shard's rows of the pool instead, the order that
-    :func:`synthetic_pool` draws a pool straight into.
+    :func:`synthetic_pool` and :func:`load_idx` fill a pool straight into.
 
     Raises:
         PartitionError: if any worker would end up with zero samples.
@@ -307,6 +309,25 @@ def partition_dataset(
     return _shards(pool.augmented[order], labels[order], [rows.size for rows in assignments])
 
 
+def _fill_pool(labels: np.ndarray, num_features: int, shard: Shard | None,
+               fill: Callable[[int, int], np.ndarray]) -> LocalDataset | list[LocalDataset]:
+    """The pool with these labels, or its shards, row slices of one block, when
+    ``shard`` is given. ``fill(start, stop)`` gives the pool's rows in order,
+    ``_DRAW_ROWS`` at a time, and each is written straight into its place."""
+    num_samples = labels.size
+    rows = [np.arange(num_samples)] if shard is None else shard(labels)
+    order = np.concatenate(rows)
+    place = np.empty(num_samples, dtype=np.intp)  # where each pool row goes in the block
+    place[order] = np.arange(num_samples)
+    block = np.empty((num_samples, num_features + 1))
+    block[:, -1] = 1.0
+    for start in range(0, num_samples, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, num_samples)
+        block[place[start:stop], :-1] = fill(start, stop)
+    shards = _shards(block, labels[order], [r.size for r in rows])
+    return shards[0] if shard is None else shards
+
+
 def synthetic_pool(
     num_samples: int,
     num_features: int,
@@ -314,7 +335,7 @@ def synthetic_pool(
     seed: int,
     separation: float = 4.0,
     means_seed: int | None = None,
-    shard: Callable[[np.ndarray], list[np.ndarray]] | None = None,
+    shard: Shard | None = None,
 ) -> LocalDataset | list[LocalDataset]:
     """Gaussian class-conditional pool with an exactly balanced label histogram.
 
@@ -325,9 +346,8 @@ def synthetic_pool(
 
     ``shard``, when given, maps the pool's labels to each shard's rows of the
     pool, as :func:`partition_dataset` does, and the shards come back instead
-    of the pool, each a row slice of one block. Either way the noise is drawn
-    a chunk of rows at a time, in pool order, and each row is written straight
-    into its place in the block, so the rows are those of one whole draw.
+    of the pool, each a row slice of one block. Each chunk of noise is written
+    straight into its rows' places, so the rows are those of one whole draw.
     """
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
@@ -340,57 +360,57 @@ def synthetic_pool(
         [np.full(base + (1 if c < extra else 0), c, dtype=np.int64) for c in range(num_classes)]
     )
     labels = labels[rng.permutation(num_samples)]
-    rows = [np.arange(num_samples)] if shard is None else shard(labels)
-    order = np.concatenate(rows)
-    place = np.empty(num_samples, dtype=np.intp)  # where each pool row goes in the block
-    place[order] = np.arange(num_samples)
-    block = np.empty((num_samples, num_features + 1))
-    block[:, -1] = 1.0
     noise = np.empty((min(_DRAW_ROWS, num_samples), num_features))
-    for start in range(0, num_samples, _DRAW_ROWS):
-        stop = min(start + _DRAW_ROWS, num_samples)
+
+    def draw(start, stop):
         chunk = rng.standard_normal(out=noise[: stop - start])
-        chunk += means[labels[start:stop]]
-        block[place[start:stop], :-1] = chunk
-    shards = _shards(block, labels[order], [r.size for r in rows])
-    return shards[0] if shard is None else shards
+        return np.add(chunk, means[labels[start:stop]], out=chunk)
+
+    return _fill_pool(labels, num_features, shard, draw)
 
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def load_idx(images_path: str, labels_path: str) -> LocalDataset:
-    """Load an IDX image/label file pair into a pool.
+def _idx_header(path: str, magic: int, dims: int, unit: str) -> list[int]:
+    """The ``dims`` sizes in the header of the idx file at ``path``, checked against
+    its magic number; the file must hold their product in byte ``unit``s after it."""
+    with open(path, "rb") as f:
+        header = f.read(4 + 4 * dims)
+        if len(header) < 4 + 4 * dims:
+            raise DataFormatError(f"{path}: truncated header")
+        found, *sizes = struct.unpack(f">{1 + dims}I", header)
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic 0x{found:08x}")
+        size = os.fstat(f.fileno()).st_size - len(header)
+    if size != math.prod(sizes):
+        raise DataFormatError(f"{path}: expected {math.prod(sizes)} {unit}, found {size}")
+    return sizes
+
+
+def load_idx(images_path: str, labels_path: str, num_samples: int, num_features: int,
+             num_classes: int, shard: Shard | None = None) -> LocalDataset | list[LocalDataset]:
+    """A pool of the first ``num_samples`` rows of an IDX image/label file pair.
 
     Big-endian headers; image bytes are flattened row-major and scaled to
-    [0, 1].
+    [0, 1]. Only the rows used are read, once both files' headers and sizes
+    are checked; they must hold ``num_features`` pixels and labels below
+    ``num_classes``. ``shard`` is as in :func:`synthetic_pool`.
     """
-    with open(images_path, "rb") as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise DataFormatError(f"{images_path}: truncated header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != _IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"{images_path}: bad magic 0x{magic:08x}")
-        raw = np.frombuffer(f.read(), dtype=np.uint8)
-    if raw.size != count * rows * cols:
-        raise DataFormatError(
-            f"{images_path}: expected {count * rows * cols} pixels, found {raw.size}"
-        )
-    with open(labels_path, "rb") as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{labels_path}: truncated header")
-        magic, label_count = struct.unpack(">II", header)
-        if magic != _IDX_LABELS_MAGIC:
-            raise DataFormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-        labels = np.frombuffer(f.read(), dtype=np.uint8)
-    if labels.size != label_count:
-        raise DataFormatError(f"{labels_path}: expected {label_count} labels, found {labels.size}")
+    count, rows, cols = _idx_header(images_path, _IDX_IMAGES_MAGIC, 3, "pixels")
+    (label_count,) = _idx_header(labels_path, _IDX_LABELS_MAGIC, 1, "labels")
     if count != label_count:
+        raise DataFormatError(f"image count {count} does not match label count {label_count}")
+    if count < num_samples:
+        raise DataFormatError(f"{images_path}: {count} images, but the run uses {num_samples}")
+    if rows * cols != num_features:
         raise DataFormatError(
-            f"image count {count} does not match label count {label_count}"
+            f"{images_path}: {rows * cols} features per image, but num_features is {num_features}"
         )
-    features = raw.reshape(count, rows * cols).astype(np.float64) / 255.0
-    return LocalDataset(features, labels.astype(np.int64))
+    labels = np.fromfile(labels_path, np.uint8, num_samples, offset=8).astype(np.int64)
+    if (top := labels.max(initial=0)) >= num_classes:
+        raise DataFormatError(f"{labels_path}: label {top}, but num_classes is {num_classes}")
+    pixels = np.fromfile(images_path, np.uint8, num_samples * num_features, offset=16)
+    pixels = pixels.reshape(num_samples, num_features)
+    return _fill_pool(labels, num_features, shard, lambda start, stop: pixels[start:stop] / 255.0)

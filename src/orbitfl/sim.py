@@ -367,9 +367,9 @@ def build_datasets(cfg: ScenarioConfig):
 
     The shards are row slices of one read-only block, in satellite order; the
     test set is its own block. The shards are made first, then the test set,
-    each pool from its own generator. An idx file must hold at least the rows
-    the run uses, ``num_features`` features per image and, in the rows used,
-    labels below ``num_classes``."""
+    each pool from its own generator or file pair. An idx file must hold at
+    least the rows the run uses, ``num_features`` features per image and, in
+    the rows used, labels below ``num_classes``; only the rows used are read."""
     num_sats = cfg.num_planes * cfg.sats_per_plane
     groups = None
     if cfg.data_scheme == "label_split":
@@ -379,39 +379,19 @@ def build_datasets(cfg: ScenarioConfig):
         groups = [set(range(half)), set(range(half, cfg.num_classes))]
         groups = [g for g in groups if g]
 
-    def shard(pool):
-        return learning.partition_dataset(
-            pool, num_sats, scheme=cfg.data_scheme, seed=cfg.seed, label_groups=groups
-        )
+    def shard(labels):
+        return learning.partition_dataset(labels, num_sats, scheme=cfg.data_scheme,
+                                          seed=cfg.seed, label_groups=groups)
 
     size = num_sats * cfg.samples_per_satellite
+    sizes = dict(num_features=cfg.num_features, num_classes=cfg.num_classes)
     if cfg.data_source == "idx":
-
-        def load(images_path, labels_path, rows):
-            pool = learning.load_idx(images_path, labels_path)
-            if pool.num_samples < rows:
-                raise learning.DataFormatError(
-                    f"{images_path}: {pool.num_samples} images, but the run uses {rows}"
-                )
-            if pool.num_features != cfg.num_features:
-                raise learning.DataFormatError(
-                    f"{images_path}: {pool.num_features} features per image, "
-                    f"but num_features is {cfg.num_features}"
-                )
-            if pool.num_samples > rows:
-                pool = learning.LocalDataset(pool.features[:rows], pool.labels[:rows])
-            top = pool.labels.max(initial=0)
-            if top >= cfg.num_classes:
-                raise learning.DataFormatError(
-                    f"{labels_path}: label {top}, but num_classes is {cfg.num_classes}"
-                )
-            return pool
-
-        shards = shard(load(cfg.train_images_path, cfg.train_labels_path, size))
-        test_set = load(cfg.test_images_path, cfg.test_labels_path, cfg.test_samples)
+        shards = learning.load_idx(cfg.train_images_path, cfg.train_labels_path, size,
+                                   shard=shard, **sizes)
+        test_set = learning.load_idx(cfg.test_images_path, cfg.test_labels_path,
+                                     cfg.test_samples, **sizes)
     else:
-        draw = dict(num_features=cfg.num_features, num_classes=cfg.num_classes,
-                    separation=cfg.separation, means_seed=cfg.seed)
+        draw = dict(sizes, separation=cfg.separation, means_seed=cfg.seed)
         shards = learning.synthetic_pool(size, seed=cfg.seed + 1, shard=shard, **draw)
         test_set = learning.synthetic_pool(cfg.test_samples, seed=cfg.seed + 2, **draw)
     by_sat = {sat: shards[sat - 1] for sat in range(1, num_sats + 1)}

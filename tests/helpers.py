@@ -3,12 +3,16 @@
 Everything here recomputes expected values by the dumbest defensible method
 (dense scans, direct enumeration, finite differences) so the library is checked
 against an independent implementation, not against itself. ``write_idx_pair``
-writes the IDX files that data-loading tests read.
+writes the IDX files that data-loading tests read, and ``read_idx_pair`` reads
+them back whole.
 """
 
 import struct
+from pathlib import Path
 
 import numpy as np
+
+from orbitfl.learning import LocalDataset, partition_dataset
 
 
 def brute_windows(constellation, a, b, t0, t1, step_s=1.0):
@@ -77,3 +81,15 @@ def write_idx_pair(directory, images, labels, stem="data"):
     ip.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes())
     lp.write_bytes(struct.pack(">II", 0x00000801, labels.size) + labels.tobytes())
     return str(ip), str(lp)
+
+
+def read_idx_pair(images_path, labels_path, rows, **partition):
+    """The first ``rows`` rows of an IDX pair, each file read whole and its
+    pixels scaled to [0, 1] at once: the pool, or its shards when ``partition``
+    holds the arguments of ``partition_dataset`` after the pool."""
+    images = Path(images_path).read_bytes()
+    _, count, height, width = struct.unpack(">IIII", images[:16])
+    pixels = np.frombuffer(images, dtype=np.uint8, offset=16).reshape(count, height * width)
+    labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, offset=8)
+    pool = LocalDataset((pixels / 255.0)[:rows], labels[:rows])
+    return partition_dataset(pool, **partition) if partition else pool

@@ -548,8 +548,8 @@ def _idx_ini(tmp_path, side=None, fault=None) -> Path:
     """SMALL read from idx files: 400 training and 60 test rows of 4x4 images
     with labels in [0, 3), except that the ``side`` file pair has 4x3 images
     when ``fault`` is "features", a label of 11 when it is "labels", no
-    images when it is "empty", and one row fewer than the run uses when it is
-    "short"."""
+    images when it is "empty", one row fewer than the run uses when it is
+    "short", and an images file without its last byte when it is "truncated"."""
     rng = np.random.default_rng(2)
     keys = {"source": "idx"}
     for name, rows in (("train", 400), ("test", 60)):
@@ -560,6 +560,8 @@ def _idx_ini(tmp_path, side=None, fault=None) -> Path:
         if (name, fault) == (side, "labels"):
             labels[-1] = 11
         pair = write_idx_pair(tmp_path, images, labels, stem=name)
+        if (name, fault) == (side, "truncated"):
+            Path(pair[0]).write_bytes(Path(pair[0]).read_bytes()[:-1])
         keys[f"{name}_images_path"], keys[f"{name}_labels_path"] = pair
     path = tmp_path / "idx.ini"
     path.write_text(ini_with({"data": keys}))
@@ -576,9 +578,11 @@ def test_idx_files_that_fit_the_data_section_validate(tmp_path, capsys):
 # size with num_features, and its labels with num_classes. Otherwise every
 # command that builds the data names the file as a [data] problem, before a
 # run starts; a test file with no images would give every record a nan
-# accuracy and loss, and a short one would quietly shrink the run.
+# accuracy and loss, and a short one would quietly shrink the run. An images
+# file that does not hold the pixels its header counts is named likewise, from
+# its size alone.
 @pytest.mark.parametrize("side", ["train", "test"])
-@pytest.mark.parametrize("fault", ["features", "labels", "empty", "short"])
+@pytest.mark.parametrize("fault", ["features", "labels", "empty", "short", "truncated"])
 def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
     tmp_path, capsys, side, fault
 ):
@@ -590,6 +594,7 @@ def test_idx_files_that_disagree_with_the_data_section_are_a_data_problem(
         "labels": f"[data] {labels}: label 11, but num_classes is 3",
         "empty": f"[data] {images}: 0 images, but the run uses {rows}",
         "short": f"[data] {images}: {rows - 1} images, but the run uses {rows}",
+        "truncated": f"[data] {images}: expected {rows * 16} pixels, found {rows * 16 - 1}",
     }[fault]
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [problem]

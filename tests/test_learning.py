@@ -382,7 +382,7 @@ def test_load_idx_round_trip(tmp_path):
     images = rng.integers(0, 256, size=(7, 4, 3), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7, dtype=np.uint8)
     ip, lp = write_idx_pair(tmp_path, images, labels)
-    pool = load_idx(ip, lp)
+    pool = load_idx(ip, lp, 7, 12, 10)
     assert pool.num_samples == 7
     assert pool.num_features == 12
     np.testing.assert_array_equal(pool.labels, labels)
@@ -398,7 +398,7 @@ def test_load_idx_rejects_bad_magic(tmp_path):
     ip.write_bytes(_struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
     lp.write_bytes(_struct.pack(">II", 0x00000801, 1) + bytes(1))
     with pytest.raises(DataFormatError):
-        load_idx(str(ip), str(lp))
+        load_idx(str(ip), str(lp), 1, 4, 1)
 
 
 def test_load_idx_rejects_count_mismatch(tmp_path):
@@ -409,7 +409,7 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
     raw = open(lp, "rb").read()
     open(lp, "wb").write(raw[:-1])
     with pytest.raises(DataFormatError):
-        load_idx(ip, lp)
+        load_idx(ip, lp, 3, 4, 1)
 
 
 def test_learner_config_validation():
