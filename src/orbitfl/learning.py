@@ -38,6 +38,10 @@ BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
 # a desk data build in a fresh interpreter takes 144 ms and peaks at 84.3 MB
 # with 64 rows, against 156 ms and 90.0 MB with 512.
 _DRAW_ROWS = 64
+# multiply-adds in one block of a model product. OpenBLAS runs a product of at
+# most 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) multiply-adds on the
+# calling thread, so a block's bits do not depend on the BLAS thread count.
+_BLOCK_MADDS = 2**18
 Shard = Callable[[np.ndarray], list[np.ndarray]]  # a pool's labels to each shard's rows
 
 
@@ -166,9 +170,20 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, filled a block of rows at a time, each block at most
+    ``_BLOCK_MADDS`` multiply-adds (one row, when a row alone is more)."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    rows = max(1, _BLOCK_MADDS // max(1, a.shape[1] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        block = slice(start, start + rows)
+        np.matmul(a[block], b, out=out[block])
+    return out
+
+
 def _scores(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Class scores of every row, one column per class."""
-    return dataset.augmented @ _unpack(params, dataset.num_features)
+    return _product(dataset.augmented, _unpack(params, dataset.num_features))
 
 
 def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -187,9 +202,9 @@ def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy, flattened to match ``params``."""
     weights = _unpack(params, dataset.num_features)
     aug = dataset.augmented
-    probs = np.exp(_log_softmax(aug @ weights))
+    probs = np.exp(_log_softmax(_product(aug, weights)))
     probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
-    return (aug.T @ probs / dataset.num_samples).reshape(-1)
+    return (_product(aug.T, probs) / dataset.num_samples).reshape(-1)
 
 
 def local_gd(params: np.ndarray, dataset: LocalDataset, config: LearnerConfig) -> np.ndarray:

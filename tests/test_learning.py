@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from orbitfl.learning import (
     partial_aggregate,
     partition_dataset,
     synthetic_pool,
+    _product,
 )
 
 from helpers import numeric_gradient, write_idx_pair
@@ -186,6 +187,35 @@ def test_in_place_folds_are_bit_equal_to_out_of_place_folds(data):
         averaged = global_aggregate([own] + incoming, total)
     assert folded.tobytes() == out.tobytes()
     assert averaged.tobytes() == expected.tobytes()
+
+
+# A block product equals the whole one to 1e-12 of the magnitudes it sums, for
+# a C-contiguous left factor and for a transposed view (the gradient's aug.T),
+# with a short last block, and one row a block when a row is over 2**18
+# multiply-adds; the examples are the desk's evaluation and gradient shapes,
+# and the gradient of an empty shard, whose products sum nothing
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(rows=2000, inner=785, cols=10, transposed=False, wide=False, seed=0)
+@example(rows=785, inner=150, cols=10, transposed=True, wide=False, seed=0)
+@example(rows=785, inner=0, cols=10, transposed=True, wide=False, seed=0)
+@example(rows=5, inner=600, cols=450, transposed=False, wide=True, seed=0)
+@given(
+    rows=st.integers(1, 400),
+    inner=st.integers(1, 800),
+    cols=st.integers(1, 60),
+    transposed=st.booleans(),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_products_match_the_whole_product(rows, inner, cols, transposed, wide, seed):
+    if wide:  # inner * cols > 2**18
+        rows, inner, cols = rows % 6 + 1, 600 + inner % 200, 440 + cols
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(inner, rows)).T if transposed else rng.normal(size=(rows, inner))
+    b = rng.normal(size=(inner, cols))
+    got = _product(a, b)
+    assert got.shape == (rows, cols)
+    assert np.all(np.abs(got - a @ b) <= 1e-12 * (np.abs(a) @ np.abs(b)))
 
 
 # Folding weighted contributions up an arbitrary tree must equal the flat
