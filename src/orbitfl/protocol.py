@@ -8,6 +8,11 @@ along a hop-minimal tree rooted at an elected sink, which is predicted to see
 the server when aggregation finishes. Once every group has delivered its
 aggregate, the server folds them into the next global model.
 
+A member asking for the model is answered SEND_MODEL (the model follows) when
+its group is unserved this epoch, RECONNECT while the model is in flight, and
+WAIT once it is served. The asker hears one value, the epoch of a WAIT, else
+None, and stops asking on a WAIT in its own epoch, as its model is on the ring.
+
 The two transports differ only in how satellites are grouped:
 
 * Ring-assisted ("fedisl"): each orbital plane is one group, so one downlink
@@ -34,12 +39,10 @@ DISTRIBUTION = "distribution"
 COMPUTATION = "computation"
 AGGREGATION = "aggregation"
 
-# PS decisions on an incoming connection or delivery
+# the server's answers to a member asking for the model
 SEND_MODEL = "send_model"
 RECONNECT = "reconnect"
 WAIT = "wait"
-TERMINATE = "terminate"
-ACCEPT = "accept"
 
 
 class ProtocolError(RuntimeError):
@@ -250,23 +253,22 @@ class SatelliteState:
 class PsState:
     """The server: serves each group once per epoch, collects one aggregate each.
 
-    It never writes a model: ``global_params`` and the aggregates it collects
-    are shared, and each epoch's model is a new read-only array.
+    A request is answered RECONNECT while the group's model is in flight, WAIT
+    once it is served, else SEND_MODEL, which puts it in flight. A second
+    aggregate is a :class:`ProtocolError`. The server never writes a model:
+    the ones it holds are shared, and each epoch's is a new read-only array.
     """
 
     num_groups: int
     total_samples: int
     global_params: np.ndarray
     epoch: int = 1
-    phase: str = DISTRIBUTION
     sent: set[int] = field(default_factory=set)
     inflight: set[int] = field(default_factory=set)
     received: dict[int, np.ndarray] = field(default_factory=dict)
 
     def handle_connection(self, group: int) -> str:
-        """Decide the response to a member of ``group`` asking for the model."""
-        if self.phase != DISTRIBUTION:
-            return TERMINATE
+        """Answer a member of ``group`` asking for the model."""
         if group in self.inflight:
             return RECONNECT
         if group in self.sent:
@@ -278,24 +280,20 @@ class PsState:
         """A satellite confirmed receipt; the group is now served."""
         self.inflight.discard(group)
         self.sent.add(group)
-        if len(self.sent) == self.num_groups:
-            self.phase = AGGREGATION
 
-    def handle_partial(self, group: int, weighted: np.ndarray) -> str:
-        """Accept the first aggregate per group; duplicates are turned away."""
+    def handle_partial(self, group: int, weighted: np.ndarray):
+        """Take the group's aggregate for this epoch; a second one is an error."""
         if group in self.received:
-            return TERMINATE
+            raise ProtocolError(f"the server got a second aggregate from group {group}")
         self.received[group] = np.asarray(weighted, dtype=np.float64)
         if len(self.received) == self.num_groups:
             self._complete_epoch()
-        return ACCEPT
 
     def _complete_epoch(self):
         # a fixed fold order keeps replays bit-identical
         partials = [self.received[group] for group in sorted(self.received)]
         self.global_params = learning.global_aggregate(partials, self.total_samples)
         self.epoch += 1
-        self.phase = DISTRIBUTION
         self.sent = set()
         self.inflight = set()
         self.received = {}

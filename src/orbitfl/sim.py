@@ -601,24 +601,25 @@ class _Simulation:
     def _ps_recv_request(self, sid: int):
         self._poll(sid, _REQUEST, ())
 
-    def _sat_recv_ctrl(self, sid: int, action: str, ps_epoch: int):
-        self._poll(sid, _REPLY, (action, ps_epoch))
+    def _sat_recv_ctrl(self, sid: int, wait_epoch: int | None):
+        self._poll(sid, _REPLY, (wait_epoch,))
 
     def _poll(self, sid: int, stage: str, reply: tuple):
         """Run the stage of the satellite's poll chain (fire, server answer,
         reply) that an event brings now, then book the chain's next stage as
-        its event, or park the chain.
+        its event, or park the chain. The server's answer reaches the
+        satellite as one value, the epoch a WAIT was given in, else None; a
+        WAIT in the satellite's own epoch ends the chain.
 
         The chain's one record is ``_due[sid]``: an event runs only when it
         brings the stage due at this time, and clears the record; every stage
         booked writes it, and a chain that ends or parks leaves it None, so
         any other event of the chain on the heap is stale.
 
-        A satellite ahead of the server is answered "not yet" until the epoch
-        advances, and it ignores which "not yet" it gets, so its chain is
-        parked once it books a retry. `_replay_parked` carries a parked chain
-        on without asking the server: when the epoch advances, to that time,
-        and when the run stops."""
+        A satellite ahead of the server gets no WAIT in its epoch until the
+        epoch advances, so its chain is parked once it books a retry, and
+        `_replay_parked` carries it on without asking the server: when the
+        epoch advances, to that time, and when the run stops."""
         t, sat, ps = self.t, self.sats[sid], self.ps
         if self._due[sid] != (t, stage):  # not the stage booked
             return
@@ -643,17 +644,13 @@ class _Simulation:
                     )
                 if self._serve(sid):
                     return
-                action = protocol.RECONNECT
             self._charge("ps_down", control=True)
-            reply = action, ps.epoch
+            reply = (ps.epoch if action == protocol.WAIT else None,)
             t += self._ps_transfer_s(sid, t, bits)
             stage = _REPLY
+        elif reply[0] == sat.epoch:  # a WAIT in its epoch: its model is on the ring
+            return
         else:
-            action, ps_epoch = reply
-            if action == protocol.WAIT and sat.epoch == ps_epoch:
-                # the model for this epoch already went to the group; it is
-                # on its way over the ring, so stop asking
-                return
             t += self.cfg.reconnect_wait_s
             stage, reply = _FIRE, ()
             if sat.epoch > ps.epoch:
@@ -667,12 +664,19 @@ class _Simulation:
         self._due[sid] = t, stage
         self.schedule(t, getattr(self, stage), sid, *reply)
 
+    def _model_fit_s(self, sid: int, w) -> float | None:
+        """A model's transfer time over the server link from now, if ``w`` is
+        open now and the transfer ends inside it; else None."""
+        if w is None or w.start_s > self.t:
+            return None
+        dt = self._ps_transfer_s(sid, self.t, self.model_bits)
+        return dt if self.t + dt <= w.end_s else None
+
     def _serve(self, sid: int) -> bool:
-        """Send the group's model if the transfer fits in the pass, else turn busy."""
+        """Send the group's model if it fits the pass open now; else it is unserved again."""
         gid, t = self.sats[sid].group, self.t
-        dt = self._ps_transfer_s(sid, t, self.model_bits)
-        w = self.plan.window(sid, t)
-        if w is None or t + dt > w.end_s:
+        dt = self._model_fit_s(sid, self.plan.window(sid, t))
+        if dt is None:
             self.ps.inflight.discard(gid)
             return False
         ring = self.groups[gid]
@@ -684,7 +688,7 @@ class _Simulation:
         self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
         return True
 
-    def _replay_parked(self, until: float, ps_epoch: int | None = None) -> list[tuple]:
+    def _replay_parked(self, until: float) -> list[tuple]:
         """Coast every parked chain to ``until`` and unpark it. Returns each
         chain's stage due next, after ``until``, as (satellite, t, handler
         name, reply args), in parking order, and books it in ``_due``.
@@ -693,17 +697,15 @@ class _Simulation:
         view (a window is looked up only when the chain's last one has
         closed), the server's "not yet", and the wait before the next poll.
         The server is not asked: its answer to a parked chain changes no server
-        state, and the satellite ignores which "not yet" it gets, so a reply
-        left due reads RECONNECT in ``ps_epoch``, the server's epoch while the
-        chains were parked (the current one by default). The control messages
-        of all the cycles are charged in one count each way.
+        state and is never a WAIT in the satellite's epoch, so a reply left
+        due carries None, which ends no chain. The control messages of all the
+        cycles are charged in one count each way.
 
         A round evaluates every chain's server distance in one numpy pass
         (``Constellation.distances_to``) and its transfer times in place. Its
         arrays are re-indexed only in a round where chains stop, and times are
         clamped to ``until`` only in a round where a chain ran out of windows.
         """
-        epoch = self.ps.epoch if ps_epoch is None else ps_epoch
         due = [(sid, at, _FIRE, ()) for sid, at in self._parked.items()]
         self._parked.clear()
         order = [i for i, (_, at, _, _) in enumerate(due) if at <= until]  # the chains going on
@@ -743,7 +745,7 @@ class _Simulation:
                 times = float(fire[i]), float(asked[i]), float(answered[i]), float(t[i])
                 k = next(k for k, at in enumerate(times) if at > until)
                 polls, answers = polls + (k > 0), answers + (k > 1)
-                reply = (protocol.RECONNECT, epoch) if k == 2 else ()
+                reply = (None,) if k == 2 else ()
                 due[order[i]] = sids[i], times[k], _CYCLE[k], reply
             going = (~late).nonzero()[0]
             keep = going.tolist()
@@ -756,10 +758,10 @@ class _Simulation:
             self._due[sid] = at, stage
         return due
 
-    def _unpark(self, ps_epoch: int):
-        """The epoch advanced from ``ps_epoch``: every parked chain coasts to
-        now and its stage due next becomes an event again, at its exact time."""
-        for sid, t, stage, reply in self._replay_parked(self.t, ps_epoch):
+    def _unpark(self):
+        """The epoch advanced: every parked chain coasts to now and its stage
+        due next becomes an event again, at its exact time."""
+        for sid, t, stage, reply in self._replay_parked(self.t):
             self.schedule(t, getattr(self, stage), sid, *reply)
 
     def _ps_recv_ack(self, sid: int):
@@ -840,11 +842,11 @@ class _Simulation:
         soon as geometry allows."""
         sat, t = self.sats[sid], self.t
         w = self.plan.window(sid, t)
-        if w is not None and w.start_s <= t:
-            dt = self._ps_transfer_s(sid, t, self.model_bits)
-            if t + dt <= w.end_s:
-                self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
-                return
+        dt = self._model_fit_s(sid, w)
+        if dt is not None:
+            self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
+            return
+        if w is not None and w.start_s <= t:  # open now, but it closes too soon
             w = self.plan.after(sid, w)
         next_start = math.inf if w is None else w.start_s
         # a group of one has no relays to lean on: it waits out the gap however long
@@ -883,10 +885,9 @@ class _Simulation:
     def _ps_recv_update(self, sid, epoch, weighted):
         sat = self.sats[sid]
         before = self.ps.epoch
-        if self.ps.handle_partial(sat.group, weighted) != protocol.ACCEPT:
-            raise protocol.ProtocolError(f"server refused the aggregate from {sid}")
+        self.ps.handle_partial(sat.group, weighted)
         if self.ps.epoch != before:
-            self._unpark(before)
+            self._unpark()
         sat.holding = None
         sat.holding_from = None
         if sat.epoch == epoch:

@@ -1,8 +1,10 @@
 """Properties of random scenarios: validation agrees with the engine, INI
 text round-trips, runs stop cleanly with the same models and one server
-model each way per group and epoch under both protocols, parked poll
-chains coast as they would run cycle by cycle, and a pool drawn straight into
-shard order holds the bytes of one drawn whole and then dealt out.
+model each way per group and epoch under both protocols, the server serves
+a group once per epoch whatever order requests, acknowledgements and
+aggregates come in, parked poll chains coast as they would run cycle by
+cycle, and a pool drawn straight into shard order holds the bytes of one drawn
+whole and then dealt out.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
@@ -15,6 +17,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,6 +224,54 @@ def test_no_event_meets_a_state_the_engine_keeps_no_guard_for(
         _run(cfg, goals, protocol_name, _watch_unguarded_states)
 
 
+# -- the server's answers -----------------------------------------------------------------
+
+
+def _server_state(ps):
+    """The server's epoch, served and in-flight groups, and the aggregates and
+    model it holds, by identity."""
+    received = {g: id(a) for g, a in ps.received.items()}
+    return ps.epoch, set(ps.sent), set(ps.inflight), received, id(ps.global_params)
+
+
+# Requests, acknowledgements and aggregates interleave as the engine can bring
+# them: an acknowledgement comes from a group whose model is in flight, and an
+# aggregate from a served group. A poll chain parked off the heap never asks
+# the server, which holds only if asking for a group in flight or served
+# changes nothing.
+@SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_the_server_sends_a_group_one_model_per_epoch_and_asking_it_again_changes_nothing(
+    num_groups, data
+):
+    ps = protocol.PsState(num_groups=num_groups, total_samples=num_groups,
+                          global_params=np.zeros(2))
+    served = set()  # (epoch, group) for every SEND_MODEL
+    for _ in range(data.draw(st.integers(0, 80))):
+        before = _server_state(ps)
+        epoch, sent, inflight = before[:3]
+        groups_for = {"ask": range(num_groups), "ack": inflight, "aggregate": sent}
+        op = data.draw(st.sampled_from([op for op, groups in groups_for.items() if groups]))
+        group = data.draw(st.sampled_from(sorted(groups_for[op])))
+        if op == "ask":
+            answer = ps.handle_connection(group)
+            if group in inflight | sent:
+                assert answer == (protocol.RECONNECT if group in inflight else protocol.WAIT)
+                assert _server_state(ps) == before
+            else:
+                assert answer == protocol.SEND_MODEL and (epoch, group) not in served
+                served.add((epoch, group))
+                assert _server_state(ps) == (epoch, sent, inflight | {group}, *before[3:])
+        elif op == "ack":
+            ps.downlink_acked(group)
+        elif group in ps.received:
+            with pytest.raises(protocol.ProtocolError):
+                ps.handle_partial(group, np.ones(2))
+            assert _server_state(ps) == before
+        else:
+            ps.handle_partial(group, np.ones(2))
+
+
 # -- coasting parked poll chains ---------------------------------------------------------
 
 FIRE, REQUEST, REPLY = "_fire_poll", "_ps_recv_request", "_sat_recv_ctrl"
@@ -299,7 +350,7 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
         t, want, asked, answered = _coast_one(engine, sid, polls[sid], until)
         up, down = up + asked, down + answered
         assert (at, stage) == (t, want)
-        assert reply == ((protocol.RECONNECT, engine.ps.epoch) if stage == REPLY else ())
+        assert reply == ((None,) if stage == REPLY else ())
         assert engine._due[sid] == (t, stage)
     assert engine.counters["ps_up_bits"] == up * link.CONTROL_MESSAGE_BITS
     assert engine.counters["ps_down_bits"] == down * link.CONTROL_MESSAGE_BITS

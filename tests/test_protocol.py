@@ -5,12 +5,8 @@ import pytest
 
 from orbitfl.orbital import Constellation, ContactWindow, OrbitSpec, walker_planes
 from orbitfl.protocol import (
-    ACCEPT,
-    AGGREGATION,
-    DISTRIBUTION,
     RECONNECT,
     SEND_MODEL,
-    TERMINATE,
     WAIT,
     ProtocolError,
     PsState,
@@ -306,12 +302,10 @@ def test_ps_serves_each_plane_once():
     assert ps.handle_connection(0) == RECONNECT
     ps.downlink_acked(0)
     assert ps.handle_connection(0) == WAIT
-    assert ps.phase == DISTRIBUTION
     assert ps.handle_connection(1) == SEND_MODEL
     ps.downlink_acked(1)
-    assert ps.phase == AGGREGATION
-    # everyone has the model now; new requests are for the next epoch
-    assert ps.handle_connection(0) == TERMINATE
+    # every group is served now; a served group's member is still told to wait
+    assert ps.handle_connection(0) == WAIT
 
 
 def test_ps_epoch_roundtrip_weighted_average():
@@ -322,13 +316,15 @@ def test_ps_epoch_roundtrip_weighted_average():
     ps.downlink_acked(1)
     w0 = 20 * np.array([1.0, 2.0, 3.0])
     w1 = 30 * np.array([-1.0, 0.5, 2.0])
-    assert ps.handle_partial(0, w0) == ACCEPT
-    assert ps.handle_partial(0, w0) == TERMINATE
+    # every group is served now; a served group's member is still told to wait
+    assert ps.handle_connection(0) == WAIT
+    ps.handle_partial(0, w0)
+    with pytest.raises(ProtocolError, match="second aggregate"):
+        ps.handle_partial(0, w0)
     assert ps.epoch == 1
-    assert ps.handle_partial(1, w1) == ACCEPT
+    ps.handle_partial(1, w1)
     assert ps.epoch == 2
     np.testing.assert_allclose(ps.global_params, (w0 + w1) / 50.0, rtol=1e-15)
-    assert ps.phase == DISTRIBUTION
     assert ps.handle_connection(1) == SEND_MODEL
 
 
@@ -337,7 +333,7 @@ def test_ps_accepts_early_partial_during_distribution():
     ps = fresh_ps(num_groups=2, dim=2, totals=10)
     ps.handle_connection(0)
     ps.downlink_acked(0)
-    assert ps.handle_partial(0, np.ones(2)) == ACCEPT
+    ps.handle_partial(0, np.ones(2))
     assert ps.epoch == 1
     assert ps.handle_connection(1) == SEND_MODEL
 
@@ -365,12 +361,15 @@ def test_direct_ps_per_satellite_bookkeeping():
     # the satellite already has this epoch's model; the engine retries it later
     assert ps.handle_connection(0) == WAIT
     # uploads and downloads interleave freely
-    assert ps.handle_partial(0, 10 * np.array([1.0, 1.0])) == ACCEPT
+    ps.handle_partial(0, 10 * np.array([1.0, 1.0]))
     assert ps.handle_connection(1) == SEND_MODEL
     ps.downlink_acked(1)
     assert ps.handle_connection(2) == SEND_MODEL
     ps.downlink_acked(2)
-    assert ps.handle_partial(0, np.zeros(2)) == TERMINATE
+    # every satellite is served now; a served one is still told to wait
+    assert ps.handle_connection(0) == WAIT
+    with pytest.raises(ProtocolError, match="second aggregate"):
+        ps.handle_partial(0, np.zeros(2))
     ps.handle_partial(1, 10 * np.array([2.0, 0.0]))
     assert ps.epoch == 1
     ps.handle_partial(2, 10 * np.array([0.0, 2.0]))

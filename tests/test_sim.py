@@ -590,10 +590,11 @@ def test_poll_retry_leaves_asking_to_a_booked_poll():
     assert engine._due[sid] == (opens, sim._FIRE) and engine.counters["ps_up_bits"] == 0
 
 
-def _reply(engine, sid, action):
-    """The server's answer reaching the satellite now, as its chain's booked stage."""
+def _reply(engine, sid, wait_epoch=None):
+    """The server's answer reaching the satellite now, as its chain's booked
+    stage: the epoch a WAIT was given in, else None."""
     engine._due[sid] = engine.t, sim._REPLY
-    engine._sat_recv_ctrl(sid, action, engine.ps.epoch)
+    engine._sat_recv_ctrl(sid, wait_epoch)
 
 
 def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
@@ -605,7 +606,7 @@ def test_finishing_inside_the_retry_wait_keeps_one_poll_chain():
     # the group's downlink is on its way, so every poll is answered "not yet"
     engine.ps.inflight.add(engine.sats[sid].group)
     engine.t = w.start_s
-    _reply(engine, sid, protocol.RECONNECT)
+    _reply(engine, sid)
     # the model arrives over the ring and training ends inside the retry's wait
     engine.t += wait / 2
     engine._advance_sat(sid)
@@ -630,7 +631,7 @@ def ahead_of_the_server(protocol_name):
 def test_reply_to_a_satellite_ahead_parks_its_poll(served):
     engine, group = ahead_of_the_server("fedisl")
     getattr(engine.ps, served).add(group)
-    _reply(engine, 1, protocol.RECONNECT)
+    _reply(engine, 1)
     assert engine.queue == []
     assert engine._parked[1] == 110.0 and engine._due[1] is None
 
@@ -639,13 +640,13 @@ def test_reply_to_a_satellite_ahead_of_its_unserved_group_is_a_protocol_error():
     engine, group = ahead_of_the_server("fednonisl")
     assert group not in engine.ps.sent | engine.ps.inflight
     with pytest.raises(protocol.ProtocolError, match="never served its group"):
-        _reply(engine, 1, protocol.WAIT)
+        _reply(engine, 1, engine.ps.epoch)
 
 
 # A parked chain coasts when the epoch advances, up to that time, and one left
-# waiting for the server's reply carries the answer of the epoch it asked in.
-# Stamped with the new epoch, a "wait" would stop a satellite whose epoch now
-# matches from asking again, and its group would never be served.
+# waiting for the server's reply carries no WAIT. A WAIT stamped with the new
+# epoch would stop a satellite whose epoch now matches from asking again, and
+# its group would never be served.
 def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     engine = _Simulation(_build(small_scenario()), "fednonisl")
     wait, bits = engine.cfg.reconnect_wait_s, link.CONTROL_MESSAGE_BITS
@@ -657,7 +658,7 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     sat.reset_for_next_epoch()
     engine.ps.sent.add(sat.group)
     engine.t = w.start_s
-    _reply(engine, sid, protocol.WAIT)
+    _reply(engine, sid, engine.ps.epoch)
     fire = w.start_s + wait
     asked = fire + engine._ps_transfer_s(sid, fire, bits)
     # every other group has delivered; the last aggregate lands once the
@@ -669,11 +670,60 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     engine._ps_recv_update(last, 1, zeros)
     assert engine.ps.epoch == 2 and engine._parked == {}
     (reply,) = [args for _, _, fn, args in engine.queue if fn == engine._sat_recv_ctrl]
-    assert reply[0] == sid and reply[2] == 1
+    assert reply == (sid, None)
     while engine.queue and not sat.has_model and engine.queue[0][0] <= w.end_s:
         engine.t, _, fn, args = heapq.heappop(engine.queue)
         fn(*args)
     assert sat.has_model and sat.epoch == 2 and engine._due[sid] is None
+
+
+# A member of a served group is told to wait whatever the other groups' state,
+# so once every group is served, a member still waiting for its model over the
+# ring stops asking, as it would while another group was unserved.
+def test_a_member_of_a_served_group_stops_asking_once_every_group_is_served():
+    engine = _Simulation(_build(small_scenario()), "fedisl")
+    sid, w = next(
+        (s, w) for s in engine.sats if (w := engine.plan.window(s, 0.0)).duration_s > 100.0
+    )
+    for group in range(len(engine.groups)):
+        engine.ps.downlink_acked(group)
+    engine.t = w.start_s
+    engine._due[sid] = engine.t, sim._FIRE
+    engine._fire_poll(sid)
+    while engine.queue and engine.queue[0][0] <= w.end_s:
+        engine.t, _, fn, args = heapq.heappop(engine.queue)
+        fn(*args)
+    assert engine.queue == [] and engine._due[sid] is None and engine._parked == {}
+    bits = link.CONTROL_MESSAGE_BITS
+    assert engine.counters["ps_up_bits"] == engine.counters["ps_down_bits"] == bits
+
+
+# The server sends a model only when the transfer fits the pass open when the
+# request lands. Satellite 1 polls 0.01 s before its first pass closes, and its
+# request reaches the server after the close: it is told to ask again, and it
+# is served in its next pass.
+def test_a_request_landing_after_the_pass_closed_is_not_served():
+    engine = _Simulation(_build(small_scenario()), "fednonisl")
+    sid, sat = 1, engine.sats[1]
+    w = engine.plan.window(sid, 0.0)
+    after = engine.plan.after(sid, w)
+    assert (w.start_s, w.end_s) == (0.0, 2598.4) and round(after.start_s, 1) == 5130.2
+    engine.t = w.end_s - 0.01
+    engine._due[sid] = engine.t, sim._FIRE
+    engine._fire_poll(sid)
+    engine.t, _, fn, args = heapq.heappop(engine.queue)
+    assert fn == engine._ps_recv_request and engine.t > w.end_s
+    fn(*args)
+    assert not any(fn == engine._sat_recv_model for _, _, fn, _ in engine.queue)
+    assert engine.ps.inflight == set() and engine.counters["ps_down_msgs"] == 0
+    # the answer is RECONNECT's: no WAIT, so the satellite asks again
+    (reply,) = [(fn, args) for _, _, fn, args in engine.queue]
+    assert reply == (engine._sat_recv_ctrl, (sid, None))
+    while engine.queue and not sat.has_model:
+        engine.t, _, fn, args = heapq.heappop(engine.queue)
+        fn(*args)
+    assert sat.has_model and sat.epoch == 1 and after.start_s <= engine.t <= after.end_s
+    assert engine.counters["ps_down_msgs"] == 1
 
 
 # np.log2 rounds some arguments otherwise than math.log2 does, and at these
