@@ -127,6 +127,9 @@ def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     x *= params.bandwidth_hz  # the rate
     x = payload_bits / x
     x += distance_m / SPEED_OF_LIGHT_M_S
-    x += params.tx_delay_s
-    x += params.rx_delay_s
+    # x is positive, so adding a zero delay would leave it as it is
+    if params.tx_delay_s:
+        x += params.tx_delay_s
+    if params.rx_delay_s:
+        x += params.rx_delay_s
     return x

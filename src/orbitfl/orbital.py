@@ -12,18 +12,22 @@ orbiting peer in one numpy pass that rounds as the scalar query does.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
-minimum elevation above the local horizon. ``Constellation.contacts`` finds a
-pair's windows over a span in one scan by conservative advancement on the
-test's margin, each edge bisected onto the grid of ``tol_s`` multiples, and a
-``ContactPlan`` runs one such scan per node with one peer, the single source
-of predicted windows for a run and for ``orbitfl contacts``.
+minimum elevation above the local horizon. A ``ContactPlan`` predicts every
+node's windows with one peer, the single source of predicted windows for a run
+and for ``orbitfl contacts``: one scan per node by conservative advancement on
+the test's margin, each step the largest over which a Taylor bound from the
+margin, its exact slope and proven bounds on its second derivative keeps the
+margin's sign, and each edge bisected onto the grid of ``tol_s`` multiples.
+The scans run in lockstep (``_Sweep``), one numpy evaluation of every running
+scan's margin, each at its own time, per step. ``Constellation.contacts`` runs
+the same scan for one pair.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,17 +218,28 @@ def _inside(margin, other):
     return margin >= 0 if isinstance(other, _GroundTrack) else margin > 0
 
 
-def _margin_rate(sat, other) -> float:
-    """A bound on |d margin / dt|. Between satellites, range - d changes at most
-    as fast as v_a + v_b. For a station g (|g| = G, turning at w) and a satellite
-    at radius R and speed v, the margin is G (u.r - |r| sin(mask)), r = sat - g,
-    u = g / G; as |u'| <= w, |r| <= R + G and |r'| <= v + w G, its rate is at
-    most G (w (R + G) + (1 + sin(mask)) (v + w G))."""
+def _curvature(sat, other) -> tuple[float, float, float, float]:
+    """Constants (k0, k1, low, speed) of bounds on the pair's margin''.
+
+    With d = sat - other, |d| >= low at all times and |d'| <= speed, and
+    margin'' <= k0 always, margin'' >= -(k0 + k1 / L) while |d| >= L.
+    Between satellites the margin is range - |d|, and |d|'' is
+    |d'_perp|^2 / |d| >= 0, at most |d'|^2 / |d|, plus d.d'' / |d|, where
+    |d'| <= v_a + v_b and |d''| <= v_a^2 / r_a + v_b^2 / r_b, the two
+    centripetal accelerations. With a station g (|g| = G, at r_cl from the
+    axis, turning at w) the margin is g.d - G |d| sin(mask), whose second
+    derivative g''.d + 2 g'.d' + g.d'' - G sin(mask) |d|'' is bounded term by
+    term alike, with |g'| = w r_cl, |g''| = w^2 r_cl and |d| <= R + G for a
+    satellite at radius R."""
     v = _TWO_PI * sat.r / sat.period
     if isinstance(other, _GroundTrack):
-        g, w = math.hypot(other.r_cl, other.z), EARTH_ROTATION_RAD_S
-        return g * (w * (sat.r + g) + (1.0 + other.sin_mask) * (v + w * g))
-    return v + _TWO_PI * other.r / other.period
+        g, w, r_cl = math.hypot(other.r_cl, other.z), EARTH_ROTATION_RAD_S, other.r_cl
+        speed = v + w * r_cl
+        accel = v * v / sat.r + w * w * r_cl
+        k0 = w * r_cl * (w * (sat.r + g) + 2.0 * speed) + g * accel * (1.0 + other.sin_mask)
+        return k0, other.sin_mask * g * speed * speed, abs(sat.r - g), speed
+    u = _TWO_PI * other.r / other.period
+    return v * v / sat.r + u * u / other.r, (v + u) ** 2, abs(sat.r - other.r), v + u
 
 
 def _horizon_km(radius_km: float) -> float:
@@ -426,58 +441,24 @@ class Constellation:
     # -- contact prediction --------------------------------------------------
 
     def contacts(self, a: int, b: int, t: float, t_end: float, *, tol_s: float = 0.1):
-        """Yield every visibility window of ``a`` and ``b`` in [t, t_end], in order.
+        """Yield every visibility window of ``a`` and ``b`` in [t, t_end], in order:
+        the scan a ``ContactPlan`` runs for each node, here for one pair from t.
 
-        One scan by conservative advancement (``_flips``) runs over the span.
-        Each edge is the first grid time ``k * tol_s`` at or after the flip
-        (``_refine``), so it depends on the geometry and ``tol_s`` alone, not
-        on how the scan stepped. A window open at t starts at t, and a window
-        open at t_end ends there. A window or gap shorter than ``tol_s`` can be
-        missed, and a window that snaps to less than one grid step is dropped.
+        Each edge is the first grid time ``k * tol_s`` at or after the flip,
+        so it depends on the geometry and ``tol_s`` alone, not on how the scan
+        stepped. A window open at t starts at t, and a window open at t_end
+        ends there. A window or gap shorter than ``tol_s`` can be missed, and
+        a window that snaps to less than one grid step is dropped.
         """
-        sat, other = self._pair(a, b)
-        state = _inside(self._margin(sat, other, t, math), other)
-        start, last = (t if state else None), t
-        for t_lo, t_hi in self._flips(sat, other, t, t_end, tol_s):
-            last = max(last, min(t_end, self._refine(sat, other, t_lo, t_hi, tol_s, state)))
-            state = not state
-            if state:
-                start = last
-            elif start < last:
-                yield ContactWindow(a, b, start, last)
-        if state and start < t_end:
-            yield ContactWindow(a, b, start, t_end)
-
-    def _flips(self, sat, other, t, t_end, tol_s):
-        """Yield (t_before, t_after) for each step in [t, t_end] across which
-        visibility changes, so the flips alternate between a rise and a drop.
-        The margin cannot reach zero within |margin| / rate, and a step of
-        ``tol_s`` or one float skips no window or gap of ``tol_s`` or longer."""
-        rate = _margin_rate(sat, other)
-        margin = self._margin(sat, other, t, math)
-        state = _inside(margin, other)
-        while t < t_end:
-            step = max(abs(margin) / rate, tol_s)
-            t_next = min(t_end, max(t + step, math.nextafter(t, math.inf)))
-            margin = self._margin(sat, other, t_next, math)
-            if _inside(margin, other) != state:
-                state = not state
-                yield (t, t_next)
-            t = t_next
-
-    def _refine(self, sat, other, t_lo, t_hi, tol_s, state_lo):
-        """The first grid time ``k * tol_s`` at or after a visibility flip
-        bracketed by (t_lo, t_hi), visible before it when ``state_lo``: a
-        bisection over the integer k between bounds padded by one grid step,
-        so it ends whatever ``tol_s`` is."""
-        k_lo, k_hi = math.floor(t_lo / tol_s) - 1, math.ceil(t_hi / tol_s) + 1
-        while k_hi - k_lo > 1:
-            k = (k_lo + k_hi) // 2
-            if _inside(self._margin(sat, other, k * tol_s, math), other) == state_lo:
-                k_lo = k
-            else:
-                k_hi = k
-        return k_hi * tol_s
+        sat, _ = self._pair(a, b)
+        node, peer = (a, b) if sat is self._tracks[a] else (b, a)
+        sweep = _Sweep(self, [node], peer, t, t_end, tol_s)
+        found = sweep.windows[0]
+        for k in itertools.count():
+            sweep.scan(0, lambda w: len(found) > k)
+            if len(found) == k:
+                return
+            yield ContactWindow(a, b, found[k].start_s, found[k].end_s)
 
 
 class _Distances:
@@ -499,15 +480,20 @@ class _Distances:
         # y coefficients of the three coordinates, each (k, 3, n)
         self.angle, self.rotation, self.ground = tuple(angle), tuple(rotation), ground
 
-    def __call__(self, t):
+    def _planes(self, t):
+        """Every row's in-plane x and y at t, each (k, 1, n)."""
         theta0, period, r = self.angle
-        x_coef, y_coef = self.rotation
         theta = _TWO_PI * t / period
         theta += theta0
         x_plane = np.cos(theta)
         x_plane *= r
         y_plane = np.sin(theta, theta)
         y_plane *= r
+        return x_plane, y_plane
+
+    def __call__(self, t):
+        x_coef, y_coef = self.rotation
+        x_plane, y_plane = self._planes(t)
         pos = x_coef * x_plane
         pos += y_coef * y_plane
         d = pos[0]
@@ -521,6 +507,18 @@ class _Distances:
         squared += d[2]
         return np.sqrt(squared, squared)
 
+    def motion(self, t):
+        """Every row's position, as ``__call__`` computes it, and velocity at
+        t, each (k, 3, n): the in-plane point turns at 2 pi / period."""
+        x_coef, y_coef = self.rotation
+        x_plane, y_plane = self._planes(t)
+        pos = x_coef * x_plane
+        pos += y_coef * y_plane
+        vel = y_coef * x_plane
+        vel -= x_coef * y_plane
+        vel *= _TWO_PI / self.angle[1]
+        return pos, vel
+
     def take(self, keep) -> _Distances:
         """The distances of the satellites at indices ``keep`` alone."""
         return _Distances(
@@ -528,21 +526,202 @@ class _Distances:
         )
 
 
-class ContactPlan:
-    """Every node's contact windows with one peer, predicted from t = 0 to ``end_s``.
+class _Sweep:
+    """The window scans of several nodes with one peer over [t0, t_end], run in
+    lockstep: each pass evaluates the margin of every running scan, each at its
+    own time, in one numpy evaluation that equals ``Constellation._margin`` bit
+    for bit, and a scan stops running at t_end.
 
-    A node's windows come from one ``Constellation.contacts`` scan over
-    [0, ``end_s``], run only as far as a query needs. Every window runs from a
+    A scan steps from t by the largest h over which the margin's Taylor bound
+    |m| + s h - M h^2 / 2 stays positive, with s the rate at which |m| grows
+    and M a bound on how fast that rate can fall (``_curvature``: -m'' inside
+    a window, m'' outside), so no step crosses a zero of the margin. A step is ``tol_s`` or one float at least, so no window or gap of
+    ``tol_s`` or longer falls between two steps. Each edge is the first grid
+    time ``k * tol_s`` at or after its flip: a bisection over the integer k,
+    one pass a step, between bounds padded by one grid step, so it ends
+    whatever ``tol_s`` is and depends on the geometry and ``tol_s`` alone.
+    """
+
+    def __init__(self, con: Constellation, nodes, peer: int, t0: float, t_end: float, tol_s: float):
+        self.nodes, self.peer, self.t_end, self.tol_s = list(nodes), peer, t_end, tol_s
+        self._pairs = con.distances_to(self.nodes, peer)
+        ground = self._pairs.ground
+        pairs = [con._pair(n, peer) for n in self.nodes]
+        # per node: the range of a satellite pair (0 with a station), then _curvature's constants
+        self._const = np.array([
+            (0.0 if ground else sat.horizon_km + other.horizon_km, *_curvature(sat, other))
+            for sat, other in pairs
+        ]).reshape(-1, 5).T
+        if ground:
+            self._lean = math.hypot(ground.r_cl, ground.z) * ground.sin_mask
+        n = len(self.nodes)
+        # per node: the windows found so far, the time of the last edge, and
+        # whether the scan has ended
+        self.windows: list[list[ContactWindow]] = [[] for _ in range(n)]
+        self._last = [t0] * n
+        self._done = [t0 >= t_end] * n
+        # one entry per running scan: its node, how far it has come, whether the
+        # node sees the peer there, and the next time evaluated; a bisecting
+        # scan holds its state in _bisect, with its bracket: (k_lo, k_hi, seen
+        # before the flip, the time after it, the scan's next step)
+        self._rows = np.arange(n)
+        self._t = np.full(n, t0, dtype=float)
+        self._inside, self._at = self._look(self._t)
+        self._halted = np.zeros(n, dtype=bool)
+        self._bisect: dict[int, tuple[int, int, bool, float, float]] = {}
+        # per node: the start of the window open since the last edge, or None
+        self._open = [t0 if seen else None for seen in self._inside.tolist()]
+
+    def scan(self, i: int, enough) -> None:
+        """Run node i's scan on until ``enough`` holds for the last window it
+        found or the scan ends; every running scan steps with it."""
+        windows = self.windows[i]
+        while not (self._done[i] or windows and enough(windows[-1])):
+            self._pass()
+
+    def _pass(self) -> None:
+        t, before, was, halted = self._at, self._t, self._inside, self._halted
+        inside, ahead = self._look(t)
+        self._t, self._inside, self._at = t, inside, ahead
+        tol, rows, ended = self.tol_s, self._rows, []
+        for j in np.flatnonzero(halted | (inside != was) | (t >= self.t_end)).tolist():
+            i, seen = int(rows[j]), bool(inside[j])
+            if halted[j]:
+                k_lo, k_hi, seen_lo, t_hi, resume = self._bisect.pop(i)
+                if seen == seen_lo:
+                    k_lo = (k_lo + k_hi) // 2
+                else:
+                    k_hi = (k_lo + k_hi) // 2
+                if k_hi - k_lo > 1:
+                    self._bisect[i] = k_lo, k_hi, seen_lo, t_hi, resume
+                    ahead[j] = (k_lo + k_hi) // 2 * tol
+                    continue
+                halted[j] = False
+                t[j], inside[j], ahead[j] = t_hi, not seen_lo, resume
+                self._edge(i, k_hi * tol, not seen_lo)
+            elif seen != was[j]:
+                k_lo, k_hi = math.floor(before[j] / tol) - 1, math.ceil(t[j] / tol) + 1
+                self._bisect[i] = k_lo, k_hi, not seen, t[j], ahead[j]
+                halted[j] = True
+                ahead[j] = (k_lo + k_hi) // 2 * tol
+                continue
+            if t[j] >= self.t_end:
+                ended.append(j)
+                self._done[i] = True
+                if self._open[i] is not None:  # the span's end closes the open window
+                    self._edge(i, self.t_end, False)
+        if ended:
+            running = np.ones(len(rows), dtype=bool)
+            running[ended] = False
+            self._rows, self._pairs = rows[running], self._pairs.take(running)
+            self._const = self._const[:, running]
+            self._t, self._inside, self._at, self._halted = (
+                t[running], inside[running], ahead[running], halted[running]
+            )
+
+    def _edge(self, i: int, at: float, rising: bool) -> None:
+        """Record node i's edge at grid time ``at``: a rise opens a window, a
+        drop closes the open one unless it snapped to nothing."""
+        last = self._last[i] = max(self._last[i], min(self.t_end, at))
+        start, self._open[i] = self._open[i], (last if rising else None)
+        if not rising and start < last:
+            self.windows[i].append(ContactWindow(self.nodes[i], self.peer, start, last))
+
+    def _look(self, t):
+        """Whether each running scan's node sees the peer at its time t, and
+        the time of its next scan step from there."""
+        margin, slope, fall, rise, reach = self._taylor(t)
+        inside = margin >= 0 if self._pairs.ground else margin > 0
+        bound = np.where(inside, fall, rise)
+        size = np.abs(margin)
+        # the positive root h of size + away h - bound h^2 / 2, where away is
+        # the rate at which size grows (slope inside, -slope outside), in the
+        # form that does not cancel for either sign of away
+        root = slope * slope
+        twice = bound * size
+        twice += twice
+        root += twice
+        np.sqrt(root, root)
+        root += np.abs(slope)
+        h = np.where((slope > 0) == inside, root / bound, (size + size) / root)
+        np.minimum(h, reach, out=h, where=inside)
+        np.fmax(h, self.tol_s, out=h)  # fmax also turns 0 / 0 at a zero margin into tol_s
+        h += t
+        np.maximum(h, np.nextafter(t, np.inf), out=h)
+        return inside, np.minimum(h, self.t_end, out=h)
+
+    def _taylor(self, t):
+        """Each running scan's margin at its time t, the margin's slope, bounds
+        on how fast it can bend down and up, -margin'' and margin'', and how
+        long from t the first holds. With d the pair's separation,
+        ``_curvature``'s bound at L = max(low, |d(t)| / 2) holds while
+        |d| >= L: for ever when L = low, else for |d(t)| / (2 speed)."""
+        span, k0, k1, low, speed = self._const
+        (pos, *peer), (vel, *peer_vel) = self._pairs.motion(t)
+        ground = self._pairs.ground
+        if ground is None:
+            d, dv = pos - peer[0], peer_vel[0] - vel
+            squares = d * d
+            dist = squares[0] + squares[1]
+            dist += squares[2]
+            np.sqrt(dist, dist)
+            margin = span - dist
+            # (range - |d|)' = -d.d' / |d|
+            d *= dv
+            slope = d[0] + d[1]
+            slope += d[2]
+            slope /= dist
+        else:
+            g = ground.at(t, np)
+            margin = _elevation_margin(pos, g, ground.sin_mask, np.sqrt)
+            # with r = sat - g and |g|, |sat| constant, g.r and -|r|^2 / 2 both
+            # change at the rate of g.sat, g'.sat + g.sat', g' = w (-gy, gx, 0)
+            (gx, gy, gz), (sx, sy, sz), (ux, uy, uz) = g, pos, vel
+            rate = gx * sy
+            rate -= gy * sx
+            rate *= EARTH_ROTATION_RAD_S
+            rate += gx * ux
+            rate += gy * uy
+            rate += gz * uz
+            sx, sy, sz = sx - gx, sy - gy, sz - gz
+            dist = sx * sx
+            dist += sy * sy
+            dist += sz * sz
+            np.sqrt(dist, dist)
+            # the margin g.r - G |r| sin(mask) has slope rate (1 + G sin(mask) / |r|)
+            slope = self._lean / dist
+            slope += 1.0
+            slope *= rate
+        half = 0.5 * dist
+        floor = np.maximum(low, half)
+        fall = k1 / floor
+        fall += k0
+        reach = np.where(floor > low, half / speed, np.inf)
+        return margin, slope, fall, k0, reach
+
+
+class ContactPlan:
+    """Every orbiting node's contact windows with one peer, predicted from t = 0
+    to ``end_s``.
+
+    Each orbiting node but the peer has one window scan over [0, ``end_s``].
+    The scans run in lockstep (``_Sweep``): every running scan steps with the
+    one a query extends, as far as that query needs. Every window runs from a
     rise to a drop, or to ``end_s``, its edges on the ``tol_s`` grid, and does
-    not depend on when or in what order it is asked for.
+    not depend on when or in what order it is asked for, nor on which other
+    scans stepped with its own.
     """
 
     def __init__(
         self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
     ):
         self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
-        # node -> its windows found so far and the scan that finds the rest
-        self._scans: dict[int, tuple[list[ContactWindow], Iterator[ContactWindow]]] = {}
+        nodes = [
+            n for n, track in enumerate(con._tracks)
+            if n != peer and isinstance(track, _OrbitTrack)
+        ]
+        self._index = {n: i for i, n in enumerate(nodes)}
+        self._sweep = _Sweep(con, nodes, peer, 0.0, end_s, tol_s)
 
     def window(self, node: int, t: float) -> ContactWindow | None:
         """The window open at t, else the next one before ``end_s``, else None."""
@@ -562,13 +741,6 @@ class ContactPlan:
     def _scan(self, node: int, enough) -> list[ContactWindow]:
         """The node's windows, its scan run on until ``enough`` holds for the
         last one found or the scan ends."""
-        if node not in self._scans:
-            scan = self.con.contacts(node, self.peer, 0.0, self.end_s, tol_s=self.tol_s)
-            self._scans[node] = ([], scan)
-        windows, scan = self._scans[node]
-        while not (windows and enough(windows[-1])):
-            w = next(scan, None)
-            if w is None:
-                break
-            windows.append(w)
-        return windows
+        i = self._index[node]
+        self._sweep.scan(i, enough)
+        return self._sweep.windows[i]

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from orbitfl import orbital
-from orbitfl.cli import main, render_compare_csv, render_run_csv
+from orbitfl.cli import emit_config, main, render_compare_csv, render_run_csv
 from orbitfl.sim import (
     ScenarioConfig,
     compare,
@@ -83,17 +83,44 @@ def test_contacts_match_golden(tmp_path):
     assert out.read_text(encoding="utf-8") == golden("contacts_seed7.csv")
 
 
+# The 720 h contact tables, with an orbiting and with a ground server, pinned by
+# the sha256 of what ``orbitfl contacts --horizon-hours 720 --out F`` writes:
+# 9,626 and 4,774 windows, each edge found by the scan and its bisection.
+MONTH_TABLES = {
+    "orbit": ({}, "93a7e8455a690d8042cca21f8a797e23f6e69cf04e06b88f6ecd9cd26cf22fe0"),
+    "ground": (
+        {"ps_kind": "ground"},
+        "9c8cc8df1de30ffbbfc76f7cb35e8a58866cc0d14d58a66c734cb9ab9e9e6c35",
+    ),
+}
+
+
+@pytest.mark.parametrize("server", sorted(MONTH_TABLES))
+def test_month_contact_table_matches_pinned_digest(tmp_path, server):
+    fields, want = MONTH_TABLES[server]
+    config, out = tmp_path / "scenario.ini", tmp_path / "contacts.csv"
+    config.write_text(emit_config(ScenarioConfig(seed=SEED, **fields)), encoding="utf-8")
+    argv = ["contacts", "--config", str(config), "--horizon-hours", "720", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 # A window edge is the first grid time k * contact_tol_s at or after its flip,
 # however the scan stepped to bracket the flip: a looser bound on the margin's
-# rate takes shorter steps, and changes neither the 48 h contact tables, with
-# an orbiting and with a ground server, nor the golden fednonisl run.
+# curvature takes shorter steps, and changes neither the 48 h contact tables,
+# with an orbiting and with a ground server, nor the golden fednonisl run.
 @pytest.mark.parametrize("scale", [1.7, 3.0])
 def test_edges_do_not_depend_on_the_scan_steps(monkeypatch, outcome, scale):
     servers = ({}, {"ps_kind": "ground", "ps_latitude_deg": 40.0})
     cfgs = [ScenarioConfig(seed=SEED, **server) for server in servers]
     tables = [contact_table(cfg, 48 * 3600.0) for cfg in cfgs]
-    rate = orbital._margin_rate
-    monkeypatch.setattr(orbital, "_margin_rate", lambda sat, other: scale * rate(sat, other))
+    curvature = orbital._curvature
+
+    def looser(sat, other):
+        k0, k1, low, speed = curvature(sat, other)
+        return scale * k0, scale * k1, low, speed
+
+    monkeypatch.setattr(orbital, "_curvature", looser)
     assert [contact_table(cfg, 48 * 3600.0) for cfg in cfgs] == tables
     run = run_scenario(ScenarioConfig(seed=SEED), "fednonisl")
     want = outcome.baseline

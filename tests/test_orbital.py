@@ -464,20 +464,69 @@ def test_distances_to_equal_scalar_distances(con, data):
 
 # -- completeness of the window scan ----------------------------------------------
 
-# The scan steps by |margin| over a bound on the margin's rate. A finite
-# difference over one second is the mean rate over that second, so it may
-# never exceed the bound either.
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(con=constellations(), data=st.data())
-def test_margin_rate_never_exceeds_its_bound(con, data):
-    ids = con.satellite_ids()
-    for t in data.draw(st.lists(st.floats(1.0, 3e6), min_size=1, max_size=8)):
-        a = data.draw(st.sampled_from(ids))
-        b = data.draw(st.sampled_from([PS_NODE] + [n for n in ids if n != a]))
-        sat, other = con._pair(a, b)
-        ahead = con._margin(sat, other, t + 0.5, math)
-        behind = con._margin(sat, other, t - 0.5, math)
-        assert abs(ahead - behind) <= orbital._margin_rate(sat, other)
+@st.composite
+def server_pairs(draw):
+    """One satellite of random radius, inclination, RAAN and phase, with an
+    orbiting server drawn alike or a ground station of random latitude,
+    longitude, mask and height."""
+    def orbit(plane):
+        return OrbitSpec(
+            plane,
+            draw(st.floats(300.0, 36000.0)),
+            draw(st.floats(0.0, math.pi)),
+            draw(st.floats(0.0, 6.28)),
+            1,
+            draw(st.floats(0.0, 6.28)),
+        )
+
+    if draw(st.booleans()):
+        ps = orbit(-1)
+    else:
+        ps = GroundStationSpec(
+            draw(st.floats(-math.pi / 2, math.pi / 2)),
+            draw(st.floats(-math.pi, math.pi)),
+            draw(st.floats(0.0, 1.5)),
+            draw(st.floats(0.0, 2.0)),
+        )
+    try:
+        return Constellation([orbit(0)], ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+    except GeometryError:
+        reject()
+
+
+def _scan_margins(con, times):
+    """The scan's margin, slope, bounds on -margin'' and margin'' and the reach
+    of the first, for satellite 1 and the server, at each of ``times``."""
+    sweep = orbital._Sweep(con, [1] * len(times), PS_NODE, 0.0, 0.0, 0.1)
+    return sweep._taylor(np.array(times, dtype=float))
+
+
+# The scan steps by a Taylor bound built from the margin, its slope and bounds
+# on margin'' below and above, so each must hold: the margin is the point
+# query's bit for bit, the slope is the central difference's limit, and no
+# second difference over a span the bounds claim to cover falls outside them.
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(con=server_pairs(), data=st.data())
+def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
+    sat, other = con._pair(1, PS_NODE)
+    times = data.draw(st.lists(st.floats(10.0, 3e6), min_size=1, max_size=6))
+    scan = (a.tolist() for a in _scan_margins(con, times))
+    for t, m, s, fall, rise, r in zip(times, *scan):
+        assert m == con._margin(sat, other, t, math)
+        step = 0.01
+        ahead, behind = (con._margin(sat, other, t + dt, math) for dt in (step, -step))
+        assert abs((ahead - behind) / (2 * step) - s) <= 1e-6 * abs(s) + 1e-12 * abs(m) / step
+        span = min(r, 3600.0)
+        step = 1.0
+        if span <= 2 * step:
+            continue
+        at = t + step + data.draw(st.floats(0.0, 1.0)) * (span - 2 * step)
+        second = (
+            con._margin(sat, other, at + step, math)
+            - 2 * con._margin(sat, other, at, math)
+            + con._margin(sat, other, at - step, math)
+        ) / step**2
+        assert -fall <= second <= rise
 
 
 # No window or gap of contact_tol_s or longer can fall between two scan steps,

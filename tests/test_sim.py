@@ -21,6 +21,7 @@ from orbitfl.sim import (
     _link_params,
     ConfigError,
     DeadlockError,
+    ScenarioConfig,
     build_constellation,
     build_datasets,
     compare,
@@ -537,6 +538,22 @@ def _count_positions(monkeypatch, budget=math.inf):
     return count
 
 
+def _count_scan_margins(monkeypatch, budget=math.inf):
+    """Count the margins the contact plans' window scans evaluate, one per
+    node and time. Going past ``budget`` fails the test, so a scan that would
+    not end stops."""
+    count, taylor = [0], orbital._Sweep._taylor
+
+    def counted(self, t):
+        count[0] += len(t)
+        if count[0] > budget:
+            pytest.fail(f"more than {budget} scan margins evaluated")
+        return taylor(self, t)
+
+    monkeypatch.setattr(orbital._Sweep, "_taylor", counted)
+    return count
+
+
 def test_deadlock_reported_when_server_unreachable():
     with pytest.raises(DeadlockError, match="no further progress at t=0.0s"):
         run_scenario(UNREACHABLE, "fedisl")
@@ -560,7 +577,7 @@ def test_unreachable_server_books_one_event_per_satellite():
 
 
 # The plan scans each satellite to its end, 30.5 days. A 10 s grid evaluated
-# 2,635,222 positions for it; a scan that steps by the margin over its rate
+# 2,635,222 positions for it; a scan that steps by the margin's Taylor bound
 # passes over an orbit that never rises in steps of many minutes.
 def test_unreachable_server_is_scanned_in_few_steps(monkeypatch):
     positions = _count_positions(monkeypatch)
@@ -858,18 +875,13 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
 
 def test_contact_settings_reach_every_scan(monkeypatch):
     tols = set()
-    flips, refine = Constellation._flips, Constellation._refine
+    init = orbital._Sweep.__init__
 
-    def flips_recorded(self, sat, other, t, t_end, tol_s):
+    def recorded(self, con, nodes, peer, t0, t_end, tol_s):
         tols.add(tol_s)
-        return flips(self, sat, other, t, t_end, tol_s)
+        init(self, con, nodes, peer, t0, t_end, tol_s)
 
-    def refine_recorded(self, sat, other, t_lo, t_hi, tol_s, state_lo):
-        tols.add(tol_s)
-        return refine(self, sat, other, t_lo, t_hi, tol_s, state_lo)
-
-    monkeypatch.setattr(Constellation, "_flips", flips_recorded)
-    monkeypatch.setattr(Constellation, "_refine", refine_recorded)
+    monkeypatch.setattr(orbital._Sweep, "__init__", recorded)
     cfg = small_scenario(contact_tol_s=0.5, until_epochs=2)
     run_scenario(cfg, "fedisl")
     assert tols == {0.5}
@@ -892,7 +904,8 @@ def test_plan_holds_a_grazing_pass():
 # A scan step cannot move t by less than one float, and the bisection of an
 # edge runs over the integer k of the grid times k * tol, however little k * tol
 # moves a float, so a scan ends at any positive tolerance. The budgets are far
-# above what these calls take and bound a scan that would never end.
+# above what these calls take (about 16,000 margins) and bound a scan that
+# would never end.
 @pytest.mark.parametrize("server", [{}, _GROUND], ids=["orbit", "ground"])
 def test_scans_end_at_any_positive_tolerance(monkeypatch, server):
     visible, calls = Constellation.visible, [0]
@@ -905,6 +918,24 @@ def test_scans_end_at_any_positive_tolerance(monkeypatch, server):
 
     monkeypatch.setattr(Constellation, "visible", budgeted)
     _count_positions(monkeypatch, budget=1_000_000)
+    _count_scan_margins(monkeypatch, budget=1_000_000)
     cfg = small_scenario(contact_tol_s=1e-20, until_epochs=1, **server)
     assert contact_table(cfg, 3600.0)
     assert run_scenario(cfg, "fedisl").stop_reason == "epochs"
+
+
+# Every running scan steps with the one a query extends, by the margin's Taylor
+# bound, so a scan closes on an edge in a few strides and no scan runs much
+# further than the queries need. When each scan stepped alone by the margin
+# over a bound on its rate, a desk fedisl run evaluated 2,398 margins and the
+# 720 h table 1,501,064 for its 9,626 windows; now they take 1,680 and 244,695.
+def test_desk_run_scans_no_more_margins_than_one_scan_at_a_time(monkeypatch):
+    margins = _count_scan_margins(monkeypatch)
+    run_scenario(desk_scenario(7, until_epochs=5), "fedisl")
+    assert 0 < margins[0] <= 2_398
+
+
+def test_month_table_scans_a_fifth_of_the_margins(monkeypatch):
+    margins = _count_scan_margins(monkeypatch)
+    assert len(contact_table(ScenarioConfig(seed=7), 720 * 3600.0)) == 9_626
+    assert margins[0] <= 300_000
