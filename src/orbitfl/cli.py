@@ -49,16 +49,12 @@ COMPARE_HEADER = "speedup,traffic_ratio"
 CONTACTS_HEADER = "satellite,plane,start_s,end_s"
 
 
-def _optional_float(text: str) -> float | None:
-    return None if text.strip().lower() in ("", "none") else float(text)
-
-
 # how an INI value becomes each type a ScenarioConfig field is annotated with
 _CONVERTERS = {
     int: lambda text: int(text, 10),
     float: float,
     str: str.strip,
-    float | None: _optional_float,
+    float | None: lambda text: None if text.strip().lower() in ("", "none") else float(text),
 }
 
 def _schema() -> dict[str, dict[str, tuple[str, object]]]:
@@ -101,6 +97,19 @@ def _where(path: str, section: str, key: str | None = None) -> str:
     suffix = f" (line {line})" if line is not None else ""
     name = f"[{section}]" if key is None else f"[{section}] {key}"
     return f"{name} in {path}{suffix}"
+
+
+def _located(problems: list[str], args) -> list[str]:
+    """``problems``, each ``[section] key …`` one whose key the ``--config`` file
+    sets pointed at that line; a seed from --seed or the environment is not the file's."""
+    out = []
+    for problem in problems:
+        at = re.match(r"\[(\w+)\] (\w+) ", problem)
+        if args.config and at and _key_line(args.config, *at.groups()) and not (
+                at[2] == "seed" and _resolve_seed(args) is not None):
+            problem = _where(args.config, *at.groups()) + problem[at.end(2):]
+        out.append(problem)
+    return out
 
 
 def parse_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
@@ -284,7 +293,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_scenario(args)
         if args.command == "validate":
-            problems = validate_scenario(cfg)
+            problems = _located(validate_scenario(cfg), args)
             print("\n".join(problems) or "ok")
             return 1 if problems else 0
         if args.command == "run":
@@ -301,7 +310,7 @@ def main(argv=None) -> int:
             _deliver(render_contacts_csv(rows), args.out)
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {'; '.join(_located(exc.problems, args))}", file=sys.stderr)
         return 1
     except DeadlockError as exc:
         print(f"stuck: {exc}", file=sys.stderr)

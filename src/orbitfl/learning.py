@@ -5,11 +5,10 @@ vector of length (num_features + 1) * num_classes is interpreted as a dense
 matrix mapping bias-augmented feature rows to class scores. Training is
 full-batch gradient descent on the mean cross-entropy of the local shard.
 
-A dataset holds its rows bias-augmented: one C-contiguous ``(n, F + 1)``
-block whose last column is 1, the block the model multiplies, made once when
-the dataset is. A pool's shards are row slices of one shard-ordered block,
-which a synthetic draw or an idx file's rows fill a few rows at a time. The
-blocks are read-only, so a write to one shard cannot reach another.
+A dataset holds its rows bias-augmented: one read-only C-contiguous
+``(n, F + 1)`` block whose last column is 1, the block the model multiplies.
+A pool's shards are row slices of one such block, filled in block order a few
+rows at a time, from a synthetic draw of byte noise or an idx file's rows.
 
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
@@ -33,11 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
-# rows of a pool, drawn (into one reused noise buffer) or read, written into its
-# block at a time; a chunked draw equals one draw bit for bit. On a 2-vCPU host
-# a desk data build in a fresh interpreter takes 144 ms and peaks at 84.3 MB
-# with 64 rows, against 156 ms and 90.0 MB with 512.
+# rows of a block filled at a time, drawn or read straight into it; a chunked
+# draw equals one draw bit for bit. On a 2-vCPU host a desk data build in a
+# fresh interpreter took 77-99 ms and peaked at 84.0 MB with 64 rows, against
+# 77-97 ms and 87.1 MB with 512, over five runs of each.
 _DRAW_ROWS = 64
+_LEVEL_SD = math.sqrt((256**2 - 1) / 12)  # standard deviation of a level uniform on 0..255
 # multiply-adds in one block of a model product. OpenBLAS runs a product of at
 # most 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) multiply-adds on the
 # calling thread, so a block's bits do not depend on the BLAS thread count.
@@ -76,9 +76,7 @@ class LocalDataset:
             raise DataFormatError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
-        augmented = np.empty((features.shape[0], features.shape[1] + 1))
-        augmented[:, :-1] = features
-        augmented[:, -1] = 1.0
+        augmented = np.hstack([features, np.ones((features.shape[0], 1))])
         augmented.flags.writeable = labels.flags.writeable = False
         self.augmented, self.labels = augmented, labels
 
@@ -107,17 +105,6 @@ class LocalDataset:
         return self.num_samples * self.num_features * BITS_PER_FEATURE
 
 
-def _shards(augmented: np.ndarray, labels: np.ndarray, sizes: list[int]) -> list[LocalDataset]:
-    """Datasets over consecutive row slices of one block, ``sizes[i]`` rows in
-    the i-th; the block and its labels become read-only."""
-    augmented.flags.writeable = labels.flags.writeable = False
-    bounds = itertools.accumulate(sizes, initial=0)
-    return [
-        LocalDataset._over(augmented[start:stop], labels[start:stop])
-        for start, stop in itertools.pairwise(bounds)
-    ]
-
-
 @dataclass(frozen=True)
 class LearnerConfig:
     learning_rate: float
@@ -131,8 +118,9 @@ class LearnerConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.local_iterations < 1:
             raise ValueError(f"local_iterations must be >= 1, got {self.local_iterations}")
-        if self.cycles_per_sample <= 0 or self.cpu_hz <= 0:
-            raise ValueError("cycles_per_sample and cpu_hz must be positive")
+        for name in ("cycles_per_sample", "cpu_hz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.compute_time_factor <= 0:
             raise ValueError(f"compute_time_factor must be positive, got {self.compute_time_factor}")
 
@@ -320,26 +308,27 @@ def partition_dataset(
             raise PartitionError(f"worker {worker} would receive zero samples")
     if not isinstance(pool, LocalDataset):
         return assignments
-    order = np.concatenate(assignments)
-    return _shards(pool.augmented[order], labels[order], [rows.size for rows in assignments])
+    return _fill_pool(labels, pool.num_features, lambda _: assignments,
+                      lambda rows, out: np.copyto(out, pool.features[rows]))
 
 
 def _fill_pool(labels: np.ndarray, num_features: int, shard: Shard | None,
-               fill: Callable[[int, int], np.ndarray]) -> LocalDataset | list[LocalDataset]:
-    """The pool with these labels, or its shards, row slices of one block, when
-    ``shard`` is given. ``fill(start, stop)`` gives the pool's rows in order,
-    ``_DRAW_ROWS`` at a time, and each is written straight into its place."""
-    num_samples = labels.size
-    rows = [np.arange(num_samples)] if shard is None else shard(labels)
+               fill: Callable[..., object]) -> LocalDataset | list[LocalDataset]:
+    """The pool with these labels, or its shards, read-only row slices of one
+    block, when ``shard`` is given. The block is filled in block order,
+    ``_DRAW_ROWS`` rows at a time: ``fill(pool_rows, out)`` writes the features
+    of the pool's rows ``pool_rows`` into ``out``, those rows of the block."""
+    rows = [np.arange(labels.size)] if shard is None else shard(labels)
     order = np.concatenate(rows)
-    place = np.empty(num_samples, dtype=np.intp)  # where each pool row goes in the block
-    place[order] = np.arange(num_samples)
-    block = np.empty((num_samples, num_features + 1))
+    block = np.empty((labels.size, num_features + 1))
     block[:, -1] = 1.0
-    for start in range(0, num_samples, _DRAW_ROWS):
-        stop = min(start + _DRAW_ROWS, num_samples)
-        block[place[start:stop], :-1] = fill(start, stop)
-    shards = _shards(block, labels[order], [r.size for r in rows])
+    for start in range(0, labels.size, _DRAW_ROWS):
+        chunk = slice(start, start + _DRAW_ROWS)
+        fill(order[chunk], block[chunk, :-1])
+    labels = labels[order]
+    block.flags.writeable = labels.flags.writeable = False
+    bounds = itertools.pairwise(itertools.accumulate([r.size for r in rows], initial=0))
+    shards = [LocalDataset._over(block[start:stop], labels[start:stop]) for start, stop in bounds]
     return shards[0] if shard is None else shards
 
 
@@ -352,17 +341,18 @@ def synthetic_pool(
     means_seed: int | None = None,
     shard: Shard | None = None,
 ) -> LocalDataset | list[LocalDataset]:
-    """Gaussian class-conditional pool with an exactly balanced label histogram.
+    """Class-conditional pool with an exactly balanced label histogram.
 
-    Class means are drawn once from ``means_seed`` (defaulting to ``seed``) so a
-    train pool and a test pool sampled with different seeds share the same
-    class geometry. Per-feature noise is unit Gaussian; ``separation`` scales
-    the expected distance between class means.
+    Class means are drawn once from ``means_seed`` (defaulting to ``seed``), so
+    pools drawn with different seeds share them; ``separation`` scales their
+    expected distance. Per-feature noise is a byte level uniform on 0..255, as
+    ``(level - 127.5) / _LEVEL_SD``: mean 0 and variance 1.
 
     ``shard``, when given, maps the pool's labels to each shard's rows of the
     pool, as :func:`partition_dataset` does, and the shards come back instead
-    of the pool, each a row slice of one block. Each chunk of noise is written
-    straight into its rows' places, so the rows are those of one whole draw.
+    of the pool. The noise is drawn after the labels, in block order, each row
+    whole 32-bit words (``num_features`` rounded up to a multiple of 4 bytes),
+    so a chunked draw equals one whole draw.
     """
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
@@ -371,15 +361,15 @@ def synthetic_pool(
     means *= separation / np.sqrt(num_features)
     rng = np.random.default_rng(seed)
     base, extra = divmod(num_samples, num_classes)
-    labels = np.concatenate(
-        [np.full(base + (1 if c < extra else 0), c, dtype=np.int64) for c in range(num_classes)]
-    )
+    labels = np.repeat(np.arange(num_classes), [base + (c < extra) for c in range(num_classes)])
     labels = labels[rng.permutation(num_samples)]
-    noise = np.empty((min(_DRAW_ROWS, num_samples), num_features))
+    width = -(-num_features // 4) * 4  # bytes a row draws: whole 32-bit words
 
-    def draw(start, stop):
-        chunk = rng.standard_normal(out=noise[: stop - start])
-        return np.add(chunk, means[labels[start:stop]], out=chunk)
+    def draw(pool_rows, out):
+        levels = rng.integers(0, 256, size=(pool_rows.size, width), dtype=np.uint8)
+        np.subtract(levels[:, :num_features], 127.5, out=out)
+        out /= _LEVEL_SD
+        out += means[labels[pool_rows]]
 
     return _fill_pool(labels, num_features, shard, draw)
 
@@ -428,4 +418,5 @@ def load_idx(images_path: str, labels_path: str, num_samples: int, num_features:
         raise DataFormatError(f"{labels_path}: label {top}, but num_classes is {num_classes}")
     pixels = np.fromfile(images_path, np.uint8, num_samples * num_features, offset=16)
     pixels = pixels.reshape(num_samples, num_features)
-    return _fill_pool(labels, num_features, shard, lambda start, stop: pixels[start:stop] / 255.0)
+    return _fill_pool(labels, num_features, shard,
+                      lambda rows, out: np.divide(pixels[rows], 255.0, out=out))

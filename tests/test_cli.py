@@ -367,6 +367,12 @@ def ini_with(overrides) -> str:
     return text.getvalue()
 
 
+def at(path, setting) -> str:
+    """Where a problem points ``setting``, a line such as "kind = moon" of the
+    file at ``path``: " in PATH (line N)"."""
+    return f" in {path} (line {path.read_text().splitlines().index(setting) + 1})"
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -434,8 +440,8 @@ def test_every_command_reports_every_problem_by_section(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(ini_with({"link": {"bandwidth_hz": "-5"}, "learning": {"learning_rate": "-1"}}))
     problems = [
-        "[link] bandwidth_hz must be positive, got -5.0",
-        "[learning] learning_rate must be positive, got -1.0",
+        f"[link] bandwidth_hz{at(path, 'bandwidth_hz = -5')} must be positive, got -5.0",
+        f"[learning] learning_rate{at(path, 'learning_rate = -1')} must be positive, got -1.0",
     ]
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == problems
@@ -466,27 +472,30 @@ def test_contacts_rejects_what_run_rejects(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides, line",
+    "overrides, setting, line",
     [
-        ({"ps": {"raan_deg": "400"}}, "[ps] raan_deg outside [0, 360): 400.0"),
+        ({"ps": {"raan_deg": "400"}}, "raan_deg = 400", "[ps] raan_deg{} outside [0, 360): 400.0"),
         (
             {"ps": {"kind": "ground", "latitude_deg": "120"}},
-            "[ps] latitude_deg outside [-90, 90]: 120.0",
+            "latitude_deg = 120",
+            "[ps] latitude_deg{} outside [-90, 90]: 120.0",
         ),
         (
             {"constellation": {"inclination_deg": "200"}},
-            "[constellation] inclination_deg outside [0, 180]: 200.0",
+            "inclination_deg = 200",
+            "[constellation] inclination_deg{} outside [0, 180]: 200.0",
         ),
     ],
     ids=["raan", "latitude", "inclination"],
 )
-def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, line):
+def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, setting, line):
     path = tmp_path / "bad.ini"
     path.write_text(ini_with(overrides))
+    line = line.format(at(path, setting))
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [line]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
-    assert line.split("] ", 1)[1] in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 @pytest.mark.parametrize("factor", ["10", "-1"])
@@ -501,7 +510,8 @@ def test_validate_rejects_a_time_limit_past_a_year(tmp_path, capsys):
     path = tmp_path / "long.ini"
     path.write_text(ini_with({"sim": {"time_limit_s": "31536000.5"}}))
     assert main(["validate", "--config", str(path)]) == 1
-    problem = "[sim] time_limit_s must lie in (0, 31536000] when set (one year)"
+    where = at(path, "time_limit_s = 31536000.5")
+    problem = f"[sim] time_limit_s{where} must lie in (0, 31536000] when set (one year)"
     assert capsys.readouterr().out.splitlines() == [problem]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
     assert problem in capsys.readouterr().err
@@ -509,11 +519,20 @@ def test_validate_rejects_a_time_limit_past_a_year(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
 
 
-def test_validate_names_a_negative_seed(tmp_path, capsys):
+# a seed from --seed or the environment is not the file's, so its problem
+# names no line there
+def test_validate_names_a_negative_seed(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.ini"
     path.write_text(ini_with({"sim": {"seed": "-1"}}))
     assert main(["validate", "--config", str(path)]) == 1
+    problem = f"[sim] seed{at(path, 'seed = -1')} must be a non-negative integer, got -1"
+    assert capsys.readouterr().out.splitlines() == [problem]
+    path.write_text(SMALL)
+    assert main(["validate", "--config", str(path), "--seed", "-1"]) == 1
     problem = "[sim] seed must be a non-negative integer, got -1"
+    assert capsys.readouterr().out.splitlines() == [problem]
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == [problem]
 
 
@@ -524,9 +543,10 @@ def test_every_problem_is_tagged_with_its_section_and_key(tmp_path, capsys):
     overrides = {"ps": {"kind": "moon"}, "sim": {"time_limit_s": "31536000.5"}}
     path.write_text(ini_with({**overrides, "link": {"bandwidth_hz": "-5"}}))
     problems = [
-        "[ps] kind must be 'orbit' or 'ground', got 'moon'",
-        "[sim] time_limit_s must lie in (0, 31536000] when set (one year)",
-        "[link] bandwidth_hz must be positive, got -5.0",
+        f"[ps] kind{at(path, 'kind = moon')} must be 'orbit' or 'ground', got 'moon'",
+        f"[sim] time_limit_s{at(path, 'time_limit_s = 31536000.5')} must lie in (0, 31536000]"
+        " when set (one year)",
+        f"[link] bandwidth_hz{at(path, 'bandwidth_hz = -5')} must be positive, got -5.0",
     ]
     assert main(["validate", "--config", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == problems
@@ -534,6 +554,45 @@ def test_every_problem_is_tagged_with_its_section_and_key(tmp_path, capsys):
     for command in ("run", "compare", "contacts"):
         assert main([command, "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "config error: " + "; ".join(problems) + "\n"
+        assert not out.exists()
+
+
+BAD_SETTINGS = """# four settings that no scenario takes
+[sim]
+seed = 7
+time_limit_s = 31536000.5
+
+[link]
+tx_power_dbm = 40.0
+bandwidth_hz = -5
+
+[ps]
+altitude_km = 20000.0
+kind = moon
+
+[learning]
+cycles_per_sample = 5
+cpu_hz = 0
+"""
+
+
+# Under --config, a rejected [section] key names the file and the key's line,
+# as a parse error does, on every command.
+def test_a_rejected_setting_names_its_line_in_the_config_file(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(BAD_SETTINGS)
+    problems = [
+        f"[ps] kind in {path} (line 12) must be 'orbit' or 'ground', got 'moon'",
+        f"[sim] time_limit_s in {path} (line 4) must lie in (0, 31536000] when set (one year)",
+        f"[link] bandwidth_hz in {path} (line 8) must be positive, got -5.0",
+        f"[learning] cpu_hz in {path} (line 16) must be positive, got 0.0",
+    ]
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("\n".join(problems) + "\n", "")
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "config error: " + "; ".join(problems) + "\n")
         assert not out.exists()
 
 

@@ -14,9 +14,12 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import write_idx_pair
 
 from orbitfl import orbital
 from orbitfl.cli import emit_config, main, render_compare_csv, render_run_csv
@@ -70,6 +73,36 @@ def test_run_matches_golden_at_any_blas_thread_count(protocol_name, threads):
         check=True,
     )
     assert (done.stdout, done.stderr) == (golden(f"run_{protocol_name}_seed7.csv"), "")
+
+
+def _without_learning(csv_text: str) -> list[list[str]]:
+    """Each line of a run CSV, split at its commas, less the test_accuracy and
+    test_loss columns."""
+    return [line.split(",")[:2] + line.split(",")[4:] for line in csv_text.splitlines()]
+
+
+# Time and traffic rest on geometry, link rates and each shard's size, never on
+# the values of the data: another seed's synthetic draw, or idx files of random
+# bytes with the rows the golden run uses, move only test_accuracy and test_loss.
+@pytest.mark.parametrize(
+    "protocol_name, run",
+    [("fedisl", "treatment"), ("fednonisl", "baseline")],
+)
+def test_data_never_moves_time_or_traffic(tmp_path, outcome, protocol_name, run):
+    base = ScenarioConfig(seed=SEED)
+    rng, paths = np.random.default_rng(0), {}
+    train_rows = base.num_planes * base.sats_per_plane * base.samples_per_satellite
+    for side, rows in (("train", train_rows), ("test", base.test_samples)):
+        images = rng.integers(0, 256, size=(rows, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, base.num_classes, size=rows, dtype=np.uint8)
+        pair = write_idx_pair(tmp_path, images, labels, stem=side)
+        paths[f"{side}_images_path"], paths[f"{side}_labels_path"] = pair
+    want = getattr(outcome, run)
+    for cfg in (ScenarioConfig(seed=11), replace(base, data_source="idx", **paths)):
+        result = run_scenario(cfg, protocol_name)
+        got = render_run_csv(result.records, SEED)
+        assert _without_learning(got) == _without_learning(golden(f"run_{protocol_name}_seed7.csv"))
+        assert (result.counters, result.stop_reason) == (want.counters, want.stop_reason)
 
 
 def test_compare_matches_golden(outcome):
@@ -142,17 +175,19 @@ def test_edges_do_not_depend_on_the_scan_steps(monkeypatch, outcome, scale):
 # fixed grid to conservative advancement come from an engine that booked every
 # poll as an event, a satellite's retry and fresh poll sharing its one booking.
 # The desk7 and time-limit fedisl digests and the desk11 fednonisl one were
-# re-pinned when training's products went to single-thread BLAS blocks.
+# re-pinned when training's products went to single-thread BLAS blocks, and
+# every digest when synthetic noise went to byte noise drawn in block order,
+# which moved only the test_accuracy and test_loss columns.
 PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),
-        "ca41e530f54460a989790ebbd0df0f8584605076bb6a1346414fd801d05dbaec",
-        "e52bebde914eb559d023e64d8e1a4a5be37b988ccbc0469dc21f6ebba1e7e143",
+        "cbd2b69da8060696034230156488e662c8e3b3b9ac9cdbff7171c886bd3e7cd6",
+        "d678a86bc85f7db62a21a3f0bc65d7130b136f2812f9eb30dd661ce9cc07b6f8",
     ),
     "desk11": (
         desk_scenario(11, until_epochs=5),
-        "e481e45f801b132fa1309161b6fec9d5a37b73a51817e2d918d7a67484f3f442",
-        "5974e85a670b6aacef923caab1625b7eade49466b380ed13eedca351e7bb8c50",
+        "fae68c42d1f3c1af1b93d0a08dc65ee17138f55aa9c51e7d72991c943553ce10",
+        "271e01fb8ec9b5ddfbd4e9346a3d8df03815564bfd8bfff37491cf6fd3b07fc2",
     ),
     "ground": (
         desk_scenario(
@@ -163,13 +198,13 @@ PINNED = {
             ps_latitude_deg=40.0,
             until_epochs=3,
         ),
-        "2abe2b69a611a29af9bf7ffb60a8f0bd5510a440ef059cb12873070d62a277b1",
-        "4d3568baa6eabb96a3abd31905446311d7250ad89f60f1a33a105d67d0e0cfd0",
+        "48beac16768a052f9f183b93bda68f2374738aebc2a9dc377d8e6c2438567c3b",
+        "f9b526bfb4fcdc5d306763511aa0881e4cfc4b1e13fe7b49aef40ab56142567a",
     ),
     "two-chains": (
         reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
-        "dc01c555d0b61f38a2c2a0b465ae0b202c339db9643a8f1f215ccf74555ab889",
-        "32f055f35255ea54f59c33926c59839b1e7a832ea2bf70bf1cceac356ee5e6f9",
+        "10ff20df87ac344f2cfe98ab04e27c6f91cfabd818d688c70fb7da3ccd0650a0",
+        "e2d2aea1c8dc767eba7a5fb3adc1f7f4c794ad2294f3decd95051e9891b098b7",
     ),
     "tiny-model": (
         desk_scenario(
@@ -180,13 +215,13 @@ PINNED = {
             test_samples=20,
             until_epochs=4,
         ),
-        "f8d80ca4eede82127a75a24e10e29d3f28f64b89fcf08eca3f5520610838545b",
-        "d8e6f66b8fdde1dc12afff7ce14dec2d5a374cb6c83a5aa2eaa9eb388d4c202c",
+        "898d8ce5a418e75a49a7ed32aef0bb642f98ee0c66e8611d03eca21d23b12636",
+        "98e12411408888bc1cf3925a7c1ec8d907ec8aed5342e14fae47735696775f10",
     ),
     "time-limit": (
         desk_scenario(7, until_epochs=5, time_limit_s=4000.0),
-        "ca41e530f54460a989790ebbd0df0f8584605076bb6a1346414fd801d05dbaec",
-        "a2420d298d23ff38b6a82d65974a003bba6fc44f074e86acb57b3bdb1405aac4",
+        "cbd2b69da8060696034230156488e662c8e3b3b9ac9cdbff7171c886bd3e7cd6",
+        "081ae0f5e9e6cc3ddffee74faf2349f5bd923f9cbde44d69e4eb10467c4ba9b5",
     ),
     # 100 satellites, so a fednonisl coast round carries up to 99 chains
     "wide-coast": (
@@ -200,8 +235,8 @@ PINNED = {
             test_samples=100,
             until_epochs=3,
         ),
-        "b01a0f2fe434830b0c980ba6b0b2a3ee9a72e6bc31bdc25661d7cd33e3d57279",
-        "93668e538b87d1a182789e1fe120d7bd3f17b85bcb481424a550d56be8de9606",
+        "3d7c185d68773def5a95d613cc9cf36df98d861b8be2098416a5c2d5925ee7db",
+        "11d44b37ff10bc3ea9231d3aa9e1e591e76a9e1554336dc4f22a385fe4002579",
     ),
 }
 

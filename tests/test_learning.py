@@ -386,16 +386,17 @@ def test_synthetic_pool_properties():
         synthetic_pool(3, 6, 4, seed=3)
 
 
+# Byte noise is bounded: a level of 0..255 less 127.5, over the levels' standard
+# deviation, so every row lies within 127.5 / sd of its class mean, and the
+# class means come from means_seed alone.
 def test_synthetic_pool_shared_means_differ_in_draws():
     train = synthetic_pool(200, 5, 3, seed=1, means_seed=99)
     test = synthetic_pool(200, 5, 3, seed=2, means_seed=99)
     assert not np.array_equal(train.features, test.features)
-    for c in range(3):
-        np.testing.assert_allclose(
-            train.features[train.labels == c].mean(axis=0),
-            test.features[test.labels == c].mean(axis=0),
-            atol=0.5,
-        )
+    means = np.random.default_rng(99).normal(size=(3, 5)) * (4.0 / np.sqrt(5))
+    bound = 127.5 / math.sqrt((256**2 - 1) / 12) + 1e-12
+    for pool in (train, test):
+        assert np.abs(pool.features - means[pool.labels]).max() <= bound
 
 
 # Well-separated clusters are easy: 50 plain GD steps reach 95% train accuracy

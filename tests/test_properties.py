@@ -357,17 +357,16 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
 
 
 def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups):
-    """Each shard's (features, labels) as a pool was built before it was drawn
-    into shard order: the whole pool drawn at once, in pool order, and then
-    each shard's rows gathered from it. None when a worker would get no rows
-    or a label group no worker."""
+    """Each shard's (features, labels) as one whole draw gives them: the labels,
+    then the deal, then the byte noise of every row at once, in block order,
+    each row a whole number of 32-bit words. None when a worker would get no
+    rows or a label group no worker."""
     means = np.random.default_rng(seed).normal(size=(num_classes, num_features))
     means *= 3.0 / np.sqrt(num_features)
     rng = np.random.default_rng(seed + 1)
     base, extra = divmod(num_samples, num_classes)
     labels = np.repeat(np.arange(num_classes), [base + (c < extra) for c in range(num_classes)])
     labels = labels[rng.permutation(num_samples)]
-    features = means[labels] + rng.normal(size=(num_samples, num_features))
     deal = np.random.default_rng(seed + 2)
     if scheme == "iid":
         order = deal.permutation(num_samples)
@@ -382,7 +381,14 @@ def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, sch
             rows += [order[j :: block.size] for j in range(block.size)]
     if any(r.size == 0 for r in rows):
         return None
-    return [(features[r], labels[r]) for r in rows]
+    width = 4 * -(-num_features // 4)
+    levels = rng.integers(0, 256, size=(num_samples, width), dtype=np.uint8)[:, :num_features]
+    noise = (levels - 127.5) / np.sqrt((256**2 - 1) / 12)
+    starts = np.cumsum([0] + [r.size for r in rows])
+    return [
+        (means[labels[r]] + noise[start : start + r.size], labels[r])
+        for r, start in zip(rows, starts)
+    ]
 
 
 @SETTINGS
