@@ -5,10 +5,11 @@ vector of length (num_features + 1) * num_classes is interpreted as a dense
 matrix mapping bias-augmented feature rows to class scores. Training is
 full-batch gradient descent on the mean cross-entropy of the local shard.
 
-A dataset holds its rows bias-augmented: one read-only C-contiguous
+A dataset holds its rows bias-augmented: one read-only C-contiguous float32
 ``(n, F + 1)`` block whose last column is 1, the block the model multiplies.
 A pool's shards are row slices of one such block, filled in block order a few
-rows at a time, from a synthetic draw of byte noise or an idx file's rows.
+rows at a time, from a synthetic draw of byte noise or an idx file's rows:
+each chunk is computed in float64, then rounded once to float32.
 
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
@@ -16,7 +17,8 @@ and the final division by the total sample count happens once at the server.
 Each sum folds into its own fresh array, in place, which rounds as an
 out-of-place fold does. Every model made here, initial, trained or
 aggregated, comes back read-only, so it can be shared instead of copied.
-Everything here is float64; the 32-bit wire size is purely a transfer-cost
+Models, sums and products are float64: a product widens its float32 rows to
+float64 first, which is exact. The 32-bit wire size is purely a transfer-cost
 model and never truncates the math.
 """
 
@@ -26,16 +28,18 @@ import itertools
 import math
 import os
 import struct
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
-# rows of a block filled at a time, drawn or read straight into it; a chunked
-# draw equals one draw bit for bit. On a 2-vCPU host a desk data build in a
-# fresh interpreter took 77-99 ms and peaked at 84.0 MB with 64 rows, against
-# 77-97 ms and 87.1 MB with 512, over five runs of each.
+# rows of a block filled at a time, drawn or read into a float64 chunk buffer
+# and rounded once into the float32 block; a chunked draw equals one draw bit
+# for bit. On a 2-vCPU host a desk data build in a fresh interpreter took
+# 54-82 ms and peaked at 60.8 MB with 64 rows, against 69-100 ms and 66.4 MB
+# with 512, over five runs of each.
 _DRAW_ROWS = 64
 _LEVEL_SD = math.sqrt((256**2 - 1) / 12)  # standard deviation of a level uniform on 0..255
 # multiply-adds in one block of a model product. OpenBLAS runs a product of at
@@ -58,7 +62,7 @@ class NumericDivergenceError(ArithmeticError):
 
 
 class LocalDataset:
-    """One worker's shard: float64 feature rows and integer class labels.
+    """One worker's shard: float32 feature rows and integer class labels.
 
     The rows are held in ``augmented``, an ``(n, F + 1)`` block whose last
     column is 1; ``features`` is its ``[:, :-1]`` view. Both arrays are
@@ -68,7 +72,11 @@ class LocalDataset:
     __slots__ = ("augmented", "labels")
 
     def __init__(self, features, labels):
-        features = np.asarray(features, dtype=np.float64)
+        try:
+            with np.errstate(over="raise"):
+                features = np.asarray(features, dtype=np.float32)
+        except FloatingPointError:
+            raise DataFormatError("features outside the float32 range") from None
         if features.ndim != 2:
             raise DataFormatError(f"features must be 2-D, got shape {features.shape}")
         labels = np.array(labels, dtype=np.int64)
@@ -76,7 +84,7 @@ class LocalDataset:
             raise DataFormatError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
-        augmented = np.hstack([features, np.ones((features.shape[0], 1))])
+        augmented = np.hstack([features, np.ones((features.shape[0], 1), np.float32)])
         augmented.flags.writeable = labels.flags.writeable = False
         self.augmented, self.labels = augmented, labels
 
@@ -131,6 +139,13 @@ def _read_only(params: np.ndarray) -> np.ndarray:
     return params
 
 
+def _finite(params: np.ndarray, what: str) -> np.ndarray:
+    """``params``, read-only, once every entry is checked finite."""
+    if not np.all(np.isfinite(params)):
+        raise NumericDivergenceError(f"{what} left the finite range")
+    return _read_only(params)
+
+
 def model_dimension(num_features: int, num_classes: int) -> int:
     return (num_features + 1) * num_classes
 
@@ -158,14 +173,34 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+class _Buffers(threading.local):
+    wide = np.empty(0)  # the float64 buffer that _widened reuses, one per thread
+
+
+_buffers = _Buffers()
+
+
+def _widened(rows: np.ndarray) -> np.ndarray:
+    """``rows`` widened exactly to float64, in a buffer that the thread's next
+    call overwrites."""
+    if _buffers.wide.size < rows.size:
+        _buffers.wide = np.empty(rows.size)
+    wide = _buffers.wide[: rows.size].reshape(rows.shape)
+    np.copyto(wide, rows)
+    return wide
+
+
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, filled a block of rows at a time, each block at most
-    ``_BLOCK_MADDS`` multiply-adds (one row, when a row alone is more)."""
+    """``a @ b`` in float64, filled a block of rows at a time, each block at
+    most ``_BLOCK_MADDS`` multiply-adds (one row, when a row alone is more).
+    A float32 ``a`` is widened a block at a time (through :func:`_widened`)."""
     out = np.empty((a.shape[0], b.shape[1]))
     rows = max(1, _BLOCK_MADDS // max(1, a.shape[1] * b.shape[1]))
     for start in range(0, a.shape[0], rows):
-        block = slice(start, start + rows)
-        np.matmul(a[block], b, out=out[block])
+        block = a[start : start + rows]
+        if block.dtype != np.float64:
+            block = _widened(block)
+        np.matmul(block, b, out=out[start : start + rows])
     return out
 
 
@@ -189,7 +224,7 @@ def local_loss(params: np.ndarray, dataset: LocalDataset) -> float:
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy, flattened to match ``params``."""
     weights = _unpack(params, dataset.num_features)
-    aug = dataset.augmented
+    aug = _widened(dataset.augmented)  # once, for both products
     probs = np.exp(_log_softmax(_product(aug, weights)))
     probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
     return (_product(aug.T, probs) / dataset.num_samples).reshape(-1)
@@ -219,32 +254,36 @@ def compute_time(dataset: LocalDataset, config: LearnerConfig) -> float:
 def partial_aggregate(
     params: np.ndarray, num_samples: int, incoming: list[np.ndarray]
 ) -> np.ndarray:
-    """Sample-weighted own contribution plus already-weighted incoming sums."""
+    """Sample-weighted own contribution plus already-weighted incoming sums;
+    NumericDivergenceError if an entry is not finite."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    out = num_samples * np.asarray(params, dtype=np.float64)
-    for part in incoming:
-        part = np.asarray(part, dtype=np.float64)
-        if part.shape != out.shape:
-            raise ValueError(f"partial of shape {part.shape} does not match {out.shape}")
-        out += part
-    return _read_only(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = num_samples * np.asarray(params, dtype=np.float64)
+        for part in incoming:
+            part = np.asarray(part, dtype=np.float64)
+            if part.shape != out.shape:
+                raise ValueError(f"partial of shape {part.shape} does not match {out.shape}")
+            out += part
+    return _finite(out, "partial sum")
 
 
 def global_aggregate(partials: list[np.ndarray], total_samples: int) -> np.ndarray:
-    """Sum of weighted partials divided by the total sample count."""
+    """Sum of weighted partials divided by the total sample count;
+    NumericDivergenceError if an entry is not finite."""
     if total_samples < 1:
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if not partials:
         raise ValueError("no partials to aggregate")
     acc = np.zeros_like(np.asarray(partials[0], dtype=np.float64))
-    for part in partials:
-        part = np.asarray(part, dtype=np.float64)
-        if part.shape != acc.shape:
-            raise ValueError(f"partial of shape {part.shape} does not match {acc.shape}")
-        acc += part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in partials:
+            part = np.asarray(part, dtype=np.float64)
+            if part.shape != acc.shape:
+                raise ValueError(f"partial of shape {part.shape} does not match {acc.shape}")
+            acc += part
     acc /= total_samples
-    return _read_only(acc)
+    return _finite(acc, "global model")
 
 
 def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:
@@ -317,14 +356,18 @@ def _fill_pool(labels: np.ndarray, num_features: int, shard: Shard | None,
     """The pool with these labels, or its shards, read-only row slices of one
     block, when ``shard`` is given. The block is filled in block order,
     ``_DRAW_ROWS`` rows at a time: ``fill(pool_rows, out)`` writes the features
-    of the pool's rows ``pool_rows`` into ``out``, those rows of the block."""
+    of the pool's rows ``pool_rows`` into ``out``, a float64 chunk buffer that
+    is then rounded once into those rows of the float32 block."""
     rows = [np.arange(labels.size)] if shard is None else shard(labels)
     order = np.concatenate(rows)
-    block = np.empty((labels.size, num_features + 1))
+    block = np.empty((labels.size, num_features + 1), np.float32)
     block[:, -1] = 1.0
+    chunk = np.empty((_DRAW_ROWS, num_features))
     for start in range(0, labels.size, _DRAW_ROWS):
-        chunk = slice(start, start + _DRAW_ROWS)
-        fill(order[chunk], block[chunk, :-1])
+        pool_rows = order[start : start + _DRAW_ROWS]
+        out = chunk[: pool_rows.size]
+        fill(pool_rows, out)
+        block[start : start + pool_rows.size, :-1] = out
     labels = labels[order]
     block.flags.writeable = labels.flags.writeable = False
     bounds = itertools.pairwise(itertools.accumulate([r.size for r in rows], initial=0))

@@ -55,6 +55,7 @@ from .orbital import (
     GroundStationSpec,
     OrbitSpec,
     intra_plane_isl_feasible,
+    max_isl_range_km,
     walker_planes,
 )
 
@@ -425,7 +426,9 @@ def _build_parts(cfg: ScenarioConfig):
     """The constellation, link and learner: :func:`_build` but the data and plan.
 
     Each layer's constructor applies its own rules to its section's part, and
-    the server is placed among the satellites once the parts are sound."""
+    the server is placed among the satellites once the parts are sound. Last,
+    the link must carry the largest message across the longest line of sight
+    between two satellites, or a satellite and the server, in finite time."""
     problems, parts = _setting_problems(cfg), []
     for section, build in (("constellation", _planes), ("ps", _server),
                            ("link", _link_params), ("learning", _learner_config)):
@@ -433,13 +436,24 @@ def _build_parts(cfg: ScenarioConfig):
             parts.append(build(cfg))
         except ValueError as exc:
             problems.append(f"[{section}] {exc}")
-    if not problems:
-        planes, server, link_params, lcfg = parts
-        try:
-            return Constellation(planes, server), link_params, lcfg
-        except ValueError as exc:
-            problems.append(f"[ps] {exc}")
-    raise ConfigError(*problems)
+    if problems:
+        raise ConfigError(*problems)
+    planes, server, link_params, lcfg = parts
+    try:
+        con = Constellation(planes, server)
+    except ValueError as exc:
+        raise ConfigError(f"[ps] {exc}") from exc
+    longest_km = max_isl_range_km(cfg.altitude_km, max(cfg.altitude_km, server.altitude_km))
+    dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
+    bits = max(link.model_size_bits(dim), link.CONTROL_MESSAGE_BITS)
+    try:  # a rate or a noise power that rounds to 0 divides by zero
+        finite = math.isfinite(link.transfer_times(link_params, longest_km * 1000.0, bits))
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"[link] rate rounds to 0 bit/s at the longest line of sight, "
+                          f"{longest_km:.0f} km, so a transfer there never ends")
+    return con, link_params, lcfg
 
 
 def _build(cfg: ScenarioConfig) -> _Build:

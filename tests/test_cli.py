@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,23 @@ def test_a_satellite_on_the_server_is_a_config_error(tmp_path, capsys, protocol)
     assert not out.exists()
 
 
+# a link whose Shannon rate rounds to 0 at long range: a weak transmitter, a
+# band so wide that its noise drowns any signal, or one so narrow that its
+# noise power rounds to 0
+@pytest.mark.parametrize("key, value", [("tx_power_dbm", "-100"), ("bandwidth_hz", "1e30"),
+                                        ("bandwidth_hz", "1e-310")])
+def test_a_link_whose_rate_rounds_to_zero_is_a_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "mute.ini"
+    path.write_text(ini_with({"link": {key: value}}))
+    problem = ("[link] rate rounds to 0 bit/s at the longest line of sight, 31020 km, "
+               "so a transfer there never ends")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [problem]
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
 # one bad value in [link] and one in [learning]: every command names both
 def test_every_command_reports_every_problem_by_section(tmp_path, capsys):
     path = tmp_path / "bad.ini"
@@ -700,6 +718,17 @@ def test_exit_code_for_deadlock(tmp_path, capsys):
     path.write_text(STUCK)
     assert main(["run", "--config", str(path)]) == 3
     assert "stuck" in capsys.readouterr().err
+
+
+# a step so long that the first aggregate overflows: the run stops with one
+# error line, where it once wrote a nan model under numpy's warnings
+def test_an_aggregate_that_overflows_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "diverge.ini"
+    path.write_text("[learning]\nlearning_rate = 1e308\n\n[sim]\nseed = 7\nuntil_epochs = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the run another way
+        assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: partial sum left the finite range\n")
 
 
 def test_exit_code_for_runtime_failure(small_ini, tmp_path, capsys):

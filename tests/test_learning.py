@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,10 +113,28 @@ def test_local_gd_descends_and_composes():
 
 def test_local_gd_guards_against_divergence():
     ds = small_dataset(seed=6)
-    bad = LocalDataset(ds.features * 1e200, ds.labels)
+    bad = LocalDataset(ds.features * 1e30, ds.labels)
     cfg = LearnerConfig(learning_rate=1e300, local_iterations=5)
     with pytest.raises(NumericDivergenceError):
         local_gd(np.ones(model_dimension(5, 3)), bad, cfg)
+
+
+# Each thread widens its shard into its own buffer, so shards trained on two
+# threads at once, with the interpreter switching threads often, come out as
+# they do trained in turn.
+def test_training_on_two_threads_at_once_equals_training_in_turn():
+    pools = [synthetic_pool(150, 40, 4, seed=seed) for seed in (1, 2)]
+    cfg = LearnerConfig(learning_rate=0.1, local_iterations=200)
+    params = init_params(40, 4)
+    want = [local_gd(params, pool, cfg).tobytes() for pool in pools]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(lambda ds: local_gd(params, ds, cfg).tobytes(), pools))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_compute_time_reference_value():
@@ -165,7 +186,8 @@ def test_every_model_made_here_is_read_only():
 
 
 # The folds add into a fresh array in place; the reference below is the
-# out-of-place fold, which rounds every sum the same way
+# out-of-place fold, which rounds every sum the same way. A fold whose sum is
+# not finite raises instead, and numpy warns of nothing.
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.data())
 def test_in_place_folds_are_bit_equal_to_out_of_place_folds(data):
@@ -183,10 +205,15 @@ def test_in_place_folds_are_bit_equal_to_out_of_place_folds(data):
         for part in [own] + incoming:
             acc = acc + part
         expected = acc / total
-        folded = partial_aggregate(own, num_samples, incoming)
-        averaged = global_aggregate([own] + incoming, total)
-    assert folded.tobytes() == out.tobytes()
-    assert averaged.tobytes() == expected.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fold, want in ((lambda: partial_aggregate(own, num_samples, incoming), out),
+                           (lambda: global_aggregate([own] + incoming, total), expected)):
+            if np.all(np.isfinite(want)):
+                assert fold().tobytes() == want.tobytes()
+            else:
+                with pytest.raises(NumericDivergenceError):
+                    fold()
 
 
 # A block product equals the whole one to 1e-12 of the magnitudes it sums, for
@@ -312,6 +339,16 @@ def test_a_dataset_augments_a_copy_of_its_features_once():
     assert ds.features.base is ds.augmented
 
 
+# Features are held as float32, each value rounded once; a value beyond the
+# float32 range is refused rather than held as an infinity.
+def test_a_dataset_rounds_its_features_to_float32_once():
+    ds = LocalDataset([[0.1, 1e-3]], [0])
+    assert ds.augmented.dtype == np.float32
+    assert ds.features.tolist() == [[float(np.float32(0.1)), float(np.float32(1e-3))]]
+    with pytest.raises(DataFormatError):
+        LocalDataset([[1e200]], [0])
+
+
 def test_sizes_count_the_features_not_the_bias_column():
     cfg = LearnerConfig(learning_rate=0.1)
     drawn, _ = _dealt(pool_size=100, workers=10, features=20)
@@ -388,7 +425,8 @@ def test_synthetic_pool_properties():
 
 # Byte noise is bounded: a level of 0..255 less 127.5, over the levels' standard
 # deviation, so every row lies within 127.5 / sd of its class mean, and the
-# class means come from means_seed alone.
+# class means come from means_seed alone. Features are rounded to float32,
+# which keeps them within the float32 rounding of that interval's ends.
 def test_synthetic_pool_shared_means_differ_in_draws():
     train = synthetic_pool(200, 5, 3, seed=1, means_seed=99)
     test = synthetic_pool(200, 5, 3, seed=2, means_seed=99)
@@ -396,7 +434,9 @@ def test_synthetic_pool_shared_means_differ_in_draws():
     means = np.random.default_rng(99).normal(size=(3, 5)) * (4.0 / np.sqrt(5))
     bound = 127.5 / math.sqrt((256**2 - 1) / 12) + 1e-12
     for pool in (train, test):
-        assert np.abs(pool.features - means[pool.labels]).max() <= bound
+        low = (means[pool.labels] - bound).astype(np.float32)
+        high = (means[pool.labels] + bound).astype(np.float32)
+        assert np.all(low <= pool.features) and np.all(pool.features <= high)
 
 
 # Well-separated clusters are easy: 50 plain GD steps reach 95% train accuracy

@@ -220,7 +220,7 @@ def test_orbit_spec_validation():
         GroundStationSpec(0.5, 0.0, 2.0)
 
 
-def test_next_contact_open_window_clamps_start():
+def test_a_window_open_at_the_scan_start_starts_there():
     con = reference_constellation()
     # find a pair already visible at t0 and confirm the window opens exactly there
     t0 = 0.0
@@ -234,21 +234,21 @@ def test_next_contact_open_window_clamps_start():
     pytest.fail("no satellite visible at t0 in the reference scenario")
 
 
-def test_next_contact_permanent_visibility_clamps_end():
+def test_lasting_sight_is_one_window_cut_at_the_scan_end():
     # ring neighbors in one plane never lose sight of each other
     con = reference_constellation()
     windows = list(con.contacts(1, 2, 100.0, 5100.0))
     assert windows == [ContactWindow(1, 2, 100.0, 5100.0)]
 
 
-def test_remaining_contact_time_zero_when_invisible():
+def test_no_window_is_open_while_the_earth_blocks_the_pair():
     # antipodal ring members: the Earth blocks them, so no window is open at t
     con = reference_constellation()
     w = next(con.contacts(1, 5, 0.0, 1000.0), None)
     assert w is None or w.start_s > 0.0
 
 
-def test_remaining_contact_time_matches_brute_scan():
+def test_the_open_window_ends_where_a_brute_scan_loses_sight():
     con = reference_constellation()
     checked = 0
     for sat in (3, 17, 30):
@@ -272,7 +272,7 @@ def test_remaining_contact_time_matches_brute_scan():
 
 
 # Window prediction agrees with a dense 1 s scan over a full day's worth of geometry
-def test_next_contact_matches_brute_windows():
+def test_plan_windows_match_brute_windows():
     con = reference_constellation()
     horizon = 43200.0
     for a, b in ((1, PS_NODE), (23, PS_NODE), (1, 23)):

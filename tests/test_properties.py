@@ -359,8 +359,8 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
 def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups):
     """Each shard's (features, labels) as one whole draw gives them: the labels,
     then the deal, then the byte noise of every row at once, in block order,
-    each row a whole number of 32-bit words. None when a worker would get no
-    rows or a label group no worker."""
+    each row a whole number of 32-bit words, and the features rounded once to
+    float32. None when a worker would get no rows or a label group no worker."""
     means = np.random.default_rng(seed).normal(size=(num_classes, num_features))
     means *= 3.0 / np.sqrt(num_features)
     rng = np.random.default_rng(seed + 1)
@@ -386,7 +386,7 @@ def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, sch
     noise = (levels - 127.5) / np.sqrt((256**2 - 1) / 12)
     starts = np.cumsum([0] + [r.size for r in rows])
     return [
-        (means[labels[r]] + noise[start : start + r.size], labels[r])
+        ((means[labels[r]] + noise[start : start + r.size]).astype(np.float32), labels[r])
         for r, start in zip(rows, starts)
     ]
 

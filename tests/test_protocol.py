@@ -353,7 +353,7 @@ def test_ps_fold_order_is_ascending_plane_id():
 # -- server, one group per satellite (the direct protocol) -------------------------------
 
 
-def test_direct_ps_per_satellite_bookkeeping():
+def test_one_satellite_groups_are_served_and_folded_one_by_one():
     ps = fresh_ps(num_groups=3, dim=2, totals=30)
     assert ps.handle_connection(0) == SEND_MODEL
     assert ps.handle_connection(0) == RECONNECT
@@ -378,7 +378,7 @@ def test_direct_ps_per_satellite_bookkeeping():
     assert ps.sent == set() and ps.received == {}
 
 
-def test_direct_ps_matches_sample_weighted_average():
+def test_one_satellite_groups_fold_to_the_sample_weighted_average():
     rng = np.random.default_rng(7)
     sizes = [17, 5, 28, 11]
     models = [rng.normal(size=6) for _ in sizes]
