@@ -150,13 +150,9 @@ def model_dimension(num_features: int, num_classes: int) -> int:
     return (num_features + 1) * num_classes
 
 
-def init_params(num_features: int, num_classes: int, seed: int | None = None) -> np.ndarray:
-    """Zero parameters, or a small seeded Gaussian draw when a seed is given."""
-    dim = model_dimension(num_features, num_classes)
-    if seed is None:
-        return _read_only(np.zeros(dim, dtype=np.float64))
-    rng = np.random.default_rng(seed)
-    return _read_only(rng.normal(scale=0.01, size=dim))
+def init_params(num_features: int, num_classes: int) -> np.ndarray:
+    """Zero parameters, the model every run starts from."""
+    return _read_only(np.zeros(model_dimension(num_features, num_classes), dtype=np.float64))
 
 
 def _unpack(params: np.ndarray, num_features: int) -> np.ndarray:
@@ -214,11 +210,6 @@ def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
     if np.any(labels < 0) or np.any(labels >= scores.shape[1]):
         raise ValueError("labels outside the class range of the parameter vector")
     return float(-log_probs[np.arange(labels.size), labels].mean())
-
-
-def local_loss(params: np.ndarray, dataset: LocalDataset) -> float:
-    """Mean cross-entropy of the shard under the given parameters."""
-    return _cross_entropy(_scores(params, dataset), dataset.labels)
 
 
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:

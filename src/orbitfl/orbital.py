@@ -1,14 +1,13 @@
-"""Circular-orbit constellation geometry, visibility, and contact prediction.
+"""Circular-orbit constellation geometry and contact prediction.
 
 Two-body motion around a spherical, rotating Earth. Satellites move on circular
 orbits grouped into equally spaced planes; ground stations rotate with the
 Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
-Each node's position constants are computed once per ``Constellation``; a
-query at a scalar t is evaluated with ``math`` and yields floats (a distance)
-or a bool (visibility), while an array of times is evaluated with numpy in one
-pass. The orbit constants of every node are also stacked once, so that
-``distances_to`` evaluates many satellites, each at its own time, and an
-orbiting peer in one numpy pass that rounds as the scalar query does.
+Each node's position constants are computed once per ``Constellation``, and
+``distance_km`` evaluates them at one time with ``math``. The orbit constants
+of every node are also stacked once, so that ``distances_to`` evaluates many
+satellites, each at its own time, and an orbiting peer in one numpy pass that
+rounds as ``distance_km`` does.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
@@ -19,14 +18,12 @@ the test's margin, each step the largest over which a Taylor bound from the
 margin, its exact slope and proven bounds on its second derivative keeps the
 margin's sign, and each edge bisected onto the grid of ``tol_s`` multiples.
 The scans run in lockstep (``_Sweep``), one numpy evaluation of every running
-scan's margin, each at its own time, per step. ``Constellation.contacts`` runs
-the same scan for one pair.
+scan's margin, each at its own time, per step.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +38,7 @@ PS_NODE = 0  # the parameter server's node id; satellites are numbered from 1
 
 _TWO_PI = 2.0 * math.pi
 # two satellites that pass closer than this (10 m) collide
-_MIN_SEPARATION_KM = 0.01
+MIN_SEPARATION_KM = 0.01
 
 
 class GeometryError(ValueError):
@@ -85,8 +82,11 @@ class OrbitSpec:
     phase_offset_rad: float = 0.0
 
     def __post_init__(self):
-        if self.altitude_km <= 0:
-            raise GeometryError(f"altitude_km must be positive, got {self.altitude_km}")
+        if self.radius_km <= EARTH_RADIUS_KM:  # also an altitude that rounds away
+            raise GeometryError(
+                f"altitude_km must raise the orbit above the Earth's radius of "
+                f"{EARTH_RADIUS_KM:g} km, got {self.altitude_km}"
+            )
         _check_angle("inclination_rad", self.inclination_rad, 0.0, math.pi)
         _check_angle("raan_rad", self.raan_rad, 0.0, _TWO_PI, high_open=True)
         _check_angle("phase_offset_rad", self.phase_offset_rad, 0.0, _TWO_PI, high_open=True)
@@ -175,9 +175,9 @@ class _GroundTrack:
 
     __slots__ = ("lon0", "r_cl", "z", "sin_mask")
 
-    def __init__(self, station: GroundStationSpec, earth_angle0_rad: float):
+    def __init__(self, station: GroundStationSpec):
         r = EARTH_RADIUS_KM + station.altitude_km
-        self.lon0 = station.longitude_rad + earth_angle0_rad
+        self.lon0 = station.longitude_rad
         self.r_cl = r * math.cos(station.latitude_rad)
         self.z = r * math.sin(station.latitude_rad)
         self.sin_mask = math.sin(station.min_elevation_rad)
@@ -185,18 +185,6 @@ class _GroundTrack:
     def at(self, t, m):
         lon = self.lon0 + EARTH_ROTATION_RAD_S * t
         return (self.r_cl * m.cos(lon), self.r_cl * m.sin(lon), self.z)
-
-
-def _clock(t):
-    """t and the module ``m`` that evaluates the tracks' ``at(t, m)`` at it.
-
-    ``at`` is the one position formula: ``math`` runs it for a scalar t, so
-    point queries build no arrays, and numpy for a time grid. Both round every
-    operation alike, so a scalar answer equals its grid entry bit for bit.
-    """
-    if isinstance(t, (int, float)):
-        return t, math
-    return np.asarray(t, dtype=float), np
 
 
 def _distance(a, b, sqrt):
@@ -211,11 +199,6 @@ def _elevation_margin(sat, ground, sin_mask, sqrt):
     num = gx * rx + gy * ry + gz * rz
     den = sqrt(gx * gx + gy * gy + gz * gz) * sqrt(rx * rx + ry * ry + rz * rz)
     return num - den * sin_mask
-
-
-def _inside(margin, other):
-    """Visibility: a station sees a satellite on its mask, a satellite at range does not."""
-    return margin >= 0 if isinstance(other, _GroundTrack) else margin > 0
 
 
 def _curvature(sat, other) -> tuple[float, float, float, float]:
@@ -259,6 +242,16 @@ def _closest_approach_km(a: _OrbitTrack, b: _OrbitTrack) -> float:
     d0, d1, d2 = (_distance(a.at(t, math), b.at(t, math), lambda x: x) for t in times)
     c = (d0 + d2) / 2
     return math.sqrt(max(0.0, c - math.hypot(d0 - c, d1 - c)))
+
+
+def _refuse_collisions(con: Constellation, nodes, peer: int, name: str) -> None:
+    """Raise if a satellite of ``nodes`` passes within 10 m of node ``peer``."""
+    for n in nodes:
+        if _closest_approach_km(con._tracks[n], con._tracks[peer]) <= MIN_SEPARATION_KM:
+            raise GeometryError(
+                f"satellite {n} collides with {name}: they share a radius "
+                f"and pass within {MIN_SEPARATION_KM * 1000:.0f} m of each other"
+            )
 
 
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
@@ -320,17 +313,11 @@ class Constellation:
     own plane or a ground station. All query methods accept node ids.
     """
 
-    def __init__(
-        self,
-        orbits: list[OrbitSpec],
-        ps,
-        earth_angle0_rad: float = 0.0,
-    ):
+    def __init__(self, orbits: list[OrbitSpec], ps):
         if not orbits:
             raise GeometryError("at least one orbital plane is required")
         self.orbits = list(orbits)
         self.ps = ps
-        self.earth_angle0_rad = earth_angle0_rad
         self._sat_plane: dict[int, tuple[OrbitSpec, int]] = {}
         self._ring: dict[int, list[int]] = {}
         node = 1
@@ -349,7 +336,7 @@ class Constellation:
         if self.ps_is_satellite:
             ps_track = _OrbitTrack(ps, 0)
         else:
-            ps_track = _GroundTrack(ps, earth_angle0_rad)
+            ps_track = _GroundTrack(ps)
         self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
         # every node's orbit constants stacked once for ``distances_to``, column
         # n for node n (NaN for a ground server): theta0, period and r, and the
@@ -362,12 +349,7 @@ class Constellation:
         ]).T
         self._angle, self._rotation = stack[:3], stack[3:].reshape(2, 3, -1)
         if self.ps_is_satellite:
-            for n in range(1, node):
-                if _closest_approach_km(self._tracks[n], ps_track) <= _MIN_SEPARATION_KM:
-                    raise GeometryError(
-                        f"satellite {n} collides with the server: they share a radius "
-                        f"and pass within {_MIN_SEPARATION_KM * 1000:.0f} m of each other"
-                    )
+            _refuse_collisions(self, range(1, node), PS_NODE, "the server")
 
     # -- node table ---------------------------------------------------------
 
@@ -383,23 +365,11 @@ class Constellation:
     def plane_indices(self) -> list[int]:
         return sorted(self._ring)
 
-    def altitude_km(self, node: int) -> float:
-        if node == PS_NODE:
-            if not self.ps_is_satellite:
-                raise GeometryError("parameter server is a ground station, not a satellite")
-            return self.ps.altitude_km
-        return self._sat_plane[node][0].altitude_km
-
     # -- geometry -----------------------------------------------------------
 
-    def position(self, node: int, t):
-        """ECI position (km): shape (3,) for scalar t, else t's shape plus (3,)."""
-        return np.stack(np.broadcast_arrays(*self._tracks[node].at(*_clock(t))), axis=-1)
-
-    def distance_km(self, a: int, b: int, t):
-        """Distance between two nodes: a float for scalar t, else an array."""
-        t, m = _clock(t)
-        return _distance(self._tracks[a].at(t, m), self._tracks[b].at(t, m), m.sqrt)
+    def distance_km(self, a: int, b: int, t: float) -> float:
+        """Distance between two nodes at time t."""
+        return _distance(self._tracks[a].at(t, math), self._tracks[b].at(t, math), math.sqrt)
 
     def distances_to(self, nodes, b: int) -> _Distances:
         """The distance from each satellite of ``nodes`` to node ``b``, as a
@@ -414,51 +384,6 @@ class Constellation:
             rows = rows[np.newaxis]
         angle = self._angle[:, rows[:, np.newaxis]]
         return _Distances(angle, self._rotation[..., rows].swapaxes(1, 2).copy(), other)
-
-    def visible(self, a: int, b: int, t):
-        """Line-of-sight predicate between two nodes; t may be an array."""
-        sat, other = self._pair(a, b)
-        t, m = _clock(t)
-        return _inside(self._margin(sat, other, t, m), other)
-
-    def _pair(self, a: int, b: int):
-        """The two nodes' tracks, a satellite first."""
-        sat, other = self._tracks[a], self._tracks[b]
-        if isinstance(sat, _GroundTrack):
-            sat, other = other, sat
-        if isinstance(sat, _GroundTrack):
-            raise GeometryError("visibility between two ground nodes is undefined")
-        return sat, other
-
-    def _margin(self, sat, other, t, m):
-        """How far inside visibility the pair is at t: range - distance, or the
-        elevation margin with a ground station."""
-        if isinstance(other, _GroundTrack):
-            return _elevation_margin(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
-        d = _distance(sat.at(t, m), other.at(t, m), m.sqrt)
-        return sat.horizon_km + other.horizon_km - d
-
-    # -- contact prediction --------------------------------------------------
-
-    def contacts(self, a: int, b: int, t: float, t_end: float, *, tol_s: float = 0.1):
-        """Yield every visibility window of ``a`` and ``b`` in [t, t_end], in order:
-        the scan a ``ContactPlan`` runs for each node, here for one pair from t.
-
-        Each edge is the first grid time ``k * tol_s`` at or after the flip,
-        so it depends on the geometry and ``tol_s`` alone, not on how the scan
-        stepped. A window open at t starts at t, and a window open at t_end
-        ends there. A window or gap shorter than ``tol_s`` can be missed, and
-        a window that snaps to less than one grid step is dropped.
-        """
-        sat, _ = self._pair(a, b)
-        node, peer = (a, b) if sat is self._tracks[a] else (b, a)
-        sweep = _Sweep(self, [node], peer, t, t_end, tol_s)
-        found = sweep.windows[0]
-        for k in itertools.count():
-            sweep.scan(0, lambda w: len(found) > k)
-            if len(found) == k:
-                return
-            yield ContactWindow(a, b, found[k].start_s, found[k].end_s)
 
 
 class _Distances:
@@ -527,10 +452,11 @@ class _Distances:
 
 
 class _Sweep:
-    """The window scans of several nodes with one peer over [t0, t_end], run in
-    lockstep: each pass evaluates the margin of every running scan, each at its
-    own time, in one numpy evaluation that equals ``Constellation._margin`` bit
-    for bit, and a scan stops running at t_end.
+    """The window scans of several orbiting nodes with one peer over [0, t_end],
+    run in lockstep: each pass evaluates the margin of every running scan, each
+    at its own time, in one numpy evaluation that rounds as ``_OrbitTrack.at``,
+    ``_GroundTrack.at`` and ``_elevation_margin`` do under ``math`` at one time,
+    and a scan stops running at t_end.
 
     A scan steps from t by the largest h over which the margin's Taylor bound
     |m| + s h - M h^2 / 2 stays positive, with s the rate at which |m| grows
@@ -542,15 +468,14 @@ class _Sweep:
     whatever ``tol_s`` is and depends on the geometry and ``tol_s`` alone.
     """
 
-    def __init__(self, con: Constellation, nodes, peer: int, t0: float, t_end: float, tol_s: float):
+    def __init__(self, con: Constellation, nodes, peer: int, t_end: float, tol_s: float):
         self.nodes, self.peer, self.t_end, self.tol_s = list(nodes), peer, t_end, tol_s
         self._pairs = con.distances_to(self.nodes, peer)
-        ground = self._pairs.ground
-        pairs = [con._pair(n, peer) for n in self.nodes]
+        ground, other = self._pairs.ground, con._tracks[peer]
         # per node: the range of a satellite pair (0 with a station), then _curvature's constants
         self._const = np.array([
             (0.0 if ground else sat.horizon_km + other.horizon_km, *_curvature(sat, other))
-            for sat, other in pairs
+            for sat in (con._tracks[n] for n in self.nodes)
         ]).reshape(-1, 5).T
         if ground:
             self._lean = math.hypot(ground.r_cl, ground.z) * ground.sin_mask
@@ -558,19 +483,19 @@ class _Sweep:
         # per node: the windows found so far, the time of the last edge, and
         # whether the scan has ended
         self.windows: list[list[ContactWindow]] = [[] for _ in range(n)]
-        self._last = [t0] * n
-        self._done = [t0 >= t_end] * n
+        self._last = [0.0] * n
+        self._done = [t_end <= 0.0] * n
         # one entry per running scan: its node, how far it has come, whether the
         # node sees the peer there, and the next time evaluated; a bisecting
         # scan holds its state in _bisect, with its bracket: (k_lo, k_hi, seen
         # before the flip, the time after it, the scan's next step)
         self._rows = np.arange(n)
-        self._t = np.full(n, t0, dtype=float)
+        self._t = np.zeros(n)
         self._inside, self._at = self._look(self._t)
         self._halted = np.zeros(n, dtype=bool)
         self._bisect: dict[int, tuple[int, int, bool, float, float]] = {}
         # per node: the start of the window open since the last edge, or None
-        self._open = [t0 if seen else None for seen in self._inside.tolist()]
+        self._open = [0.0 if seen else None for seen in self._inside.tolist()]
 
     def scan(self, i: int, enough) -> None:
         """Run node i's scan on until ``enough`` holds for the last window it
@@ -709,7 +634,8 @@ class ContactPlan:
     one a query extends, as far as that query needs. Every window runs from a
     rise to a drop, or to ``end_s``, its edges on the ``tol_s`` grid, and does
     not depend on when or in what order it is asked for, nor on which other
-    scans stepped with its own.
+    scans stepped with its own. A satellite peer that another satellite meets
+    is refused, as ``Constellation`` refuses a satellite that meets the server.
     """
 
     def __init__(
@@ -720,8 +646,10 @@ class ContactPlan:
             n for n, track in enumerate(con._tracks)
             if n != peer and isinstance(track, _OrbitTrack)
         ]
+        if peer != PS_NODE:  # Constellation has refused the server's collisions
+            _refuse_collisions(con, nodes, peer, f"satellite {peer}")
         self._index = {n: i for i, n in enumerate(nodes)}
-        self._sweep = _Sweep(con, nodes, peer, 0.0, end_s, tol_s)
+        self._sweep = _Sweep(con, nodes, peer, end_s, tol_s)
 
     def window(self, node: int, t: float) -> ContactWindow | None:
         """The window open at t, else the next one before ``end_s``, else None."""

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import learning, link, protocol
 from .orbital import (
+    MIN_SEPARATION_KM,
     PS_NODE,
     AngleRangeError,
     Constellation,
@@ -428,7 +429,9 @@ def _build_parts(cfg: ScenarioConfig):
     Each layer's constructor applies its own rules to its section's part, and
     the server is placed among the satellites once the parts are sound. Last,
     the link must carry the largest message across the longest line of sight
-    between two satellites, or a satellite and the server, in finite time."""
+    between two satellites, or a satellite and the server, in finite time, and
+    a model to the server within the passes a run reads, which end by the
+    contact plan's end."""
     problems, parts = _setting_problems(cfg), []
     for section, build in (("constellation", _planes), ("ps", _server),
                            ("link", _link_params), ("learning", _learner_config)):
@@ -453,6 +456,20 @@ def _build_parts(cfg: ScenarioConfig):
     if not finite:
         raise ConfigError(f"[link] rate rounds to 0 bit/s at the longest line of sight, "
                           f"{longest_km:.0f} km, so a transfer there never ends")
+    # no satellite comes nearer the server than their altitudes' difference,
+    # nor than the 10 m that Constellation enforces
+    least_km = max(abs(cfg.altitude_km - server.altitude_km), MIN_SEPARATION_KM)
+    span_s = _end_s(cfg) + PLAN_REACH_S
+    # the rate, positive at the longest distance, only grows nearer: a division
+    # by zero here is a path loss that rounds to 0, so the rate is unbounded
+    try:
+        model_s = link.transfer_times(link_params, least_km * 1000.0, link.model_size_bits(dim))
+    except ZeroDivisionError:
+        model_s = 0.0
+    if model_s > span_s:
+        raise ConfigError(f"[link] a model takes {model_s:.3g} s to reach the server even at "
+                          f"the least distance, {least_km:.0f} km, longer than the "
+                          f"{span_s:.3g} s of passes a run reads, so no pass carries one")
     return con, link_params, lcfg
 
 

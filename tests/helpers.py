@@ -2,17 +2,47 @@
 
 Everything here recomputes expected values by the dumbest defensible method
 (dense scans, direct enumeration, finite differences) so the library is checked
-against an independent implementation, not against itself. ``write_idx_pair``
-writes the IDX files that data-loading tests read, and ``read_idx_pair`` reads
-them back whole.
+against an independent implementation, not against itself. ``position``,
+``margin`` and ``visible`` are the geometry oracle: each evaluates the nodes'
+tracks at one time t with ``math``, or at an array of times with numpy, which
+rounds alike. ``write_idx_pair`` writes the IDX files that data-loading tests
+read, and ``read_idx_pair`` reads them back whole.
 """
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from orbitfl.learning import LocalDataset, partition_dataset
+from orbitfl.orbital import _distance, _elevation_margin, _GroundTrack
+
+
+def position(constellation, node, t, m=math):
+    """The node's ECI position (km): shape (3,) at one time, else t's shape plus (3,)."""
+    return np.stack(np.broadcast_arrays(*constellation._tracks[node].at(t, m)), axis=-1)
+
+
+def margin(constellation, a, b, t, m=math):
+    """How far inside visibility two nodes are at t, as the window scan rounds
+    it: the pair's range less its distance between satellites, the elevation
+    margin with a ground station."""
+    sat, other = constellation._tracks[a], constellation._tracks[b]
+    if isinstance(sat, _GroundTrack):
+        sat, other = other, sat
+    if isinstance(other, _GroundTrack):
+        return _elevation_margin(sat.at(t, m), other.at(t, m), other.sin_mask, m.sqrt)
+    return sat.horizon_km + other.horizon_km - _distance(sat.at(t, m), other.at(t, m), m.sqrt)
+
+
+def visible(constellation, a, b, t, m=math):
+    """Whether two nodes see each other at t: a station sees a satellite on
+    its mask, a satellite at range does not see another."""
+    inside = margin(constellation, a, b, t, m)
+    if any(isinstance(constellation._tracks[n], _GroundTrack) for n in (a, b)):
+        return inside >= 0
+    return inside > 0
 
 
 def brute_windows(constellation, a, b, t0, t1, step_s=1.0):
@@ -23,7 +53,7 @@ def brute_windows(constellation, a, b, t0, t1, step_s=1.0):
     """
     ts = np.arange(t0, t1 + step_s, step_s)
     ts = ts[ts <= t1]
-    vis = np.asarray(constellation.visible(a, b, ts), dtype=bool)
+    vis = visible(constellation, a, b, ts, np)
     windows = []
     start = None
     for t, v in zip(ts, vis):
@@ -51,6 +81,17 @@ def ring_hop_distances(num_nodes, sink_pos):
                     nxt.append(q)
         frontier = nxt
     return dist
+
+
+def cross_entropy(params, dataset):
+    """Mean cross-entropy of the softmax model ``params`` on ``dataset``,
+    computed apart from the library: the float64 scores of the bias-augmented
+    rows, then each row's log-sum-exp less its label's score."""
+    weights = np.asarray(params, dtype=float).reshape(dataset.num_features + 1, -1)
+    scores = dataset.augmented.astype(np.float64) @ weights
+    top = scores.max(axis=1)
+    log_norm = top + np.log(np.exp(scores - top[:, np.newaxis]).sum(axis=1))
+    return float(np.mean(log_norm - scores[np.arange(dataset.num_samples), dataset.labels]))
 
 
 def numeric_gradient(loss_fn, params, eps=1e-6):

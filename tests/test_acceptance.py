@@ -178,7 +178,7 @@ def test_criterion_4_ring_accuracy_never_trails():
 def test_criterion_5_gradients_match_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
-    from helpers import numeric_gradient
+    from helpers import cross_entropy, numeric_gradient
 
     for trial in range(100):
         num_features = int(rng.integers(1, 9))
@@ -189,7 +189,7 @@ def test_criterion_5_gradients_match_finite_differences():
         dataset = learning.LocalDataset(features, labels)
         params = rng.normal(scale=0.5, size=learning.model_dimension(num_features, num_classes))
         got = learning.local_gradient(params, dataset)
-        want = numeric_gradient(lambda p: learning.local_loss(p, dataset), params)
+        want = numeric_gradient(lambda p: cross_entropy(p, dataset), params)
         err = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-6)
         assert err <= 1e-5, f"trial {trial}: relative error {err}"
     elapsed = time.perf_counter() - t0

@@ -453,6 +453,49 @@ def test_a_link_whose_rate_rounds_to_zero_is_a_config_error(tmp_path, capsys, ke
         assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
+# a link on which a model takes longer to reach the server, even at the least
+# distance a satellite comes to it (the radii's difference, 18,000 km here),
+# than the passes a run reads last: the run would stall as stuck
+@pytest.mark.parametrize("bandwidth, seconds", [("1e-3", "1.05e+07"), ("1e-200", "3.71e+202"),
+                                                ("1e-290", "2.57e+292")])
+def test_a_link_too_slow_for_any_pass_is_a_config_error(tmp_path, capsys, bandwidth, seconds):
+    path = tmp_path / "slow.ini"
+    path.write_text(f"[link]\nbandwidth_hz = {bandwidth}\n\n[sim]\nseed = 7\n")
+    problem = (f"[link] a model takes {seconds} s to reach the server even at the least "
+               "distance, 18000 km, longer than the 2.64e+06 s of passes a run reads, "
+               "so no pass carries one")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+        assert not out.exists()
+
+
+# an altitude so small that adding it to the Earth's radius leaves the radius:
+# a satellite or an orbiting server would sit on the ground, under either server
+@pytest.mark.parametrize(
+    "overrides, section",
+    [
+        ({"constellation": {"altitude_km": "1e-13"}}, "constellation"),
+        ({"constellation": {"altitude_km": "1e-13"}, "ps": {"kind": "ground"}}, "constellation"),
+        ({"ps": {"altitude_km": "1e-13"}}, "ps"),
+    ],
+    ids=["orbit-server", "ground-server", "server-altitude"],
+)
+def test_an_altitude_that_rounds_away_is_a_config_error(tmp_path, capsys, overrides, section):
+    path = tmp_path / "flat.ini"
+    path.write_text(ini_with(overrides))
+    problem = (f"[{section}] altitude_km{at(path, 'altitude_km = 1e-13')} must raise the orbit "
+               "above the Earth's radius of 6371 km, got 1e-13")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
 # one bad value in [link] and one in [learning]: every command names both
 def test_every_command_reports_every_problem_by_section(tmp_path, capsys):
     path = tmp_path / "bad.ini"

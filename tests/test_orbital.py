@@ -21,7 +21,7 @@ from orbitfl.orbital import (
     walker_planes,
 )
 
-from helpers import brute_windows
+from helpers import brute_windows, margin, position, visible
 
 
 MEO_PS = OrbitSpec(
@@ -60,11 +60,11 @@ def test_period_speed_identity():
 
 def test_satellite_position_axis_cases():
     orbit = OrbitSpec(0, 2000.0, 0.0, 0.0, 4)
-    p = Constellation([orbit], MEO_PS).position(1, 0.0)
+    p = position(Constellation([orbit], MEO_PS), 1, 0.0)
     np.testing.assert_allclose(p, [8371.0, 0.0, 0.0], atol=1e-9)
     # quarter ring ahead (node 2), polar plane: the +y in-plane direction maps to +z
     polar = OrbitSpec(0, 2000.0, math.pi / 2, 0.0, 4)
-    p = Constellation([polar], MEO_PS).position(2, 0.0)
+    p = position(Constellation([polar], MEO_PS), 2, 0.0)
     np.testing.assert_allclose(p, [0.0, 0.0, 8371.0], atol=1e-9)
 
 
@@ -82,16 +82,16 @@ def test_satellite_position_periodicity_and_radius():
         con = Constellation([orbit], MEO_PS)
         node = int(rng.integers(1, orbit.num_satellites + 1))
         ts = rng.uniform(0, 1e6, size=200)
-        pos = con.position(node, ts)
+        pos = position(con, node, ts, np)
         assert pos.shape == (200, 3)
         np.testing.assert_allclose(
             np.linalg.norm(pos, axis=-1), orbit.radius_km, rtol=1e-12
         )
         period = orbital_period(orbit.altitude_km)
-        np.testing.assert_allclose(pos, con.position(node, ts + period), atol=1e-6)
+        np.testing.assert_allclose(pos, position(con, node, ts + period, np), atol=1e-6)
         np.testing.assert_allclose(
-            con.distance_km(node, PS_NODE, ts),
-            np.linalg.norm(pos - con.position(PS_NODE, ts), axis=-1),
+            [con.distance_km(node, PS_NODE, t) for t in ts.tolist()],
+            np.linalg.norm(pos - position(con, PS_NODE, ts, np), axis=-1),
             rtol=1e-12,
         )
 
@@ -100,12 +100,12 @@ def test_ground_position_pole_and_equator():
     planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
     pole = Constellation(planes, GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0)))
     for t in (0.0, 1234.5, 86400.0):
-        np.testing.assert_allclose(pole.position(PS_NODE, t), [0.0, 0.0, 6371.0], atol=1e-9)
+        np.testing.assert_allclose(position(pole, PS_NODE, t), [0.0, 0.0, 6371.0], atol=1e-9)
     equator = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
-    np.testing.assert_allclose(equator.position(PS_NODE, 0.0), [6371.0, 0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(position(equator, PS_NODE, 0.0), [6371.0, 0.0, 0.0], atol=1e-9)
     sidereal = 2 * math.pi / orbital.EARTH_ROTATION_RAD_S
     np.testing.assert_allclose(
-        equator.position(PS_NODE, sidereal), equator.position(PS_NODE, 0.0), atol=1e-6
+        position(equator, PS_NODE, sidereal), position(equator, PS_NODE, 0.0), atol=1e-6
     )
 
 
@@ -118,8 +118,8 @@ def test_max_isl_range_values():
 def test_sat_sat_visible_ring_cases():
     # adjacent satellites of the reference ring see each other, antipodal ones do not
     con = Constellation([OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 8)], MEO_PS)
-    assert con.visible(1, 2, 0.0)
-    assert not con.visible(1, 5, 0.0)
+    assert visible(con, 1, 2, 0.0)
+    assert not visible(con, 1, 5, 0.0)
 
 
 def test_visibility_symmetric():
@@ -129,7 +129,7 @@ def test_visibility_symmetric():
     for _ in range(200):
         a, b = rng.choice(nodes, size=2, replace=False)
         t = float(rng.uniform(0, 1e5))
-        assert bool(con.visible(int(a), int(b), t)) == bool(con.visible(int(b), int(a), t))
+        assert visible(con, int(a), int(b), t) == visible(con, int(b), int(a), t)
 
 
 def test_sat_ground_visible_zenith_and_mask():
@@ -144,10 +144,10 @@ def test_sat_ground_visible_zenith_and_mask():
     ]
     masked = Constellation(planes, GroundStationSpec(0.0, 0.0, math.radians(10.0)))
     open_sky = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
-    np.testing.assert_allclose(masked.position(2, 0.0), [x, y, 0.0], atol=1e-9)
-    assert masked.visible(1, PS_NODE, 0.0) and open_sky.visible(1, PS_NODE, 0.0)
-    assert not masked.visible(2, PS_NODE, 0.0)
-    assert open_sky.visible(2, PS_NODE, 0.0)
+    np.testing.assert_allclose(position(masked, 2, 0.0), [x, y, 0.0], atol=1e-9)
+    assert visible(masked, 1, PS_NODE, 0.0) and visible(open_sky, 1, PS_NODE, 0.0)
+    assert not visible(masked, 2, PS_NODE, 0.0)
+    assert visible(open_sky, 2, PS_NODE, 0.0)
 
 
 # With a zero mask, visibility must match a line-of-sight check against the sphere:
@@ -202,7 +202,7 @@ def test_constellation_node_table():
     assert con.plane_of(9) == 1
     assert con.plane_of(40) == 4
     assert con.ring_ids(2) == list(range(17, 25))
-    assert con.altitude_km(PS_NODE) == 20000.0
+    assert con.ps.altitude_km == 20000.0
 
 
 def test_orbit_spec_validation():
@@ -222,14 +222,14 @@ def test_orbit_spec_validation():
 
 def test_a_window_open_at_the_scan_start_starts_there():
     con = reference_constellation()
-    # find a pair already visible at t0 and confirm the window opens exactly there
-    t0 = 0.0
+    plan = ContactPlan(con, 3600.0)
+    # find a pair already visible at 0 and confirm the window opens exactly there
     for sat in con.satellite_ids():
-        if bool(con.visible(sat, PS_NODE, t0)):
-            w = next(con.contacts(sat, PS_NODE, t0, t0 + 3600.0), None)
+        if visible(con, sat, PS_NODE, 0.0):
+            w = plan.window(sat, 0.0)
             assert w is not None
-            assert w.start_s == t0
-            assert w.end_s > t0
+            assert w.start_s == 0.0
+            assert w.end_s > 0.0
             return
     pytest.fail("no satellite visible at t0 in the reference scenario")
 
@@ -237,26 +237,27 @@ def test_a_window_open_at_the_scan_start_starts_there():
 def test_lasting_sight_is_one_window_cut_at_the_scan_end():
     # ring neighbors in one plane never lose sight of each other
     con = reference_constellation()
-    windows = list(con.contacts(1, 2, 100.0, 5100.0))
-    assert windows == [ContactWindow(1, 2, 100.0, 5100.0)]
+    windows = ContactPlan(con, 5100.0, peer=2).windows(1, 5100.0)
+    assert windows == [ContactWindow(1, 2, 0.0, 5100.0)]
 
 
 def test_no_window_is_open_while_the_earth_blocks_the_pair():
     # antipodal ring members: the Earth blocks them, so no window is open at t
     con = reference_constellation()
-    w = next(con.contacts(1, 5, 0.0, 1000.0), None)
+    w = ContactPlan(con, 1000.0, peer=5).window(1, 0.0)
     assert w is None or w.start_s > 0.0
 
 
 def test_the_open_window_ends_where_a_brute_scan_loses_sight():
     con = reference_constellation()
+    plan = ContactPlan(con, 9000.0 + 20000.0)
     checked = 0
     for sat in (3, 17, 30):
         for t in (0.0, 4000.0, 9000.0):
             expected = None
-            if bool(con.visible(sat, PS_NODE, t)):
-                for dt in np.arange(0.0, 20000.0, 1.0):
-                    if not bool(con.visible(sat, PS_NODE, t + dt)):
+            if visible(con, sat, PS_NODE, t):
+                for dt in np.arange(0.0, 20000.0, 1.0).tolist():
+                    if not visible(con, sat, PS_NODE, t + dt):
                         expected = dt
                         break
             else:
@@ -264,7 +265,7 @@ def test_the_open_window_ends_where_a_brute_scan_loses_sight():
             if expected is None:
                 continue
             # remaining contact: the end of the window open at t, minus t
-            w = next(con.contacts(sat, PS_NODE, t, t + 20000.0), None)
+            w = plan.window(sat, t)
             got = w.end_s - t if w is not None and w.start_s <= t else 0.0
             assert got == pytest.approx(expected, abs=2.0)
             checked += 1
@@ -288,7 +289,7 @@ def test_plan_windows_match_brute_windows():
             ]
             assert match, f"brute window ({bs}, {be}) for pair ({a}, {b}) not predicted"
         for w in predicted:
-            assert bool(con.visible(a, b, 0.5 * (w.start_s + w.end_s)))
+            assert visible(con, a, b, 0.5 * (w.start_s + w.end_s))
 
 
 def test_polar_station_windows_recur_every_period():
@@ -357,25 +358,26 @@ def test_a_satellite_that_meets_the_server_is_rejected(inclination_deg, raan_deg
         Constellation([orbit], MEO_PS)
 
 
+def test_a_plan_refuses_a_satellite_peer_that_another_satellite_meets():
+    # three equatorial planes in phase put a satellite of each on one point
+    planes = walker_planes(3, 3, 1000.0, 0.0, phasing_factor=0)
+    con = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.1))
+    with pytest.raises(GeometryError, match="satellite 6 collides with satellite 1"):
+        ContactPlan(con, 3600.0, peer=1)
+    ContactPlan(con, 3600.0).windows(1, 3600.0)
+
+
 def test_ground_ps_constellation_dispatch():
     planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
     bremen = GroundStationSpec(math.radians(53.08), math.radians(8.80), math.radians(10.0))
     con = Constellation(planes, bremen)
     assert not con.ps_is_satellite
-    with pytest.raises(GeometryError):
-        con.altitude_km(PS_NODE)
     # visibility dispatch works both ways around
     t = 123.0
-    assert bool(con.visible(1, PS_NODE, t)) == bool(con.visible(PS_NODE, 1, t))
+    assert visible(con, 1, PS_NODE, t) == visible(con, PS_NODE, 1, t)
 
 
-# -- scalar and grid queries ------------------------------------------------------
-
-# Positions and dense-scan oracles query arrays of times, while the engine and
-# the window scan ask for single times (transfer distances, fallback hops, scan
-# steps, the bisection of window edges). The two answers must be equal to the
-# last bit, or a check against an array query would hold the engine to
-# different numbers than it computed.
+# -- random constellations --------------------------------------------------------
 
 
 @st.composite
@@ -403,29 +405,11 @@ def constellations(draw):
             draw(st.floats(0.0, 2.0)),
         )
     try:
-        return Constellation(planes, ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+        return Constellation(planes, ps)
     except GeometryError:
         # a satellite on the server's radius and in step with it collides with
         # it, which no constellation may have
         reject()
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(con=constellations(), data=st.data())
-def test_scalar_queries_equal_grid_queries(con, data):
-    ids = con.satellite_ids()
-    nodes = [PS_NODE] + ids
-    times = data.draw(st.lists(st.floats(0.0, 3e6), min_size=1, max_size=8))
-    for t in times:
-        a = data.draw(st.sampled_from(nodes))
-        b = data.draw(st.sampled_from([n for n in nodes if n != a]))
-        grid = np.array([t])
-        d = con.distance_km(a, b, t)
-        assert type(d) is float and d == con.distance_km(a, b, grid)[0]
-        v = con.visible(a, b, t)
-        assert type(v) is bool and v == con.visible(a, b, grid)[0]
-        for node in (a, b):
-            assert np.array_equal(con.position(node, t), con.position(node, grid)[0])
 
 
 # A coast evaluates many satellites' server distances, each at its own time, in
@@ -434,7 +418,7 @@ def test_scalar_queries_equal_grid_queries(con, data):
 # repeats, the subsets left as chains drop out, up to every satellite of a
 # 20 x 20 constellation), to an orbiting or ground server or to a satellite.
 WIDE = [
-    Constellation(walker_planes(20, 20, 2000.0, math.radians(80.0)), ps, earth_angle0_rad=0.4)
+    Constellation(walker_planes(20, 20, 2000.0, math.radians(80.0)), ps)
     for ps in (MEO_PS, GroundStationSpec(0.7, 0.3, 0.1, 0.5))
 ]
 
@@ -489,7 +473,7 @@ def server_pairs(draw):
             draw(st.floats(0.0, 2.0)),
         )
     try:
-        return Constellation([orbit(0)], ps, earth_angle0_rad=draw(st.floats(0.0, 6.28)))
+        return Constellation([orbit(0)], ps)
     except GeometryError:
         reject()
 
@@ -497,7 +481,7 @@ def server_pairs(draw):
 def _scan_margins(con, times):
     """The scan's margin, slope, bounds on -margin'' and margin'' and the reach
     of the first, for satellite 1 and the server, at each of ``times``."""
-    sweep = orbital._Sweep(con, [1] * len(times), PS_NODE, 0.0, 0.0, 0.1)
+    sweep = orbital._Sweep(con, [1] * len(times), PS_NODE, 0.0, 0.1)
     return sweep._taylor(np.array(times, dtype=float))
 
 
@@ -508,13 +492,12 @@ def _scan_margins(con, times):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(con=server_pairs(), data=st.data())
 def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
-    sat, other = con._pair(1, PS_NODE)
     times = data.draw(st.lists(st.floats(10.0, 3e6), min_size=1, max_size=6))
     scan = (a.tolist() for a in _scan_margins(con, times))
     for t, m, s, fall, rise, r in zip(times, *scan):
-        assert m == con._margin(sat, other, t, math)
+        assert m == margin(con, 1, PS_NODE, t)
         step = 0.01
-        ahead, behind = (con._margin(sat, other, t + dt, math) for dt in (step, -step))
+        ahead, behind = (margin(con, 1, PS_NODE, t + dt) for dt in (step, -step))
         assert abs((ahead - behind) / (2 * step) - s) <= 1e-6 * abs(s) + 1e-12 * abs(m) / step
         span = min(r, 3600.0)
         step = 1.0
@@ -522,9 +505,9 @@ def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
             continue
         at = t + step + data.draw(st.floats(0.0, 1.0)) * (span - 2 * step)
         second = (
-            con._margin(sat, other, at + step, math)
-            - 2 * con._margin(sat, other, at, math)
-            + con._margin(sat, other, at - step, math)
+            margin(con, 1, PS_NODE, at + step)
+            - 2 * margin(con, 1, PS_NODE, at)
+            + margin(con, 1, PS_NODE, at - step)
         ) / step**2
         assert -fall <= second <= rise
 
@@ -534,7 +517,9 @@ def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
 # So a plan at a 1 s tolerance holds exactly the windows of a 1 s dense scan,
 # with the server and with another satellite as the peer: each starts at its
 # first visible grid time and ends at the first invisible one after it, or at
-# the plan's end, as long as every run and gap spans at least 3 grid steps.
+# the plan's end, as long as every run and gap spans at least 3 grid steps. A
+# plan refuses a satellite peer that another satellite meets, and only such a
+# peer.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(con=constellations(), data=st.data())
 def test_plan_windows_equal_dense_scan_windows(con, data):
@@ -545,6 +530,14 @@ def test_plan_windows_equal_dense_scan_windows(con, data):
         peers.append(data.draw(st.sampled_from([n for n in ids if n != sat])))
     end = 6 * 3600.0
     for peer in peers:
+        meets = peer != PS_NODE and min(
+            orbital._closest_approach_km(con._tracks[n], con._tracks[peer])
+            for n in ids if n != peer
+        ) <= orbital.MIN_SEPARATION_KM
+        if meets:
+            with pytest.raises(GeometryError, match=f"collides with satellite {peer}"):
+                ContactPlan(con, end, peer=peer, tol_s=1.0)
+            continue
         brute = brute_windows(con, sat, peer, 0.0, end)
         # the grid times where a run of visible or invisible grid times begins
         bounds = [0.0] + [t for start, stop in brute for t in (start, stop + 1.0)] + [end + 1.0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitfl.orbital import Constellation, ContactWindow, OrbitSpec, walker_planes
+from orbitfl.orbital import Constellation, ContactPlan, ContactWindow, OrbitSpec, walker_planes
 from orbitfl.protocol import (
     RECONNECT,
     SEND_MODEL,
@@ -21,7 +21,7 @@ from orbitfl.protocol import (
     select_sink,
 )
 
-from helpers import ring_hop_distances
+from helpers import ring_hop_distances, visible
 
 
 def ring(k, first=1):
@@ -231,17 +231,14 @@ def test_select_sink_on_real_constellation():
     )
     con = Constellation(orbits, ps)
     plane_ids = con.ring_ids(0)
-    horizon = 4 * 3600.0
-
-    def window_of(sat, t):
-        return next(con.contacts(sat, 0, t, t + horizon), None)
+    window_of = ContactPlan(con, 5076.0 + 4 * 3600.0).window
 
     for t in (0.0, 900.0, 2400.0, 5000.0):
         target = t + 76.0
         chosen = select_sink(plane_ids, target, window_of)
         best = None
         for sat in plane_ids:
-            if not con.visible(sat, 0, target):
+            if not visible(con, sat, 0, target):
                 continue
             rem = window_of(sat, target).end_s - target
             if best is None or rem > best[0] or (rem == best[0] and sat < best[1]):
