@@ -105,9 +105,9 @@ def _located(problems: list[str], args) -> list[str]:
     out = []
     for problem in problems:
         at = re.match(r"\[(\w+)\] (\w+) ", problem)
-        if args.config and at and _key_line(args.config, *at.groups()) and not (
-                at[2] == "seed" and _resolve_seed(args) is not None):
-            problem = _where(args.config, *at.groups()) + problem[at.end(2):]
+        line = args.config and at and _key_line(args.config, *at.groups())
+        if line and not (at[2] == "seed" and _resolve_seed(args) is not None):
+            problem = f"{problem[:at.end(2)]} in {args.config} (line {line}){problem[at.end(2):]}"
         out.append(problem)
     return out
 

@@ -4,21 +4,19 @@ Two-body motion around a spherical, rotating Earth. Satellites move on circular
 orbits grouped into equally spaced planes; ground stations rotate with the
 Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
 Each node's position constants are computed once per ``Constellation``, and
-``distance_km`` evaluates them at one time with ``math``. The orbit constants
-of every node are also stacked once, so that ``distances_to`` evaluates many
-satellites, each at its own time, and an orbiting peer in one numpy pass that
-rounds as ``distance_km`` does.
+``distance_km`` evaluates them at one time with ``math``. ``distances_to``
+stacks the orbit constants of the satellites it is asked for, and of an
+orbiting peer, so that it evaluates them, each at its own time, in one numpy
+pass that rounds as ``distance_km`` does.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. A ``ContactPlan`` predicts every
 node's windows with one peer, the single source of predicted windows for a run
 and for ``orbitfl contacts``: one scan per node by conservative advancement on
-the test's margin, each step the largest over which a Taylor bound from the
-margin, its exact slope and proven bounds on its second derivative keeps the
-margin's sign, and each edge bisected onto the grid of ``tol_s`` multiples.
-The scans run in lockstep (``_Sweep``), one numpy evaluation of every running
-scan's margin, each at its own time, per step.
+the test's margin, all scans in lockstep with one numpy evaluation per step,
+and each edge bisected onto the grid of ``tol_s`` multiples by point checks
+where its scan finds the flip.
 """
 
 from __future__ import annotations
@@ -338,16 +336,6 @@ class Constellation:
         else:
             ps_track = _GroundTrack(ps)
         self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
-        # every node's orbit constants stacked once for ``distances_to``, column
-        # n for node n (NaN for a ground server): theta0, period and r, and the
-        # coefficients by which ``_OrbitTrack.at`` turns the in-plane x and y
-        # into x, y and z
-        stack = np.array([
-            (tr.theta0, tr.period, tr.r, tr.co, tr.so, 0.0, -tr.so_ci, tr.co_ci, tr.si)
-            if isinstance(tr, _OrbitTrack) else (math.nan,) * 9
-            for tr in self._tracks
-        ]).T
-        self._angle, self._rotation = stack[:3], stack[3:].reshape(2, 3, -1)
         if self.ps_is_satellite:
             _refuse_collisions(self, range(1, node), PS_NODE, "the server")
 
@@ -375,15 +363,21 @@ class Constellation:
         """The distance from each satellite of ``nodes`` to node ``b``, as a
         function of an array t that puts ``nodes[i]`` at t[i]: its entry i
         equals ``distance_km(nodes[i], b, t[i])`` bit for bit. Its ``take``
-        keeps some of the satellites. Both index the constellation's stack."""
-        rows = np.array(nodes, dtype=np.intp)
+        keeps some of the satellites."""
         other = self._tracks[b]
+        rows = [[self._tracks[n] for n in nodes]]
         if isinstance(other, _OrbitTrack):
-            rows, other = np.stack((rows, np.full_like(rows, b))), None
-        else:
-            rows = rows[np.newaxis]
-        angle = self._angle[:, rows[:, np.newaxis]]
-        return _Distances(angle, self._rotation[..., rows].swapaxes(1, 2).copy(), other)
+            rows, other = rows + [[other] * len(rows[0])], None
+        # per row and satellite: theta0, period and r, and the coefficients by
+        # which ``_OrbitTrack.at`` turns the in-plane x and y into x, y and z
+        stack = np.array([
+            [(tr.theta0, tr.period, tr.r, tr.co, tr.so, 0.0, -tr.so_ci, tr.co_ci, tr.si)
+             for tr in row]
+            for row in rows
+        ]).reshape(len(rows), -1, 9)
+        stack = np.moveaxis(stack, 2, 0).copy()
+        rotation = stack[3:].reshape(2, 3, len(rows), -1).swapaxes(1, 2).copy()
+        return _Distances(stack[:3, :, np.newaxis], rotation, other)
 
 
 class _Distances:
@@ -451,106 +445,136 @@ class _Distances:
         )
 
 
-class _Sweep:
-    """The window scans of several orbiting nodes with one peer over [0, t_end],
-    run in lockstep: each pass evaluates the margin of every running scan, each
-    at its own time, in one numpy evaluation that rounds as ``_OrbitTrack.at``,
-    ``_GroundTrack.at`` and ``_elevation_margin`` do under ``math`` at one time,
-    and a scan stops running at t_end.
+class ContactPlan:
+    """Every orbiting node's contact windows with one peer, predicted from t = 0
+    to ``end_s``.
+
+    Each orbiting node but the peer has one window scan over [0, ``end_s``].
+    The scans run in lockstep: each pass evaluates the margin of every running
+    scan, each at its own time, in one numpy evaluation that rounds as
+    ``_OrbitTrack.at``, ``_GroundTrack.at`` and ``_elevation_margin`` do under
+    ``math`` at one time. So every running scan steps with the one a query
+    extends, as far as that query needs, and a scan stops running at ``end_s``.
 
     A scan steps from t by the largest h over which the margin's Taylor bound
     |m| + s h - M h^2 / 2 stays positive, with s the rate at which |m| grows
     and M a bound on how fast that rate can fall (``_curvature``: -m'' inside
-    a window, m'' outside), so no step crosses a zero of the margin. A step is ``tol_s`` or one float at least, so no window or gap of
-    ``tol_s`` or longer falls between two steps. Each edge is the first grid
-    time ``k * tol_s`` at or after its flip: a bisection over the integer k,
-    one pass a step, between bounds padded by one grid step, so it ends
+    a window, m'' outside), so no step crosses a zero of the margin. A step is
+    ``tol_s`` or one float at least, so no window or gap of ``tol_s`` or longer
+    falls between two steps. Each edge is the first grid time ``k * tol_s`` at
+    or after its flip: a bisection over the integer k, by point checks where
+    the flip is found, between bounds padded by one grid step, so it ends
     whatever ``tol_s`` is and depends on the geometry and ``tol_s`` alone.
+    Every window runs from a rise to a drop, or to ``end_s``, and does not
+    depend on when or in what order it is asked for, nor on which other scans
+    stepped with its own. A satellite peer that another satellite meets is
+    refused, as ``Constellation`` refuses a satellite that meets the server.
     """
 
-    def __init__(self, con: Constellation, nodes, peer: int, t_end: float, tol_s: float):
-        self.nodes, self.peer, self.t_end, self.tol_s = list(nodes), peer, t_end, tol_s
-        self._pairs = con.distances_to(self.nodes, peer)
+    def __init__(
+        self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
+    ):
+        self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
+        nodes = [
+            n for n, track in enumerate(con._tracks)
+            if n != peer and isinstance(track, _OrbitTrack)
+        ]
+        if peer != PS_NODE:  # Constellation has refused the server's collisions
+            _refuse_collisions(con, nodes, peer, f"satellite {peer}")
+        self._nodes, self._index = nodes, {n: i for i, n in enumerate(nodes)}
+        self._pairs = con.distances_to(nodes, peer)
         ground, other = self._pairs.ground, con._tracks[peer]
         # per node: the range of a satellite pair (0 with a station), then _curvature's constants
         self._const = np.array([
             (0.0 if ground else sat.horizon_km + other.horizon_km, *_curvature(sat, other))
-            for sat in (con._tracks[n] for n in self.nodes)
+            for sat in (con._tracks[n] for n in nodes)
         ]).reshape(-1, 5).T
         if ground:
             self._lean = math.hypot(ground.r_cl, ground.z) * ground.sin_mask
-        n = len(self.nodes)
+        n = len(nodes)
         # per node: the windows found so far, the time of the last edge, and
         # whether the scan has ended
-        self.windows: list[list[ContactWindow]] = [[] for _ in range(n)]
+        self._windows: list[list[ContactWindow]] = [[] for _ in range(n)]
         self._last = [0.0] * n
-        self._done = [t_end <= 0.0] * n
+        self._done = [end_s <= 0.0] * n
         # one entry per running scan: its node, how far it has come, whether the
-        # node sees the peer there, and the next time evaluated; a bisecting
-        # scan holds its state in _bisect, with its bracket: (k_lo, k_hi, seen
-        # before the flip, the time after it, the scan's next step)
+        # node sees the peer there, and the next time evaluated
         self._rows = np.arange(n)
         self._t = np.zeros(n)
         self._inside, self._at = self._look(self._t)
-        self._halted = np.zeros(n, dtype=bool)
-        self._bisect: dict[int, tuple[int, int, bool, float, float]] = {}
         # per node: the start of the window open since the last edge, or None
         self._open = [0.0 if seen else None for seen in self._inside.tolist()]
 
-    def scan(self, i: int, enough) -> None:
-        """Run node i's scan on until ``enough`` holds for the last window it
-        found or the scan ends; every running scan steps with it."""
-        windows = self.windows[i]
+    def window(self, node: int, t: float) -> ContactWindow | None:
+        """The window open at t, else the next one before ``end_s``, else None."""
+        windows = self._scan(node, lambda w: w.end_s >= t)
+        i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
+        return windows[i] if i < len(windows) else None
+
+    def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
+        """The node's next window after ``w``, else None."""
+        return self.window(node, math.nextafter(w.end_s, math.inf))
+
+    def windows(self, node: int, until: float) -> list[ContactWindow]:
+        """Every window opening by ``until``, in time order."""
+        windows = self._scan(node, lambda w: w.start_s > until)
+        return [w for w in windows if w.start_s <= until]
+
+    def _scan(self, node: int, enough) -> list[ContactWindow]:
+        """The node's windows, its scan run on until ``enough`` holds for the
+        last one found or the scan ends; every running scan steps with it."""
+        i = self._index[node]
+        windows = self._windows[i]
         while not (self._done[i] or windows and enough(windows[-1])):
             self._pass()
+        return windows
 
     def _pass(self) -> None:
-        t, before, was, halted = self._at, self._t, self._inside, self._halted
+        """Step every running scan once, record the edge of each that flipped,
+        and stop each that reached ``end_s``."""
+        t, before, was = self._at, self._t, self._inside
         inside, ahead = self._look(t)
         self._t, self._inside, self._at = t, inside, ahead
         tol, rows, ended = self.tol_s, self._rows, []
-        for j in np.flatnonzero(halted | (inside != was) | (t >= self.t_end)).tolist():
+        for j in np.flatnonzero((inside != was) | (t >= self.end_s)).tolist():
             i, seen = int(rows[j]), bool(inside[j])
-            if halted[j]:
-                k_lo, k_hi, seen_lo, t_hi, resume = self._bisect.pop(i)
-                if seen == seen_lo:
-                    k_lo = (k_lo + k_hi) // 2
-                else:
-                    k_hi = (k_lo + k_hi) // 2
-                if k_hi - k_lo > 1:
-                    self._bisect[i] = k_lo, k_hi, seen_lo, t_hi, resume
-                    ahead[j] = (k_lo + k_hi) // 2 * tol
-                    continue
-                halted[j] = False
-                t[j], inside[j], ahead[j] = t_hi, not seen_lo, resume
-                self._edge(i, k_hi * tol, not seen_lo)
-            elif seen != was[j]:
+            if seen != was[j]:
                 k_lo, k_hi = math.floor(before[j] / tol) - 1, math.ceil(t[j] / tol) + 1
-                self._bisect[i] = k_lo, k_hi, not seen, t[j], ahead[j]
-                halted[j] = True
-                ahead[j] = (k_lo + k_hi) // 2 * tol
-                continue
-            if t[j] >= self.t_end:
+                while k_hi - k_lo > 1:
+                    k = (k_lo + k_hi) // 2
+                    if self._sees(i, k * tol) == seen:
+                        k_hi = k
+                    else:
+                        k_lo = k
+                self._edge(i, k_hi * tol, seen)
+            if t[j] >= self.end_s:
                 ended.append(j)
                 self._done[i] = True
                 if self._open[i] is not None:  # the span's end closes the open window
-                    self._edge(i, self.t_end, False)
+                    self._edge(i, self.end_s, False)
         if ended:
             running = np.ones(len(rows), dtype=bool)
             running[ended] = False
             self._rows, self._pairs = rows[running], self._pairs.take(running)
             self._const = self._const[:, running]
-            self._t, self._inside, self._at, self._halted = (
-                t[running], inside[running], ahead[running], halted[running]
-            )
+            self._t, self._inside, self._at = t[running], inside[running], ahead[running]
 
     def _edge(self, i: int, at: float, rising: bool) -> None:
         """Record node i's edge at grid time ``at``: a rise opens a window, a
         drop closes the open one unless it snapped to nothing."""
-        last = self._last[i] = max(self._last[i], min(self.t_end, at))
+        last = self._last[i] = max(self._last[i], min(self.end_s, at))
         start, self._open[i] = self._open[i], (last if rising else None)
         if not rising and start < last:
-            self.windows[i].append(ContactWindow(self.nodes[i], self.peer, start, last))
+            self._windows[i].append(ContactWindow(self._nodes[i], self.peer, start, last))
+
+    def _sees(self, i: int, t: float) -> bool:
+        """Whether node i sees the peer at time t, one point evaluation under
+        ``math`` that rounds and compares as ``_look``'s does."""
+        sat, other = self.con._tracks[self._nodes[i]], self.con._tracks[self.peer]
+        a, b = sat.at(t, math), other.at(t, math)
+        if isinstance(other, _GroundTrack):
+            return _elevation_margin(a, b, other.sin_mask, math.sqrt) >= 0
+        return sat.horizon_km + other.horizon_km - _distance(a, b, math.sqrt) > 0
 
     def _look(self, t):
         """Whether each running scan's node sees the peer at its time t, and
@@ -573,7 +597,7 @@ class _Sweep:
         np.fmax(h, self.tol_s, out=h)  # fmax also turns 0 / 0 at a zero margin into tol_s
         h += t
         np.maximum(h, np.nextafter(t, np.inf), out=h)
-        return inside, np.minimum(h, self.t_end, out=h)
+        return inside, np.minimum(h, self.end_s, out=h)
 
     def _taylor(self, t):
         """Each running scan's margin at its time t, the margin's slope, bounds
@@ -623,52 +647,3 @@ class _Sweep:
         fall += k0
         reach = np.where(floor > low, half / speed, np.inf)
         return margin, slope, fall, k0, reach
-
-
-class ContactPlan:
-    """Every orbiting node's contact windows with one peer, predicted from t = 0
-    to ``end_s``.
-
-    Each orbiting node but the peer has one window scan over [0, ``end_s``].
-    The scans run in lockstep (``_Sweep``): every running scan steps with the
-    one a query extends, as far as that query needs. Every window runs from a
-    rise to a drop, or to ``end_s``, its edges on the ``tol_s`` grid, and does
-    not depend on when or in what order it is asked for, nor on which other
-    scans stepped with its own. A satellite peer that another satellite meets
-    is refused, as ``Constellation`` refuses a satellite that meets the server.
-    """
-
-    def __init__(
-        self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
-    ):
-        self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
-        nodes = [
-            n for n, track in enumerate(con._tracks)
-            if n != peer and isinstance(track, _OrbitTrack)
-        ]
-        if peer != PS_NODE:  # Constellation has refused the server's collisions
-            _refuse_collisions(con, nodes, peer, f"satellite {peer}")
-        self._index = {n: i for i, n in enumerate(nodes)}
-        self._sweep = _Sweep(con, nodes, peer, end_s, tol_s)
-
-    def window(self, node: int, t: float) -> ContactWindow | None:
-        """The window open at t, else the next one before ``end_s``, else None."""
-        windows = self._scan(node, lambda w: w.end_s >= t)
-        i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
-        return windows[i] if i < len(windows) else None
-
-    def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
-        """The node's next window after ``w``, else None."""
-        return self.window(node, math.nextafter(w.end_s, math.inf))
-
-    def windows(self, node: int, until: float) -> list[ContactWindow]:
-        """Every window opening by ``until``, in time order."""
-        windows = self._scan(node, lambda w: w.start_s > until)
-        return [w for w in windows if w.start_s <= until]
-
-    def _scan(self, node: int, enough) -> list[ContactWindow]:
-        """The node's windows, its scan run on until ``enough`` holds for the
-        last one found or the scan ends."""
-        i = self._index[node]
-        self._sweep.scan(i, enough)
-        return self._sweep.windows[i]

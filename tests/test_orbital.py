@@ -481,8 +481,8 @@ def server_pairs(draw):
 def _scan_margins(con, times):
     """The scan's margin, slope, bounds on -margin'' and margin'' and the reach
     of the first, for satellite 1 and the server, at each of ``times``."""
-    sweep = orbital._Sweep(con, [1] * len(times), PS_NODE, 0.0, 0.1)
-    return sweep._taylor(np.array(times, dtype=float))
+    plan = ContactPlan(con, 0.0)
+    return map(np.concatenate, zip(*(plan._taylor(np.array([t])) for t in times)))
 
 
 # The scan steps by a Taylor bound built from the margin, its slope and bounds
@@ -510,6 +510,31 @@ def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
             + margin(con, 1, PS_NODE, at - step)
         ) / step**2
         assert -fall <= second <= rise
+
+
+# An edge is bisected by point checks, which must decide sight as the scan's
+# lockstep pass and the oracle do: a satellite on a station's mask is seen, one
+# at a satellite's range is not. Random times never land on a zero margin, so
+# each pair is then moved onto one: a station to the Earth's centre, where
+# every margin is 0 - 0, or a satellite's horizon to its distance from a server
+# given none, at the first time drawn.
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(con=server_pairs(), data=st.data())
+def test_bisection_checks_sight_as_the_scan_does(con, data):
+    times = data.draw(st.lists(st.floats(0.0, 3e6), min_size=1, max_size=6))
+    sat, ps = con._tracks[1], con._tracks[PS_NODE]
+    for zero in (False, True):
+        if zero and isinstance(ps, orbital._GroundTrack):
+            ps.r_cl = ps.z = 0.0
+        elif zero:
+            sat.horizon_km, ps.horizon_km = con.distance_km(1, PS_NODE, times[0]), 0.0
+        # the scan's step from a zero margin at the Earth's centre divides 0 by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plan = ContactPlan(con, 0.0)
+            scan = [plan._look(np.array([t]))[0][0] for t in times]
+        for t, inside in zip(times, scan):
+            assert plan._sees(0, t) == inside == visible(con, 1, PS_NODE, t)
+        assert not zero or margin(con, 1, PS_NODE, times[0]) == 0.0
 
 
 # No window or gap of contact_tol_s or longer can fall between two scan steps,
