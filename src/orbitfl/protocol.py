@@ -5,7 +5,8 @@ downlink and one aggregate uplink per epoch. The server hands the current model
 to the first member of each group that connects; that member floods it around
 the group's ring, every member trains, and sample-weighted partial sums fold
 along a hop-minimal tree rooted at an elected sink, which is predicted to see
-the server when aggregation finishes. Once every group has delivered its
+the server when aggregation finishes; the tree is built when the group is
+served and travels with the model. Once every group has delivered its
 aggregate, the server folds them into the next global model.
 
 A member asking for the model is answered SEND_MODEL (the model follows) when
@@ -206,20 +207,16 @@ def fallback_next_hop(
 
 @dataclass
 class SatelliteState:
-    """Everything one satellite tracks across an epoch.
-
-    Its models are the run's read-only arrays, shared with the server, the
-    ring and the event queue. Once its partial sum is folded, it drops the
-    global model, its trained update and its children's partials.
+    """What one satellite keeps across an epoch: only what outlives the event
+    that brings it. It has the routing tree exactly when it has the epoch's
+    model, which rides on to its training event. Its models are the run's
+    read-only arrays, shared with the server, the ring and the event queue;
+    once its partial sum is folded, it drops its update and the partials it folded.
     """
 
-    node: int
     group: int
-    num_samples: int
     epoch: int = 1
-    has_model: bool = False
-    sink: int | None = None
-    global_params: np.ndarray | None = None
+    tree: RoutingTree | None = None
     trained_params: np.ndarray | None = None
     cached_partials: dict[int, np.ndarray] = field(default_factory=dict)
     partial_sent: bool = False
@@ -232,15 +229,12 @@ class SatelliteState:
     def partial_folded(self):
         """The satellite's partial sum is made; it keeps none of its inputs."""
         self.partial_sent = True
-        self.global_params = None
         self.trained_params = None
         self.cached_partials = {}
 
     def reset_for_next_epoch(self):
         self.epoch += 1
-        self.has_model = False
-        self.sink = None
-        self.global_params = None
+        self.tree = None
         self.trained_params = None
         self.cached_partials = {}
         self.partial_sent = False

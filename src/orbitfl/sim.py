@@ -24,9 +24,10 @@ math being trained lives in :mod:`orbitfl.learning`. What a run starts from
 does not depend on its protocol: the constellation, the read-only shards and
 test set, and the contact plan are built once per scenario, and
 :func:`compare` runs both protocols on that one build. A model is made once
-and shared: the server's global model goes out to every group as it is,
-every trained update and partial sum is read-only, and a satellite lets go
-of its models once its partial sum is folded.
+and shared: the server's global model goes out to every group as it is, with
+its elected sink's routing tree, and rides on to each training event; every
+trained update and partial sum is read-only, and a satellite drops its update
+and its children's partials once its partial sum is folded.
 A scenario is checked only where it is built: :func:`_build` raises one
 :class:`ConfigError` with every problem found, and the engine's constructor
 rejects a protocol the geometry cannot carry.
@@ -274,6 +275,16 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     for name, low in least.items():
         if getattr(cfg, name) < low:
             bad.append((name, f"must be at least {low}, got {getattr(cfg, name)}"))
+    # a synthetic pool draws every class at least once; an empty one is refused above
+    if cfg.data_source == "synthetic":
+        num_sats = max(cfg.num_planes, 0) * max(cfg.sats_per_plane, 0)
+        pools = {"samples_per_satellite": (cfg.samples_per_satellite * num_sats,
+                                           f"times the {num_sats} satellites "),
+                 "test_samples": (cfg.test_samples, "")}
+        for name, (rows, times) in pools.items():
+            if 1 <= rows < cfg.num_classes:
+                bad.append((name, f"{times}must be at least num_classes ({cfg.num_classes}) "
+                                  f"for a synthetic pool, got {rows}"))
     if cfg.reconnect_wait_s <= 0:
         bad.append(("reconnect_wait_s", f"must be positive, got {cfg.reconnect_wait_s}"))
     # a window edge is k * contact_tol_s, and k must stay a float over a year
@@ -524,9 +535,7 @@ class _Simulation:
 
         ids = self.con.satellite_ids()
         self.sats = {
-            sid: protocol.SatelliteState(
-                node=sid, group=gid, num_samples=self.data[sid].num_samples
-            )
+            sid: protocol.SatelliteState(group=gid)
             for gid, group in enumerate(self.groups)
             for sid in group
         }
@@ -539,16 +548,17 @@ class _Simulation:
             num_groups=len(self.groups), total_samples=total, global_params=init
         )
 
-        # intra-plane hops span a constant chord, so their cost is fixed per group
-        self.isl_model_s = []
-        self.group_learning_s = []
+        # intra-plane hops span a constant chord, so their cost is fixed per
+        # group, and so is its predicted span from model to aggregate
+        self.isl_model_s, self.aggregation_s = [], []
         for ring in self.groups:
             isl_s = 0.0
             if len(ring) >= 2:
                 chord_km = self.con.distance_km(ring[0], ring[1], 0.0)
                 isl_s = link.transfer_time(self.link_params, chord_km * 1000.0, self.model_bits)
             self.isl_model_s.append(isl_s)
-            self.group_learning_s.append(max(self.compute_s[s] for s in ring))
+            slowest = max(self.compute_s[s] for s in ring)
+            self.aggregation_s.append(protocol.estimate_aggregation_time(len(ring), isl_s, slowest))
 
         self.queue: list = []
         self.seq = itertools.count()
@@ -557,9 +567,7 @@ class _Simulation:
         self.records: list[MetricsRecord] = []
         self.epoch_params: dict[int, np.ndarray] = {}
         self.epoch_started = 0.0
-        self.done = False
-        self.stop_reason = ""
-        self.end = _end_s(cfg)
+        self.stop_reason = ""  # set when a goal is met
         # each satellite's poll chain: the (time, stage) of its next stage, the
         # one event of the chain that runs; None when it runs no chain or the
         # chain is parked
@@ -567,7 +575,6 @@ class _Simulation:
         # the poll chains of satellites ahead of the server, parked off the
         # heap at a poll: when each one's next poll is due
         self._parked: dict[int, float] = {}
-        self._trees: dict[tuple[int, int], protocol.RoutingTree] = {}
 
     # -- scheduling ---------------------------------------------------------
 
@@ -596,12 +603,6 @@ class _Simulation:
     def _ps_transfer_s(self, sat: int, t: float, bits: int) -> float:
         d_m = self.con.distance_km(sat, PS_NODE, t) * 1000.0
         return link.transfer_time(self.link_params, d_m, bits)
-
-    def _tree(self, group: int, sink: int) -> protocol.RoutingTree:
-        key = (group, sink)
-        if key not in self._trees:
-            self._trees[key] = protocol.build_routing_tree(self.groups[group], sink)
-        return self._trees[key]
 
     # -- connection polling ----------------------------------------------------
 
@@ -657,7 +658,7 @@ class _Simulation:
         self._due[sid] = None
         bits = link.CONTROL_MESSAGE_BITS
         if stage == _FIRE:
-            if sat.has_model:  # it came over the ring
+            if sat.tree is not None:  # its model came over the ring
                 return
             at = self._poll_time(sid, t)
             if at > t:  # out of view: book a poll for the next window
@@ -704,19 +705,19 @@ class _Simulation:
         return dt if self.t + dt <= w.end_s else None
 
     def _serve(self, sid: int) -> bool:
-        """Send the group's model if it fits the pass open now; else it is unserved again."""
+        """Send the group's model, with the routing tree of the sink elected for
+        it, if it fits the pass open now; else it is unserved again."""
         gid, t = self.sats[sid].group, self.t
         dt = self._model_fit_s(sid, self.plan.window(sid, t))
         if dt is None:
             self.ps.inflight.discard(gid)
             return False
         ring = self.groups[gid]
-        estimate = dt + protocol.estimate_aggregation_time(
-            len(ring), self.isl_model_s[gid], self.group_learning_s[gid]
-        )
-        sink = protocol.select_sink(ring, t + estimate, self.plan.window)
+        due = t + (dt + self.aggregation_s[gid])  # when the sink should hold the aggregate
+        sink = protocol.select_sink(ring, due, self.plan.window)
+        tree = protocol.build_routing_tree(ring, sink)
         epoch, model = self.ps.epoch, self.ps.global_params
-        self._send("ps_down", dt, self._sat_recv_model, sid, epoch, sink, sid, None, model)
+        self._send("ps_down", dt, self._sat_recv_model, sid, epoch, tree, sid, None, model)
         return True
 
     def _replay_parked(self, until: float) -> list[tuple]:
@@ -800,28 +801,26 @@ class _Simulation:
 
     # -- model distribution and training ----------------------------------------
 
-    def _sat_recv_model(self, sid, epoch, sink, source, sender, params):
-        """A global model lands, from the server (sender None) or a neighbor."""
+    def _sat_recv_model(self, sid, epoch, tree, source, sender, params):
+        """A model and its routing tree land, from the server (sender None) or a neighbor."""
         sat = self.sats[sid]
-        if sat.has_model:
+        if sat.tree is not None:
             self.counters["duplicate_models"] += 1
             return
-        sat.has_model = True
+        sat.tree = tree
         sat.epoch = epoch
-        sat.global_params = params
-        sat.sink = sink
         if sender is None:
             dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
             self._send("ps_up", dt, self._ps_recv_ack, sid, control=True)
         ring = self.groups[sat.group]
         dt = self.isl_model_s[sat.group]
         for target in protocol.distribution_targets(ring, sid, source, sender):
-            self._send("isl", dt, self._sat_recv_model, target, epoch, sink, source, sid, params)
-        self.schedule(self.t + self.compute_s[sid], self._compute_done, sid)
+            self._send("isl", dt, self._sat_recv_model, target, epoch, tree, source, sid, params)
+        self.schedule(self.t + self.compute_s[sid], self._compute_done, sid, params)
 
-    def _compute_done(self, sid: int):
+    def _compute_done(self, sid: int, params: np.ndarray):
         sat = self.sats[sid]
-        sat.trained_params = learning.local_gd(sat.global_params, self.data[sid], self.lcfg)
+        sat.trained_params = learning.local_gd(params, self.data[sid], self.lcfg)
         self._try_send_partial(sid)
 
     # -- ring aggregation -----------------------------------------------------------
@@ -830,22 +829,19 @@ class _Simulation:
         sat = self.sats[sid]
         if sat.trained_params is None:
             return
-        tree = self._tree(sat.group, sat.sink)
-        kids = tree.children.get(sid, ())
+        kids = sat.tree.children[sid]
         if any(k not in sat.cached_partials for k in kids):
             return
         weighted = learning.partial_aggregate(
             sat.trained_params,
-            sat.num_samples,
+            self.data[sid].num_samples,
             [sat.cached_partials[k] for k in kids],  # kids are already ascending
         )
         sat.partial_folded()
-        if sid == sat.sink:
-            sat.holding = weighted
-            sat.holding_epoch = sat.epoch
-            self._try_deliver(sid)
+        if sid == sat.tree.sink:
+            self._hold(sid, None, sat.epoch, weighted)
             return
-        parent = tree.parent[sid]
+        parent = sat.tree.parent[sid]
         dt = self.isl_model_s[sat.group]
         self._send("isl", dt, self._sat_recv_partial, parent, sid, sat.epoch, weighted)
         self._advance_sat(sid)
@@ -865,9 +861,6 @@ class _Simulation:
 
     # -- delivery to the server --------------------------------------------------------
 
-    def _grace_s(self, group: int) -> float:
-        return self.cfg.grace_factor * self.isl_model_s[group]
-
     def _try_deliver(self, sid: int):
         """A satellite holding a group aggregate pushes it to the server as
         soon as geometry allows."""
@@ -881,7 +874,8 @@ class _Simulation:
             w = self.plan.after(sid, w)
         next_start = math.inf if w is None else w.start_s
         # a group of one has no relays to lean on: it waits out the gap however long
-        if len(self.groups[sat.group]) == 1 or next_start - t <= self._grace_s(sat.group):
+        grace_s = self.cfg.grace_factor * self.isl_model_s[sat.group]
+        if len(self.groups[sat.group]) == 1 or next_start - t <= grace_s:
             self.schedule(next_start, self._try_deliver, sid)
             return
         self._hand_off(sid)
@@ -898,33 +892,35 @@ class _Simulation:
         self.counters["fallback_hops"] += 1
         dt = self.isl_model_s[sat.group]
         self._send("isl", dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding)
-        holding_epoch = sat.holding_epoch
-        sat.holding = None
-        sat.holding_from = None
-        if sat.epoch == holding_epoch:  # the sink itself; relayed holders moved on already
-            self._advance_sat(sid)
+        self._release(sid, sat.holding_epoch)
 
     def _sat_recv_fallback(self, sid, sender, epoch, weighted):
+        self._hold(sid, sender, epoch, weighted)
+
+    def _hold(self, sid, sender, epoch, weighted):
+        """Take the group's aggregate for ``epoch``, relayed by ``sender`` or folded
+        here (sender None), and deliver it: the one place a satellite holds one."""
         sat = self.sats[sid]
         if sat.holding is not None:
             raise protocol.ProtocolError(f"satellite {sid} already holds an undelivered aggregate")
-        sat.holding = weighted
-        sat.holding_epoch = epoch
-        sat.holding_from = sender
+        sat.holding, sat.holding_epoch, sat.holding_from = weighted, epoch, sender
         self._try_deliver(sid)
 
-    def _ps_recv_update(self, sid, epoch, weighted):
+    def _release(self, sid, epoch):
+        """The aggregate for ``epoch`` went on: the one place a satellite lets one
+        go. The sink moves on to the next epoch; a relay had moved on already."""
         sat = self.sats[sid]
-        before = self.ps.epoch
-        self.ps.handle_partial(sat.group, weighted)
-        if self.ps.epoch != before:
-            self._unpark()
-        sat.holding = None
-        sat.holding_from = None
+        sat.holding, sat.holding_from = None, None
         if sat.epoch == epoch:
             self._advance_sat(sid)
+
+    def _ps_recv_update(self, sid, epoch, weighted):
+        before = self.ps.epoch
+        self.ps.handle_partial(self.sats[sid].group, weighted)
         if self.ps.epoch != before:
+            self._unpark()
             self._epoch_completed(before)
+        self._release(sid, epoch)
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -951,16 +947,14 @@ class _Simulation:
             self.cfg.target_accuracy is not None
             and rec.test_accuracy >= self.cfg.target_accuracy
         ):
-            self.done = True
             self.stop_reason = "accuracy"
         elif finished_epoch >= self.cfg.until_epochs:
-            self.done = True
             self.stop_reason = "epochs"
 
     def _diagnose(self) -> str:
         phases = {}
         for sat in self.sats.values():
-            if not sat.has_model:
+            if sat.tree is None:
                 phase = protocol.DISTRIBUTION
             elif sat.partial_sent or sat.trained_params is not None:
                 phase = protocol.AGGREGATION
@@ -977,19 +971,19 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        limit, end = self.cfg.time_limit_s, self.end
+        limit, end = self.cfg.time_limit_s, _end_s(self.cfg)
         self._record(0, 0.0)
         for sid in self.con.satellite_ids():
             self._schedule_poll(sid, 0.0)
         truncated = False
-        while self.queue and not self.done:
+        while self.queue and not self.stop_reason:
             t, _, fn, args = heapq.heappop(self.queue)
             if t > end:
                 truncated = True
                 break
             self.t = t
             fn(*args)
-        if not self.done:
+        if not self.stop_reason:
             # a parked chain polls forever, so the run did not run dry
             truncated = truncated or bool(self._parked)
             if truncated and limit is not None:

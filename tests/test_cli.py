@@ -657,6 +657,24 @@ def test_a_rejected_setting_names_its_line_in_the_config_file(tmp_path, capsys):
         assert not out.exists()
 
 
+# A synthetic pool holds every class at least once, so a pool smaller than
+# num_classes is a setting's problem, named by its key and file line.
+def test_a_synthetic_pool_smaller_than_num_classes_names_its_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    sizes = {"samples_per_satellite": "1", "test_samples": "5", "num_classes": "41"}
+    path.write_text(ini_with({"data": sizes}))
+    problems = [
+        f"[data] samples_per_satellite{at(path, 'samples_per_satellite = 1')} times the 40 "
+        "satellites must be at least num_classes (41) for a synthetic pool, got 40",
+        f"[data] test_samples{at(path, 'test_samples = 5')} must be at least num_classes (41) "
+        "for a synthetic pool, got 5",
+    ]
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("\n".join(problems) + "\n", "")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr() == ("", "config error: " + "; ".join(problems) + "\n")
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[constellation]\naltitude_km = -3.0\n\n[sim]\nseed = 1\n")

@@ -392,17 +392,15 @@ def test_one_satellite_groups_fold_to_the_sample_weighted_average():
 
 
 def test_satellite_reset_keeps_identity_and_holdings():
-    sat = SatelliteState(node=3, group=0, num_samples=40)
-    sat.has_model = True
-    sat.sink = 5
-    sat.global_params = np.ones(3)
+    sat = SatelliteState(group=0)
+    sat.tree = build_routing_tree([3, 5], 5)
     sat.cached_partials = {2: np.ones(3)}
     sat.partial_sent = True
     sat.holding = np.ones(3)
     sat.holding_epoch = 1
     sat.reset_for_next_epoch()
     assert sat.epoch == 2
-    assert sat.node == 3 and sat.group == 0 and sat.num_samples == 40
-    assert not sat.has_model and sat.sink is None and sat.cached_partials == {}
+    assert sat.group == 0
+    assert sat.tree is None and sat.cached_partials == {}
     assert not sat.partial_sent
     assert sat.holding is not None and sat.holding_epoch == 1

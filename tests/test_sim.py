@@ -294,15 +294,17 @@ def _build_problems(cfg):
 
 
 # A failed side raises the error a sequential build raises: the test side's
-# when it fails alone, else the training side's.
+# when it fails alone, else the training side's. A scenario's checks refuse
+# these sizes before any draw, so the data is built straight from them.
 @pytest.mark.parametrize(
     "overrides, rows",
     [(dict(test_samples=2), 2), (dict(samples_per_satellite=1, num_classes=60, test_samples=2), 40)],
     ids=["test", "both"],
 )
 def test_a_failed_draw_is_the_error_a_sequential_build_raises(overrides, rows):
-    problems = _build_problems(small_scenario(**overrides))
-    assert problems == [f"[data] need at least one sample per class, got {rows}"]
+    with pytest.raises(ValueError) as err:
+        build_datasets(small_scenario(**overrides))
+    assert str(err.value) == f"need at least one sample per class, got {rows}"
 
 
 @pytest.mark.parametrize(
@@ -318,12 +320,14 @@ def test_a_failed_load_is_the_error_a_sequential_build_raises(tmp_path, gone, na
 
 
 def test_a_cli_data_error_is_one_line_on_stderr(tmp_path, capfd):
+    paths = dict(_idx_paths(tmp_path), test_images_path=str(tmp_path / "no-test"))
     path = tmp_path / "bad.ini"
-    path.write_text(emit_config(small_scenario(test_samples=2)))
+    path.write_text(emit_config(small_scenario(data_source="idx", **paths)))
     assert main(["run", "--config", str(path)]) == 1
     out, err = capfd.readouterr()
     assert out == ""
-    assert err == "config error: [data] need at least one sample per class, got 2\n"
+    missing = tmp_path / "no-test"
+    assert err == f"config error: [data] [Errno 2] No such file or directory: '{missing}'\n"
 
 
 # -- ring protocol runs -----------------------------------------------------------
@@ -343,6 +347,20 @@ def test_ring_run_message_counts():
     ):
         assert isl == 75 + fb
     assert all(d > 0 for d in epoch_deltas(res.records, "sim_time_s"))
+
+
+# The flood's two wavefronts meet once per even ring per epoch, where the
+# second copy of the model is a duplicate; an odd ring's meet at two
+# neighbors, each reached once, and a group of one floods nothing.
+@pytest.mark.parametrize(
+    "protocol_name, size, duplicates",
+    [("fedisl", {}, 15), ("fedisl", dict(num_planes=4, sats_per_plane=6), 12),
+     ("fedisl", dict(sats_per_plane=7), 0), ("fednonisl", {}, 0)],
+    ids=["ring-5x8", "ring-4x6", "ring-5x7", "direct-5x8"],
+)
+def test_each_even_ring_floods_one_duplicate_model_per_epoch(protocol_name, size, duplicates):
+    res = run_scenario(desk_scenario(7, until_epochs=3, **size), protocol_name)
+    assert res.counters["duplicate_models"] == duplicates
 
 
 def test_ring_run_bit_traffic_dominated_by_models():
@@ -451,17 +469,17 @@ def _watched_run(monkeypatch, protocol_name):
     )
     recv_model, try_send = engine._sat_recv_model, engine._try_send_partial
 
-    def recv(sid, epoch, sink, source, sender, params):
+    def recv(sid, epoch, tree, source, sender, params):
         if sender is None:
             assert params is engine.ps.global_params
             served.append(params)
-        recv_model(sid, epoch, sink, source, sender, params)
+        recv_model(sid, epoch, tree, source, sender, params)
 
     def send(sid):
         try_send(sid)
         sat = engine.sats[sid]
         if sat.partial_sent:  # still in the epoch: a sink that holds its group's sum
-            folded.append((sat.global_params, sat.trained_params, sat.cached_partials))
+            folded.append((sat.trained_params, sat.cached_partials))
 
     engine._sat_recv_model, engine._try_send_partial = recv, send
     result = engine.run()
@@ -488,15 +506,16 @@ def test_a_satellite_lets_go_of_its_models_once_its_partial_is_folded(
 ):
     engine, _, _, _, _, folded = _watched_run(monkeypatch, protocol_name)
     assert len(folded) == 3 * len(engine.groups)  # one sink per group and epoch
-    assert all(state == (None, None, {}) for state in folded)
+    assert all(state == (None, {}) for state in folded)
     assert all(sat.trained_params is None for sat in engine.sats.values())
 
 
 def test_a_satellite_whose_partial_is_folded_is_diagnosed_in_aggregation():
     engine = _Simulation(_build(small_scenario()), "fednonisl")
+    model = engine.ps.global_params
     for sid in (1, 2):
-        engine._sat_recv_model(sid, 1, sid, sid, None, engine.ps.global_params)
-    engine._compute_done(1)
+        engine._sat_recv_model(sid, 1, protocol.build_routing_tree([sid], sid), sid, None, model)
+    engine._compute_done(1, model)
     assert engine.sats[1].partial_sent and engine.sats[1].trained_params is None
     assert engine.sats[1].holding is not None
     assert "satellites: 1 aggregation, 1 computation, 38 distribution" in engine._diagnose()
@@ -724,10 +743,10 @@ def test_a_reply_pending_across_the_advance_polls_again_and_is_served():
     assert engine.ps.epoch == 2 and engine._parked == {}
     (reply,) = [args for _, _, fn, args in engine.queue if fn == engine._sat_recv_ctrl]
     assert reply == (sid, None)
-    while engine.queue and not sat.has_model and engine.queue[0][0] <= w.end_s:
+    while engine.queue and sat.tree is None and engine.queue[0][0] <= w.end_s:
         engine.t, _, fn, args = heapq.heappop(engine.queue)
         fn(*args)
-    assert sat.has_model and sat.epoch == 2 and engine._due[sid] is None
+    assert sat.tree is not None and sat.epoch == 2 and engine._due[sid] is None
 
 
 # A member of a served group is told to wait whatever the other groups' state,
@@ -772,10 +791,10 @@ def test_a_request_landing_after_the_pass_closed_is_not_served():
     # the answer is RECONNECT's: no WAIT, so the satellite asks again
     (reply,) = [(fn, args) for _, _, fn, args in engine.queue]
     assert reply == (engine._sat_recv_ctrl, (sid, None))
-    while engine.queue and not sat.has_model:
+    while engine.queue and sat.tree is None:
         engine.t, _, fn, args = heapq.heappop(engine.queue)
         fn(*args)
-    assert sat.has_model and sat.epoch == 1 and after.start_s <= engine.t <= after.end_s
+    assert sat.tree is not None and sat.epoch == 1 and after.start_s <= engine.t <= after.end_s
     assert engine.counters["ps_down_msgs"] == 1
 
 
