@@ -14,9 +14,9 @@ Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. A ``ContactPlan`` predicts every
 node's windows with one peer, the single source of predicted windows for a run
 and for ``orbitfl contacts``: one scan per node by conservative advancement on
-the test's margin, all scans in lockstep with one numpy evaluation per step,
-and each edge bisected onto the grid of ``tol_s`` multiples by point checks
-where its scan finds the flip.
+the test's margin over the grid of ``tol_s`` multiples, all scans in lockstep
+with one numpy evaluation per step, and each edge at the grid time where its
+scan finds the flip.
 """
 
 from __future__ import annotations
@@ -456,19 +456,20 @@ class ContactPlan:
     ``math`` at one time. So every running scan steps with the one a query
     extends, as far as that query needs, and a scan stops running at ``end_s``.
 
-    A scan steps from t by the largest h over which the margin's Taylor bound
-    |m| + s h - M h^2 / 2 stays positive, with s the rate at which |m| grows
-    and M a bound on how fast that rate can fall (``_curvature``: -m'' inside
-    a window, m'' outside), so no step crosses a zero of the margin. A step is
-    ``tol_s`` or one float at least, so no window or gap of ``tol_s`` or longer
-    falls between two steps. Each edge is the first grid time ``k * tol_s`` at
-    or after its flip: a bisection over the integer k, by point checks where
-    the flip is found, between bounds padded by one grid step, so it ends
-    whatever ``tol_s`` is and depends on the geometry and ``tol_s`` alone.
-    Every window runs from a rise to a drop, or to ``end_s``, and does not
-    depend on when or in what order it is asked for, nor on which other scans
-    stepped with its own. A satellite peer that another satellite meets is
-    refused, as ``Constellation`` refuses a satellite that meets the server.
+    Every time a scan evaluates is a grid time ``k * tol_s``, but ``end_s``.
+    The largest h over which the margin's Taylor bound |m| + s h - M h^2 / 2
+    stays positive, with s the rate at which |m| grows and M a bound on how
+    fast that rate can fall (``_curvature``: -m'' inside a window, m'' outside),
+    spans no zero of the margin. A scan steps from t to the last grid time that
+    t + h reaches, else to the next grid time, which leaves no grid time
+    between, and one float on at least. So sight flips at a scan's grid time
+    just when it differs from the grid time before, and each edge is the scan
+    time where it flipped: the first grid time at or after the flip. Each
+    window is then a maximal run of grid times in sight, from the first of
+    them to the grid time after the last, or to ``end_s``, and does not depend
+    on when or in what order it is asked for, nor on which other scans stepped
+    with its own. A satellite peer that another satellite meets is refused, as
+    ``Constellation`` refuses a satellite that meets the server.
     """
 
     def __init__(
@@ -492,16 +493,13 @@ class ContactPlan:
         if ground:
             self._lean = math.hypot(ground.r_cl, ground.z) * ground.sin_mask
         n = len(nodes)
-        # per node: the windows found so far, the time of the last edge, and
-        # whether the scan has ended
+        # per node: the windows found so far, and whether the scan has ended
         self._windows: list[list[ContactWindow]] = [[] for _ in range(n)]
-        self._last = [0.0] * n
         self._done = [end_s <= 0.0] * n
-        # one entry per running scan: its node, how far it has come, whether the
-        # node sees the peer there, and the next time evaluated
+        # one entry per running scan: its node, whether the node sees the peer
+        # at the time it has come to, and the next time evaluated
         self._rows = np.arange(n)
-        self._t = np.zeros(n)
-        self._inside, self._at = self._look(self._t)
+        self._inside, self._at = self._look(np.zeros(n))
         # per node: the start of the window open since the last edge, or None
         self._open = [0.0 if seen else None for seen in self._inside.tolist()]
 
@@ -530,24 +528,17 @@ class ContactPlan:
         return windows
 
     def _pass(self) -> None:
-        """Step every running scan once, record the edge of each that flipped,
-        and stop each that reached ``end_s``."""
-        t, before, was = self._at, self._t, self._inside
+        """Step every running scan once, record an edge at the time of each
+        that flipped, and stop each that reached ``end_s``."""
+        t, was = self._at, self._inside
         inside, ahead = self._look(t)
-        self._t, self._inside, self._at = t, inside, ahead
-        tol, rows, ended = self.tol_s, self._rows, []
+        self._inside, self._at = inside, ahead
+        rows, ended = self._rows, []
         for j in np.flatnonzero((inside != was) | (t >= self.end_s)).tolist():
-            i, seen = int(rows[j]), bool(inside[j])
-            if seen != was[j]:
-                k_lo, k_hi = math.floor(before[j] / tol) - 1, math.ceil(t[j] / tol) + 1
-                while k_hi - k_lo > 1:
-                    k = (k_lo + k_hi) // 2
-                    if self._sees(i, k * tol) == seen:
-                        k_hi = k
-                    else:
-                        k_lo = k
-                self._edge(i, k_hi * tol, seen)
-            if t[j] >= self.end_s:
+            i, at = int(rows[j]), float(t[j])
+            if inside[j] != was[j]:
+                self._edge(i, at, bool(inside[j]))
+            if at >= self.end_s:
                 ended.append(j)
                 self._done[i] = True
                 if self._open[i] is not None:  # the span's end closes the open window
@@ -557,24 +548,14 @@ class ContactPlan:
             running[ended] = False
             self._rows, self._pairs = rows[running], self._pairs.take(running)
             self._const = self._const[:, running]
-            self._t, self._inside, self._at = t[running], inside[running], ahead[running]
+            self._inside, self._at = inside[running], ahead[running]
 
     def _edge(self, i: int, at: float, rising: bool) -> None:
-        """Record node i's edge at grid time ``at``: a rise opens a window, a
-        drop closes the open one unless it snapped to nothing."""
-        last = self._last[i] = max(self._last[i], min(self.end_s, at))
-        start, self._open[i] = self._open[i], (last if rising else None)
-        if not rising and start < last:
-            self._windows[i].append(ContactWindow(self._nodes[i], self.peer, start, last))
-
-    def _sees(self, i: int, t: float) -> bool:
-        """Whether node i sees the peer at time t, one point evaluation under
-        ``math`` that rounds and compares as ``_look``'s does."""
-        sat, other = self.con._tracks[self._nodes[i]], self.con._tracks[self.peer]
-        a, b = sat.at(t, math), other.at(t, math)
-        if isinstance(other, _GroundTrack):
-            return _elevation_margin(a, b, other.sin_mask, math.sqrt) >= 0
-        return sat.horizon_km + other.horizon_km - _distance(a, b, math.sqrt) > 0
+        """Record node i's edge at ``at``: a rise opens a window, a drop closes
+        the open one unless it opened at ``at``, as a rise at ``end_s`` does."""
+        start, self._open[i] = self._open[i], (at if rising else None)
+        if not rising and start < at:
+            self._windows[i].append(ContactWindow(self._nodes[i], self.peer, start, at))
 
     def _look(self, t):
         """Whether each running scan's node sees the peer at its time t, and
@@ -594,10 +575,15 @@ class ContactPlan:
         root += np.abs(slope)
         h = np.where((slope > 0) == inside, root / bound, (size + size) / root)
         np.minimum(h, reach, out=h, where=inside)
-        np.fmax(h, self.tol_s, out=h)  # fmax also turns 0 / 0 at a zero margin into tol_s
-        h += t
+        # step to the last grid time k * tol that t + h reaches (cut to end_s
+        # first, so that no quotient overflows), else to the grid time after t,
+        # and by one float at least. t is a grid time, so rint finds its k. A
+        # nan h, 0 / 0 at a zero margin, reaches no grid time.
+        tol, end = self.tol_s, self.end_s
+        h = np.floor(np.minimum(h + t, end) / tol) * tol
+        h = np.where(h > t, h, (np.rint(t / tol) + 1.0) * tol)
         np.maximum(h, np.nextafter(t, np.inf), out=h)
-        return inside, np.minimum(h, self.end_s, out=h)
+        return inside, np.minimum(h, end, out=h)
 
     def _taylor(self, t):
         """Each running scan's margin at its time t, the margin's slope, bounds

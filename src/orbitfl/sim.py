@@ -393,8 +393,16 @@ def build_datasets(cfg: ScenarioConfig):
         groups = [g for g in groups if g]
 
     def shard(labels):
-        return learning.partition_dataset(labels, num_sats, scheme=cfg.data_scheme,
-                                          seed=cfg.seed, label_groups=groups)
+        try:
+            return learning.partition_dataset(labels, num_sats, scheme=cfg.data_scheme,
+                                              seed=cfg.seed, label_groups=groups)
+        except learning.PartitionError as exc:
+            if groups and len(groups) > num_sats:  # a label group with no satellite
+                raise
+            # a label group's rows are fewer than its satellites
+            raise learning.PartitionError(
+                f"samples_per_satellite is too small for scheme {cfg.data_scheme!r}, "
+                f"got {cfg.samples_per_satellite}: {exc}") from exc
 
     size = num_sats * cfg.samples_per_satellite
     sizes = dict(num_features=cfg.num_features, num_classes=cfg.num_classes)
@@ -460,9 +468,9 @@ def _build_parts(cfg: ScenarioConfig):
     longest_km = max_isl_range_km(cfg.altitude_km, max(cfg.altitude_km, server.altitude_km))
     dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
     bits = max(link.model_size_bits(dim), link.CONTROL_MESSAGE_BITS)
-    try:  # a rate or a noise power that rounds to 0 divides by zero
+    try:  # a rate or a noise power that rounds to 0 divides by zero; a path loss may overflow
         finite = math.isfinite(link.transfer_times(link_params, longest_km * 1000.0, bits))
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError):
         finite = False
     if not finite:
         raise ConfigError(f"[link] rate rounds to 0 bit/s at the longest line of sight, "

@@ -5,8 +5,9 @@ Everything here recomputes expected values by the dumbest defensible method
 against an independent implementation, not against itself. ``position``,
 ``margin`` and ``visible`` are the geometry oracle: each evaluates the nodes'
 tracks at one time t with ``math``, or at an array of times with numpy, which
-rounds alike. ``write_idx_pair`` writes the IDX files that data-loading tests
-read, and ``read_idx_pair`` reads them back whole.
+rounds alike, and ``grid_windows`` reads sight at every grid time of a plan.
+``write_idx_pair`` writes the IDX files that data-loading tests read, and
+``read_idx_pair`` reads them back whole.
 """
 
 import math
@@ -46,7 +47,7 @@ def visible(constellation, a, b, t, m=math):
 
 
 def brute_windows(constellation, a, b, t0, t1, step_s=1.0):
-    """Visibility windows found by dense scanning, no bisection.
+    """Visibility windows found by dense scanning.
 
     Returns a list of (start, end) grid times; each boundary is accurate to one
     grid step. A window still open at t1 is reported with end = t1.
@@ -66,6 +67,18 @@ def brute_windows(constellation, a, b, t0, t1, step_s=1.0):
     if start is not None:
         windows.append((float(start), float(ts[-1])))
     return windows
+
+
+def grid_windows(constellation, a, b, end_s, tol_s):
+    """The (start, end) windows of a plan over [0, end_s] on the grid of
+    ``k * tol_s``: each maximal run of grid times before end_s at which the
+    nodes see each other, from its first grid time to the grid time after its
+    last one, or to end_s."""
+    ts = np.arange(math.ceil(end_s / tol_s) + 1) * tol_s
+    ts = ts[ts < end_s]
+    seen = visible(constellation, a, b, ts, np)
+    flips = np.flatnonzero(np.diff(seen, prepend=False, append=False)).tolist()
+    return [(float(ts[i]), min(j * tol_s, end_s)) for i, j in zip(flips[::2], flips[1::2])]
 
 
 def ring_hop_distances(num_nodes, sink_pos):

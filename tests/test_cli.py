@@ -350,6 +350,19 @@ def test_contacts_rejects_a_horizon_past_a_year(tmp_path, capsys):
     assert _hours("8760") * 3600.0 == MAX_SPAN_S
 
 
+# Satellite 15 sees a 40-degree station from about 9,964 s to 10,520 s, over
+# the grid time 10,000 s of a 1,000 s tolerance, so the 3 h table lists that
+# pass from 10,000 s to the table's end, though it is shorter than a grid step.
+def test_contacts_list_a_pass_shorter_than_a_grid_step(tmp_path):
+    config, out = tmp_path / "scenario.ini", tmp_path / "contacts.csv"
+    cfg = ScenarioConfig(seed=7, ps_kind="ground", ps_latitude_deg=40.0, contact_tol_s=1000.0)
+    config.write_text(emit_config(cfg), encoding="utf-8")
+    argv = ["contacts", "--config", str(config), "--horizon-hours", "3", "--out", str(out)]
+    assert main(argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert [row for row in rows if row.startswith("15,")] == ["15,1,10000.0,10800.0"]
+
+
 # -- validate subcommand -------------------------------------------------------------------
 
 
@@ -437,10 +450,10 @@ def test_a_satellite_on_the_server_is_a_config_error(tmp_path, capsys, protocol)
 
 
 # a link whose Shannon rate rounds to 0 at long range: a weak transmitter, a
-# band so wide that its noise drowns any signal, or one so narrow that its
-# noise power rounds to 0
+# band so wide that its noise drowns any signal, one so narrow that its noise
+# power rounds to 0, or a carrier so high that its path loss overflows
 @pytest.mark.parametrize("key, value", [("tx_power_dbm", "-100"), ("bandwidth_hz", "1e30"),
-                                        ("bandwidth_hz", "1e-310")])
+                                        ("bandwidth_hz", "1e-310"), ("carrier_hz", "1e299")])
 def test_a_link_whose_rate_rounds_to_zero_is_a_config_error(tmp_path, capsys, key, value):
     path = tmp_path / "mute.ini"
     path.write_text(ini_with({"link": {key: value}}))
@@ -673,6 +686,20 @@ def test_a_synthetic_pool_smaller_than_num_classes_names_its_key(tmp_path, capsy
     assert capsys.readouterr() == ("\n".join(problems) + "\n", "")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr() == ("", "config error: " + "; ".join(problems) + "\n")
+
+
+# A label_split pool deals each label group's rows among its half of the
+# satellites alone, so one row per satellite leaves some satellite none: a
+# problem of samples_per_satellite, named by its key and file line.
+def test_a_label_split_pool_too_small_for_its_satellites_names_its_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"data": {"scheme": "label_split", "samples_per_satellite": "1"}}))
+    problem = (f"[data] samples_per_satellite{at(path, 'samples_per_satellite = 1')} is too "
+               "small for scheme 'label_split', got 1: worker 14 would receive zero samples")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
 def test_validate_reports_problems(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_contacts_match_golden(tmp_path):
 
 # The 720 h contact tables, with an orbiting and with a ground server, pinned by
 # the sha256 of what ``orbitfl contacts --horizon-hours 720 --out F`` writes:
-# 9,626 and 4,774 windows, each edge found by the scan and its bisection.
+# 9,626 and 4,774 windows, each a maximal run of grid times in sight.
 MONTH_TABLES = {
     "orbit": ({}, "93a7e8455a690d8042cca21f8a797e23f6e69cf04e06b88f6ecd9cd26cf22fe0"),
     "ground": (

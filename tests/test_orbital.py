@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from orbitfl import orbital
@@ -21,7 +21,7 @@ from orbitfl.orbital import (
     walker_planes,
 )
 
-from helpers import brute_windows, margin, position, visible
+from helpers import brute_windows, grid_windows, margin, position, visible
 
 
 MEO_PS = OrbitSpec(
@@ -512,15 +512,15 @@ def test_scan_slope_and_curvature_bound_match_finite_differences(con, data):
         assert -fall <= second <= rise
 
 
-# An edge is bisected by point checks, which must decide sight as the scan's
-# lockstep pass and the oracle do: a satellite on a station's mask is seen, one
-# at a satellite's range is not. Random times never land on a zero margin, so
-# each pair is then moved onto one: a station to the Earth's centre, where
-# every margin is 0 - 0, or a satellite's horizon to its distance from a server
-# given none, at the first time drawn.
+# The scan's lockstep pass is the only code that decides sight, and must decide
+# it as the oracle does: a satellite on a station's mask is seen, one at a
+# satellite's range is not. Random times never land on a zero margin, so each
+# pair is then moved onto one: a station to the Earth's centre, where every
+# margin is 0 - 0, or a satellite's horizon to its distance from a server given
+# none, at the first time drawn.
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(con=server_pairs(), data=st.data())
-def test_bisection_checks_sight_as_the_scan_does(con, data):
+def test_the_scan_decides_sight_as_the_oracle_does(con, data):
     times = data.draw(st.lists(st.floats(0.0, 3e6), min_size=1, max_size=6))
     sat, ps = con._tracks[1], con._tracks[PS_NODE]
     for zero in (False, True):
@@ -532,19 +532,16 @@ def test_bisection_checks_sight_as_the_scan_does(con, data):
         with np.errstate(divide="ignore", invalid="ignore"):
             plan = ContactPlan(con, 0.0)
             scan = [plan._look(np.array([t]))[0][0] for t in times]
-        for t, inside in zip(times, scan):
-            assert plan._sees(0, t) == inside == visible(con, 1, PS_NODE, t)
+        assert scan == [visible(con, 1, PS_NODE, t) for t in times]
         assert not zero or margin(con, 1, PS_NODE, times[0]) == 0.0
 
 
-# No window or gap of contact_tol_s or longer can fall between two scan steps,
-# and each edge is the first grid time k * contact_tol_s at or after its flip.
-# So a plan at a 1 s tolerance holds exactly the windows of a 1 s dense scan,
-# with the server and with another satellite as the peer: each starts at its
-# first visible grid time and ends at the first invisible one after it, or at
-# the plan's end, as long as every run and gap spans at least 3 grid steps. A
-# plan refuses a satellite peer that another satellite meets, and only such a
-# peer.
+# Each window is a maximal run of the grid times k * contact_tol_s in sight. So
+# a plan at a 1 s tolerance holds exactly the windows that the grid oracle reads
+# at every second, with the server and with another satellite as the peer: each
+# starts at its first visible grid time and ends at the first invisible one
+# after it, or at the plan's end. A plan refuses a satellite peer that another
+# satellite meets, and only such a peer.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(con=constellations(), data=st.data())
 def test_plan_windows_equal_dense_scan_windows(con, data):
@@ -563,10 +560,80 @@ def test_plan_windows_equal_dense_scan_windows(con, data):
             with pytest.raises(GeometryError, match=f"collides with satellite {peer}"):
                 ContactPlan(con, end, peer=peer, tol_s=1.0)
             continue
-        brute = brute_windows(con, sat, peer, 0.0, end)
-        # the grid times where a run of visible or invisible grid times begins
-        bounds = [0.0] + [t for start, stop in brute for t in (start, stop + 1.0)] + [end + 1.0]
-        assume(all(b - a >= 3.0 for a, b in zip(bounds, bounds[1:]) if b > a))
-        want = [(start, min(stop + 1.0, end)) for start, stop in brute]
         got = ContactPlan(con, end, peer=peer, tol_s=1.0).windows(sat, end)
+        want = grid_windows(con, sat, peer, end, 1.0)
         assert [(w.start_s, w.end_s) for w in got] == want, f"({sat}, {peer})"
+
+
+def _sin_elevation(con, t):
+    """The sine of the satellite's elevation over the station, at each of ``t``."""
+    g = position(con, PS_NODE, t, np)
+    r = position(con, 1, t, np) - g
+    return np.sum(g * r, axis=-1) / (np.linalg.norm(g, axis=-1) * np.linalg.norm(r, axis=-1))
+
+
+def _grazing(planes, latitude, longitude, near, offset):
+    """The satellite of ``planes`` with a station whose mask is the satellite's
+    elevation ``offset`` seconds after the pass peak within a minute of
+    ``near``, found to 0.01 s, or the horizon if that is higher: the pass then
+    lasts about twice ``offset``. Also the peak's time."""
+    con = Constellation(planes, GroundStationSpec(latitude, longitude, 0.0))
+    times = near + np.arange(-6000, 6001) * 0.01
+    peak = float(times[np.argmax(_sin_elevation(con, times))])
+    mask = max(0.0, math.asin(float(_sin_elevation(con, np.array([peak + offset]))[0])))
+    return Constellation(planes, GroundStationSpec(latitude, longitude, mask)), peak
+
+
+# A pass about 1 s long whose peak lies on the grid time k * tol_s, a 800 km
+# satellite's pass over a station at 30 N, 10 E near the end of the first day,
+# is the window [k * tol_s, (k + 1) * tol_s] however long a grid step is: no
+# scan step jumps over the one grid time in sight.
+@pytest.mark.parametrize("step", [30.0, 60.0, 120.0])
+def test_a_pass_shorter_than_a_grid_step_is_the_window_of_its_grid_time(step):
+    planes = walker_planes(1, 1, 800.0, math.radians(60.0))
+    con, peak = _grazing(planes, math.radians(30.0), math.radians(10.0), 85_167.3, 0.5)
+    k = round(peak / step)
+    tol = peak / k
+    assert [visible(con, 1, PS_NODE, j * tol) for j in (k - 1, k, k + 1)] == [False, True, False]
+    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1, 86_400.0)
+    assert ContactWindow(1, PS_NODE, k * tol, (k + 1) * tol) in windows
+
+
+@st.composite
+def grazing_passes(draw):
+    """One satellite of random orbit and a station of random place whose mask
+    grazes the peak of one of its first day's passes, found on a 60 s grid: the
+    pass lasts about twice a drawn offset from the peak, often less than the
+    grid step drawn with it."""
+    planes = [
+        OrbitSpec(
+            0,
+            draw(st.floats(300.0, 20000.0)),
+            draw(st.floats(0.0, math.pi)),
+            draw(st.floats(0.0, 6.28)),
+            1,
+            draw(st.floats(0.0, 6.28)),
+        )
+    ]
+    latitude, longitude = draw(st.floats(-1.5, 1.5)), draw(st.floats(-math.pi, math.pi))
+    con = Constellation(planes, GroundStationSpec(latitude, longitude, 0.0))
+    times = np.arange(1, 1440) * 60.0
+    up = _sin_elevation(con, times)
+    peaks = np.flatnonzero((up[1:-1] > 0.0) & (up[1:-1] >= up[:-2]) & (up[1:-1] >= up[2:])) + 1
+    if not len(peaks):
+        reject()
+    near = float(times[draw(st.sampled_from(peaks.tolist()))])
+    tol = draw(st.floats(5.0, 120.0))
+    con, _ = _grazing(planes, latitude, longitude, near, draw(st.floats(0.0, 1.0)) * tol)
+    return con, tol
+
+
+# Over a day of grazing passes, some shorter than a grid step and some between
+# two grid times, a plan's windows are exactly the maximal runs of grid times in
+# sight that the oracle reads at every grid time.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=grazing_passes())
+def test_plan_windows_are_the_runs_of_grid_times_in_sight(case):
+    con, tol = case
+    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1, 86_400.0)
+    assert [(w.start_s, w.end_s) for w in windows] == grid_windows(con, 1, PS_NODE, 86_400.0, tol)
