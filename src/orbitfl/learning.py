@@ -2,14 +2,27 @@
 
 The model is multinomial logistic regression with a bias term. A parameter
 vector of length (num_features + 1) * num_classes is interpreted as a dense
-matrix mapping bias-augmented feature rows to class scores. Training is
-full-batch gradient descent on the mean cross-entropy of the local shard.
+matrix: a row of class weights per feature, then a row of class biases.
+Training is full-batch gradient descent on the mean cross-entropy of the local
+shard.
 
-A dataset holds its rows bias-augmented: one read-only C-contiguous float32
-``(n, F + 1)`` block whose last column is 1, the block the model multiplies.
-A pool's shards are row slices of one such block, filled in block order a few
-rows at a time, from a synthetic draw of byte noise or an idx file's rows:
-each chunk is computed in float64, then rounded once to float32.
+A dataset stores its rows as levels under an affine map: row i's features are
+``scale * levels[i] + shifts[labels[i]]``, with one shift row per class. A
+synthetic pool stores the ``uint8`` levels as drawn, and its shifts are the
+class means, each less ``127.5 * scale``. An idx pool stores the pixel bytes as
+read, with scale 1/255 and no shifts. Rows given as floats are stored as
+float32, with scale 1 and no shifts. A pool's shards are read-only row slices
+of one C-contiguous ``(n, F)`` block, in shard order.
+
+The products fold the map in, so no row is ever held in float. With ``L`` the
+levels, ``W`` the weights and ``K`` the shifts, the scores are
+``scale * (L W) + bias + (K W)[labels]``. With ``G`` the scores' gradient,
+the weight gradient is ``scale * (Lᵀ G) + Kᵀ S``, where ``S`` sums the rows
+of ``G`` per class, and the bias gradient is ``colsum(G)``. The shift term
+rebuilds each row's stored value from its class mean, as the draw made it. It
+gives the model nothing that the row's features do not hold, so it does not
+leak labels into evaluation. Only the two ``L`` products are large, and each
+widens its levels to float64 exactly.
 
 Aggregation follows sample-count weighting: a worker's contribution is its
 parameter vector scaled by its shard size, partial sums combine by addition,
@@ -17,9 +30,8 @@ and the final division by the total sample count happens once at the server.
 Each sum folds into its own fresh array, in place, which rounds as an
 out-of-place fold does. Every model made here, initial, trained or
 aggregated, comes back read-only, so it can be shared instead of copied.
-Models, sums and products are float64: a product widens its float32 rows to
-float64 first, which is exact. The 32-bit wire size is purely a transfer-cost
-model and never truncates the math.
+Models, sums and products are float64. The 32-bit wire size is purely a
+transfer-cost model and never truncates the math.
 """
 
 from __future__ import annotations
@@ -35,12 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 BITS_PER_FEATURE = 8  # modeled sensor encoding, used only for data-volume costs
-# rows of a block filled at a time, drawn or read into a float64 chunk buffer
-# and rounded once into the float32 block; a chunked draw equals one draw bit
-# for bit. On a 2-vCPU host a desk data build in a fresh interpreter took
-# 54-82 ms and peaked at 60.8 MB with 64 rows, against 69-100 ms and 66.4 MB
-# with 512, over five runs of each.
-_DRAW_ROWS = 64
 _LEVEL_SD = math.sqrt((256**2 - 1) / 12)  # standard deviation of a level uniform on 0..255
 # multiply-adds in one block of a model product. OpenBLAS runs a product of at
 # most 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) multiply-adds on the
@@ -62,19 +68,20 @@ class NumericDivergenceError(ArithmeticError):
 
 
 class LocalDataset:
-    """One worker's shard: float32 feature rows and integer class labels.
+    """One worker's shard: feature rows, stored as levels, and integer labels.
 
-    The rows are held in ``augmented``, an ``(n, F + 1)`` block whose last
-    column is 1; ``features`` is its ``[:, :-1]`` view. Both arrays are
-    read-only.
+    Row i's features are ``scale * levels[i] + shifts[labels[i]]``, with no
+    shift when ``shifts`` is None. ``levels`` is an ``(n, F)`` block, ``uint8``
+    for a synthetic or idx pool. Rows given here as floats are copied into a
+    float32 block, with scale 1 and no shifts. Every array is read-only.
     """
 
-    __slots__ = ("augmented", "labels")
+    __slots__ = ("levels", "labels", "scale", "shifts")
 
     def __init__(self, features, labels):
         try:
             with np.errstate(over="raise"):
-                features = np.asarray(features, dtype=np.float32)
+                features = np.array(features, dtype=np.float32, order="C")
         except FloatingPointError:
             raise DataFormatError("features outside the float32 range") from None
         if features.ndim != 2:
@@ -84,28 +91,26 @@ class LocalDataset:
             raise DataFormatError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
-        augmented = np.hstack([features, np.ones((features.shape[0], 1), np.float32)])
-        augmented.flags.writeable = labels.flags.writeable = False
-        self.augmented, self.labels = augmented, labels
+        features.flags.writeable = labels.flags.writeable = False
+        self.levels, self.labels = features, labels
+        self.scale, self.shifts = 1.0, None
 
     @classmethod
-    def _over(cls, augmented: np.ndarray, labels: np.ndarray) -> LocalDataset:
+    def _over(cls, levels: np.ndarray, labels: np.ndarray, scale: float,
+              shifts: np.ndarray | None) -> LocalDataset:
         """A dataset over the arrays as they are, with no copy and no check."""
         dataset = cls.__new__(cls)
-        dataset.augmented, dataset.labels = augmented, labels
+        dataset.levels, dataset.labels = levels, labels
+        dataset.scale, dataset.shifts = scale, shifts
         return dataset
 
     @property
-    def features(self) -> np.ndarray:
-        return self.augmented[:, :-1]
-
-    @property
     def num_samples(self) -> int:
-        return self.augmented.shape[0]
+        return self.levels.shape[0]
 
     @property
     def num_features(self) -> int:
-        return self.augmented.shape[1] - 1
+        return self.levels.shape[1]
 
     @property
     def size_bits(self) -> int:
@@ -189,7 +194,7 @@ def _widened(rows: np.ndarray) -> np.ndarray:
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in float64, filled a block of rows at a time, each block at
     most ``_BLOCK_MADDS`` multiply-adds (one row, when a row alone is more).
-    A float32 ``a`` is widened a block at a time (through :func:`_widened`)."""
+    Any other ``a`` is widened a block at a time (through :func:`_widened`)."""
     out = np.empty((a.shape[0], b.shape[1]))
     rows = max(1, _BLOCK_MADDS // max(1, a.shape[1] * b.shape[1]))
     for start in range(0, a.shape[0], rows):
@@ -200,9 +205,15 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
-    """Class scores of every row, one column per class."""
-    return _product(dataset.augmented, _unpack(params, dataset.num_features))
+def _scores(rows: np.ndarray, weights: np.ndarray, dataset: LocalDataset) -> np.ndarray:
+    """Class scores of every row of ``dataset``, one column per class, with
+    ``rows`` its levels or a float64 copy of them and ``weights`` the model."""
+    scores = _product(rows, weights[:-1])
+    scores *= dataset.scale
+    scores += weights[-1]
+    if dataset.shifts is not None:  # each row's class mean, less 127.5 levels
+        scores += _product(dataset.shifts, weights[:-1])[dataset.labels]
+    return scores
 
 
 def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -215,10 +226,24 @@ def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy, flattened to match ``params``."""
     weights = _unpack(params, dataset.num_features)
-    aug = _widened(dataset.augmented)  # once, for both products
-    probs = np.exp(_log_softmax(_product(aug, weights)))
+    rows = _widened(dataset.levels)  # once, for both products
+    probs = np.exp(_log_softmax(_scores(rows, weights, dataset)))
     probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
-    return (_product(aug.T, probs) / dataset.num_samples).reshape(-1)
+    grad = np.empty_like(weights)
+    np.multiply(_product(rows.T, probs), dataset.scale, out=grad[:-1])
+    grad[-1] = probs.sum(axis=0)
+    if dataset.shifts is not None:
+        sums = _class_sums(probs, dataset.labels, dataset.shifts.shape[0])
+        grad[:-1] += _product(dataset.shifts.T, sums)
+    grad /= dataset.num_samples
+    return grad.reshape(-1)
+
+
+def _class_sums(rows: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """``(num_classes, columns)``: row k sums the ``rows`` labelled k, in order."""
+    cols = rows.shape[1]
+    cells = (labels[:, np.newaxis] * cols + np.arange(cols)).ravel()
+    return np.bincount(cells, rows.ravel(), num_classes * cols).reshape(num_classes, cols)
 
 
 def local_gd(params: np.ndarray, dataset: LocalDataset, config: LearnerConfig) -> np.ndarray:
@@ -283,7 +308,7 @@ def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:
     Predictions take the highest-scoring class; score ties resolve to the
     lowest class index.
     """
-    scores = _scores(params, dataset)
+    scores = _scores(dataset.levels, _unpack(params, dataset.num_features), dataset)
     accuracy = float(np.mean(np.argmax(scores, axis=1) == dataset.labels))
     return accuracy, _cross_entropy(scores, dataset.labels)
 
@@ -338,31 +363,23 @@ def partition_dataset(
             raise PartitionError(f"worker {worker} would receive zero samples")
     if not isinstance(pool, LocalDataset):
         return assignments
-    return _fill_pool(labels, pool.num_features, lambda _: assignments,
-                      lambda rows, out: np.copyto(out, pool.features[rows]))
+    return _pool(labels, lambda _: assignments, lambda order: pool.levels[order],
+                 pool.scale, pool.shifts)
 
 
-def _fill_pool(labels: np.ndarray, num_features: int, shard: Shard | None,
-               fill: Callable[..., object]) -> LocalDataset | list[LocalDataset]:
-    """The pool with these labels, or its shards, read-only row slices of one
-    block, when ``shard`` is given. The block is filled in block order,
-    ``_DRAW_ROWS`` rows at a time: ``fill(pool_rows, out)`` writes the features
-    of the pool's rows ``pool_rows`` into ``out``, a float64 chunk buffer that
-    is then rounded once into those rows of the float32 block."""
+def _pool(labels: np.ndarray, shard: Shard | None, levels: Callable[[np.ndarray], np.ndarray],
+          scale: float, shifts: np.ndarray | None = None) -> LocalDataset | list[LocalDataset]:
+    """The pool with these labels, or its shards when ``shard`` is given:
+    read-only row slices of one block, ``levels(order)``, whose row k holds
+    the levels of the pool's row ``order[k]``, under ``scale`` and ``shifts``."""
     rows = [np.arange(labels.size)] if shard is None else shard(labels)
     order = np.concatenate(rows)
-    block = np.empty((labels.size, num_features + 1), np.float32)
-    block[:, -1] = 1.0
-    chunk = np.empty((_DRAW_ROWS, num_features))
-    for start in range(0, labels.size, _DRAW_ROWS):
-        pool_rows = order[start : start + _DRAW_ROWS]
-        out = chunk[: pool_rows.size]
-        fill(pool_rows, out)
-        block[start : start + pool_rows.size, :-1] = out
-    labels = labels[order]
-    block.flags.writeable = labels.flags.writeable = False
+    block, labels = levels(order), labels[order]
+    for array in (block, labels) if shifts is None else (block, labels, shifts):
+        array.flags.writeable = False
     bounds = itertools.pairwise(itertools.accumulate([r.size for r in rows], initial=0))
-    shards = [LocalDataset._over(block[start:stop], labels[start:stop]) for start, stop in bounds]
+    shards = [LocalDataset._over(block[start:stop], labels[start:stop], scale, shifts)
+              for start, stop in bounds]
     return shards[0] if shard is None else shards
 
 
@@ -379,33 +396,37 @@ def synthetic_pool(
 
     Class means are drawn once from ``means_seed`` (defaulting to ``seed``), so
     pools drawn with different seeds share them; ``separation`` scales their
-    expected distance. Per-feature noise is a byte level uniform on 0..255, as
-    ``(level - 127.5) / _LEVEL_SD``: mean 0 and variance 1.
+    expected distance, and must keep them within the float32 range. Per-feature
+    noise is a byte level uniform on 0..255, as ``(level - 127.5) / _LEVEL_SD``:
+    mean 0 and variance 1. The pool stores the levels, one byte each, and each
+    class mean less ``127.5 / _LEVEL_SD`` as the class's shift.
 
     ``shard``, when given, maps the pool's labels to each shard's rows of the
     pool, as :func:`partition_dataset` does, and the shards come back instead
-    of the pool. The noise is drawn after the labels, in block order, each row
-    whole 32-bit words (``num_features`` rounded up to a multiple of 4 bytes),
-    so a chunked draw equals one whole draw.
+    of the pool. The levels are drawn after the labels, in block order, in one
+    draw of whole 32-bit words a row (``num_features`` rounded up to a multiple
+    of 4 bytes), of which each row keeps the first ``num_features``.
     """
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
     means_rng = np.random.default_rng(seed if means_seed is None else means_seed)
     means = means_rng.normal(size=(num_classes, num_features))
-    means *= separation / np.sqrt(num_features)
+    with np.errstate(over="ignore"):
+        means *= separation / np.sqrt(num_features)
+    if not np.all(np.abs(means) <= np.finfo(np.float32).max):
+        raise ValueError(f"separation must keep the class means within the float32 range, "
+                         f"got {separation}")
     rng = np.random.default_rng(seed)
     base, extra = divmod(num_samples, num_classes)
     labels = np.repeat(np.arange(num_classes), [base + (c < extra) for c in range(num_classes)])
     labels = labels[rng.permutation(num_samples)]
     width = -(-num_features // 4) * 4  # bytes a row draws: whole 32-bit words
 
-    def draw(pool_rows, out):
-        levels = rng.integers(0, 256, size=(pool_rows.size, width), dtype=np.uint8)
-        np.subtract(levels[:, :num_features], 127.5, out=out)
-        out /= _LEVEL_SD
-        out += means[labels[pool_rows]]
+    def draw(order):
+        levels = rng.integers(0, 256, size=(order.size, width), dtype=np.uint8)
+        return np.ascontiguousarray(levels[:, :num_features])
 
-    return _fill_pool(labels, num_features, shard, draw)
+    return _pool(labels, shard, draw, 1.0 / _LEVEL_SD, means - 127.5 / _LEVEL_SD)
 
 
 _IDX_IMAGES_MAGIC = 0x00000803
@@ -432,10 +453,11 @@ def load_idx(images_path: str, labels_path: str, num_samples: int, num_features:
              num_classes: int, shard: Shard | None = None) -> LocalDataset | list[LocalDataset]:
     """A pool of the first ``num_samples`` rows of an IDX image/label file pair.
 
-    Big-endian headers; image bytes are flattened row-major and scaled to
-    [0, 1]. Only the rows used are read, once both files' headers and sizes
-    are checked; they must hold ``num_features`` pixels and labels below
-    ``num_classes``. ``shard`` is as in :func:`synthetic_pool`.
+    Big-endian headers; image bytes are flattened row-major and stored as
+    they are, levels that the products scale to [0, 1]. Only the rows used are
+    read, once both files' headers and sizes are checked; they must hold
+    ``num_features`` pixels and labels below ``num_classes``. ``shard`` is as
+    in :func:`synthetic_pool`.
     """
     count, rows, cols = _idx_header(images_path, _IDX_IMAGES_MAGIC, 3, "pixels")
     (label_count,) = _idx_header(labels_path, _IDX_LABELS_MAGIC, 1, "labels")
@@ -452,5 +474,4 @@ def load_idx(images_path: str, labels_path: str, num_samples: int, num_features:
         raise DataFormatError(f"{labels_path}: label {top}, but num_classes is {num_classes}")
     pixels = np.fromfile(images_path, np.uint8, num_samples * num_features, offset=16)
     pixels = pixels.reshape(num_samples, num_features)
-    return _fill_pool(labels, num_features, shard,
-                      lambda rows, out: np.divide(pixels[rows], 255.0, out=out))
+    return _pool(labels, shard, lambda order: pixels[order], 1.0 / 255.0)

@@ -478,13 +478,17 @@ def _build_parts(cfg: ScenarioConfig):
     # no satellite comes nearer the server than their altitudes' difference,
     # nor than the 10 m that Constellation enforces
     least_km = max(abs(cfg.altitude_km - server.altitude_km), MIN_SEPARATION_KM)
-    span_s = _end_s(cfg) + PLAN_REACH_S
-    # the rate, positive at the longest distance, only grows nearer: a division
-    # by zero here is a path loss that rounds to 0, so the rate is unbounded
-    try:
-        model_s = link.transfer_times(link_params, least_km * 1000.0, link.model_size_bits(dim))
+    # the signal-to-noise ratio only grows nearer, so finite at the least
+    # distance it is finite at every distance a transfer spans
+    try:  # a noise power times a path loss that rounds to 0 divides by zero
+        finite = math.isfinite(link.snr(link_params, least_km * 1000.0))
     except ZeroDivisionError:
-        model_s = 0.0
+        finite = False
+    if not finite:
+        raise ConfigError(f"[link] signal-to-noise ratio overflows at the least distance, "
+                          f"{least_km:.6g} km, so the rate there has no bound")
+    span_s = _end_s(cfg) + PLAN_REACH_S
+    model_s = link.transfer_times(link_params, least_km * 1000.0, link.model_size_bits(dim))
     if model_s > span_s:
         raise ConfigError(f"[link] a model takes {model_s:.3g} s to reach the server even at "
                           f"the least distance, {least_km:.0f} km, longer than the "

@@ -6,6 +6,8 @@ against an independent implementation, not against itself. ``position``,
 ``margin`` and ``visible`` are the geometry oracle: each evaluates the nodes'
 tracks at one time t with ``math``, or at an array of times with numpy, which
 rounds alike, and ``grid_windows`` reads sight at every grid time of a plan.
+``features`` and ``augmented`` rebuild a dataset's float64 rows from the
+levels it stores, the oracle that its folded products are checked against.
 ``write_idx_pair`` writes the IDX files that data-loading tests read, and
 ``read_idx_pair`` reads them back whole.
 """
@@ -96,12 +98,27 @@ def ring_hop_distances(num_nodes, sink_pos):
     return dist
 
 
+def features(dataset):
+    """The float64 feature rows of ``dataset``, rebuilt apart from the
+    library's products: each stored level times the scale, plus the shift of
+    the row's class when the dataset has shifts."""
+    rows = dataset.scale * dataset.levels.astype(np.float64)
+    if dataset.shifts is not None:
+        rows += dataset.shifts[dataset.labels]
+    return rows
+
+
+def augmented(dataset):
+    """:func:`features` with the bias input 1 as a last column."""
+    return np.hstack([features(dataset), np.ones((dataset.num_samples, 1))])
+
+
 def cross_entropy(params, dataset):
     """Mean cross-entropy of the softmax model ``params`` on ``dataset``,
-    computed apart from the library: the float64 scores of the bias-augmented
-    rows, then each row's log-sum-exp less its label's score."""
+    computed apart from the library: the float64 scores of the rebuilt,
+    bias-augmented rows, then each row's log-sum-exp less its label's score."""
     weights = np.asarray(params, dtype=float).reshape(dataset.num_features + 1, -1)
-    scores = dataset.augmented.astype(np.float64) @ weights
+    scores = augmented(dataset) @ weights
     top = scores.max(axis=1)
     log_norm = top + np.log(np.exp(scores - top[:, np.newaxis]).sum(axis=1))
     return float(np.mean(log_norm - scores[np.arange(dataset.num_samples), dataset.labels]))
@@ -138,12 +155,13 @@ def write_idx_pair(directory, images, labels, stem="data"):
 
 
 def read_idx_pair(images_path, labels_path, rows, **partition):
-    """The first ``rows`` rows of an IDX pair, each file read whole and its
-    pixels scaled to [0, 1] at once: the pool, or its shards when ``partition``
-    holds the arguments of ``partition_dataset`` after the pool."""
+    """The first ``rows`` rows of an IDX pair, each file read whole, as a
+    dataset of float rows that hold the pixel bytes' values: the pool, or its
+    shards when ``partition`` holds the arguments of ``partition_dataset``
+    after the pool."""
     images = Path(images_path).read_bytes()
     _, count, height, width = struct.unpack(">IIII", images[:16])
     pixels = np.frombuffer(images, dtype=np.uint8, offset=16).reshape(count, height * width)
     labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, offset=8)
-    pool = LocalDataset((pixels / 255.0)[:rows], labels[:rows])
+    pool = LocalDataset(pixels[:rows], labels[:rows])
     return partition_dataset(pool, **partition) if partition else pool

@@ -466,6 +466,46 @@ def test_a_link_whose_rate_rounds_to_zero_is_a_config_error(tmp_path, capsys, ke
         assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
+# a link whose signal-to-noise ratio overflows at the least distance two nodes
+# may come to: a noise power of about 3e-316 W, and a strong transmitter (the
+# least distance to the orbiting server, 18,000 km) or a server 0.5 km off the
+# satellites' shell. Such a run's transfers would divide to an infinite rate,
+# and numpy would warn of the overflow on stderr.
+@pytest.mark.parametrize("overrides, least", [
+    ({"link": {"noise_temperature_k": "1e-300", "tx_power_dbm": "130"}}, "18000"),
+    ({"link": {"noise_temperature_k": "1e-300"}, "ps": {"altitude_km": "2000.5"}}, "0.5"),
+], ids=["strong-transmitter", "server-near-the-shell"])
+def test_a_signal_to_noise_ratio_that_overflows_is_a_config_error(
+    tmp_path, capsys, overrides, least
+):
+    path = tmp_path / "loud.ini"
+    path.write_text(ini_with(overrides))
+    problem = (f"[link] signal-to-noise ratio overflows at the least distance, {least} km, "
+               "so the rate there has no bound")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    out = tmp_path / "out.csv"
+    for command in ("run", "compare", "contacts"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+        assert not out.exists()
+
+
+# class means beyond the float32 range, which rows given as floats may not
+# reach either: numpy overflows nowhere, and the problem names its key's line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("separation", ["-1e+300", "1.7e+308"])
+def test_a_separation_beyond_the_float32_range_is_a_config_error(tmp_path, capsys, separation):
+    path = tmp_path / "far.ini"
+    path.write_text(ini_with({"data": {"separation": separation}}))
+    problem = (f"[data] separation{at(path, f'separation = {separation}')} must keep the class "
+               f"means within the float32 range, got {float(separation)}")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
 # a link on which a model takes longer to reach the server, even at the least
 # distance a satellite comes to it (the radii's difference, 18,000 km here),
 # than the passes a run reads last: the run would stall as stuck

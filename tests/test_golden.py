@@ -179,17 +179,19 @@ def test_edges_do_not_depend_on_the_scan_steps(monkeypatch, outcome, scale):
 # every digest when synthetic noise went to byte noise drawn in block order,
 # which moved only the test_accuracy and test_loss columns. Every digest was
 # re-pinned again when feature blocks went to float32, each widened exactly to
-# float64 for its products, which moved only the test_loss column.
+# float64 for its products, which moved only the test_loss column, and again
+# when every pool went to one uint8 level a feature, its map from levels to
+# features folded into the products, which moved only the test_loss column.
 PINNED = {
     "desk7": (
         desk_scenario(7, until_epochs=5),
-        "544d469c2c4bd1d68e0667dbe837bfa50e2fd27e81e8596bfdc46944978264d4",
-        "844ea77a85810062dabfc100cafc6eb11a4170efc1d75b4160fff2efffb528f2",
+        "913faedd987b9fe849d650d3e6fd90b6c3919053c32a2e727dd5be9807ec0974",
+        "90c9017e424ba4fe6e416e444d79cfe718a4a5879deec126ffc6be6a55e67f1f",
     ),
     "desk11": (
         desk_scenario(11, until_epochs=5),
-        "562419fd251358e17637f4fe73c596471929ee3b164daabe9b82d85905be8fa4",
-        "8281803b4586b0ad97b5f979a973923626a83da2c78bc2df41cf186d5d207ba9",
+        "d8a9e603ad5b7ea1c064735d99a2f171c1fa8583c2d22ec407d9b89f347edcba",
+        "c327bc5d06745ef84db0812380ad2fe3423f3f1bba66983c1d51f79837bb5274",
     ),
     "ground": (
         desk_scenario(
@@ -200,13 +202,13 @@ PINNED = {
             ps_latitude_deg=40.0,
             until_epochs=3,
         ),
-        "f189fdb3ab5506b6b682253885ffb4fa070c87a9863c1e20c727928fa6c26cd8",
-        "0dee47c77e01812e2f379a2249852b7f1bdd8cbb62867cd087978252a76e9ede",
+        "48beac16768a052f9f183b93bda68f2374738aebc2a9dc377d8e6c2438567c3b",
+        "f9b526bfb4fcdc5d306763511aa0881e4cfc4b1e13fe7b49aef40ab56142567a",
     ),
     "two-chains": (
         reference_scenario(3, cycles_per_sample=1.0, until_epochs=3),
-        "ef655a002c6f3d580dcbb77e07611a37372268155dac640456d48a0e82648c66",
-        "ddd6bbea095f8689a6351fa7d34df864867167467357c7ca6b987cd73e2b1e26",
+        "10ff20df87ac344f2cfe98ab04e27c6f91cfabd818d688c70fb7da3ccd0650a0",
+        "e2d2aea1c8dc767eba7a5fb3adc1f7f4c794ad2294f3decd95051e9891b098b7",
     ),
     "tiny-model": (
         desk_scenario(
@@ -217,13 +219,13 @@ PINNED = {
             test_samples=20,
             until_epochs=4,
         ),
-        "cf9de4482156e42f97eb3d6074ae7f686e4ac19db80ee1686424c42266dfb5f8",
-        "72bbf12f07f574c0b775ee2b5141dd32ea3c2276c4fba30667ea054dbad6250a",
+        "edfd0338124aac1919da460d798a3399ca25510e3e3f733016bb57e0dcf2b30c",
+        "445e3e023523e08456df9e9e257c0526724bca37a930bf30e23e08dfc70007c8",
     ),
     "time-limit": (
         desk_scenario(7, until_epochs=5, time_limit_s=4000.0),
-        "544d469c2c4bd1d68e0667dbe837bfa50e2fd27e81e8596bfdc46944978264d4",
-        "e6f7810a7ecad2d2dfd50c2a217738ef795a888918dfb1eb52b8edfaeff13fa9",
+        "913faedd987b9fe849d650d3e6fd90b6c3919053c32a2e727dd5be9807ec0974",
+        "081ae0f5e9e6cc3ddffee74faf2349f5bd923f9cbde44d69e4eb10467c4ba9b5",
     ),
     # 100 satellites, so a fednonisl coast round carries up to 99 chains
     "wide-coast": (
@@ -237,8 +239,8 @@ PINNED = {
             test_samples=100,
             until_epochs=3,
         ),
-        "9fd4974e07a155fee1f00641596d5e16fe916400848680d5305d3b812c62c84e",
-        "9f3069e33a710104d252cc3aaefc9cf4c8f1eae8ae0f27e3c674bfec616e65d4",
+        "9ef997b1bca17d43e007e332bd3a333bc2027aeb3f479575a8df2140ec00f534",
+        "fdcb7d08d2398c938d8480dbbf80984c06f4dad6617fb44fcd6fb62b66fd9952",
     ),
 }
 

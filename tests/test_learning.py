@@ -30,7 +30,7 @@ from orbitfl.learning import (
     _product,
 )
 
-from helpers import cross_entropy, numeric_gradient, write_idx_pair
+from helpers import cross_entropy, features, numeric_gradient, write_idx_pair
 
 
 def small_dataset(seed=0, n=40, f=5, c=3):
@@ -51,7 +51,7 @@ def test_evaluate_loss_matches_naive_loop():
     params = rng.normal(size=model_dimension(4, 4))
     w = params.reshape(5, 4)
     total = 0.0
-    for x, y in zip(ds.features, ds.labels):
+    for x, y in zip(features(ds), ds.labels):
         scores = np.append(x, 1.0) @ w
         probs = np.exp(scores) / np.exp(scores).sum()
         total -= math.log(probs[y])
@@ -81,9 +81,10 @@ def test_local_gradient_matches_finite_differences():
 
 # Duplicating every sample leaves the mean gradient unchanged
 def test_local_gradient_duplicate_invariance():
-    ds = small_dataset(seed=3)
+    drawn = small_dataset(seed=3)
+    ds = LocalDataset(features(drawn), drawn.labels)
     doubled = LocalDataset(
-        np.vstack([ds.features, ds.features]), np.concatenate([ds.labels, ds.labels])
+        np.vstack([ds.levels, ds.levels]), np.concatenate([ds.labels, ds.labels])
     )
     params = np.random.default_rng(2).normal(scale=0.01, size=model_dimension(5, 3))
     np.testing.assert_allclose(
@@ -104,7 +105,7 @@ def test_local_gd_descends_and_composes():
 
 def test_local_gd_guards_against_divergence():
     ds = small_dataset(seed=6)
-    bad = LocalDataset(ds.features * 1e30, ds.labels)
+    bad = LocalDataset(features(ds) * 1e30, ds.labels)
     cfg = LearnerConfig(learning_rate=1e300, local_iterations=5)
     with pytest.raises(NumericDivergenceError):
         local_gd(np.ones(model_dimension(5, 3)), bad, cfg)
@@ -267,14 +268,14 @@ def test_partition_iid_conserves_samples():
     # a second call with the same seed deals identically
     again = partition_dataset(pool, 10, "iid", seed=5)
     for a, b in zip(shards, again):
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.levels, b.levels)
 
 
 def test_partition_single_worker_gets_everything():
     pool = small_dataset(seed=9, n=30)
     (shard,) = partition_dataset(pool, 1, "iid", seed=0)
     assert shard.num_samples == 30
-    np.testing.assert_allclose(np.sort(shard.features, axis=0), np.sort(pool.features, axis=0))
+    np.testing.assert_array_equal(np.sort(shard.levels, axis=0), np.sort(pool.levels, axis=0))
 
 
 def test_partition_label_split_reference_layout():
@@ -299,43 +300,50 @@ def _dealt(pool_size=103, workers=10, features=6):
     return drawn, dealt
 
 
+# A drawn pool's shards share one block of byte levels, and the deal of a
+# drawn pool gathers its levels into a block of its own; both keep the
+# pool's map from levels to features.
 def test_shards_are_row_slices_of_one_block():
     for shards in _dealt():
-        block = shards[0].augmented.base
-        assert block.shape == (103, 7) and block.flags.c_contiguous
-        assert all(np.shares_memory(s.augmented, block) for s in shards)
+        block = shards[0].levels.base
+        assert block.shape == (103, 6) and block.dtype == np.uint8 and block.flags.c_contiguous
+        assert all(np.shares_memory(s.levels, block) for s in shards)
         assert all(np.shares_memory(s.labels, shards[0].labels.base) for s in shards)
         assert sum(s.num_samples for s in shards) == 103
-        assert np.all(block[:, -1] == 1.0)
+        assert all(s.shifts is shards[0].shifts for s in shards)
+    drawn, dealt = _dealt()
+    for a, b in zip(drawn, dealt):
+        assert a.scale == b.scale
+        np.testing.assert_array_equal(a.shifts, b.shifts)
 
 
 def test_a_write_to_a_shard_or_a_test_set_raises():
     drawn, dealt = _dealt()
     test_set = synthetic_pool(20, 6, 3, seed=5, means_seed=4)
     for ds in (drawn[0], dealt[3], test_set, LocalDataset(np.zeros((2, 3)), [0, 1])):
-        with pytest.raises(ValueError):
-            ds.features[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            ds.augmented[0, -1] = 0.0
-        with pytest.raises(ValueError):
-            ds.labels[0] = 2
+        arrays = [ds.levels, ds.labels] + ([] if ds.shifts is None else [ds.shifts])
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
-def test_a_dataset_augments_a_copy_of_its_features_once():
-    features, labels = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
-    ds = LocalDataset(features, labels)
-    features[0, 0], labels[0] = 9.0, 1  # the caller's arrays stay its own and writable
-    np.testing.assert_array_equal(ds.augmented, [[0.0, 1.0, 1.0], [2.0, 3.0, 1.0], [4.0, 5.0, 1.0]])
+def test_a_dataset_stores_a_copy_of_its_features():
+    rows, labels = np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])
+    ds = LocalDataset(rows, labels)
+    rows[0, 0], labels[0] = 9.0, 1  # the caller's arrays stay its own and writable
+    np.testing.assert_array_equal(ds.levels, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     assert ds.labels.tolist() == [0, 1, 0]
-    assert ds.features.base is ds.augmented
+    assert (ds.scale, ds.shifts) == (1.0, None)
+    single = np.zeros((2, 2), np.float32)  # already float32, and still copied
+    assert not np.shares_memory(LocalDataset(single, [0, 1]).levels, single)
 
 
 # Features are held as float32, each value rounded once; a value beyond the
 # float32 range is refused rather than held as an infinity.
 def test_a_dataset_rounds_its_features_to_float32_once():
     ds = LocalDataset([[0.1, 1e-3]], [0])
-    assert ds.augmented.dtype == np.float32
-    assert ds.features.tolist() == [[float(np.float32(0.1)), float(np.float32(1e-3))]]
+    assert ds.levels.dtype == np.float32 and ds.levels.flags.c_contiguous
+    assert ds.levels.tolist() == [[float(np.float32(0.1)), float(np.float32(1e-3))]]
     with pytest.raises(DataFormatError):
         LocalDataset([[1e200]], [0])
 
@@ -345,9 +353,8 @@ def test_sizes_count_the_features_not_the_bias_column():
     drawn, _ = _dealt(pool_size=100, workers=10, features=20)
     made = LocalDataset(np.zeros((10, 20)), np.zeros(10, dtype=int))
     for ds in (drawn[0], made):
-        assert ds.augmented.shape == (10, 21)
+        assert ds.levels.shape == (10, 20)
         assert (ds.num_samples, ds.num_features) == (10, 20)
-        assert ds.features.shape == (10, 20)
         assert ds.size_bits == 10 * 20 * 8
         assert compute_time(ds, cfg) == 1e3 * 10 * 20 * 8 / 1e9
 
@@ -370,7 +377,7 @@ def test_evaluate_perfect_and_uniform():
     # hand-built nearest-mean discriminant: with clusters this far apart it
     # classifies everything correctly
     params = np.zeros((6, 3))
-    means = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(3)])
+    means = np.stack([features(ds)[ds.labels == c].mean(axis=0) for c in range(3)])
     params[:5, :] = (10.0 * means).T
     params[5, :] = -5.0 * (means**2).sum(axis=1)
     accuracy, loss = evaluate(params.reshape(-1), ds)
@@ -389,7 +396,7 @@ def test_evaluate_matches_naive_argmax():
     params = rng.normal(size=model_dimension(4, 4))
     w = params.reshape(5, 4)
     correct = 0
-    for x, y in zip(ds.features, ds.labels):
+    for x, y in zip(features(ds), ds.labels):
         scores = np.append(x, 1.0) @ w
         best = 0
         for c in range(1, 4):
@@ -403,7 +410,7 @@ def test_evaluate_matches_naive_argmax():
 def test_synthetic_pool_properties():
     a = synthetic_pool(100, 6, 4, seed=3)
     b = synthetic_pool(100, 6, 4, seed=3)
-    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.levels, b.levels)
     np.testing.assert_array_equal(a.labels, b.labels)
     counts = np.bincount(a.labels, minlength=4)
     np.testing.assert_array_equal(counts, [25, 25, 25, 25])
@@ -416,18 +423,20 @@ def test_synthetic_pool_properties():
 
 # Byte noise is bounded: a level of 0..255 less 127.5, over the levels' standard
 # deviation, so every row lies within 127.5 / sd of its class mean, and the
-# class means come from means_seed alone. Features are rounded to float32,
-# which keeps them within the float32 rounding of that interval's ends.
+# class means come from means_seed alone. The pool stores the levels, and each
+# class mean less 127.5 / sd as its class's shift, in float64.
 def test_synthetic_pool_shared_means_differ_in_draws():
     train = synthetic_pool(200, 5, 3, seed=1, means_seed=99)
     test = synthetic_pool(200, 5, 3, seed=2, means_seed=99)
-    assert not np.array_equal(train.features, test.features)
+    assert not np.array_equal(train.levels, test.levels)
     means = np.random.default_rng(99).normal(size=(3, 5)) * (4.0 / np.sqrt(5))
-    bound = 127.5 / math.sqrt((256**2 - 1) / 12) + 1e-12
+    sd = math.sqrt((256**2 - 1) / 12)
     for pool in (train, test):
-        low = (means[pool.labels] - bound).astype(np.float32)
-        high = (means[pool.labels] + bound).astype(np.float32)
-        assert np.all(low <= pool.features) and np.all(pool.features <= high)
+        assert pool.levels.dtype == np.uint8 and pool.scale == 1 / sd
+        np.testing.assert_array_equal(pool.shifts, means - 127.5 / sd)
+        rows = (pool.levels - 127.5) / sd + means[pool.labels]
+        np.testing.assert_allclose(features(pool), rows, rtol=0, atol=1e-14)
+        assert np.all(np.abs(features(pool) - means[pool.labels]) <= 127.5 / sd + 1e-14)
 
 
 # Well-separated clusters are easy: 50 plain GD steps reach 95% train accuracy
@@ -448,8 +457,10 @@ def test_load_idx_round_trip(tmp_path):
     assert pool.num_samples == 7
     assert pool.num_features == 12
     np.testing.assert_array_equal(pool.labels, labels)
-    np.testing.assert_allclose(pool.features, images.reshape(7, 12) / 255.0)
-    assert pool.features.max() <= 1.0
+    np.testing.assert_array_equal(pool.levels, images.reshape(7, 12))
+    assert pool.levels.dtype == np.uint8 and pool.shifts is None
+    np.testing.assert_allclose(features(pool), images.reshape(7, 12) / 255.0, rtol=1e-15)
+    assert features(pool).max() <= 1.0
 
 
 def test_load_idx_rejects_bad_magic(tmp_path):

@@ -3,8 +3,9 @@ text round-trips, runs stop cleanly with the same models and one server
 model each way per group and epoch under both protocols, the server serves
 a group once per epoch whatever order requests, acknowledgements and
 aggregates come in, parked poll chains coast as they would run cycle by
-cycle, and a pool drawn straight into shard order holds the bytes of one drawn
-whole and then dealt out.
+cycle, a pool drawn straight into shard order holds the levels of one drawn
+whole and then dealt out, and the products that fold a dataset's map from
+levels to features equal the products of its rebuilt float64 rows.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
@@ -13,13 +14,16 @@ engine is cheap, and a run goes for at most two epochs and a few hours.
 """
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import augmented, cross_entropy, write_idx_pair
 
 from orbitfl import learning, link, protocol
 from orbitfl.cli import emit_config, parse_config
@@ -357,12 +361,11 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
 
 
 def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups):
-    """Each shard's (features, labels) as one whole draw gives them: the labels,
-    then the deal, then the byte noise of every row at once, in block order,
-    each row a whole number of 32-bit words, and the features rounded once to
-    float32. None when a worker would get no rows or a label group no worker."""
-    means = np.random.default_rng(seed).normal(size=(num_classes, num_features))
-    means *= 3.0 / np.sqrt(num_features)
+    """Each shard's (levels, labels) as one whole draw gives them: the labels,
+    then the deal, then the byte levels of every row at once, in block order,
+    each row a whole number of 32-bit words of which it keeps the first
+    ``num_features``. None when a worker would get no rows or a label group no
+    worker."""
     rng = np.random.default_rng(seed + 1)
     base, extra = divmod(num_samples, num_classes)
     labels = np.repeat(np.arange(num_classes), [base + (c < extra) for c in range(num_classes)])
@@ -383,26 +386,21 @@ def _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, sch
         return None
     width = 4 * -(-num_features // 4)
     levels = rng.integers(0, 256, size=(num_samples, width), dtype=np.uint8)[:, :num_features]
-    noise = (levels - 127.5) / np.sqrt((256**2 - 1) / 12)
     starts = np.cumsum([0] + [r.size for r in rows])
-    return [
-        ((means[labels[r]] + noise[start : start + r.size]).astype(np.float32), labels[r])
-        for r, start in zip(rows, starts)
-    ]
+    return [(levels[start : start + r.size], labels[r]) for r, start in zip(rows, starts)]
 
 
 @SETTINGS
 @given(
     num_samples=st.integers(2, 60),
-    num_features=st.integers(1, 6),
+    num_features=st.integers(1, 9),
     num_classes=st.integers(2, 4),
     seed=st.integers(0, 2**16),
     workers=st.integers(1, 7),
     scheme=st.sampled_from(["iid", "label_split"]),
-    chunk=st.integers(1, 11),
 )
 def test_a_pool_drawn_into_shard_order_equals_one_drawn_whole_then_dealt(
-    num_samples, num_features, num_classes, seed, workers, scheme, chunk
+    num_samples, num_features, num_classes, seed, workers, scheme
 ):
     num_samples = max(num_samples, num_classes)
     groups = [set(range(num_classes // 2)), set(range(num_classes // 2, num_classes))]
@@ -413,15 +411,85 @@ def test_a_pool_drawn_into_shard_order_equals_one_drawn_whole_then_dealt(
             labels, workers, scheme, seed=seed + 2, label_groups=groups
         )
 
-    with mock.patch.object(learning, "_DRAW_ROWS", chunk):
-        try:
-            shards = learning.synthetic_pool(
-                num_samples, num_features, num_classes, seed + 1, 3.0, means_seed=seed, shard=shard
-            )
-        except learning.PartitionError:
-            assert want is None
-            return
+    try:
+        shards = learning.synthetic_pool(
+            num_samples, num_features, num_classes, seed + 1, 3.0, means_seed=seed, shard=shard
+        )
+    except learning.PartitionError:
+        assert want is None
+        return
     assert want is not None and len(shards) == len(want)
-    for got, (features, labels) in zip(shards, want):
-        assert got.features.tobytes() == features.tobytes()
+    means = np.random.default_rng(seed).normal(size=(num_classes, num_features))
+    means *= 3.0 / np.sqrt(num_features)
+    sd = np.sqrt((256**2 - 1) / 12)
+    for got, (levels, labels) in zip(shards, want):
+        assert got.levels.dtype == np.uint8
+        assert got.levels.tobytes() == levels.tobytes()
         assert got.labels.tolist() == labels.tolist()
+        assert got.scale == 1 / sd
+        assert got.shifts.tobytes() == (means - 127.5 / sd).tobytes()
+
+
+@st.composite
+def folded_cases(draw):
+    """A dataset of one storage kind (a synthetic pool, idx files, or float
+    rows), and a model for it. Its feature count is no multiple of 4, and its
+    row count is within one row of a whole number of blocks of the scores'
+    product, 2**18 multiply-adds each."""
+    num_classes = draw(st.integers(2, 10))
+    # blocks of 40 rows at most, and of 64 / num_classes rows at least, so
+    # that a row holds at most 4,096 features
+    rows_wanted = draw(st.integers(-(-64 // num_classes), 40))
+    num_features = learning._BLOCK_MADDS // (rows_wanted * num_classes)
+    if num_features % 4 == 0:
+        num_features -= 1
+    block_rows = learning._BLOCK_MADDS // (num_features * num_classes)
+    num_samples = max(num_classes, block_rows * draw(st.integers(1, 2)) + draw(st.integers(-1, 1)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["synthetic", "idx", "float"]))
+    if kind == "synthetic":
+        separation = draw(st.floats(0.0, 8.0))
+        dataset = learning.synthetic_pool(num_samples, num_features, num_classes, seed, separation)
+    else:
+        labels = rng.integers(0, num_classes, num_samples)
+        if kind == "idx":
+            images = rng.integers(0, 256, (num_samples, num_features, 1), dtype=np.uint8)
+            with tempfile.TemporaryDirectory() as folder:
+                paths = write_idx_pair(Path(folder), images, labels)
+                dataset = learning.load_idx(*paths, num_samples, num_features, num_classes)
+        else:
+            dataset = learning.LocalDataset(rng.normal(size=(num_samples, num_features)), labels)
+    params = rng.normal(scale=draw(st.floats(0.01, 1.0)), size=(num_features + 1) * num_classes)
+    return dataset, params
+
+
+# The products fold the dataset's map from levels to features into the model,
+# and equal, to 1e-12 of the magnitudes they sum, the plain float64 products
+# of the rows that helpers.augmented rebuilds from the levels.
+@settings(max_examples=45, derandomize=True, deadline=None)
+@given(folded_cases())
+def test_folded_products_equal_the_products_of_the_rebuilt_rows(case):
+    dataset, params = case
+    weights = params.reshape(dataset.num_features + 1, -1)
+    rows = augmented(dataset)
+    # each feature's two terms, level and shift, apart: what the products sum
+    terms = np.abs(dataset.scale * dataset.levels.astype(np.float64))
+    if dataset.shifts is not None:
+        terms += np.abs(dataset.shifts[dataset.labels])
+    terms = np.hstack([terms, np.ones((dataset.num_samples, 1))])
+
+    scores = rows @ weights
+    got = learning._scores(dataset.levels, weights, dataset)
+    assert np.all(np.abs(got - scores) <= 1e-12 * (terms @ np.abs(weights)))
+
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
+    want = rows.T @ probs / dataset.num_samples
+    got = learning.local_gradient(params, dataset).reshape(want.shape)
+    assert np.all(np.abs(got - want) <= 1e-12 * (terms.T @ np.abs(probs)) / dataset.num_samples)
+
+    accuracy, loss = learning.evaluate(params, dataset)
+    assert accuracy == np.mean(np.argmax(scores, axis=1) == dataset.labels)
+    assert loss == pytest.approx(cross_entropy(params, dataset), rel=1e-12)

@@ -128,18 +128,18 @@ def test_datasets_partition_evenly_and_deterministically():
     assert test_set.num_samples == 60
     again, _ = build_datasets(cfg)
     for sat in by_sat:
-        assert by_sat[sat].features.tobytes() == again[sat].features.tobytes()
+        assert by_sat[sat].levels.tobytes() == again[sat].levels.tobytes()
 
 
 def test_shards_share_one_read_only_block():
     by_sat, test_set = build_datasets(small_scenario())
-    block = by_sat[1].augmented.base
-    assert block.shape == (400, 17)
-    assert all(np.shares_memory(d.augmented, block) for d in by_sat.values())
-    assert not np.shares_memory(test_set.augmented, block)
+    block = by_sat[1].levels.base
+    assert block.shape == (400, 16)
+    assert all(np.shares_memory(d.levels, block) for d in by_sat.values())
+    assert not np.shares_memory(test_set.levels, block)
     for ds in (by_sat[7], test_set):
         with pytest.raises(ValueError):
-            ds.features[0, 0] = 0.0
+            ds.levels[0, 0] = 0
 
 
 def test_compare_builds_the_scenario_once(monkeypatch):
@@ -186,7 +186,7 @@ def test_label_split_halves_class_range():
 
 @pytest.mark.parametrize("scheme", ["iid", "label_split"])
 def test_build_equals_the_two_pools_drawn_in_turn(scheme):
-    # 400 training and 150 test rows: several draw chunks on each side
+    # 400 training and 150 test rows, dealt to 40 satellites
     cfg = small_scenario(data_scheme=scheme, num_classes=4, test_samples=150)
     groups = [{0, 1}, {2, 3}] if scheme == "label_split" else None
 
@@ -200,8 +200,10 @@ def test_build_equals_the_two_pools_drawn_in_turn(scheme):
     test = learning.synthetic_pool(150, seed=cfg.seed + 2, **draw)
     by_sat, test_set = build_datasets(cfg)
     for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
-        assert got.augmented.tobytes() == want.augmented.tobytes()
+        assert got.levels.tobytes() == want.levels.tobytes()
         assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.scale == want.scale
+        assert got.shifts.tobytes() == want.shifts.tobytes()
 
 
 def _idx_paths(tmp_path, train=400, test=60):
@@ -217,8 +219,8 @@ def _idx_paths(tmp_path, train=400, test=60):
     return paths
 
 
-# Files longer than the run: rows it does not use, and several read chunks on
-# the training side (400 of 475 rows) and on the test side (150 of 190).
+# Files longer than the run: rows it does not use, on the training side (400
+# of 475 rows) and on the test side (150 of 190).
 @pytest.mark.parametrize("scheme", ["iid", "label_split"])
 def test_an_idx_build_equals_the_two_files_loaded_in_turn(tmp_path, scheme):
     paths = _idx_paths(tmp_path, train=475, test=190)
@@ -229,7 +231,8 @@ def test_an_idx_build_equals_the_two_files_loaded_in_turn(tmp_path, scheme):
                            num_workers=40, scheme=scheme, seed=3, label_groups=groups)
     test = read_idx_pair(paths["test_images_path"], paths["test_labels_path"], 150)
     for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
-        assert got.augmented.tobytes() == want.augmented.tobytes()
+        assert got.levels.dtype == np.uint8 and got.scale == 1.0 / 255.0
+        np.testing.assert_array_equal(got.levels, want.levels)
         assert got.labels.tobytes() == want.labels.tobytes()
 
 
@@ -260,10 +263,29 @@ def test_an_idx_build_peaks_alike_on_files_ten_times_longer_than_the_run(tmp_pat
     assert abs(peaks["long"] - peaks["cut"]) <= 0.01 * peaks["cut"], peaks
 
 
-# A desk synthetic build holds its 6,000 training and 2,000 test rows of 785
-# float32 values (24.0 MiB) and little more: 24.9 MiB of traced memory at its
-# peak, where float64 blocks peaked at 48.6 MiB.
-def test_a_desk_synthetic_build_peaks_at_26_mib():
+# A desk build stores one byte per feature: its 6,000 training and 2,000 test
+# rows of 784 features are 6,272,000 bytes of uint8 levels, the shards row
+# slices of one block of the training rows, and every array read-only.
+def test_a_desk_build_holds_one_byte_per_feature():
+    by_sat, test_set = build_datasets(desk_scenario(7))
+    sets = [*by_sat.values(), test_set]
+    assert all(ds.levels.dtype == np.uint8 for ds in sets)
+    assert sum(ds.levels.nbytes for ds in sets) == 8_000 * 784 == 6_272_000
+    block = by_sat[1].levels.base
+    assert block.shape == (6_000, 784) and block.flags.c_contiguous
+    assert all(np.shares_memory(ds.levels, block) for ds in by_sat.values())
+    assert not np.shares_memory(test_set.levels, block)
+    assert all(ds.shifts is by_sat[1].shifts for ds in by_sat.values())
+    for ds in (by_sat[1], by_sat[40], test_set):
+        for array in (ds.levels, ds.labels, ds.shifts):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+# A desk synthetic build holds those 6.0 MiB of levels and little more: 6.2
+# MiB of traced memory at its peak, where float32 blocks of 785 columns peaked
+# at 24.9 MiB and float64 blocks at 48.6 MiB.
+def test_a_desk_synthetic_build_peaks_at_7_mib():
     cfg = desk_scenario(7)
     build_datasets(cfg)  # once untraced, so that no first-call cost is counted
     tracemalloc.start()
@@ -272,18 +294,17 @@ def test_a_desk_synthetic_build_peaks_at_26_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * 2**20, peak / 2**20
+    assert peak <= 7 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("source", ["synthetic", "idx"])
-def test_every_block_is_read_only_c_contiguous_float32_with_a_column_of_ones(tmp_path, source):
+def test_every_block_is_read_only_c_contiguous_uint8(tmp_path, source):
     paths = _idx_paths(tmp_path) if source == "idx" else {}
     by_sat, test_set = build_datasets(small_scenario(data_source=source, **paths))
     for ds in [*by_sat.values(), test_set]:
-        block = ds.augmented
-        assert block.dtype == np.float32
+        block = ds.levels
+        assert block.dtype == np.uint8 and block.shape[1] == 16
         assert block.flags.c_contiguous and not block.flags.writeable
-        assert np.all(block[:, -1] == 1.0)
 
 
 def _build_problems(cfg):
