@@ -40,7 +40,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -174,33 +173,16 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-class _Buffers(threading.local):
-    wide = np.empty(0)  # the float64 buffer that _widened reuses, one per thread
-
-
-_buffers = _Buffers()
-
-
-def _widened(rows: np.ndarray) -> np.ndarray:
-    """``rows`` widened exactly to float64, in a buffer that the thread's next
-    call overwrites."""
-    if _buffers.wide.size < rows.size:
-        _buffers.wide = np.empty(rows.size)
-    wide = _buffers.wide[: rows.size].reshape(rows.shape)
-    np.copyto(wide, rows)
-    return wide
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in float64, filled a block of rows at a time, each block at
     most ``_BLOCK_MADDS`` multiply-adds (one row, when a row alone is more).
-    Any other ``a`` is widened a block at a time (through :func:`_widened`)."""
+    Any other ``a`` is widened exactly to float64 a block at a time."""
     out = np.empty((a.shape[0], b.shape[1]))
     rows = max(1, _BLOCK_MADDS // max(1, a.shape[1] * b.shape[1]))
     for start in range(0, a.shape[0], rows):
         block = a[start : start + rows]
         if block.dtype != np.float64:
-            block = _widened(block)
+            block = block.astype(np.float64)
         np.matmul(block, b, out=out[start : start + rows])
     return out
 
@@ -220,13 +202,14 @@ def _cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
     log_probs = _log_softmax(scores)
     if np.any(labels < 0) or np.any(labels >= scores.shape[1]):
         raise ValueError("labels outside the class range of the parameter vector")
-    return float(-log_probs[np.arange(labels.size), labels].mean())
+    # 0 - mean, not -mean, so that a perfect fit's loss is 0.0 and not -0.0
+    return float(0.0 - log_probs[np.arange(labels.size), labels].mean())
 
 
 def local_gradient(params: np.ndarray, dataset: LocalDataset) -> np.ndarray:
     """Gradient of the mean cross-entropy, flattened to match ``params``."""
     weights = _unpack(params, dataset.num_features)
-    rows = _widened(dataset.levels)  # once, for both products
+    rows = dataset.levels.astype(np.float64)  # once, for both products
     probs = np.exp(_log_softmax(_scores(rows, weights, dataset)))
     probs[np.arange(dataset.num_samples), dataset.labels] -= 1.0
     grad = np.empty_like(weights)
@@ -404,8 +387,9 @@ def synthetic_pool(
     ``shard``, when given, maps the pool's labels to each shard's rows of the
     pool, as :func:`partition_dataset` does, and the shards come back instead
     of the pool. The levels are drawn after the labels, in block order, in one
-    draw of whole 32-bit words a row (``num_features`` rounded up to a multiple
-    of 4 bytes), of which each row keeps the first ``num_features``.
+    draw of whole little-endian 32-bit words a row, read as bytes
+    (``num_features`` rounded up to a multiple of 4 bytes), of which each row
+    keeps the first ``num_features``.
     """
     if num_samples < num_classes:
         raise ValueError(f"need at least one sample per class, got {num_samples}")
@@ -423,8 +407,11 @@ def synthetic_pool(
     width = -(-num_features // 4) * 4  # bytes a row draws: whole 32-bit words
 
     def draw(order):
-        levels = rng.integers(0, 256, size=(order.size, width), dtype=np.uint8)
-        return np.ascontiguousarray(levels[:, :num_features])
+        # little-endian words, viewed as bytes, are the bytes a uint8 draw takes
+        words = rng.integers(0, 2**32, size=(order.size, width // 4), dtype=np.uint32)
+        words = words.astype("<u4", copy=False)
+        words.flags.writeable = False  # the block's owner when every byte is kept
+        return np.ascontiguousarray(words.view(np.uint8)[:, :num_features])
 
     return _pool(labels, shard, draw, 1.0 / _LEVEL_SD, means - 127.5 / _LEVEL_SD)
 

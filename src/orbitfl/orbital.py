@@ -6,17 +6,17 @@ Earth. Positions are Earth-centered inertial (ECI) three-vectors in kilometers.
 Each node's position constants are computed once per ``Constellation``, and
 ``distance_km`` evaluates them at one time with ``math``. ``distances_to``
 stacks the orbit constants of the satellites it is asked for, and of an
-orbiting peer, so that it evaluates them, each at its own time, in one numpy
-pass that rounds as ``distance_km`` does.
+orbiting server, so that it evaluates their server distances, each at its own
+time, in one numpy pass that rounds as ``distance_km`` does.
 
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. A ``ContactPlan`` predicts every
-node's windows with one peer, the single source of predicted windows for a run
-and for ``orbitfl contacts``: one scan per node by conservative advancement on
-the test's margin over the grid of ``tol_s`` multiples, all scans in lockstep
-with one numpy evaluation per step, and each edge at the grid time where its
-scan finds the flip.
+satellite's windows with the server, the single source of predicted windows
+for a run and for ``orbitfl contacts``: one scan per satellite by conservative
+advancement on the test's margin over the grid of ``tol_s`` multiples, all
+scans in lockstep with one numpy evaluation per step, and each edge at the
+grid time where its scan finds the flip.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ class GroundStationSpec:
 
 @dataclass(frozen=True)
 class ContactWindow:
-    node_a: int
-    node_b: int
+    """A span in which ``satellite`` sees the server."""
+
+    satellite: int
     start_s: float
     end_s: float
 
@@ -242,16 +243,6 @@ def _closest_approach_km(a: _OrbitTrack, b: _OrbitTrack) -> float:
     return math.sqrt(max(0.0, c - math.hypot(d0 - c, d1 - c)))
 
 
-def _refuse_collisions(con: Constellation, nodes, peer: int, name: str) -> None:
-    """Raise if a satellite of ``nodes`` passes within 10 m of node ``peer``."""
-    for n in nodes:
-        if _closest_approach_km(con._tracks[n], con._tracks[peer]) <= MIN_SEPARATION_KM:
-            raise GeometryError(
-                f"satellite {n} collides with {name}: they share a radius "
-                f"and pass within {MIN_SEPARATION_KM * 1000:.0f} m of each other"
-            )
-
-
 def max_isl_range_km(altitude_a_km: float, altitude_b_km: float) -> float:
     """Longest line of sight between two satellites that clears the Earth:
     the sum of their horizon distances."""
@@ -336,8 +327,12 @@ class Constellation:
         else:
             ps_track = _GroundTrack(ps)
         self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
-        if self.ps_is_satellite:
-            _refuse_collisions(self, range(1, node), PS_NODE, "the server")
+        for n in range(1, node) if self.ps_is_satellite else ():  # a station meets none
+            if _closest_approach_km(self._tracks[n], ps_track) <= MIN_SEPARATION_KM:
+                raise GeometryError(
+                    f"satellite {n} collides with the server: they share a radius "
+                    f"and pass within {MIN_SEPARATION_KM * 1000:.0f} m of each other"
+                )
 
     # -- node table ---------------------------------------------------------
 
@@ -359,15 +354,15 @@ class Constellation:
         """Distance between two nodes at time t."""
         return _distance(self._tracks[a].at(t, math), self._tracks[b].at(t, math), math.sqrt)
 
-    def distances_to(self, nodes, b: int) -> _Distances:
-        """The distance from each satellite of ``nodes`` to node ``b``, as a
+    def distances_to(self, nodes) -> _Distances:
+        """The distance from each satellite of ``nodes`` to the server, as a
         function of an array t that puts ``nodes[i]`` at t[i]: its entry i
-        equals ``distance_km(nodes[i], b, t[i])`` bit for bit. Its ``take``
-        keeps some of the satellites."""
-        other = self._tracks[b]
+        equals ``distance_km(nodes[i], PS_NODE, t[i])`` bit for bit. Its
+        ``take`` keeps some of the satellites."""
+        server = self._tracks[PS_NODE]
         rows = [[self._tracks[n] for n in nodes]]
-        if isinstance(other, _OrbitTrack):
-            rows, other = rows + [[other] * len(rows[0])], None
+        if self.ps_is_satellite:
+            rows, server = rows + [[server] * len(rows[0])], None
         # per row and satellite: theta0, period and r, and the coefficients by
         # which ``_OrbitTrack.at`` turns the in-plane x and y into x, y and z
         stack = np.array([
@@ -377,19 +372,19 @@ class Constellation:
         ]).reshape(len(rows), -1, 9)
         stack = np.moveaxis(stack, 2, 0).copy()
         rotation = stack[3:].reshape(2, 3, len(rows), -1).swapaxes(1, 2).copy()
-        return _Distances(stack[:3, :, np.newaxis], rotation, other)
+        return _Distances(stack[:3, :, np.newaxis], rotation, server)
 
 
 class _Distances:
     """``Constellation.distances_to``'s function: satellite i's distance to
-    one node at t[i].
+    the server at t[i].
 
     Its constants are indexed [row, ..., i]: row 0 holds the satellites', and
-    row 1 an orbiting peer's, so that both are evaluated in one pass of
+    row 1 an orbiting server's, so that both are evaluated in one pass of
     ``_OrbitTrack.at``'s operations, and each operation runs on contiguous
     blocks. ``co * x - so_ci * y`` is computed as ``co * x + (-so_ci) * y``,
     which rounds alike, and the squared distance is summed in ``_distance``'s
-    order. A ground peer keeps its own ``at``.
+    order. A ground server keeps its own ``at``.
     """
 
     __slots__ = ("angle", "rotation", "ground")
@@ -446,10 +441,10 @@ class _Distances:
 
 
 class ContactPlan:
-    """Every orbiting node's contact windows with one peer, predicted from t = 0
+    """Every satellite's contact windows with the server, predicted from t = 0
     to ``end_s``.
 
-    Each orbiting node but the peer has one window scan over [0, ``end_s``].
+    Each satellite has one window scan over [0, ``end_s``].
     The scans run in lockstep: each pass evaluates the margin of every running
     scan, each at its own time, in one numpy evaluation that rounds as
     ``_OrbitTrack.at``, ``_GroundTrack.at`` and ``_elevation_margin`` do under
@@ -468,26 +463,18 @@ class ContactPlan:
     window is then a maximal run of grid times in sight, from the first of
     them to the grid time after the last, or to ``end_s``, and does not depend
     on when or in what order it is asked for, nor on which other scans stepped
-    with its own. A satellite peer that another satellite meets is refused, as
-    ``Constellation`` refuses a satellite that meets the server.
+    with its own.
     """
 
-    def __init__(
-        self, con: Constellation, end_s: float, *, peer: int = PS_NODE, tol_s: float = 0.1
-    ):
-        self.con, self.peer, self.end_s, self.tol_s = con, peer, end_s, tol_s
-        nodes = [
-            n for n, track in enumerate(con._tracks)
-            if n != peer and isinstance(track, _OrbitTrack)
-        ]
-        if peer != PS_NODE:  # Constellation has refused the server's collisions
-            _refuse_collisions(con, nodes, peer, f"satellite {peer}")
+    def __init__(self, con: Constellation, end_s: float, *, tol_s: float = 0.1):
+        self.end_s, self.tol_s = end_s, tol_s
+        nodes = con.satellite_ids()
         self._nodes, self._index = nodes, {n: i for i, n in enumerate(nodes)}
-        self._pairs = con.distances_to(nodes, peer)
-        ground, other = self._pairs.ground, con._tracks[peer]
-        # per node: the range of a satellite pair (0 with a station), then _curvature's constants
+        self._pairs = con.distances_to(nodes)
+        ground, server = self._pairs.ground, con._tracks[PS_NODE]
+        # per node: the range to an orbiting server (0 with a station), then _curvature's constants
         self._const = np.array([
-            (0.0 if ground else sat.horizon_km + other.horizon_km, *_curvature(sat, other))
+            (0.0 if ground else sat.horizon_km + server.horizon_km, *_curvature(sat, server))
             for sat in (con._tracks[n] for n in nodes)
         ]).reshape(-1, 5).T
         if ground:
@@ -496,7 +483,7 @@ class ContactPlan:
         # per node: the windows found so far, and whether the scan has ended
         self._windows: list[list[ContactWindow]] = [[] for _ in range(n)]
         self._done = [end_s <= 0.0] * n
-        # one entry per running scan: its node, whether the node sees the peer
+        # one entry per running scan: its node, whether the node sees the server
         # at the time it has come to, and the next time evaluated
         self._rows = np.arange(n)
         self._inside, self._at = self._look(np.zeros(n))
@@ -555,10 +542,10 @@ class ContactPlan:
         the open one unless it opened at ``at``, as a rise at ``end_s`` does."""
         start, self._open[i] = self._open[i], (at if rising else None)
         if not rising and start < at:
-            self._windows[i].append(ContactWindow(self._nodes[i], self.peer, start, at))
+            self._windows[i].append(ContactWindow(self._nodes[i], start, at))
 
     def _look(self, t):
-        """Whether each running scan's node sees the peer at its time t, and
+        """Whether each running scan's node sees the server at its time t, and
         the time of its next scan step from there."""
         margin, slope, fall, rise, reach = self._taylor(t)
         inside = margin >= 0 if self._pairs.ground else margin > 0
@@ -592,10 +579,10 @@ class ContactPlan:
         ``_curvature``'s bound at L = max(low, |d(t)| / 2) holds while
         |d| >= L: for ever when L = low, else for |d(t)| / (2 speed)."""
         span, k0, k1, low, speed = self._const
-        (pos, *peer), (vel, *peer_vel) = self._pairs.motion(t)
+        (pos, *server), (vel, *server_vel) = self._pairs.motion(t)
         ground = self._pairs.ground
         if ground is None:
-            d, dv = pos - peer[0], peer_vel[0] - vel
+            d, dv = pos - server[0], server_vel[0] - vel
             squares = d * d
             dist = squares[0] + squares[1]
             dist += squares[2]

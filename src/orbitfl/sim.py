@@ -398,7 +398,9 @@ def build_datasets(cfg: ScenarioConfig):
                                               seed=cfg.seed, label_groups=groups)
         except learning.PartitionError as exc:
             if groups and len(groups) > num_sats:  # a label group with no satellite
-                raise
+                raise learning.PartitionError(
+                    f"scheme {cfg.data_scheme!r} needs at least one satellite per label "
+                    f"group ({len(groups)}), got {num_sats}") from exc
             # a label group's rows are fewer than its satellites
             raise learning.PartitionError(
                 f"samples_per_satellite is too small for scheme {cfg.data_scheme!r}, "
@@ -756,7 +758,7 @@ class _Simulation:
         sids, t = [due[i][0] for i in order], np.array([due[i][1] for i in order])
         w_start, w_end = np.zeros(len(sids)), np.full(len(sids), -math.inf)
         params, bits, wait = self.link_params, link.CONTROL_MESSAGE_BITS, self.cfg.reconnect_wait_s
-        distance_km = self.con.distances_to(sids, PS_NODE)
+        distance_km = self.con.distances_to(sids)
 
         def transfer_s(t, clamp):
             # a chain with no window left sits at infinity (then clamp is set);

@@ -6,12 +6,16 @@ against an independent implementation, not against itself. ``position``,
 ``margin`` and ``visible`` are the geometry oracle: each evaluates the nodes'
 tracks at one time t with ``math``, or at an array of times with numpy, which
 rounds alike, and ``grid_windows`` reads sight at every grid time of a plan.
+A plan predicts windows with the server alone, so ``pair_constellation`` makes
+a constellation whose server flies as a given satellite, for a plan to read a
+satellite pair through.
 ``features`` and ``augmented`` rebuild a dataset's float64 rows from the
 levels it stores, the oracle that its folded products are checked against.
 ``write_idx_pair`` writes the IDX files that data-loading tests read, and
 ``read_idx_pair`` reads them back whole.
 """
 
+import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -19,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from orbitfl.learning import LocalDataset, partition_dataset
-from orbitfl.orbital import _distance, _elevation_margin, _GroundTrack
+from orbitfl.orbital import Constellation, _distance, _elevation_margin, _GroundTrack
 
 
 def position(constellation, node, t, m=math):
@@ -81,6 +85,22 @@ def grid_windows(constellation, a, b, end_s, tol_s):
     seen = visible(constellation, a, b, ts, np)
     flips = np.flatnonzero(np.diff(seen, prepend=False, append=False)).tolist()
     return [(float(ts[i]), min(j * tol_s, end_s)) for i, j in zip(flips[::2], flips[1::2])]
+
+
+def pair_constellation(constellation, a, b):
+    """Satellites a and b of ``constellation`` as a satellite and an orbiting
+    server: a flies alone on its own orbit as satellite 1, and the server is a
+    one-satellite orbit at b's anomaly. The margin between a satellite and an
+    orbiting server is the one between two satellites."""
+
+    def alone(node, plane_index):
+        orbit, _ = constellation._sat_plane[node]
+        anomaly = constellation._tracks[node].theta0 % (2 * math.pi)
+        return dataclasses.replace(
+            orbit, plane_index=plane_index, num_satellites=1, phase_offset_rad=anomaly
+        )
+
+    return Constellation([alone(a, 0)], alone(b, -1))
 
 
 def ring_hop_distances(num_nodes, sink_pos):

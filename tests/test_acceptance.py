@@ -24,7 +24,7 @@ from orbitfl.cli import main
 from orbitfl.orbital import PS_NODE, ContactPlan
 from orbitfl.sim import build_constellation, compare, desk_scenario, run_scenario
 
-from helpers import brute_windows, ring_hop_distances
+from helpers import brute_windows, pair_constellation, ring_hop_distances
 
 
 def report(num: int, detail: str, started: float):
@@ -210,7 +210,9 @@ def test_criterion_6_contact_windows_match_dense_scan():
     horizon = 12 * 3600.0
     for a, b in pairs:
         brute = brute_windows(con, a, b, 0.0, horizon, step_s=1.0)
-        got = ContactPlan(con, horizon, peer=b).windows(a, horizon)
+        # a satellite pair is read through a plan whose server flies as b
+        plan_con, sat = (con, a) if b == PS_NODE else (pair_constellation(con, a, b), 1)
+        got = ContactPlan(plan_con, horizon).windows(sat, horizon)
         for start, end in brute:
             if end - start <= 10.0:
                 continue  # below the coarse scan's resolution by design

@@ -742,6 +742,21 @@ def test_a_label_split_pool_too_small_for_its_satellites_names_its_key(tmp_path,
     assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
+# label_split gives each of its two label groups its own satellites, so a
+# single satellite is too few: a problem of the scheme, named by its key and
+# file line.
+def test_a_label_split_with_fewer_satellites_than_label_groups_names_its_key(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"constellation": {"num_planes": "1", "sats_per_plane": "1"},
+                              "data": {"scheme": "label_split"}}))
+    problem = (f"[data] scheme{at(path, 'scheme = label_split')} 'label_split' needs at least "
+               "one satellite per label group (2), got 1")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
 def test_validate_reports_problems(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[constellation]\naltitude_km = -3.0\n\n[sim]\nseed = 1\n")

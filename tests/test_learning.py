@@ -390,6 +390,13 @@ def test_evaluate_perfect_and_uniform():
     assert loss0 == pytest.approx(math.log(3), rel=1e-12)
 
 
+# A model that fits every row to within rounding has a loss of 0.0, not -0.0.
+def test_a_perfect_fits_loss_is_positive_zero():
+    ds = LocalDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]))
+    accuracy, loss = evaluate(np.array([1000.0, -1000.0, 0.0, 0.0]), ds)
+    assert (accuracy, loss, math.copysign(1.0, loss)) == (1.0, 0.0, 1.0)
+
+
 def test_evaluate_matches_naive_argmax():
     rng = np.random.default_rng(17)
     ds = small_dataset(seed=13, n=50, f=4, c=4)

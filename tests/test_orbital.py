@@ -21,7 +21,7 @@ from orbitfl.orbital import (
     walker_planes,
 )
 
-from helpers import brute_windows, grid_windows, margin, position, visible
+from helpers import brute_windows, grid_windows, margin, pair_constellation, position, visible
 
 
 MEO_PS = OrbitSpec(
@@ -236,15 +236,15 @@ def test_a_window_open_at_the_scan_start_starts_there():
 
 def test_lasting_sight_is_one_window_cut_at_the_scan_end():
     # ring neighbors in one plane never lose sight of each other
-    con = reference_constellation()
-    windows = ContactPlan(con, 5100.0, peer=2).windows(1, 5100.0)
-    assert windows == [ContactWindow(1, 2, 0.0, 5100.0)]
+    pair = pair_constellation(reference_constellation(), 1, 2)
+    windows = ContactPlan(pair, 5100.0).windows(1, 5100.0)
+    assert windows == [ContactWindow(1, 0.0, 5100.0)]
 
 
 def test_no_window_is_open_while_the_earth_blocks_the_pair():
     # antipodal ring members: the Earth blocks them, so no window is open at t
-    con = reference_constellation()
-    w = ContactPlan(con, 1000.0, peer=5).window(1, 0.0)
+    pair = pair_constellation(reference_constellation(), 1, 5)
+    w = ContactPlan(pair, 1000.0).window(1, 0.0)
     assert w is None or w.start_s > 0.0
 
 
@@ -272,13 +272,16 @@ def test_the_open_window_ends_where_a_brute_scan_loses_sight():
     assert checked >= 4
 
 
-# Window prediction agrees with a dense 1 s scan over a full day's worth of geometry
+# Window prediction agrees with a dense 1 s scan over a full day's worth of
+# geometry, for a satellite pair too, read through a plan whose server flies as
+# the second satellite
 def test_plan_windows_match_brute_windows():
     con = reference_constellation()
     horizon = 43200.0
     for a, b in ((1, PS_NODE), (23, PS_NODE), (1, 23)):
         brute = brute_windows(con, a, b, 0.0, horizon)
-        predicted = ContactPlan(con, horizon, peer=b).windows(a, horizon)
+        plan_con, sat = (con, a) if b == PS_NODE else (pair_constellation(con, a, b), 1)
+        predicted = ContactPlan(plan_con, horizon).windows(sat, horizon)
         long_brute = [w for w in brute if w[1] - w[0] > 10.0]
         assert len(predicted) >= len(long_brute)
         for bs, be in long_brute:
@@ -318,10 +321,9 @@ def test_contact_plan_window_and_after_read_the_same_windows():
 
 def test_contact_plan_stops_at_its_end():
     # ring neighbors never lose sight of each other: one window, cut at the end
-    con = reference_constellation()
-    plan = ContactPlan(con, 5000.0, peer=2)
-    assert plan.window(1, 100.0) == ContactWindow(1, 2, 0.0, 5000.0)
-    assert plan.windows(1, 1e9) == [ContactWindow(1, 2, 0.0, 5000.0)]
+    plan = ContactPlan(pair_constellation(reference_constellation(), 1, 2), 5000.0)
+    assert plan.window(1, 100.0) == ContactWindow(1, 0.0, 5000.0)
+    assert plan.windows(1, 1e9) == [ContactWindow(1, 0.0, 5000.0)]
 
 
 def test_intra_plane_isl_feasibility():
@@ -356,15 +358,6 @@ def test_a_satellite_that_meets_the_server_is_rejected(inclination_deg, raan_deg
             Constellation([orbit], MEO_PS)
     else:
         Constellation([orbit], MEO_PS)
-
-
-def test_a_plan_refuses_a_satellite_peer_that_another_satellite_meets():
-    # three equatorial planes in phase put a satellite of each on one point
-    planes = walker_planes(3, 3, 1000.0, 0.0, phasing_factor=0)
-    con = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.1))
-    with pytest.raises(GeometryError, match="satellite 6 collides with satellite 1"):
-        ContactPlan(con, 3600.0, peer=1)
-    ContactPlan(con, 3600.0).windows(1, 3600.0)
 
 
 def test_ground_ps_constellation_dispatch():
@@ -416,7 +409,7 @@ def constellations(draw):
 # one pass, and keeps evaluating the chains left when some stop. Every entry
 # must equal the point query an event makes, for any list of satellites (none,
 # repeats, the subsets left as chains drop out, up to every satellite of a
-# 20 x 20 constellation), to an orbiting or ground server or to a satellite.
+# 20 x 20 constellation), to an orbiting or a ground server.
 WIDE = [
     Constellation(walker_planes(20, 20, 2000.0, math.radians(80.0)), ps)
     for ps in (MEO_PS, GroundStationSpec(0.7, 0.3, 0.1, 0.5))
@@ -436,10 +429,9 @@ def test_distances_to_equal_scalar_distances(con, data):
         nodes = [n for n in ids if rnd.random() < keep]
     else:
         nodes = [rnd.choice(ids) for _ in range(rnd.randint(0, 12))]
-    b = data.draw(st.one_of(st.just(PS_NODE), st.sampled_from(ids)))
     t = np.array([rnd.uniform(0.0, 3e6) for _ in nodes])
-    distances = con.distances_to(nodes, b)
-    want = [con.distance_km(n, b, float(ti)) for n, ti in zip(nodes, t)]
+    distances = con.distances_to(nodes)
+    want = [con.distance_km(n, PS_NODE, float(ti)) for n, ti in zip(nodes, t)]
     assert distances(t).tolist() == want
     # the chains left after some stop, as the coast re-indexes them
     going = np.array([i for i in range(len(nodes)) if rnd.random() < 0.7], dtype=np.intp)
@@ -538,30 +530,32 @@ def test_the_scan_decides_sight_as_the_oracle_does(con, data):
 
 # Each window is a maximal run of the grid times k * contact_tol_s in sight. So
 # a plan at a 1 s tolerance holds exactly the windows that the grid oracle reads
-# at every second, with the server and with another satellite as the peer: each
-# starts at its first visible grid time and ends at the first invisible one
-# after it, or at the plan's end. A plan refuses a satellite peer that another
-# satellite meets, and only such a peer.
+# at every second, with the server and, through a pair constellation whose
+# server flies as another satellite, with that satellite: each starts at its
+# first visible grid time and ends at the first invisible one after it, or at
+# the plan's end. A pair whose satellites meet is refused.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(con=constellations(), data=st.data())
 def test_plan_windows_equal_dense_scan_windows(con, data):
     ids = con.satellite_ids()
     sat = data.draw(st.sampled_from(ids))
+    end = 6 * 3600.0
     peers = [PS_NODE]
     if len(ids) > 1:
         peers.append(data.draw(st.sampled_from([n for n in ids if n != sat])))
-    end = 6 * 3600.0
     for peer in peers:
-        meets = peer != PS_NODE and min(
-            orbital._closest_approach_km(con._tracks[n], con._tracks[peer])
-            for n in ids if n != peer
-        ) <= orbital.MIN_SEPARATION_KM
-        if meets:
-            with pytest.raises(GeometryError, match=f"collides with satellite {peer}"):
-                ContactPlan(con, end, peer=peer, tol_s=1.0)
+        if peer == PS_NODE:
+            plan_con, node = con, sat
+        elif orbital._closest_approach_km(
+            con._tracks[sat], con._tracks[peer]
+        ) <= orbital.MIN_SEPARATION_KM:
+            with pytest.raises(GeometryError, match="satellite 1 collides with the server"):
+                pair_constellation(con, sat, peer)
             continue
-        got = ContactPlan(con, end, peer=peer, tol_s=1.0).windows(sat, end)
-        want = grid_windows(con, sat, peer, end, 1.0)
+        else:
+            plan_con, node = pair_constellation(con, sat, peer), 1
+        got = ContactPlan(plan_con, end, tol_s=1.0).windows(node, end)
+        want = grid_windows(plan_con, node, PS_NODE, end, 1.0)
         assert [(w.start_s, w.end_s) for w in got] == want, f"({sat}, {peer})"
 
 
@@ -596,7 +590,7 @@ def test_a_pass_shorter_than_a_grid_step_is_the_window_of_its_grid_time(step):
     tol = peak / k
     assert [visible(con, 1, PS_NODE, j * tol) for j in (k - 1, k, k + 1)] == [False, True, False]
     windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1, 86_400.0)
-    assert ContactWindow(1, PS_NODE, k * tol, (k + 1) * tol) in windows
+    assert ContactWindow(1, k * tol, (k + 1) * tol) in windows
 
 
 @st.composite

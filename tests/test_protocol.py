@@ -187,7 +187,7 @@ def window_table(spans):
 
     def window_of(sat, t):
         span = spans.get(sat)
-        return None if span is None else ContactWindow(sat, 0, *span)
+        return None if span is None else ContactWindow(sat, *span)
 
     return window_of
 

@@ -133,8 +133,11 @@ def test_datasets_partition_evenly_and_deterministically():
 
 def test_shards_share_one_read_only_block():
     by_sat, test_set = build_datasets(small_scenario())
+    # the shards, in satellite order, are exactly the bytes of one read-only block
     block = by_sat[1].levels.base
-    assert block.shape == (400, 16)
+    shards = [by_sat[sat].levels for sat in sorted(by_sat)]
+    assert block.nbytes == 400 * 16 and not block.flags.writeable
+    assert np.concatenate(shards).tobytes() == block.tobytes()
     assert all(np.shares_memory(d.levels, block) for d in by_sat.values())
     assert not np.shares_memory(test_set.levels, block)
     for ds in (by_sat[7], test_set):
@@ -272,7 +275,9 @@ def test_a_desk_build_holds_one_byte_per_feature():
     assert all(ds.levels.dtype == np.uint8 for ds in sets)
     assert sum(ds.levels.nbytes for ds in sets) == 8_000 * 784 == 6_272_000
     block = by_sat[1].levels.base
-    assert block.shape == (6_000, 784) and block.flags.c_contiguous
+    shards = [by_sat[sat].levels for sat in sorted(by_sat)]
+    assert block.nbytes == 6_000 * 784 and block.flags.c_contiguous
+    assert np.concatenate(shards).tobytes() == block.tobytes() and not block.flags.writeable
     assert all(np.shares_memory(ds.levels, block) for ds in by_sat.values())
     assert not np.shares_memory(test_set.levels, block)
     assert all(ds.shifts is by_sat[1].shifts for ds in by_sat.values())
@@ -923,7 +928,7 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
 
     def record(w):
         if w is not None:
-            used.add((w.node_a, w.start_s, w.end_s))
+            used.add((w.satellite, w.start_s, w.end_s))
         return w
 
     plan.window = lambda sid, t: record(window(sid, t))
