@@ -2,15 +2,16 @@
 # for the default radio, plus the sizes that actually cross the links.
 
 from orbitfl import LinkParams, model_dimension, model_size_bits
-from orbitfl.link import dbm_to_watts, from_db, rate, transfer_time
+from orbitfl.link import rate, transfer_time
 
+# the [link] keys of a scenario file, as the file writes them: 40 dBm into a
+# 6.98 dBi antenna at each end
 params = LinkParams(
-    tx_power_w=dbm_to_watts(40.0),
-    tx_gain=from_db(6.98),
-    rx_gain=from_db(6.98),
     bandwidth_hz=20e6,
-    noise_temperature_k=354.81,
+    tx_power_dbm=40.0,
+    antenna_gain_dbi=6.98,
     carrier_hz=2.4e9,
+    noise_temperature_k=354.81,
 )
 
 dim = model_dimension(784, 10)

@@ -44,14 +44,15 @@ def model_size_bits(dimension: int) -> int:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Transmitter, receiver, and channel characteristics shared by both ends."""
+    """Transmitter, receiver, and channel characteristics shared by both ends:
+    the ``[link]`` keys of a scenario file, power in dBm and each end's
+    antenna gain in dBi."""
 
-    tx_power_w: float
-    tx_gain: float  # linear
-    rx_gain: float  # linear
     bandwidth_hz: float
-    noise_temperature_k: float
+    tx_power_dbm: float
+    antenna_gain_dbi: float
     carrier_hz: float
+    noise_temperature_k: float
     tx_delay_s: float = 0.0
     rx_delay_s: float = 0.0
     # the link budget's distance-free factors, derived once
@@ -60,19 +61,32 @@ class LinkParams:
     loss_factor: float = field(init=False, repr=False, compare=False)  # 4*pi*f
 
     def __post_init__(self):
-        for name in ("tx_power_w", "tx_gain", "rx_gain", "bandwidth_hz",
-                     "noise_temperature_k", "carrier_hz"):
+        for name in ("bandwidth_hz", "noise_temperature_k", "carrier_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.tx_delay_s < 0 or self.rx_delay_s < 0:
-            raise ValueError("processing delays must be >= 0")
+        for name in ("tx_delay_s", "rx_delay_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        power_w = _linear("tx_power_dbm", self.tx_power_dbm, dbm_to_watts, "a power in W")
+        gain = _linear("antenna_gain_dbi", self.antenna_gain_dbi, from_db, "a linear gain")
         derived = {
-            "signal_w": self.tx_power_w * self.tx_gain * self.rx_gain,
+            "signal_w": power_w * gain * gain,
             "noise_w": BOLTZMANN_J_PER_K * self.noise_temperature_k * self.bandwidth_hz,
             "loss_factor": 4.0 * math.pi * self.carrier_hz,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+
+def _linear(name: str, decibels: float, convert, what: str) -> float:
+    """``convert(decibels)``, refused by ``name`` when it overflows or rounds to 0."""
+    try:
+        linear = convert(decibels)
+    except OverflowError:
+        raise ValueError(f"{name} overflows as {what}, got {decibels}") from None
+    if linear == 0.0:
+        raise ValueError(f"{name} rounds to 0 as {what}, got {decibels}")
+    return linear
 
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:

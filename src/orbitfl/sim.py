@@ -43,6 +43,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -231,11 +232,6 @@ class RunResult:
         return None
 
 
-_RING_INFEASIBLE = (
-    "ring protocol: adjacent satellites in a plane exceed line-of-sight range on this geometry"
-)
-
-
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every problem with the scenario, one line each; empty when it can run.
 
@@ -301,37 +297,25 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     return ["[{}] {} {}".format(*INI_KEYS[name], rule) for name, rule in bad]
 
 
+def _section(cfg: ScenarioConfig, name: str) -> dict:
+    """The settings of ``[name]``, by their keys in a scenario file."""
+    return {key: getattr(cfg, field) for field, (section, key) in INI_KEYS.items()
+            if section == name}
+
+
 def build_constellation(cfg: ScenarioConfig) -> Constellation:
-    return Constellation(_planes(cfg), _server(cfg))
+    return Constellation(_in_degrees(walker_planes, **_section(cfg, "constellation")),
+                         _server(**_section(cfg, "ps")))
 
 
-def _planes(cfg: ScenarioConfig) -> list[OrbitSpec]:
-    return _in_degrees(
-        walker_planes,
-        num_planes=cfg.num_planes,
-        sats_per_plane=cfg.sats_per_plane,
-        altitude_km=cfg.altitude_km,
-        inclination_deg=cfg.inclination_deg,
-        phasing_factor=cfg.phasing_factor,
-    )
-
-
-def _server(cfg: ScenarioConfig) -> OrbitSpec | GroundStationSpec:
-    if cfg.ps_kind == "orbit":
-        return _in_degrees(
-            OrbitSpec,
-            plane_index=-1,
-            altitude_km=cfg.ps_altitude_km,
-            inclination_deg=cfg.ps_inclination_deg,
-            raan_deg=cfg.ps_raan_deg,
-            num_satellites=1,
-        )
-    return _in_degrees(
-        GroundStationSpec,
-        latitude_deg=cfg.ps_latitude_deg,
-        longitude_deg=cfg.ps_longitude_deg,
-        min_elevation_deg=cfg.ps_min_elevation_deg,
-    )
+def _server(kind, altitude_km, inclination_deg, raan_deg, latitude_deg, longitude_deg,
+            min_elevation_deg) -> OrbitSpec | GroundStationSpec:
+    """The server that the ``[ps]`` keys place: its kind picks the spec."""
+    if kind == "orbit":
+        return _in_degrees(OrbitSpec, plane_index=-1, altitude_km=altitude_km,
+                           inclination_deg=inclination_deg, raan_deg=raan_deg, num_satellites=1)
+    return _in_degrees(GroundStationSpec, latitude_deg=latitude_deg, longitude_deg=longitude_deg,
+                       min_elevation_deg=min_elevation_deg)
 
 
 def _in_degrees(build, **kwargs):
@@ -350,29 +334,6 @@ def _in_degrees(build, **kwargs):
         if key not in degrees:
             raise
         raise ConfigError(exc.describe(key, degrees[key], math.degrees)) from exc
-
-
-def _link_params(cfg: ScenarioConfig) -> link.LinkParams:
-    return link.LinkParams(
-        tx_power_w=link.dbm_to_watts(cfg.tx_power_dbm),
-        tx_gain=link.from_db(cfg.antenna_gain_dbi),
-        rx_gain=link.from_db(cfg.antenna_gain_dbi),
-        bandwidth_hz=cfg.bandwidth_hz,
-        noise_temperature_k=cfg.noise_temperature_k,
-        carrier_hz=cfg.carrier_hz,
-        tx_delay_s=cfg.tx_delay_s,
-        rx_delay_s=cfg.rx_delay_s,
-    )
-
-
-def _learner_config(cfg: ScenarioConfig) -> learning.LearnerConfig:
-    return learning.LearnerConfig(
-        learning_rate=cfg.learning_rate,
-        local_iterations=cfg.local_iterations,
-        cycles_per_sample=cfg.cycles_per_sample,
-        cpu_hz=cfg.cpu_hz,
-        compute_time_factor=cfg.compute_time_factor,
-    )
 
 
 def build_datasets(cfg: ScenarioConfig):
@@ -454,10 +415,11 @@ def _build_parts(cfg: ScenarioConfig):
     a model to the server within the passes a run reads, which end by the
     contact plan's end."""
     problems, parts = _setting_problems(cfg), []
-    for section, build in (("constellation", _planes), ("ps", _server),
-                           ("link", _link_params), ("learning", _learner_config)):
+    for section, build in (("constellation", partial(_in_degrees, walker_planes)),
+                           ("ps", _server), ("link", link.LinkParams),
+                           ("learning", learning.LearnerConfig)):
         try:
-            parts.append(build(cfg))
+            parts.append(build(**_section(cfg, section)))
         except ValueError as exc:
             problems.append(f"[{section}] {exc}")
     if problems:
@@ -532,8 +494,14 @@ class _Simulation:
     def __init__(self, build: _Build, protocol_name: str):
         if protocol_name not in ("fedisl", "fednonisl"):
             raise ConfigError(f"unknown protocol {protocol_name!r}")
-        if protocol_name == "fedisl" and not intra_plane_isl_feasible(build.con.orbits[0]):
-            raise ConfigError(_RING_INFEASIBLE)
+        orbit = build.con.orbits[0]
+        if protocol_name == "fedisl" and not intra_plane_isl_feasible(orbit):
+            reach_km = max_isl_range_km(orbit.altitude_km, orbit.altitude_km)
+            raise ConfigError(
+                f"[constellation] sats_per_plane is too few for the ring protocol, got "
+                f"{orbit.num_satellites}: adjacent satellites in a plane are "
+                f"{build.con.distance_km(1, 2, 0.0):.6g} km apart, beyond their "
+                f"{reach_km:.6g} km line-of-sight range")
         self.cfg = cfg = build.cfg
         self.protocol = protocol_name
         self.con, self.link_params, self.lcfg = build.con, build.link_params, build.lcfg

@@ -466,6 +466,43 @@ def test_a_link_whose_rate_rounds_to_zero_is_a_config_error(tmp_path, capsys, ke
         assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
+# a power in dBm or a gain in dBi whose linear form a float cannot hold, or a
+# negative processing delay: the link's own rule names the key, so the problem
+# points at its line
+@pytest.mark.parametrize("key, value, rule", [
+    ("tx_power_dbm", "1e20", "overflows as a power in W, got 1e+20"),
+    ("antenna_gain_dbi", "1e5", "overflows as a linear gain, got 100000.0"),
+    ("tx_power_dbm", "-4000", "rounds to 0 as a power in W, got -4000.0"),
+    ("tx_delay_s", "-1", "must be >= 0, got -1.0"),
+])
+def test_a_link_setting_its_layer_refuses_names_its_key(tmp_path, capsys, key, value, rule):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"link": {key: value}}))
+    problem = f"[link] {key}{at(path, f'{key} = {value}')} {rule}"
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
+# four satellites a plane at 2000 km sit farther apart than their line of
+# sight reaches, so the ring protocol cannot run: a problem of sats_per_plane
+def test_a_ring_beyond_line_of_sight_names_sats_per_plane(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini_with({"constellation": {"sats_per_plane": "4"}}))
+    problem = (f"[constellation] sats_per_plane{at(path, 'sats_per_plane = 4')} is too few for "
+               "the ring protocol, got 4: adjacent satellites in a plane are 11838.4 km apart, "
+               "beyond their 10859.8 km line-of-sight range")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+    assert main(["run", "--config", str(path), "--protocol", "fednonisl",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+
+
 # a link whose signal-to-noise ratio overflows at the least distance two nodes
 # may come to: a noise power of about 3e-316 W, and a strong transmitter (the
 # least distance to the orbiting server, 18,000 km) or a server 0.5 km off the

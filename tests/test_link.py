@@ -23,12 +23,11 @@ from orbitfl.orbital import SPEED_OF_LIGHT_M_S
 def reference_link() -> LinkParams:
     # 20 MHz S-band channel, 40 dBm transmit power, 6.98 dBi antennas, 354.81 K noise
     return LinkParams(
-        tx_power_w=dbm_to_watts(40.0),
-        tx_gain=from_db(6.98),
-        rx_gain=from_db(6.98),
         bandwidth_hz=20e6,
-        noise_temperature_k=354.81,
+        tx_power_dbm=40.0,
+        antenna_gain_dbi=6.98,
         carrier_hz=2.4e9,
+        noise_temperature_k=354.81,
     )
 
 
@@ -92,12 +91,11 @@ def test_rate_at_unity_snr_is_bandwidth():
     loss = path_loss(d, 1e9)
     noise = BOLTZMANN_J_PER_K * 300.0 * 1e6
     params = LinkParams(
-        tx_power_w=noise * loss,
-        tx_gain=1.0,
-        rx_gain=1.0,
         bandwidth_hz=1e6,
-        noise_temperature_k=300.0,
+        tx_power_dbm=db(noise * loss) + 30.0,
+        antenna_gain_dbi=0.0,
         carrier_hz=1e9,
+        noise_temperature_k=300.0,
     )
     assert rate(params, d) == pytest.approx(1e6, rel=1e-9)
 
@@ -110,12 +108,11 @@ def test_transfer_time_reference_value():
 
 def test_transfer_time_zero_payload_is_propagation_plus_delays():
     params = LinkParams(
-        tx_power_w=10.0,
-        tx_gain=2.0,
-        rx_gain=2.0,
         bandwidth_hz=1e6,
-        noise_temperature_k=300.0,
+        tx_power_dbm=40.0,
+        antenna_gain_dbi=db(2.0),
         carrier_hz=1e9,
+        noise_temperature_k=300.0,
         tx_delay_s=0.25,
         rx_delay_s=0.5,
     )
@@ -139,12 +136,29 @@ def test_model_size_bits():
 
 
 def test_link_params_validation():
-    with pytest.raises(ValueError):
-        LinkParams(0.0, 1.0, 1.0, 1e6, 300.0, 1e9)
-    with pytest.raises(ValueError):
-        LinkParams(1.0, 1.0, 1.0, 1e6, -300.0, 1e9)
-    with pytest.raises(ValueError):
-        LinkParams(1.0, 1.0, 1.0, 1e6, 300.0, 1e9, tx_delay_s=-1.0)
+    with pytest.raises(ValueError, match="bandwidth_hz must be positive"):
+        LinkParams(0.0, 30.0, 0.0, 1e9, 300.0)
+    with pytest.raises(ValueError, match="noise_temperature_k must be positive"):
+        LinkParams(1e6, 30.0, 0.0, 1e9, -300.0)
+    for key in ("tx_delay_s", "rx_delay_s"):
+        with pytest.raises(ValueError, match=rf"^{key} must be >= 0, got -1\.0$"):
+            LinkParams(1e6, 30.0, 0.0, 1e9, 300.0, **{key: -1.0})
+    # a power in dBm or a gain in dBi whose linear form a float cannot hold
+    for power_dbm, gain_dbi, problem in [
+        (1e20, 0.0, "tx_power_dbm overflows as a power in W, got 1e+20"),
+        (-4000.0, 0.0, "tx_power_dbm rounds to 0 as a power in W, got -4000.0"),
+        (30.0, 1e5, "antenna_gain_dbi overflows as a linear gain, got 100000.0"),
+        (30.0, -4000.0, "antenna_gain_dbi rounds to 0 as a linear gain, got -4000.0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            LinkParams(1e6, power_dbm, gain_dbi, 1e9, 300.0)
+        assert str(err.value) == problem
+
+
+# the received power at unit loss is the transmit power times both antennas' gain
+def test_signal_is_the_power_times_both_gains():
+    params = reference_link()
+    assert params.signal_w == dbm_to_watts(40.0) * from_db(6.98) * from_db(6.98)
 
 
 def test_transfer_time_is_serialization_plus_propagation():

@@ -539,10 +539,23 @@ def test_the_scan_decides_sight_as_the_oracle_does(con, data):
 def test_plan_windows_equal_dense_scan_windows(con, data):
     ids = con.satellite_ids()
     sat = data.draw(st.sampled_from(ids))
-    end = 6 * 3600.0
     peers = [PS_NODE]
     if len(ids) > 1:
         peers.append(data.draw(st.sampled_from([n for n in ids if n != sat])))
+    _check_plan_windows(con, sat, peers)
+
+
+# Equatorial planes are one orbit, so in phase satellite 2 (plane 0) and
+# satellite 4 (plane 1) fly at one place: no drawn pair meets, so this one
+# runs the refusal.
+def test_plan_windows_refuse_a_pair_that_meets():
+    con = Constellation(walker_planes(3, 3, 1000.0, 0.0, phasing_factor=0), MEO_PS)
+    assert orbital._closest_approach_km(con._tracks[2], con._tracks[4]) == 0.0
+    _check_plan_windows(con, 2, [PS_NODE, 4])
+
+
+def _check_plan_windows(con, sat, peers):
+    end = 6 * 3600.0
     for peer in peers:
         if peer == PS_NODE:
             plan_con, node = con, sat

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import augmented, cross_entropy, write_idx_pair
 
@@ -50,6 +50,26 @@ def _altitude():
     return _mostly(st.floats(300.0, 40000.0), 0.0, -1.0, math.nan, math.inf)
 
 
+# [link] settings that no scenario may have: a power or a gain whose linear
+# form overflows or rounds to 0, and a negative processing delay
+ODD_LINKS = [dict(tx_power_dbm=1e20), dict(tx_power_dbm=-4000.0), dict(antenna_gain_dbi=1e5),
+             dict(antenna_gain_dbi=-4000.0), dict(tx_delay_s=-1.0), dict(rx_delay_s=-1e-9)]
+
+
+def _link():
+    """The [link] keys about the study case's, now and then with an odd one."""
+    keys = st.fixed_dictionaries(dict(
+        bandwidth_hz=st.floats(1e6, 1e8),
+        tx_power_dbm=st.floats(20.0, 60.0),
+        antenna_gain_dbi=st.floats(0.0, 20.0),
+        carrier_hz=st.floats(1e9, 3e10),
+        noise_temperature_k=st.floats(100.0, 1000.0),
+        tx_delay_s=st.floats(0.0, 0.01),
+        rx_delay_s=st.floats(0.0, 0.01),
+    ))
+    return st.tuples(keys, _mostly(st.just({}), *ODD_LINKS)).map(lambda kv: {**kv[0], **kv[1]})
+
+
 @st.composite
 def scenarios(draw):
     cfg = dict(
@@ -64,6 +84,7 @@ def scenarios(draw):
         samples_per_satellite=draw(st.integers(1, 4)),
         test_samples=draw(st.integers(4, 12)),
         until_epochs=1,
+        **draw(_link()),
     )
     if draw(st.booleans()):
         cfg.update(
@@ -82,8 +103,15 @@ def scenarios(draw):
     return ScenarioConfig(**cfg)
 
 
+# every odd link setting goes once, however rarely the draws hold one
 @SETTINGS
 @given(scenarios())
+@example(ScenarioConfig(seed=0, **ODD_LINKS[0]))
+@example(ScenarioConfig(seed=0, **ODD_LINKS[1]))
+@example(ScenarioConfig(seed=0, **ODD_LINKS[2]))
+@example(ScenarioConfig(seed=0, **ODD_LINKS[3]))
+@example(ScenarioConfig(seed=0, **ODD_LINKS[4]))
+@example(ScenarioConfig(seed=0, **ODD_LINKS[5]))
 def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
     problems = validate_scenario(cfg)
     try:
