@@ -18,9 +18,10 @@ from orbitfl import (
     synthetic_pool,
 )
 
-pool = synthetic_pool(400, num_features=16, num_classes=4, seed=11)
+# the pool is drawn straight into the shards of a seeded iid deal to 8 workers
+shards = synthetic_pool(400, num_features=16, num_classes=4, seed=11,
+                        shard=lambda labels: partition_dataset(labels, 8, "iid", 11, 4))
 test = synthetic_pool(200, num_features=16, num_classes=4, seed=12, means_seed=11)
-shards = partition_dataset(pool, 8, scheme="iid", seed=11)
 
 start = init_params(16, 4)
 config = LearnerConfig(learning_rate=0.05, local_iterations=5)

@@ -296,30 +296,22 @@ def evaluate(params: np.ndarray, dataset: LocalDataset) -> tuple[float, float]:
     return accuracy, _cross_entropy(scores, dataset.labels)
 
 
-def partition_dataset(
-    pool: LocalDataset | np.ndarray,
-    num_workers: int,
-    scheme: str = "iid",
-    seed: int = 0,
-    label_groups: list[set[int]] | None = None,
-) -> list[LocalDataset] | list[np.ndarray]:
-    """Split a pool into per-worker shards.
+def partition_dataset(labels: np.ndarray, num_workers: int, scheme: str, seed: int,
+                      num_classes: int) -> list[np.ndarray]:
+    """Each worker's rows of a pool with these labels, drawn from ``num_classes``.
 
     ``iid``: seeded shuffle of the whole pool, dealt round-robin. ``label_split``:
-    workers are divided into len(label_groups) contiguous blocks; each block
-    receives only the samples whose labels fall in its group, shuffled and dealt
-    round-robin within the block. Which rows go where depends only on the
-    labels, the scheme and the seed.
-
-    ``pool`` is a dataset or its labels alone. A dataset's rows are gathered
-    once, in shard order, into one block of which each shard is a row slice.
-    Labels alone give each shard's rows of the pool instead, the order that
-    :func:`synthetic_pool` and :func:`load_idx` fill a pool straight into.
+    the workers are split into two contiguous blocks, as ``np.array_split``
+    splits them; the first block receives only the rows labelled below
+    ``num_classes // 2`` and the second only the rest, each shuffled and dealt
+    round-robin within its block. Which rows go where depends only on the
+    labels, the scheme and the seed. The rows come in the order that
+    :func:`synthetic_pool` and :func:`load_idx` fill a pool's shards straight into.
 
     Raises:
         PartitionError: if any worker would end up with zero samples.
     """
-    labels = pool.labels if isinstance(pool, LocalDataset) else np.asarray(pool)
+    labels = np.asarray(labels)
     if num_workers < 1:
         raise PartitionError(f"num_workers must be >= 1, got {num_workers}")
     rng = np.random.default_rng(seed)
@@ -327,16 +319,12 @@ def partition_dataset(
         order = rng.permutation(labels.size)
         assignments = [order[w::num_workers] for w in range(num_workers)]
     elif scheme == "label_split":
-        if not label_groups:
-            raise PartitionError("label_split requires label_groups")
-        worker_blocks = np.array_split(np.arange(num_workers), len(label_groups))
+        if num_workers < 2:
+            raise PartitionError(f"label_split needs at least 2 workers, got {num_workers}")
+        lower = labels < num_classes // 2
         assignments = []
-        for group, block in zip(label_groups, worker_blocks):
-            if block.size == 0:
-                raise PartitionError(
-                    f"more label groups ({len(label_groups)}) than workers ({num_workers})"
-                )
-            members = np.nonzero(np.isin(labels, sorted(group)))[0]
+        for members, block in zip((np.flatnonzero(lower), np.flatnonzero(~lower)),
+                                  np.array_split(np.arange(num_workers), 2)):
             order = members[rng.permutation(members.size)]
             assignments += [order[j :: block.size] for j in range(block.size)]
     else:
@@ -344,10 +332,7 @@ def partition_dataset(
     for worker, rows in enumerate(assignments):
         if rows.size == 0:
             raise PartitionError(f"worker {worker} would receive zero samples")
-    if not isinstance(pool, LocalDataset):
-        return assignments
-    return _pool(labels, lambda _: assignments, lambda order: pool.levels[order],
-                 pool.scale, pool.shifts)
+    return assignments
 
 
 def _pool(labels: np.ndarray, shard: Shard | None, levels: Callable[[np.ndarray], np.ndarray],

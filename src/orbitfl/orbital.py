@@ -72,7 +72,6 @@ class OrbitSpec:
     inertial z axis; ``inclination_rad`` tilts the plane off the equator.
     """
 
-    plane_index: int
     altitude_km: float
     inclination_rad: float
     raan_rad: float
@@ -271,7 +270,6 @@ def walker_planes(
         phase = _TWO_PI * p * phasing_factor / (num_planes * sats_per_plane)
         planes.append(
             OrbitSpec(
-                plane_index=p,
                 altitude_km=altitude_km,
                 inclination_rad=inclination_rad,
                 raan_rad=_TWO_PI * p / num_planes,
@@ -297,9 +295,11 @@ def intra_plane_isl_feasible(orbit: OrbitSpec) -> bool:
 class Constellation:
     """Node table plus geometry queries for one scenario.
 
-    Satellites take ids 1..K in plane order (plane 0 first, ring order within
-    the plane); the parameter server is node 0 and is either a satellite on its
-    own plane or a ground station. All query methods accept node ids.
+    Plane p is ``orbits[p]``: a plane's index is its place in the list, so
+    equal specs are distinct planes. Satellites take ids 1..K in plane order
+    (plane 0 first, ring order within the plane), and each lies on exactly one
+    plane's ring; the parameter server is node 0 and is either a satellite on
+    its own plane or a ground station. All query methods accept node ids.
     """
 
     def __init__(self, orbits: list[OrbitSpec], ps):
@@ -307,17 +307,16 @@ class Constellation:
             raise GeometryError("at least one orbital plane is required")
         self.orbits = list(orbits)
         self.ps = ps
-        self._sat_plane: dict[int, tuple[OrbitSpec, int]] = {}
-        self._ring: dict[int, list[int]] = {}
-        node = 1
-        for orbit in self.orbits:
-            ids = []
-            for i in range(orbit.num_satellites):
-                self._sat_plane[node] = (orbit, i)
-                ids.append(node)
-                node += 1
-            self._ring[orbit.plane_index] = ids
-        self.num_satellites = node - 1
+        # per plane, its satellites' ids in ring order; per satellite, its plane
+        self._ring: list[list[int]] = []
+        self._plane: dict[int, int] = {}
+        tracks = []
+        for p, orbit in enumerate(self.orbits):
+            first = len(tracks) + 1
+            self._ring.append(list(range(first, first + orbit.num_satellites)))
+            self._plane.update(dict.fromkeys(self._ring[p], p))
+            tracks += [_OrbitTrack(orbit, i) for i in range(orbit.num_satellites)]
+        self.num_satellites = len(tracks)
         self.ps_is_satellite = isinstance(ps, OrbitSpec)
         if not self.ps_is_satellite and not isinstance(ps, GroundStationSpec):
             raise GeometryError(f"unsupported parameter server spec: {type(ps).__name__}")
@@ -326,8 +325,8 @@ class Constellation:
             ps_track = _OrbitTrack(ps, 0)
         else:
             ps_track = _GroundTrack(ps)
-        self._tracks = [ps_track] + [_OrbitTrack(*self._sat_plane[n]) for n in range(1, node)]
-        for n in range(1, node) if self.ps_is_satellite else ():  # a station meets none
+        self._tracks = [ps_track] + tracks
+        for n in self.satellite_ids() if self.ps_is_satellite else ():  # a station meets none
             if _closest_approach_km(self._tracks[n], ps_track) <= MIN_SEPARATION_KM:
                 raise GeometryError(
                     f"satellite {n} collides with the server: they share a radius "
@@ -337,16 +336,16 @@ class Constellation:
     # -- node table ---------------------------------------------------------
 
     def satellite_ids(self) -> list[int]:
-        return sorted(self._sat_plane)
+        return list(range(1, self.num_satellites + 1))
 
     def plane_of(self, node: int) -> int:
-        return self._sat_plane[node][0].plane_index
+        return self._plane[node]
 
     def ring_ids(self, plane_index: int) -> list[int]:
         return list(self._ring[plane_index])
 
     def plane_indices(self) -> list[int]:
-        return sorted(self._ring)
+        return list(range(len(self.orbits)))
 
     # -- geometry -----------------------------------------------------------
 
@@ -467,6 +466,11 @@ class ContactPlan:
     """
 
     def __init__(self, con: Constellation, end_s: float, *, tol_s: float = 0.1):
+        # a scan's steps are tol_s at least, and it runs until end_s
+        if not math.isfinite(end_s):
+            raise ValueError(f"end_s must be finite, got {end_s}")
+        if not 0.0 < tol_s < math.inf:
+            raise ValueError(f"tol_s must be finite and positive, got {tol_s}")
         self.end_s, self.tol_s = end_s, tol_s
         nodes = con.satellite_ids()
         self._nodes, self._index = nodes, {n: i for i, n in enumerate(nodes)}
@@ -500,10 +504,9 @@ class ContactPlan:
         """The node's next window after ``w``, else None."""
         return self.window(node, math.nextafter(w.end_s, math.inf))
 
-    def windows(self, node: int, until: float) -> list[ContactWindow]:
-        """Every window opening by ``until``, in time order."""
-        windows = self._scan(node, lambda w: w.start_s > until)
-        return [w for w in windows if w.start_s <= until]
+    def windows(self, node: int) -> list[ContactWindow]:
+        """Every window before ``end_s``, in time order."""
+        return list(self._scan(node, lambda w: False))
 
     def _scan(self, node: int, enough) -> list[ContactWindow]:
         """The node's windows, its scan run on until ``enough`` holds for the

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learning
+from .orbital import PS_NODE
 
 # node phases within an epoch
 DISTRIBUTION = "distribution"
@@ -188,7 +189,6 @@ def fallback_next_hop(
     ring_ids: list[int],
     node: int,
     exclude: int | None,
-    ps_node: int,
     t: float,
 ) -> int | None:
     """Ring neighbor currently closest to the server, never the one the
@@ -196,7 +196,7 @@ def fallback_next_hop(
     candidates = [n for n in ring_neighbors(ring_ids, node) if n != exclude]
     best = None
     for neighbor in candidates:
-        d = constellation.distance_km(neighbor, ps_node, t)
+        d = constellation.distance_km(neighbor, PS_NODE, t)
         if best is None or d < best[0] or (d == best[0] and neighbor < best[1]):
             best = (d, neighbor)
     return None if best is None else best[1]

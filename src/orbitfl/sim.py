@@ -271,9 +271,13 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
     for name, low in least.items():
         if getattr(cfg, name) < low:
             bad.append((name, f"must be at least {low}, got {getattr(cfg, name)}"))
+    num_sats = max(cfg.num_planes, 0) * max(cfg.sats_per_plane, 0)
+    # label_split gives each half of the labels to its own half of the satellites
+    if cfg.data_scheme == "label_split" and num_sats == 1:
+        bad.append(("data_scheme", "'label_split' needs at least one satellite per label "
+                                   "group (2), got 1"))
     # a synthetic pool draws every class at least once; an empty one is refused above
     if cfg.data_source == "synthetic":
-        num_sats = max(cfg.num_planes, 0) * max(cfg.sats_per_plane, 0)
         pools = {"samples_per_satellite": (cfg.samples_per_satellite * num_sats,
                                            f"times the {num_sats} satellites "),
                  "test_samples": (cfg.test_samples, "")}
@@ -304,15 +308,15 @@ def _section(cfg: ScenarioConfig, name: str) -> dict:
 
 
 def build_constellation(cfg: ScenarioConfig) -> Constellation:
-    return Constellation(_in_degrees(walker_planes, **_section(cfg, "constellation")),
-                         _server(**_section(cfg, "ps")))
+    """The scenario's constellation; ConfigError on any problem of its parts."""
+    return _build_parts(cfg)[0]
 
 
 def _server(kind, altitude_km, inclination_deg, raan_deg, latitude_deg, longitude_deg,
             min_elevation_deg) -> OrbitSpec | GroundStationSpec:
     """The server that the ``[ps]`` keys place: its kind picks the spec."""
     if kind == "orbit":
-        return _in_degrees(OrbitSpec, plane_index=-1, altitude_km=altitude_km,
+        return _in_degrees(OrbitSpec, altitude_km=altitude_km,
                            inclination_deg=inclination_deg, raan_deg=raan_deg, num_satellites=1)
     return _in_degrees(GroundStationSpec, latitude_deg=latitude_deg, longitude_deg=longitude_deg,
                        min_elevation_deg=min_elevation_deg)
@@ -345,23 +349,12 @@ def build_datasets(cfg: ScenarioConfig):
     least the rows the run uses, ``num_features`` features per image and, in
     the rows used, labels below ``num_classes``; only the rows used are read."""
     num_sats = cfg.num_planes * cfg.sats_per_plane
-    groups = None
-    if cfg.data_scheme == "label_split":
-        # Two-way class split: first half of the satellites sees only the lower
-        # label range, the second half only the upper.
-        half = max(1, cfg.num_classes // 2)
-        groups = [set(range(half)), set(range(half, cfg.num_classes))]
-        groups = [g for g in groups if g]
 
     def shard(labels):
         try:
-            return learning.partition_dataset(labels, num_sats, scheme=cfg.data_scheme,
-                                              seed=cfg.seed, label_groups=groups)
+            return learning.partition_dataset(labels, num_sats, cfg.data_scheme, cfg.seed,
+                                              cfg.num_classes)
         except learning.PartitionError as exc:
-            if groups and len(groups) > num_sats:  # a label group with no satellite
-                raise learning.PartitionError(
-                    f"scheme {cfg.data_scheme!r} needs at least one satellite per label "
-                    f"group ({len(groups)}), got {num_sats}") from exc
             # a label group's rows are fewer than its satellites
             raise learning.PartitionError(
                 f"samples_per_satellite is too small for scheme {cfg.data_scheme!r}, "
@@ -481,7 +474,7 @@ def contact_table(cfg: ScenarioConfig, horizon_s: float):
     rows = [
         (sat, con.plane_of(sat), w.start_s, w.end_s)
         for sat in con.satellite_ids()
-        for w in plan.windows(sat, horizon_s)
+        for w in plan.windows(sat)
     ]
     rows.sort(key=lambda r: (r[2], r[0]))
     return rows
@@ -866,7 +859,7 @@ class _Simulation:
         """Server out of reach for too long: pass the aggregate along the ring."""
         sat = self.sats[sid]
         target = protocol.fallback_next_hop(
-            self.con, self.groups[sat.group], sid, sat.holding_from, PS_NODE, self.t
+            self.con, self.groups[sat.group], sid, sat.holding_from, self.t
         )
         if target is None:
             self.schedule(self.t + self.cfg.reconnect_wait_s, self._try_deliver, sid)

@@ -93,14 +93,12 @@ def pair_constellation(constellation, a, b):
     one-satellite orbit at b's anomaly. The margin between a satellite and an
     orbiting server is the one between two satellites."""
 
-    def alone(node, plane_index):
-        orbit, _ = constellation._sat_plane[node]
+    def alone(node):
+        orbit = constellation.orbits[constellation.plane_of(node)]
         anomaly = constellation._tracks[node].theta0 % (2 * math.pi)
-        return dataclasses.replace(
-            orbit, plane_index=plane_index, num_satellites=1, phase_offset_rad=anomaly
-        )
+        return dataclasses.replace(orbit, num_satellites=1, phase_offset_rad=anomaly)
 
-    return Constellation([alone(a, 0)], alone(b, -1))
+    return Constellation([alone(a)], alone(b))
 
 
 def ring_hop_distances(num_nodes, sink_pos):
@@ -178,10 +176,12 @@ def read_idx_pair(images_path, labels_path, rows, **partition):
     """The first ``rows`` rows of an IDX pair, each file read whole, as a
     dataset of float rows that hold the pixel bytes' values: the pool, or its
     shards when ``partition`` holds the arguments of ``partition_dataset``
-    after the pool."""
+    after the labels."""
     images = Path(images_path).read_bytes()
     _, count, height, width = struct.unpack(">IIII", images[:16])
     pixels = np.frombuffer(images, dtype=np.uint8, offset=16).reshape(count, height * width)
     labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, offset=8)
-    pool = LocalDataset(pixels[:rows], labels[:rows])
-    return partition_dataset(pool, **partition) if partition else pool
+    if not partition:
+        return LocalDataset(pixels[:rows], labels[:rows])
+    shards = partition_dataset(labels[:rows], **partition)
+    return [LocalDataset(pixels[r], labels[r]) for r in shards]

@@ -212,7 +212,7 @@ def test_criterion_6_contact_windows_match_dense_scan():
         brute = brute_windows(con, a, b, 0.0, horizon, step_s=1.0)
         # a satellite pair is read through a plan whose server flies as b
         plan_con, sat = (con, a) if b == PS_NODE else (pair_constellation(con, a, b), 1)
-        got = ContactPlan(plan_con, horizon).windows(sat, horizon)
+        got = ContactPlan(plan_con, horizon).windows(sat)
         for start, end in brute:
             if end - start <= 10.0:
                 continue  # below the coarse scan's resolution by design

@@ -259,68 +259,60 @@ def test_tree_fold_matches_centralized():
 
 
 def test_partition_iid_conserves_samples():
-    pool = small_dataset(seed=8, n=103, f=4, c=3)
-    shards = partition_dataset(pool, 10, "iid", seed=5)
-    assert len(shards) == 10
-    assert sum(s.num_samples for s in shards) == 103
-    sizes = sorted(s.num_samples for s in shards)
+    labels = small_dataset(seed=8, n=103, f=4, c=3).labels
+    rows = partition_dataset(labels, 10, "iid", 5, 3)
+    assert len(rows) == 10
+    assert sorted(np.concatenate(rows).tolist()) == list(range(103))
+    sizes = sorted(r.size for r in rows)
     assert sizes[-1] - sizes[0] <= 1
     # a second call with the same seed deals identically
-    again = partition_dataset(pool, 10, "iid", seed=5)
-    for a, b in zip(shards, again):
-        np.testing.assert_array_equal(a.levels, b.levels)
+    again = partition_dataset(labels, 10, "iid", 5, 3)
+    for a, b in zip(rows, again):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_partition_single_worker_gets_everything():
-    pool = small_dataset(seed=9, n=30)
-    (shard,) = partition_dataset(pool, 1, "iid", seed=0)
-    assert shard.num_samples == 30
-    np.testing.assert_array_equal(np.sort(shard.levels, axis=0), np.sort(pool.levels, axis=0))
+    labels = small_dataset(seed=9, n=30).labels
+    (rows,) = partition_dataset(labels, 1, "iid", 0, 3)
+    assert sorted(rows.tolist()) == list(range(30))
 
 
+# the first block of np.array_split's two takes the labels below num_classes // 2
 def test_partition_label_split_reference_layout():
-    pool = synthetic_pool(4000, 8, 10, seed=14, separation=2.0)
-    groups = [set(range(5)), set(range(5, 10))]
-    shards = partition_dataset(pool, 40, "label_split", seed=3, label_groups=groups)
-    for worker, shard in enumerate(shards):
-        expected = groups[0] if worker < 20 else groups[1]
-        assert set(shard.labels.tolist()) <= expected
-        assert shard.num_samples > 0
-    assert sum(s.num_samples for s in shards) == 4000
+    for workers, num_classes in ((40, 10), (5, 3)):
+        labels = synthetic_pool(4000, 8, num_classes, seed=14, separation=2.0).labels
+        rows = partition_dataset(labels, workers, "label_split", 3, num_classes)
+        first = -(-workers // 2)
+        for worker, r in enumerate(rows):
+            assert r.size > 0
+            assert set((labels[r] < num_classes // 2).tolist()) == {worker < first}
+        assert sorted(np.concatenate(rows).tolist()) == list(range(4000))
 
 
-def _dealt(pool_size=103, workers=10, features=6):
-    """Shards drawn straight into shard order, and the same pool drawn whole and then dealt."""
+def _drawn(pool_size=103, workers=10, features=6):
+    """A pool drawn straight into the shards of an iid deal."""
     def shard(labels):
-        return partition_dataset(labels, workers, "iid", seed=1)
+        return partition_dataset(labels, workers, "iid", 1, 3)
 
-    drawn = synthetic_pool(pool_size, features, 3, seed=4, shard=shard)
-    pool = synthetic_pool(pool_size, features, 3, seed=4)
-    dealt = partition_dataset(pool, workers, "iid", seed=1)
-    return drawn, dealt
+    return synthetic_pool(pool_size, features, 3, seed=4, shard=shard)
 
 
-# A drawn pool's shards share one block of byte levels, and the deal of a
-# drawn pool gathers its levels into a block of its own; both keep the
-# pool's map from levels to features.
+# A drawn pool's shards share one block of byte levels, and the pool's map
+# from levels to features.
 def test_shards_are_row_slices_of_one_block():
-    for shards in _dealt():
-        block = shards[0].levels.base
-        assert block.shape == (103, 6) and block.dtype == np.uint8 and block.flags.c_contiguous
-        assert all(np.shares_memory(s.levels, block) for s in shards)
-        assert all(np.shares_memory(s.labels, shards[0].labels.base) for s in shards)
-        assert sum(s.num_samples for s in shards) == 103
-        assert all(s.shifts is shards[0].shifts for s in shards)
-    drawn, dealt = _dealt()
-    for a, b in zip(drawn, dealt):
-        assert a.scale == b.scale
-        np.testing.assert_array_equal(a.shifts, b.shifts)
+    shards = _drawn()
+    block = shards[0].levels.base
+    assert block.shape == (103, 6) and block.dtype == np.uint8 and block.flags.c_contiguous
+    assert all(np.shares_memory(s.levels, block) for s in shards)
+    assert all(np.shares_memory(s.labels, shards[0].labels.base) for s in shards)
+    assert sum(s.num_samples for s in shards) == 103
+    assert all(s.shifts is shards[0].shifts and s.scale == shards[0].scale for s in shards)
 
 
 def test_a_write_to_a_shard_or_a_test_set_raises():
-    drawn, dealt = _dealt()
+    drawn = _drawn()
     test_set = synthetic_pool(20, 6, 3, seed=5, means_seed=4)
-    for ds in (drawn[0], dealt[3], test_set, LocalDataset(np.zeros((2, 3)), [0, 1])):
+    for ds in (drawn[0], drawn[3], test_set, LocalDataset(np.zeros((2, 3)), [0, 1])):
         arrays = [ds.levels, ds.labels] + ([] if ds.shifts is None else [ds.shifts])
         for array in arrays:
             with pytest.raises(ValueError):
@@ -350,7 +342,7 @@ def test_a_dataset_rounds_its_features_to_float32_once():
 
 def test_sizes_count_the_features_not_the_bias_column():
     cfg = LearnerConfig(learning_rate=0.1)
-    drawn, _ = _dealt(pool_size=100, workers=10, features=20)
+    drawn = _drawn(pool_size=100, workers=10, features=20)
     made = LocalDataset(np.zeros((10, 20)), np.zeros(10, dtype=int))
     for ds in (drawn[0], made):
         assert ds.levels.shape == (10, 20)
@@ -360,16 +352,16 @@ def test_sizes_count_the_features_not_the_bias_column():
 
 
 def test_partition_errors():
-    pool = small_dataset(seed=10, n=5, c=3)
+    labels = small_dataset(seed=10, n=5, c=3).labels
     with pytest.raises(PartitionError):
-        partition_dataset(pool, 6, "iid", seed=0)  # more workers than samples
+        partition_dataset(labels, 6, "iid", 0, 3)  # more workers than samples
     with pytest.raises(PartitionError):
-        partition_dataset(pool, 2, "label_split", seed=0)  # missing groups
+        partition_dataset(labels, 1, "label_split", 0, 3)  # a half of the labels with no worker
     with pytest.raises(PartitionError):
-        partition_dataset(pool, 2, "nonsense", seed=0)
-    # a group whose labels never occur leaves its workers empty
+        partition_dataset(labels, 2, "nonsense", 0, 3)
+    # a half whose labels never occur leaves its workers empty
     with pytest.raises(PartitionError):
-        partition_dataset(pool, 2, "label_split", seed=0, label_groups=[{0, 1, 2}, {7}])
+        partition_dataset(np.zeros(5, dtype=int), 2, "label_split", 0, 3)
 
 
 def test_evaluate_perfect_and_uniform():

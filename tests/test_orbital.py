@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from orbitfl import orbital
@@ -25,7 +25,7 @@ from helpers import brute_windows, grid_windows, margin, pair_constellation, pos
 
 
 MEO_PS = OrbitSpec(
-    plane_index=-1, altitude_km=20000.0, inclination_rad=0.0, raan_rad=0.0, num_satellites=1
+    altitude_km=20000.0, inclination_rad=0.0, raan_rad=0.0, num_satellites=1
 )
 
 
@@ -59,11 +59,11 @@ def test_period_speed_identity():
 
 
 def test_satellite_position_axis_cases():
-    orbit = OrbitSpec(0, 2000.0, 0.0, 0.0, 4)
+    orbit = OrbitSpec(2000.0, 0.0, 0.0, 4)
     p = position(Constellation([orbit], MEO_PS), 1, 0.0)
     np.testing.assert_allclose(p, [8371.0, 0.0, 0.0], atol=1e-9)
     # quarter ring ahead (node 2), polar plane: the +y in-plane direction maps to +z
-    polar = OrbitSpec(0, 2000.0, math.pi / 2, 0.0, 4)
+    polar = OrbitSpec(2000.0, math.pi / 2, 0.0, 4)
     p = position(Constellation([polar], MEO_PS), 2, 0.0)
     np.testing.assert_allclose(p, [0.0, 0.0, 8371.0], atol=1e-9)
 
@@ -72,7 +72,6 @@ def test_satellite_position_periodicity_and_radius():
     rng = np.random.default_rng(7)
     for _ in range(50):
         orbit = OrbitSpec(
-            plane_index=0,
             altitude_km=float(rng.uniform(300, 30000)),
             inclination_rad=float(rng.uniform(0, math.pi)),
             raan_rad=float(rng.uniform(0, 2 * math.pi)),
@@ -117,7 +116,7 @@ def test_max_isl_range_values():
 
 def test_sat_sat_visible_ring_cases():
     # adjacent satellites of the reference ring see each other, antipodal ones do not
-    con = Constellation([OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 8)], MEO_PS)
+    con = Constellation([OrbitSpec(2000.0, math.radians(80.0), 0.0, 8)], MEO_PS)
     assert visible(con, 1, 2, 0.0)
     assert not visible(con, 1, 5, 0.0)
 
@@ -139,8 +138,8 @@ def test_sat_ground_visible_zenith_and_mask():
     low = math.radians(5.0)
     x, y = r_e + 8000.0 * math.sin(low), 8000.0 * math.cos(low)
     planes = [
-        OrbitSpec(0, 2000.0, 0.0, 0.0, 1),
-        OrbitSpec(1, math.hypot(x, y) - r_e, 0.0, 0.0, 1, math.atan2(y, x)),
+        OrbitSpec(2000.0, 0.0, 0.0, 1),
+        OrbitSpec(math.hypot(x, y) - r_e, 0.0, 0.0, 1, math.atan2(y, x)),
     ]
     masked = Constellation(planes, GroundStationSpec(0.0, 0.0, math.radians(10.0)))
     open_sky = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
@@ -178,7 +177,6 @@ def test_walker_planes_layout():
     planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
     assert len(planes) == 5
     for p, orbit in enumerate(planes):
-        assert orbit.plane_index == p
         assert orbit.raan_rad == pytest.approx(2 * math.pi * p / 5)
         assert orbit.phase_offset_rad == pytest.approx(2 * math.pi * p / 40)
         assert orbit.num_satellites == 8
@@ -205,15 +203,32 @@ def test_constellation_node_table():
     assert con.ps.altitude_km == 20000.0
 
 
+# A plane's index is its place in the list, so equal specs are distinct
+# planes: every satellite lies on exactly one ring, its plane's.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from([OrbitSpec(2000.0, 1.0, 0.0, 4), OrbitSpec(1500.0, 0.5, 2.0, 1),
+                                 OrbitSpec(2000.0, 1.0, 3.0, 3)]), min_size=1, max_size=5))
+@example([OrbitSpec(2000.0, 1.0, 0.0, 4)] * 2)
+def test_rings_partition_the_satellites(planes):
+    con = Constellation(planes, MEO_PS)
+    assert con.plane_indices() == list(range(len(planes)))
+    rings = [con.ring_ids(p) for p in con.plane_indices()]
+    assert sorted(n for ring in rings for n in ring) == con.satellite_ids()
+    assert con.num_satellites == sum(orbit.num_satellites for orbit in planes)
+    for p, ring in enumerate(rings):
+        assert len(ring) == planes[p].num_satellites
+        assert [con.plane_of(n) for n in ring] == [p] * len(ring)
+
+
 def test_orbit_spec_validation():
     with pytest.raises(GeometryError):
-        OrbitSpec(0, -10.0, 0.0, 0.0, 4)
+        OrbitSpec(-10.0, 0.0, 0.0, 4)
     with pytest.raises(GeometryError):
-        OrbitSpec(0, 2000.0, 4.0, 0.0, 4)
+        OrbitSpec(2000.0, 4.0, 0.0, 4)
     with pytest.raises(GeometryError):
-        OrbitSpec(0, 2000.0, 0.0, 7.0, 4)
+        OrbitSpec(2000.0, 0.0, 7.0, 4)
     with pytest.raises(GeometryError):
-        OrbitSpec(0, 2000.0, 0.0, 0.0, 0)
+        OrbitSpec(2000.0, 0.0, 0.0, 0)
     with pytest.raises(GeometryError):
         GroundStationSpec(2.0, 0.0, 0.1)
     with pytest.raises(GeometryError):
@@ -237,7 +252,7 @@ def test_a_window_open_at_the_scan_start_starts_there():
 def test_lasting_sight_is_one_window_cut_at_the_scan_end():
     # ring neighbors in one plane never lose sight of each other
     pair = pair_constellation(reference_constellation(), 1, 2)
-    windows = ContactPlan(pair, 5100.0).windows(1, 5100.0)
+    windows = ContactPlan(pair, 5100.0).windows(1)
     assert windows == [ContactWindow(1, 0.0, 5100.0)]
 
 
@@ -281,7 +296,7 @@ def test_plan_windows_match_brute_windows():
     for a, b in ((1, PS_NODE), (23, PS_NODE), (1, 23)):
         brute = brute_windows(con, a, b, 0.0, horizon)
         plan_con, sat = (con, a) if b == PS_NODE else (pair_constellation(con, a, b), 1)
-        predicted = ContactPlan(plan_con, horizon).windows(sat, horizon)
+        predicted = ContactPlan(plan_con, horizon).windows(sat)
         long_brute = [w for w in brute if w[1] - w[0] > 10.0]
         assert len(predicted) >= len(long_brute)
         for bs, be in long_brute:
@@ -300,7 +315,7 @@ def test_polar_station_windows_recur_every_period():
     pole = GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0))
     con = Constellation(planes, pole)
     period = orbital_period(2000.0)
-    windows = ContactPlan(con, 43200.0).windows(1, 43200.0)
+    windows = ContactPlan(con, 43200.0).windows(1)
     assert len(windows) >= 5
     starts = [w.start_s for w in windows]
     gaps = np.diff(starts)
@@ -310,7 +325,7 @@ def test_polar_station_windows_recur_every_period():
 def test_contact_plan_window_and_after_read_the_same_windows():
     con = reference_constellation()
     plan = ContactPlan(con, 43200.0)
-    windows = ContactPlan(con, 43200.0).windows(3, 43200.0)
+    windows = ContactPlan(con, 43200.0).windows(3)
     for w, nxt in zip(windows, windows[1:]):
         mid = 0.5 * (w.start_s + w.end_s)
         assert plan.window(3, mid) == w
@@ -323,14 +338,26 @@ def test_contact_plan_stops_at_its_end():
     # ring neighbors never lose sight of each other: one window, cut at the end
     plan = ContactPlan(pair_constellation(reference_constellation(), 1, 2), 5000.0)
     assert plan.window(1, 100.0) == ContactWindow(1, 0.0, 5000.0)
-    assert plan.windows(1, 1e9) == [ContactWindow(1, 0.0, 5000.0)]
+    assert plan.windows(1) == [ContactWindow(1, 0.0, 5000.0)]
+
+
+# A scan steps by tol_s at least, from t = 0 until end_s: a nan or infinite
+# span or step would scan for ever, a zero step divides by zero, and a
+# negative one puts the windows on a negative grid.
+@pytest.mark.parametrize("end_s, tol_s, name", [
+    (math.nan, 0.1, "end_s"), (math.inf, 0.1, "end_s"), (3600.0, math.nan, "tol_s"),
+    (3600.0, math.inf, "tol_s"), (3600.0, 0.0, "tol_s"), (3600.0, -1.0, "tol_s"),
+])
+def test_a_contact_plan_refuses_a_span_or_step_its_scan_cannot_take(end_s, tol_s, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ContactPlan(reference_constellation(), end_s, tol_s=tol_s)
 
 
 def test_intra_plane_isl_feasibility():
-    assert intra_plane_isl_feasible(OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 8))
+    assert intra_plane_isl_feasible(OrbitSpec(2000.0, math.radians(80.0), 0.0, 8))
     # a two-satellite ring at this altitude puts neighbors behind the limb
-    assert not intra_plane_isl_feasible(OrbitSpec(0, 2000.0, math.radians(80.0), 0.0, 2))
-    assert intra_plane_isl_feasible(OrbitSpec(0, 2000.0, 0.0, 0.0, 1))
+    assert not intra_plane_isl_feasible(OrbitSpec(2000.0, math.radians(80.0), 0.0, 2))
+    assert intra_plane_isl_feasible(OrbitSpec(2000.0, 0.0, 0.0, 1))
 
 
 @pytest.mark.parametrize(
@@ -346,7 +373,7 @@ def test_intra_plane_isl_feasibility():
 )
 def test_a_satellite_that_meets_the_server_is_rejected(inclination_deg, raan_deg, phase_deg, meets):
     inclination, raan, phase = (math.radians(a) for a in (inclination_deg, raan_deg, phase_deg))
-    orbit = OrbitSpec(0, 20000.0, inclination, raan, 1, phase)
+    orbit = OrbitSpec(20000.0, inclination, raan, 1, phase)
     track, ps_track = orbital._OrbitTrack(orbit, 0), orbital._OrbitTrack(MEO_PS, 0)
     ts = np.linspace(0.0, track.period, 40001)
     brute = np.min(np.linalg.norm(np.subtract(track.at(ts, np), ps_track.at(ts, np)), axis=0))
@@ -384,7 +411,6 @@ def constellations(draw):
     )
     if draw(st.booleans()):
         ps = OrbitSpec(
-            -1,
             draw(st.floats(300.0, 36000.0)),
             draw(st.floats(0.0, math.pi)),
             draw(st.floats(0.0, 6.28)),
@@ -445,9 +471,8 @@ def server_pairs(draw):
     """One satellite of random radius, inclination, RAAN and phase, with an
     orbiting server drawn alike or a ground station of random latitude,
     longitude, mask and height."""
-    def orbit(plane):
+    def orbit():
         return OrbitSpec(
-            plane,
             draw(st.floats(300.0, 36000.0)),
             draw(st.floats(0.0, math.pi)),
             draw(st.floats(0.0, 6.28)),
@@ -456,7 +481,7 @@ def server_pairs(draw):
         )
 
     if draw(st.booleans()):
-        ps = orbit(-1)
+        ps = orbit()
     else:
         ps = GroundStationSpec(
             draw(st.floats(-math.pi / 2, math.pi / 2)),
@@ -465,7 +490,7 @@ def server_pairs(draw):
             draw(st.floats(0.0, 2.0)),
         )
     try:
-        return Constellation([orbit(0)], ps)
+        return Constellation([orbit()], ps)
     except GeometryError:
         reject()
 
@@ -567,7 +592,7 @@ def _check_plan_windows(con, sat, peers):
             continue
         else:
             plan_con, node = pair_constellation(con, sat, peer), 1
-        got = ContactPlan(plan_con, end, tol_s=1.0).windows(node, end)
+        got = ContactPlan(plan_con, end, tol_s=1.0).windows(node)
         want = grid_windows(plan_con, node, PS_NODE, end, 1.0)
         assert [(w.start_s, w.end_s) for w in got] == want, f"({sat}, {peer})"
 
@@ -602,7 +627,7 @@ def test_a_pass_shorter_than_a_grid_step_is_the_window_of_its_grid_time(step):
     k = round(peak / step)
     tol = peak / k
     assert [visible(con, 1, PS_NODE, j * tol) for j in (k - 1, k, k + 1)] == [False, True, False]
-    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1, 86_400.0)
+    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1)
     assert ContactWindow(1, k * tol, (k + 1) * tol) in windows
 
 
@@ -614,7 +639,6 @@ def grazing_passes(draw):
     grid step drawn with it."""
     planes = [
         OrbitSpec(
-            0,
             draw(st.floats(300.0, 20000.0)),
             draw(st.floats(0.0, math.pi)),
             draw(st.floats(0.0, 6.28)),
@@ -642,5 +666,5 @@ def grazing_passes(draw):
 @given(case=grazing_passes())
 def test_plan_windows_are_the_runs_of_grid_times_in_sight(case):
     con, tol = case
-    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1, 86_400.0)
+    windows = ContactPlan(con, 86_400.0, tol_s=tol).windows(1)
     assert [(w.start_s, w.end_s) for w in windows] == grid_windows(con, 1, PS_NODE, 86_400.0, tol)

@@ -9,8 +9,8 @@ levels to features equal the products of its rebuilt float64 rows.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
-around an orbit or a ground server. Data stays tiny so that building an
-engine is cheap, and a run goes for at most two epochs and a few hours.
+around an orbit or a ground server. Data stays tiny, dealt by either
+scheme, so that building an engine is cheap, and a run goes for at most two epochs and a few hours.
 """
 
 import math
@@ -72,17 +72,26 @@ def _link():
 
 @st.composite
 def scenarios(draw):
+    num_planes = draw(_mostly(st.integers(1, 6), 0))
+    sats_per_plane = draw(_mostly(st.integers(1, 12), 0))
+    samples_per_satellite = draw(st.integers(1, 4))
+    pool = max(2, num_planes * sats_per_plane * samples_per_satellite)
     cfg = dict(
         seed=draw(st.integers(0, 2**16)),
-        num_planes=draw(_mostly(st.integers(1, 6), 0)),
-        sats_per_plane=draw(_mostly(st.integers(1, 12), 0)),
+        num_planes=num_planes,
+        sats_per_plane=sats_per_plane,
         altitude_km=draw(_altitude()),
         inclination_deg=draw(_mostly(st.floats(0.0, 180.0), -1.0, 181.0)),
         phasing_factor=draw(st.integers(-3, 3)),
+        data_scheme=draw(st.sampled_from(["iid", "label_split"])),
         num_features=draw(st.integers(3, 8)),
-        num_classes=draw(st.integers(2, 4)),
-        samples_per_satellite=draw(st.integers(1, 4)),
-        test_samples=draw(st.integers(4, 12)),
+        # a few classes, now and then as many as the training pool has rows
+        num_classes=draw(st.integers(0, 7).flatmap(
+            lambda k: st.integers(2, pool) if k == 7 else st.integers(2, 4))),
+        samples_per_satellite=samples_per_satellite,
+        test_samples=draw(_mostly(st.integers(4, 12), 1, 2, 3)),
+        # a negative one flips the class means; a huge one puts them beyond float32
+        separation=draw(_mostly(st.floats(0.0, 8.0), -4.0, 1e300, math.nan, math.inf)),
         until_epochs=1,
         **draw(_link()),
     )
@@ -103,7 +112,10 @@ def scenarios(draw):
     return ScenarioConfig(**cfg)
 
 
-# every odd link setting goes once, however rarely the draws hold one
+# every odd link setting goes once, however rarely the draws hold one, and so
+# do a label_split over one satellite and, on tiny data, a label_split with
+# flipped class means and class means beyond float32
+TINY_DATA = dict(samples_per_satellite=2, num_features=3, num_classes=3, test_samples=3)
 @SETTINGS
 @given(scenarios())
 @example(ScenarioConfig(seed=0, **ODD_LINKS[0]))
@@ -112,6 +124,9 @@ def scenarios(draw):
 @example(ScenarioConfig(seed=0, **ODD_LINKS[3]))
 @example(ScenarioConfig(seed=0, **ODD_LINKS[4]))
 @example(ScenarioConfig(seed=0, **ODD_LINKS[5]))
+@example(ScenarioConfig(seed=0, num_planes=1, sats_per_plane=1, data_scheme="label_split"))
+@example(ScenarioConfig(seed=0, data_scheme="label_split", separation=-4.0, **TINY_DATA))
+@example(ScenarioConfig(seed=0, separation=1e300, **TINY_DATA))
 def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
     problems = validate_scenario(cfg)
     try:
@@ -435,9 +450,7 @@ def test_a_pool_drawn_into_shard_order_equals_one_drawn_whole_then_dealt(
     want = _drawn_then_dealt(num_samples, num_features, num_classes, seed, workers, scheme, groups)
 
     def shard(labels):
-        return learning.partition_dataset(
-            labels, workers, scheme, seed=seed + 2, label_groups=groups
-        )
+        return learning.partition_dataset(labels, workers, scheme, seed + 2, num_classes)
 
     try:
         shards = learning.synthetic_pool(

@@ -223,7 +223,6 @@ def test_select_sink_group_of_one_skips_geometry():
 def test_select_sink_on_real_constellation():
     orbits = walker_planes(5, 8, 2000.0, math.radians(80.0))
     ps = OrbitSpec(
-        plane_index=-1,
         altitude_km=20000.0,
         inclination_rad=0.0,
         raan_rad=0.0,
@@ -263,22 +262,22 @@ class DistanceTable:
 
 def test_fallback_prefers_neighbor_nearest_server():
     geo = DistanceTable({2: 9000.0, 8: 4000.0})
-    assert fallback_next_hop(geo, ring(8), 1, None, 0, 0.0) == 8
+    assert fallback_next_hop(geo, ring(8), 1, None, 0.0) == 8
 
 
 def test_fallback_never_returns_sender():
     geo = DistanceTable({2: 9000.0, 8: 4000.0})
-    assert fallback_next_hop(geo, ring(8), 1, 8, 0, 0.0) == 2
+    assert fallback_next_hop(geo, ring(8), 1, 8, 0.0) == 2
 
 
 def test_fallback_tie_takes_smaller_id():
     geo = DistanceTable({2: 5000.0, 8: 5000.0})
-    assert fallback_next_hop(geo, ring(8), 1, None, 0, 0.0) == 2
+    assert fallback_next_hop(geo, ring(8), 1, None, 0.0) == 2
 
 
 def test_fallback_exhausted_ring():
     geo = DistanceTable({9: 1.0})
-    assert fallback_next_hop(geo, [4, 9], 4, 9, 0, 0.0) is None
+    assert fallback_next_hop(geo, [4, 9], 4, 9, 0.0) is None
 
 
 # -- server, one group per plane -------------------------------------------------------

@@ -193,12 +193,9 @@ def test_label_split_halves_class_range():
 def test_build_equals_the_two_pools_drawn_in_turn(scheme):
     # 400 training and 150 test rows, dealt to 40 satellites
     cfg = small_scenario(data_scheme=scheme, num_classes=4, test_samples=150)
-    groups = [{0, 1}, {2, 3}] if scheme == "label_split" else None
 
     def shard(labels):
-        return learning.partition_dataset(
-            labels, 40, scheme=scheme, seed=cfg.seed, label_groups=groups
-        )
+        return learning.partition_dataset(labels, 40, scheme, cfg.seed, num_classes=4)
 
     draw = dict(num_features=16, num_classes=4, separation=cfg.separation, means_seed=cfg.seed)
     shards = learning.synthetic_pool(400, seed=cfg.seed + 1, shard=shard, **draw)
@@ -231,9 +228,8 @@ def test_an_idx_build_equals_the_two_files_loaded_in_turn(tmp_path, scheme):
     paths = _idx_paths(tmp_path, train=475, test=190)
     cfg = small_scenario(data_source="idx", data_scheme=scheme, test_samples=150, **paths)
     by_sat, test_set = build_datasets(cfg)
-    groups = [{0}, {1, 2}] if scheme == "label_split" else None
     shards = read_idx_pair(paths["train_images_path"], paths["train_labels_path"], 400,
-                           num_workers=40, scheme=scheme, seed=3, label_groups=groups)
+                           num_workers=40, scheme=scheme, seed=3, num_classes=3)
     test = read_idx_pair(paths["test_images_path"], paths["test_labels_path"], 150)
     for got, want in [*((by_sat[s + 1], shards[s]) for s in range(40)), (test_set, test)]:
         assert got.levels.dtype == np.uint8 and got.scale == 1.0 / 255.0
@@ -914,7 +910,7 @@ def test_contact_table_matches_geometry():
         assert 0.0 <= start < end <= horizon
     # the table prints the plan's windows, the last one cut at the table's end
     sat_one = [(start, end) for sat, _, start, end in rows if sat == 1]
-    want = ContactPlan(con, horizon).windows(1, horizon)
+    want = ContactPlan(con, horizon).windows(1)
     assert sat_one == [(w.start_s, w.end_s) for w in want]
 
 
@@ -970,7 +966,7 @@ def test_contact_settings_reach_every_scan(monkeypatch):
 def test_plan_holds_a_grazing_pass():
     cfg = desk_scenario(0, ps_kind="ground", ps_latitude_deg=40.0, ps_min_elevation_deg=28.58433)
     con = build_constellation(cfg)
-    windows = ContactPlan(con, 43200.0).windows(1, 43200.0)
+    windows = ContactPlan(con, 43200.0).windows(1)
     (w,) = [w for w in windows if 8600.0 < w.start_s < 8700.0]
     assert visible(con, 1, PS_NODE, w.start_s)
     assert not visible(con, 1, PS_NODE, w.start_s - cfg.contact_tol_s)
@@ -992,6 +988,13 @@ def test_scans_end_at_any_positive_tolerance(monkeypatch, server):
         cfg = small_scenario(contact_tol_s=tol, until_epochs=1, **server)
         assert contact_table(cfg, 3600.0)
         assert run_scenario(cfg, "fedisl").stop_reason == "epochs"
+
+
+# the table's horizon is its plan's end, so a nan horizon is refused, not
+# scanned for ever
+def test_a_contact_table_refuses_a_nan_horizon():
+    with pytest.raises(ValueError, match="^end_s must be finite, got nan"):
+        contact_table(ScenarioConfig(seed=7), math.nan)
 
 
 # Every running scan steps with the one a query extends, by the margin's Taylor
