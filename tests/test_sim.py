@@ -1019,3 +1019,61 @@ def test_month_table_scans_a_fifth_of_the_margins(monkeypatch):
     ground = ScenarioConfig(seed=7, ps_kind="ground", ps_latitude_deg=40.0)
     assert len(contact_table(ground, 720 * 3600.0)) == 6_679
     assert margins[0] == 153_029
+
+
+# -- the engine's work -------------------------------------------------------------------
+
+# Work counts are exact on any host and BLAS kernel, since data never moves time
+# or traffic, so a change to the engine's work shows here without timing noise.
+# Per desk run at seed 7, 5 epochs: the events booked, by the handler each
+# runs; the coast's distance evaluations, as calls and as entries, one per
+# coasting chain a call; the contact plan's lockstep passes and the margins
+# they evaluate; and the training and its model products. A change that moves
+# a count states the old and new values, and why.
+DESK_WORK = {
+    "fedisl": dict(
+        events={"_fire_poll": 706, "_ps_recv_request": 567, "_sat_recv_ctrl": 541,
+                "_sat_recv_model": 225, "_compute_done": 200, "_sat_recv_partial": 175,
+                "_ps_recv_ack": 25, "_ps_recv_update": 25},
+        distance_calls=46, distances=1_042, passes=37, margins=1_520,
+        local_gd=200, products=812),
+    "fednonisl": dict(
+        events={"_fire_poll": 430, "_ps_recv_request": 397, "_sat_recv_model": 200,
+                "_ps_recv_ack": 200, "_compute_done": 200, "_ps_recv_update": 200,
+                "_sat_recv_ctrl": 196, "_try_deliver": 2},
+        distance_calls=2_516, distances=77_474, passes=66, margins=2_680,
+        local_gd=200, products=812),
+}
+
+
+@pytest.mark.parametrize("protocol_name", sorted(DESK_WORK))
+def test_a_desk_run_does_its_pinned_work(monkeypatch, protocol_name):
+    work = dict.fromkeys(("distance_calls", "distances", "passes", "local_gd", "products"), 0)
+
+    def counted(owner, name, key, size=lambda *args: 1):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            work[key] += size(*args)
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(orbital._Distances, "__call__", "distance_calls")
+    counted(orbital._Distances, "__call__", "distances", lambda self, t: np.size(t))
+    counted(orbital.ContactPlan, "_pass", "passes")
+    counted(learning, "local_gd", "local_gd")
+    counted(learning, "_product", "products")
+    margins = _count_scan_margins(monkeypatch)
+    engine = _Simulation(_build(desk_scenario(7, until_epochs=5)), protocol_name)
+    events, schedule = {}, engine.schedule
+
+    def booked(t, fn, *args):
+        events[fn.__name__] = events.get(fn.__name__, 0) + 1
+        schedule(t, fn, *args)
+
+    engine.schedule = booked
+    engine.run()
+    want = DESK_WORK[protocol_name]
+    assert events == want["events"]
+    assert dict(work, margins=margins[0]) == {k: v for k, v in want.items() if k != "events"}
