@@ -16,16 +16,15 @@ for sink in (1, 4, 8):
 # model distribution goes the other way: the first satellite served floods
 # both neighbors, each relay forwards away from the source
 print("flood order from satellite 3:")
-pending = [(3, None)]
+pending = [3]
 seen = set()
 while pending:
-    node, came_from = pending.pop(0)
+    node = pending.pop(0)
     if node in seen:
         print(f"  {node} hears a duplicate and drops it")
         continue
     seen.add(node)
-    targets = distribution_targets(ring, node, source=3, received_from=came_from)
+    targets = distribution_targets(ring, node, source=3)
     if targets:
         print(f"  {node} sends to {targets}")
-    for t in targets:
-        pending.append((t, node))
+    pending += targets

@@ -11,7 +11,7 @@ A dataset stores its rows as levels under an affine map: row i's features are
 synthetic pool stores the ``uint8`` levels as drawn, and its shifts are the
 class means, each less ``127.5 * scale``. An idx pool stores the pixel bytes as
 read, with scale 1/255 and no shifts. Rows given as floats are stored as
-float32, with scale 1 and no shifts. A pool's shards are read-only row slices
+float64, with scale 1 and no shifts. A pool's shards are read-only row slices
 of one C-contiguous ``(n, F)`` block, in shard order.
 
 The products fold the map in, so no row is ever held in float. With ``L`` the
@@ -41,7 +41,7 @@ import math
 import os
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,17 +72,13 @@ class LocalDataset:
     Row i's features are ``scale * levels[i] + shifts[labels[i]]``, with no
     shift when ``shifts`` is None. ``levels`` is an ``(n, F)`` block, ``uint8``
     for a synthetic or idx pool. Rows given here as floats are copied into a
-    float32 block, with scale 1 and no shifts. Every array is read-only.
+    float64 block, with scale 1 and no shifts. Every array is read-only.
     """
 
     __slots__ = ("levels", "labels", "scale", "shifts")
 
     def __init__(self, features, labels):
-        try:
-            with np.errstate(over="raise"):
-                features = np.array(features, dtype=np.float32, order="C")
-        except FloatingPointError:
-            raise DataFormatError("features outside the float32 range") from None
+        features = np.array(features, dtype=np.float64, order="C")
         if features.ndim != 2:
             raise DataFormatError(f"features must be 2-D, got shape {features.shape}")
         labels = np.array(labels, dtype=np.int64)
@@ -126,15 +122,13 @@ class LearnerConfig:
     compute_time_factor: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.local_iterations < 1:
-            raise ValueError(f"local_iterations must be >= 1, got {self.local_iterations}")
-        for name in ("cycles_per_sample", "cpu_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.compute_time_factor <= 0:
-            raise ValueError(f"compute_time_factor must be positive, got {self.compute_time_factor}")
+        # in field order: a count of steps, else a positive quantity
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            if name == "local_iterations":
+                if value < 1:
+                    raise ValueError(f"local_iterations must be >= 1, got {value}")
+            elif value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _read_only(params: np.ndarray) -> np.ndarray:
@@ -250,6 +244,18 @@ def compute_time(dataset: LocalDataset, config: LearnerConfig) -> float:
     return config.cycles_per_sample * dataset.size_bits / config.cpu_hz * config.compute_time_factor
 
 
+def _fold(out: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+    """``out``, a fresh float64 array, with each of ``parts`` added in turn, in
+    place; a sum that overflows is left for the caller's finiteness check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in parts:
+            part = np.asarray(part, dtype=np.float64)
+            if part.shape != out.shape:
+                raise ValueError(f"partial of shape {part.shape} does not match {out.shape}")
+            out += part
+    return out
+
+
 def partial_aggregate(
     params: np.ndarray, num_samples: int, incoming: list[np.ndarray]
 ) -> np.ndarray:
@@ -257,14 +263,9 @@ def partial_aggregate(
     NumericDivergenceError if an entry is not finite."""
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = num_samples * np.asarray(params, dtype=np.float64)
-        for part in incoming:
-            part = np.asarray(part, dtype=np.float64)
-            if part.shape != out.shape:
-                raise ValueError(f"partial of shape {part.shape} does not match {out.shape}")
-            out += part
-    return _finite(out, "partial sum")
+    with np.errstate(over="ignore"):
+        own = num_samples * np.asarray(params, dtype=np.float64)
+    return _finite(_fold(own, incoming), "partial sum")
 
 
 def global_aggregate(partials: list[np.ndarray], total_samples: int) -> np.ndarray:
@@ -274,13 +275,7 @@ def global_aggregate(partials: list[np.ndarray], total_samples: int) -> np.ndarr
         raise ValueError(f"total_samples must be >= 1, got {total_samples}")
     if not partials:
         raise ValueError("no partials to aggregate")
-    acc = np.zeros_like(np.asarray(partials[0], dtype=np.float64))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for part in partials:
-            part = np.asarray(part, dtype=np.float64)
-            if part.shape != acc.shape:
-                raise ValueError(f"partial of shape {part.shape} does not match {acc.shape}")
-            acc += part
+    acc = _fold(np.zeros_like(np.asarray(partials[0], dtype=np.float64)), partials)
     acc /= total_samples
     return _finite(acc, "global model")
 

@@ -75,30 +75,27 @@ def ring_neighbors(ring_ids: list[int], node: int) -> list[int]:
     return sorted({ring_ids[(p - 1) % k], ring_ids[(p + 1) % k]})
 
 
-def distribution_targets(
-    ring_ids: list[int], node: int, source: int, received_from: int | None
-) -> list[int]:
+def _nearest(nodes: list[int], distance) -> int | None:
+    """The node nearest by ``distance``, ties to the smaller id; None if there is none."""
+    return min(nodes, key=lambda n: (distance(n), n), default=None)
+
+
+def distribution_targets(ring_ids: list[int], node: int, source: int) -> list[int]:
     """Neighbors the node should forward a freshly received global model to.
 
     The source floods both directions. A relay forwards to its other neighbor
     only if that neighbor sits strictly farther from the source along the
-    ring; the node where the two wavefronts meet receives from both sides and
-    forwards nothing, so each epoch's flood terminates on its own.
+    ring, so never back to the neighbor it heard from; the node where the two
+    wavefronts meet receives from both sides and forwards nothing, so each
+    epoch's flood terminates on its own.
     """
     k = len(ring_ids)
-    if k < 2:
-        return []
-    my_dist = ring_distance(k, ring_position(ring_ids, node), ring_position(ring_ids, source))
-    targets = []
-    for neighbor in ring_neighbors(ring_ids, node):
-        if neighbor == received_from:
-            continue
-        n_dist = ring_distance(
-            k, ring_position(ring_ids, neighbor), ring_position(ring_ids, source)
-        )
-        if n_dist > my_dist:
-            targets.append(neighbor)
-    return targets
+    source_pos = ring_position(ring_ids, source)
+
+    def hops(n):
+        return ring_distance(k, ring_position(ring_ids, n), source_pos)
+
+    return [n for n in ring_neighbors(ring_ids, node) if hops(n) > hops(node)]
 
 
 @dataclass(frozen=True)
@@ -129,16 +126,12 @@ def build_routing_tree(ring_ids: list[int], sink: int) -> RoutingTree:
     """
     k = len(ring_ids)
     sink_pos = ring_position(ring_ids, sink)
-    parent: dict[int, int] = {}
-    for pos, node in enumerate(ring_ids):
-        if node == sink:
-            continue
-        best = None
-        for neighbor in ring_neighbors(ring_ids, node):
-            d = ring_distance(k, ring_position(ring_ids, neighbor), sink_pos)
-            if best is None or d < best[0] or (d == best[0] and neighbor < best[1]):
-                best = (d, neighbor)
-        parent[node] = best[1]
+
+    def hops(neighbor):
+        return ring_distance(k, ring_position(ring_ids, neighbor), sink_pos)
+
+    parent = {node: _nearest(ring_neighbors(ring_ids, node), hops)
+              for node in ring_ids if node != sink}
     children: dict[int, list[int]] = {node: [] for node in ring_ids}
     for node, up in parent.items():
         children[up].append(node)
@@ -194,12 +187,8 @@ def fallback_next_hop(
     """Ring neighbor currently closest to the server, never the one the
     fallback arrived from (keeps the parcel moving around the ring)."""
     candidates = [n for n in ring_neighbors(ring_ids, node) if n != exclude]
-    best = None
-    for neighbor in candidates:
-        d = constellation.distance_km(neighbor, PS_NODE, t)
-        if best is None or d < best[0] or (d == best[0] and neighbor < best[1]):
-            best = (d, neighbor)
-    return None if best is None else best[1]
+    return _nearest(candidates, lambda n: constellation.distance_km(n, PS_NODE, t))
+
 
 
 # -- satellite state -----------------------------------------------------------

@@ -13,7 +13,7 @@ which "not yet" it gets. So its chain is parked off the heap, where it
 coasts: when the epoch advances, and when the run stops at its time limit or
 cap, every parked chain runs its cycles up to that time in one pass, in
 lockstep, without asking the server. The pass charges their control traffic
-at once, and an advance turns each chain's next stage back into an event.
+at once and books each chain's next stage as an event again.
 Polls, transfers, deliveries and sink election read every server window from
 the run's one :class:`orbitfl.orbital.ContactPlan`, the plan
 :func:`contact_table` prints; a poll or delivery with no window left before the
@@ -556,6 +556,11 @@ class _Simulation:
     def schedule(self, t: float, fn, *args):
         heapq.heappush(self.queue, (t, next(self.seq), fn, args))
 
+    def _book(self, sid: int, t: float, stage: str, reply: tuple):
+        """Book ``stage`` of the satellite's poll chain at t: its record and its event."""
+        self._due[sid] = t, stage
+        self.schedule(t, getattr(self, stage), sid, *reply)
+
     def _charge(self, hop: str, control: bool, count: int = 1):
         """Count ``count`` messages over ``hop`` ("ps_down", "ps_up" or "isl"):
         their bits always count, and they count as messages when they carry a
@@ -596,8 +601,7 @@ class _Simulation:
             return
         at = self._poll_time(sid, t)
         if due is None or at < due[0]:
-            self._due[sid] = at, _FIRE
-            self.schedule(at, self._fire_poll, sid)
+            self._book(sid, at, _FIRE, ())
 
     def _fire_poll(self, sid: int):
         """Ask the server for the model when in view, else book a poll. Runs
@@ -619,9 +623,9 @@ class _Simulation:
         WAIT in the satellite's own epoch ends the chain.
 
         The chain's one record is ``_due[sid]``: an event runs only when it
-        brings the stage due at this time, and clears the record; every stage
-        booked writes it, and a chain that ends or parks leaves it None, so
-        any other event of the chain on the heap is stale.
+        brings the stage due at this time, and clears the record; ``_book``
+        writes it with the stage's event, and a chain that ends or parks leaves
+        it None, so any other event of the chain on the heap is stale.
 
         A satellite ahead of the server gets no WAIT in its epoch until the
         epoch advances, so its chain is parked once it books a retry, and
@@ -668,8 +672,7 @@ class _Simulation:
                     )
                 self._parked[sid] = t
                 return
-        self._due[sid] = t, stage
-        self.schedule(t, getattr(self, stage), sid, *reply)
+        self._book(sid, t, stage, reply)
 
     def _model_fit_s(self, sid: int, w) -> float | None:
         """A model's transfer time over the server link from now, if ``w`` is
@@ -696,9 +699,9 @@ class _Simulation:
         return True
 
     def _replay_parked(self, until: float) -> list[tuple]:
-        """Coast every parked chain to ``until`` and unpark it. Returns each
-        chain's stage due next, after ``until``, as (satellite, t, handler
-        name, reply args), in parking order, and books it in ``_due``.
+        """Coast every parked chain to ``until`` and unpark it: book each
+        chain's stage due next, after ``until``, at its exact time. Returns
+        them as (satellite, t, handler name, reply args), in parking order.
 
         The chains run in lockstep, a cycle of each per round: a poll once in
         view (a window is looked up only when the chain's last one has
@@ -761,15 +764,9 @@ class _Simulation:
             distance_km = distance_km.take(going)
         self._charge("ps_up", control=True, count=polls)
         self._charge("ps_down", control=True, count=answers)
-        for sid, at, stage, _ in due:
-            self._due[sid] = at, stage
+        for chain in due:
+            self._book(*chain)
         return due
-
-    def _unpark(self):
-        """The epoch advanced: every parked chain coasts to now and its stage
-        due next becomes an event again, at its exact time."""
-        for sid, t, stage, reply in self._replay_parked(self.t):
-            self.schedule(t, getattr(self, stage), sid, *reply)
 
     def _ps_recv_ack(self, sid: int):
         self.ps.downlink_acked(self.sats[sid].group)
@@ -789,7 +786,7 @@ class _Simulation:
             self._send("ps_up", dt, self._ps_recv_ack, sid, control=True)
         ring = self.groups[sat.group]
         dt = self.isl_model_s[sat.group]
-        for target in protocol.distribution_targets(ring, sid, source, sender):
+        for target in protocol.distribution_targets(ring, sid, source):
             self._send("isl", dt, self._sat_recv_model, target, epoch, tree, source, sid, params)
         self.schedule(self.t + self.compute_s[sid], self._compute_done, sid, params)
 
@@ -893,7 +890,7 @@ class _Simulation:
         before = self.ps.epoch
         self.ps.handle_partial(self.sats[sid].group, weighted)
         if self.ps.epoch != before:
-            self._unpark()
+            self._replay_parked(self.t)
             self._epoch_completed(before)
         self._release(sid, epoch)
 

@@ -528,8 +528,9 @@ def test_a_signal_to_noise_ratio_that_overflows_is_a_config_error(
         assert not out.exists()
 
 
-# class means beyond the float32 range, which rows given as floats may not
-# reach either: numpy overflows nowhere, and the problem names its key's line
+# class means beyond the float32 range, the bound that keeps their products
+# with a model far inside float64's: numpy overflows nowhere, and the problem
+# names its key's line
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("separation", ["-1e+300", "1.7e+308"])
 def test_a_separation_beyond_the_float32_range_is_a_config_error(tmp_path, capsys, separation):

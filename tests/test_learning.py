@@ -326,18 +326,17 @@ def test_a_dataset_stores_a_copy_of_its_features():
     np.testing.assert_array_equal(ds.levels, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
     assert ds.labels.tolist() == [0, 1, 0]
     assert (ds.scale, ds.shifts) == (1.0, None)
-    single = np.zeros((2, 2), np.float32)  # already float32, and still copied
-    assert not np.shares_memory(LocalDataset(single, [0, 1]).levels, single)
+    double = np.zeros((2, 2))  # already float64, and still copied
+    assert not np.shares_memory(LocalDataset(double, [0, 1]).levels, double)
 
 
-# Features are held as float32, each value rounded once; a value beyond the
-# float32 range is refused rather than held as an infinity.
-def test_a_dataset_rounds_its_features_to_float32_once():
-    ds = LocalDataset([[0.1, 1e-3]], [0])
-    assert ds.levels.dtype == np.float32 and ds.levels.flags.c_contiguous
-    assert ds.levels.tolist() == [[float(np.float32(0.1)), float(np.float32(1e-3))]]
-    with pytest.raises(DataFormatError):
-        LocalDataset([[1e200]], [0])
+# Features given as floats are held as float64, the width of every model and
+# product, so each value is kept as given, however large.
+def test_a_dataset_holds_its_features_as_float64():
+    ds = LocalDataset([[0.1, 1e-3], [1e200, -1e-310]], [0, 1])
+    assert ds.levels.dtype == np.float64 and ds.levels.flags.c_contiguous
+    assert ds.levels.tolist() == [[0.1, 1e-3], [1e200, -1e-310]]
+    assert LocalDataset(np.float32([[0.1]]), [0]).levels.tolist() == [[float(np.float32(0.1))]]
 
 
 def test_sizes_count_the_features_not_the_bias_column():

@@ -66,18 +66,16 @@ def flood(ids, source):
     """Replay the forwarding rule; returns (receipt counts, total sends)."""
     receipts = {n: 0 for n in ids}
     sends = 0
-    queue = [(source, None)]
-    first_from = {}
+    queue = [source]
     while queue:
-        node, came_from = queue.pop(0)
+        node = queue.pop(0)
         if node != source:
             receipts[node] += 1
-            if node in first_from:
+            if receipts[node] > 1:
                 continue  # duplicate: cached, never forwarded again
-            first_from[node] = came_from
-        for target in distribution_targets(ids, node, source, came_from):
+        for target in distribution_targets(ids, node, source):
             sends += 1
-            queue.append((target, node))
+            queue.append(target)
     return receipts, sends
 
 def test_flood_reaches_everyone_exactly_once_or_twice():
@@ -101,23 +99,22 @@ def test_flood_reaches_everyone_exactly_once_or_twice():
 
 def test_source_floods_both_directions():
     ids = ring(8)
-    assert distribution_targets(ids, 3, 3, None) == [2, 4]
-    assert distribution_targets(ids, 1, 1, None) == [2, 8]
+    assert distribution_targets(ids, 3, 3) == [2, 4]
+    assert distribution_targets(ids, 1, 1) == [2, 8]
 
 
 def test_relay_forwards_away_from_source_only():
     ids = ring(8)
     # 4 got the model from 3; 5 is farther from source 3, so pass it on
-    assert distribution_targets(ids, 4, 3, 3) == [5]
+    assert distribution_targets(ids, 4, 3) == [5]
     # 7 is the antipode of 3: both neighbors are closer, flood dies here
-    assert distribution_targets(ids, 7, 3, 6) == []
-    assert distribution_targets(ids, 7, 3, 8) == []
+    assert distribution_targets(ids, 7, 3) == []
 
 
 def test_two_node_ring_single_send():
     ids = [4, 9]
-    assert distribution_targets(ids, 4, 4, None) == [9]
-    assert distribution_targets(ids, 9, 4, 4) == []
+    assert distribution_targets(ids, 4, 4) == [9]
+    assert distribution_targets(ids, 9, 4) == []
 
 
 # -- aggregation routing tree -----------------------------------------------------
