@@ -62,6 +62,10 @@ class PartitionError(ValueError):
     pass
 
 
+class EmptyShardError(PartitionError):
+    """A worker would receive no rows."""
+
+
 class NumericDivergenceError(ArithmeticError):
     pass
 
@@ -122,13 +126,14 @@ class LearnerConfig:
     compute_time_factor: float = 1.0
 
     def __post_init__(self):
-        # in field order: a count of steps, else a positive quantity
-        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
-            if name == "local_iterations":
+        # in field order: the step count is at least 1, every other field positive
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "local_iterations":
                 if value < 1:
                     raise ValueError(f"local_iterations must be >= 1, got {value}")
             elif value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ValueError(f"{f.name} must be positive, got {value}")
 
 
 def _read_only(params: np.ndarray) -> np.ndarray:
@@ -304,7 +309,8 @@ def partition_dataset(labels: np.ndarray, num_workers: int, scheme: str, seed: i
     :func:`synthetic_pool` and :func:`load_idx` fill a pool's shards straight into.
 
     Raises:
-        PartitionError: if any worker would end up with zero samples.
+        EmptyShardError: if any worker would end up with zero samples.
+        PartitionError: on a worker count or scheme the split cannot take.
     """
     labels = np.asarray(labels)
     if num_workers < 1:
@@ -326,7 +332,7 @@ def partition_dataset(labels: np.ndarray, num_workers: int, scheme: str, seed: i
         raise PartitionError(f"unknown partition scheme: {scheme!r}")
     for worker, rows in enumerate(assignments):
         if rows.size == 0:
-            raise PartitionError(f"worker {worker} would receive zero samples")
+            raise EmptyShardError(f"worker {worker} would receive zero samples")
     return assignments
 
 

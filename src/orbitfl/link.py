@@ -126,7 +126,9 @@ def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     Both run the same operations in the same order, an array in place but for
     the two reciprocals and the log. The log is ``math.log2``, of each entry
     for an array (``np.log2`` rounds some arguments otherwise), so each entry
-    equals the float answer.
+    equals the float answer. Where the rate rounds to 0 bit/s, a float
+    divides by it and raises ``ZeroDivisionError``, and so does an array,
+    before numpy would divide by it with a warning.
     """
     x = params.loss_factor * distance_m
     x /= SPEED_OF_LIGHT_M_S
@@ -135,7 +137,10 @@ def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     x = params.signal_w / x  # the signal-to-noise ratio
     x += 1.0
     if isinstance(x, np.ndarray):
-        x = np.fromiter(map(math.log2, x.tolist()), float, len(x))
+        x = x.tolist()
+        if 1.0 in x:  # a log of 0, so a rate of 0
+            raise ZeroDivisionError("float division by zero")
+        x = np.fromiter(map(math.log2, x), float, len(x))
     else:
         x = math.log2(x)
     x *= params.bandwidth_hz  # the rate

@@ -190,7 +190,6 @@ def fallback_next_hop(
     return _nearest(candidates, lambda n: constellation.distance_km(n, PS_NODE, t))
 
 
-
 # -- satellite state -----------------------------------------------------------
 
 

@@ -354,7 +354,7 @@ def build_datasets(cfg: ScenarioConfig):
         try:
             return learning.partition_dataset(labels, num_sats, cfg.data_scheme, cfg.seed,
                                               cfg.num_classes)
-        except learning.PartitionError as exc:
+        except learning.EmptyShardError as exc:
             # a label group's rows are fewer than its satellites
             raise learning.PartitionError(
                 f"samples_per_satellite is too small for scheme {cfg.data_scheme!r}, "

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from orbitfl.learning import (
     DataFormatError,
+    EmptyShardError,
     LearnerConfig,
     LocalDataset,
     NumericDivergenceError,
@@ -352,14 +353,14 @@ def test_sizes_count_the_features_not_the_bias_column():
 
 def test_partition_errors():
     labels = small_dataset(seed=10, n=5, c=3).labels
-    with pytest.raises(PartitionError):
+    with pytest.raises(EmptyShardError):
         partition_dataset(labels, 6, "iid", 0, 3)  # more workers than samples
     with pytest.raises(PartitionError):
         partition_dataset(labels, 1, "label_split", 0, 3)  # a half of the labels with no worker
     with pytest.raises(PartitionError):
         partition_dataset(labels, 2, "nonsense", 0, 3)
     # a half whose labels never occur leaves its workers empty
-    with pytest.raises(PartitionError):
+    with pytest.raises(EmptyShardError):
         partition_dataset(np.zeros(5, dtype=int), 2, "label_split", 0, 3)
 
 

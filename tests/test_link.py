@@ -16,6 +16,7 @@ from orbitfl.link import (
     rate,
     snr,
     transfer_time,
+    transfer_times,
 )
 from orbitfl.orbital import SPEED_OF_LIGHT_M_S
 
@@ -189,3 +190,17 @@ def test_transfer_time_rejects_a_bad_distance_or_payload():
             transfer_time(params, distance_m, 512)
     with pytest.raises(ValueError, match="payload_bits must be >= 0"):
         transfer_time(params, CHORD_M, -1)
+
+
+# 0 dBm over a 90 GHz carrier at 10,000 K: 1e9 m away the rate rounds to 0
+# bit/s, while 1e3 m away 512 bits take 0.7 s. An array of distances raises
+# there what a float raises, with no numpy warning, also when one entry alone
+# reaches a rate of 0.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distances", [[1e9], [1e3, 1e9]])
+def test_an_array_raises_where_a_float_raises_at_a_zero_rate(distances):
+    params = LinkParams(4592496.0, 0.0, 0.0, 89916561215.0, 10000.0)
+    with pytest.raises(ZeroDivisionError):
+        transfer_time(params, distances[-1], 512)
+    with pytest.raises(ZeroDivisionError):
+        transfer_times(params, np.array(distances), 512)

@@ -9,7 +9,8 @@ levels to features equal the products of its rebuilt float64 rows.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
-around an orbit or a ground server. Data stays tiny, dealt by either
+around an orbit or a ground server. A second draw stays near the study case,
+so that most of its scenarios build. Data stays tiny, dealt by either
 scheme, so that building an engine is cheap, and a run goes for at most two epochs and a few hours.
 """
 
@@ -56,18 +57,21 @@ ODD_LINKS = [dict(tx_power_dbm=1e20), dict(tx_power_dbm=-4000.0), dict(antenna_g
              dict(antenna_gain_dbi=-4000.0), dict(tx_delay_s=-1.0), dict(rx_delay_s=-1e-9)]
 
 
+# the [link] keys about the study case's
+LINK_KEYS = st.fixed_dictionaries(dict(
+    bandwidth_hz=st.floats(1e6, 1e8),
+    tx_power_dbm=st.floats(20.0, 60.0),
+    antenna_gain_dbi=st.floats(0.0, 20.0),
+    carrier_hz=st.floats(1e9, 3e10),
+    noise_temperature_k=st.floats(100.0, 1000.0),
+    tx_delay_s=st.floats(0.0, 0.01),
+    rx_delay_s=st.floats(0.0, 0.01),
+))
+
+
 def _link():
     """The [link] keys about the study case's, now and then with an odd one."""
-    keys = st.fixed_dictionaries(dict(
-        bandwidth_hz=st.floats(1e6, 1e8),
-        tx_power_dbm=st.floats(20.0, 60.0),
-        antenna_gain_dbi=st.floats(0.0, 20.0),
-        carrier_hz=st.floats(1e9, 3e10),
-        noise_temperature_k=st.floats(100.0, 1000.0),
-        tx_delay_s=st.floats(0.0, 0.01),
-        rx_delay_s=st.floats(0.0, 0.01),
-    ))
-    return st.tuples(keys, _mostly(st.just({}), *ODD_LINKS)).map(lambda kv: {**kv[0], **kv[1]})
+    return st.tuples(LINK_KEYS, _mostly(st.just({}), *ODD_LINKS)).map(lambda kv: {**kv[0], **kv[1]})
 
 
 @st.composite
@@ -112,6 +116,37 @@ def scenarios(draw):
     return ScenarioConfig(**cfg)
 
 
+@st.composite
+def study_cases(draw):
+    """Scenarios about the study case, on tiny data, most of which build: a
+    few planes of 6-12 satellites between 1,500 and 3,000 km, an orbiting
+    server well above them or a ground one, a link and a protocol near the
+    study case's, and now and then data too small for a label_split."""
+    cfg = dict(
+        seed=draw(st.integers(0, 2**16)),
+        num_planes=draw(st.integers(1, 6)),
+        sats_per_plane=draw(st.integers(6, 12)),
+        altitude_km=draw(st.floats(1500.0, 3000.0)),
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        phasing_factor=draw(st.integers(0, 2)),
+        data_scheme=draw(st.sampled_from(["iid", "label_split"])),
+        samples_per_satellite=draw(st.integers(1, 4)),
+        test_samples=draw(st.integers(4, 12)),
+        num_features=draw(st.integers(3, 8)),
+        num_classes=draw(st.integers(2, 4)),
+        reconnect_wait_s=draw(st.floats(1.0, 60.0)),
+        until_epochs=draw(st.integers(1, 2)),
+        **draw(LINK_KEYS),
+    )
+    if draw(st.booleans()):
+        cfg.update(ps_altitude_km=draw(st.floats(10000.0, 30000.0)),
+                   ps_inclination_deg=draw(st.floats(0.0, 180.0)))
+    else:
+        cfg.update(ps_kind="ground", ps_latitude_deg=draw(st.floats(-60.0, 60.0)),
+                   ps_longitude_deg=draw(st.floats(-180.0, 180.0)))
+    return ScenarioConfig(**cfg)
+
+
 # every odd link setting goes once, however rarely the draws hold one, and so
 # do a label_split over one satellite and, on tiny data, a label_split with
 # flipped class means and class means beyond float32
@@ -128,6 +163,17 @@ TINY_DATA = dict(samples_per_satellite=2, num_features=3, num_classes=3, test_sa
 @example(ScenarioConfig(seed=0, data_scheme="label_split", separation=-4.0, **TINY_DATA))
 @example(ScenarioConfig(seed=0, separation=1e300, **TINY_DATA))
 def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
+    _validate_agrees_with_the_engine(cfg)
+
+
+# the property's accepting side: most scenarios near the study case build
+@SETTINGS
+@given(study_cases())
+def test_validate_is_empty_exactly_when_a_study_case_builds(cfg):
+    _validate_agrees_with_the_engine(cfg)
+
+
+def _validate_agrees_with_the_engine(cfg):
     problems = validate_scenario(cfg)
     try:
         _Simulation(_build(cfg), "fedisl")

@@ -189,6 +189,20 @@ def test_label_split_halves_class_range():
     assert np.max(np.abs(p - q)) <= 1e-12 * max(np.max(np.abs(q)), 1e-30)
 
 
+# A data build blames samples_per_satellite only when a satellite is left with
+# no rows; a split it cannot make at all, such as a label_split over one
+# satellite, keeps its own words.
+def test_a_data_build_names_only_the_failure_it_means():
+    small = small_scenario(data_scheme="label_split", samples_per_satellite=1)
+    with pytest.raises(learning.PartitionError, match="^samples_per_satellite is too small "
+                       "for scheme 'label_split', got 1: worker 14 would receive zero samples$"):
+        build_datasets(small)
+    alone = small_scenario(data_scheme="label_split", num_planes=1, sats_per_plane=1)
+    with pytest.raises(learning.PartitionError,
+                       match="^label_split needs at least 2 workers, got 1$"):
+        build_datasets(alone)
+
+
 @pytest.mark.parametrize("scheme", ["iid", "label_split"])
 def test_build_equals_the_two_pools_drawn_in_turn(scheme):
     # 400 training and 150 test rows, dealt to 40 satellites
