@@ -126,20 +126,20 @@ def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     Both run the same operations in the same order, an array in place but for
     the two reciprocals and the log. The log is ``math.log2``, of each entry
     for an array (``np.log2`` rounds some arguments otherwise), so each entry
-    equals the float answer. Where the rate rounds to 0 bit/s, a float
-    divides by it and raises ``ZeroDivisionError``, and so does an array,
-    before numpy would divide by it with a warning.
+    equals the float answer. Where the rate rounds to 0 bit/s, as where the
+    path loss overflows, a float raises ``ZeroDivisionError``; an array runs
+    its farthest entry, whose rate is the least, as a float first to raise it.
     """
+    if isinstance(distance_m, np.ndarray) and len(distance_m):
+        transfer_times(params, max(distance_m.tolist()), payload_bits)
     x = params.loss_factor * distance_m
     x /= SPEED_OF_LIGHT_M_S
-    x **= 2  # the path loss
+    x *= x  # the path loss
     x *= params.noise_w
     x = params.signal_w / x  # the signal-to-noise ratio
     x += 1.0
     if isinstance(x, np.ndarray):
         x = x.tolist()
-        if 1.0 in x:  # a log of 0, so a rate of 0
-            raise ZeroDivisionError("float division by zero")
         x = np.fromiter(map(math.log2, x), float, len(x))
     else:
         x = math.log2(x)

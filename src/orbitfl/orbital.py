@@ -456,7 +456,8 @@ class ContactPlan:
     fast that rate can fall (``_curvature``: -m'' inside a window, m'' outside),
     spans no zero of the margin. A scan steps from t to the last grid time that
     t + h reaches, else to the next grid time, which leaves no grid time
-    between, and one float on at least. So sight flips at a scan's grid time
+    between, and is a later float on a grid no finer than two float spacings
+    at ``end_s``, the finest a plan takes. So sight flips at a scan's grid time
     just when it differs from the grid time before, and each edge is the scan
     time where it flipped: the first grid time at or after the flip. Each
     window is then a maximal run of grid times in sight, from the first of
@@ -466,11 +467,12 @@ class ContactPlan:
     """
 
     def __init__(self, con: Constellation, end_s: float, *, tol_s: float = 0.1):
-        # a scan's steps are tol_s at least, and it runs until end_s
+        # a scan runs until end_s by steps of tol_s, no two of which round together
         if not math.isfinite(end_s):
             raise ValueError(f"end_s must be finite, got {end_s}")
-        if not 0.0 < tol_s < math.inf:
-            raise ValueError(f"tol_s must be finite and positive, got {tol_s}")
+        finest = 2.0 * math.ulp(end_s)  # two float spacings at end_s
+        if not finest <= tol_s < math.inf:
+            raise ValueError(f"tol_s must be finite and at least {finest!r}, got {tol_s}")
         self.end_s, self.tol_s = end_s, tol_s
         nodes = con.satellite_ids()
         self._nodes, self._index = nodes, {n: i for i, n in enumerate(nodes)}
@@ -565,14 +567,12 @@ class ContactPlan:
         root += np.abs(slope)
         h = np.where((slope > 0) == inside, root / bound, (size + size) / root)
         np.minimum(h, reach, out=h, where=inside)
-        # step to the last grid time k * tol that t + h reaches (cut to end_s
-        # first, so that no quotient overflows), else to the grid time after t,
-        # and by one float at least. t is a grid time, so rint finds its k. A
-        # nan h, 0 / 0 at a zero margin, reaches no grid time.
+        # step to the last grid time k * tol that t + h reaches, the scan's end
+        # at most, else to the grid time after t. t is a grid time, so rint
+        # finds its k. A nan h, 0 / 0 at a zero margin, reaches no grid time.
         tol, end = self.tol_s, self.end_s
         h = np.floor(np.minimum(h + t, end) / tol) * tol
         h = np.where(h > t, h, (np.rint(t / tol) + 1.0) * tol)
-        np.maximum(h, np.nextafter(t, np.inf), out=h)
         return inside, np.minimum(h, end, out=h)
 
     def _taylor(self, t):

@@ -145,7 +145,6 @@ class ScenarioConfig:
     # protocol timing
     reconnect_wait_s: float = 10.0
     grace_factor: float = 2.0
-    contact_tol_s: float = 0.1
     # run goals
     until_epochs: int = 10
     time_limit_s: float | None = None
@@ -163,7 +162,7 @@ _SECTION_FIELDS = {
     "data": "data_source data_scheme samples_per_satellite test_samples num_features "
     "num_classes separation train_images_path train_labels_path test_images_path "
     "test_labels_path",
-    "protocol": "reconnect_wait_s grace_factor contact_tol_s",
+    "protocol": "reconnect_wait_s grace_factor",
     "sim": "seed until_epochs time_limit_s target_accuracy",
 }
 # field -> (INI section, key), in that order: a key is its field's name, less
@@ -287,9 +286,6 @@ def _setting_problems(cfg: ScenarioConfig) -> list[str]:
                                   f"for a synthetic pool, got {rows}"))
     if cfg.reconnect_wait_s <= 0:
         bad.append(("reconnect_wait_s", f"must be positive, got {cfg.reconnect_wait_s}"))
-    # a window edge is k * contact_tol_s, and k must stay a float over a year
-    if cfg.contact_tol_s < 1e-300:
-        bad.append(("contact_tol_s", f"must be at least 1e-300, got {cfg.contact_tol_s}"))
     if cfg.grace_factor < 0:
         bad.append(("grace_factor", f"must be non-negative, got {cfg.grace_factor}"))
     if cfg.until_epochs < 1:
@@ -425,9 +421,9 @@ def _build_parts(cfg: ScenarioConfig):
     longest_km = max_isl_range_km(cfg.altitude_km, max(cfg.altitude_km, server.altitude_km))
     dim = learning.model_dimension(cfg.num_features, cfg.num_classes)
     bits = max(link.model_size_bits(dim), link.CONTROL_MESSAGE_BITS)
-    try:  # a rate or a noise power that rounds to 0 divides by zero; a path loss may overflow
+    try:  # a rate or noise power that rounds to 0, or a path loss that overflows, divides by zero
         finite = math.isfinite(link.transfer_times(link_params, longest_km * 1000.0, bits))
-    except (ZeroDivisionError, OverflowError):
+    except ZeroDivisionError:
         finite = False
     if not finite:
         raise ConfigError(f"[link] rate rounds to 0 bit/s at the longest line of sight, "
@@ -461,7 +457,12 @@ def _build(cfg: ScenarioConfig) -> _Build:
         data, test_set = build_datasets(cfg)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"[data] {exc}") from exc
-    plan = ContactPlan(con, _end_s(cfg) + PLAN_REACH_S, tol_s=cfg.contact_tol_s)
+    span_s = _end_s(cfg) + PLAN_REACH_S
+    train_s = max(learning.compute_time(shard, lcfg) for shard in data.values())
+    if not train_s <= span_s:  # an overflow to inf included
+        raise ConfigError(f"[learning] a shard trains for {train_s:.3g} s under cycles_per_sample,"
+                          f" cpu_hz and compute_time_factor, past the {span_s:.3g} s a run reads")
+    plan = ContactPlan(con, span_s)
     return _Build(cfg, con, link_params, lcfg, MappingProxyType(data), test_set, plan)
 
 
@@ -470,7 +471,7 @@ def contact_table(cfg: ScenarioConfig, horizon_s: float):
     the windows a run reads, cut at ``horizon_s``. The scenario is checked as
     a run checks it, but its data is never built."""
     con = _build_parts(cfg)[0]
-    plan = ContactPlan(con, horizon_s, tol_s=cfg.contact_tol_s)
+    plan = ContactPlan(con, horizon_s)
     rows = [
         (sat, con.plane_of(sat), w.start_s, w.end_s)
         for sat in con.satellite_ids()
@@ -855,12 +856,10 @@ class _Simulation:
     def _hand_off(self, sid: int):
         """Server out of reach for too long: pass the aggregate along the ring."""
         sat = self.sats[sid]
+        # a group of one never hands off and no ring runs on two, so a next hop exists
         target = protocol.fallback_next_hop(
             self.con, self.groups[sat.group], sid, sat.holding_from, self.t
         )
-        if target is None:
-            self.schedule(self.t + self.cfg.reconnect_wait_s, self._try_deliver, sid)
-            return
         self.counters["fallback_hops"] += 1
         dt = self.isl_model_s[sat.group]
         self._send("isl", dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding)

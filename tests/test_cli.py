@@ -174,9 +174,36 @@ def test_contact_step_is_an_unknown_key(tmp_path, capsys):
     assert f"unknown key [protocol] contact_step_s in {path} (line 2)" in err
 
 
+# the contact grid is the plan's own 0.1 s, so a file that still sets it is
+# refused at validate, and no run or table reads it
+def test_contact_tol_is_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "old.ini"
+    path.write_text("[protocol]\nreconnect_wait_s = 10.0\ncontact_tol_s = 0.1\n\n[sim]\nseed = 1\n")
+    for command in ("validate", "run", "contacts"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown key [protocol] contact_tol_s in {path} (line 3)\n")
+    assert "contact_tol_s" not in emit_config(ScenarioConfig(seed=1))
+
+
 def test_parse_missing_file():
     with pytest.raises(ConfigError, match="cannot read config file"):
         parse_config("/nonexistent/nowhere.ini")
+
+
+# a key before any section header is no INI configparser reads
+def test_a_malformed_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "headless.ini"
+    path.write_text("seed = 1\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: malformed config file {path}: ")
+
+
+# without a file, the seed comes from --seed or the environment, or not at all
+def test_a_run_with_no_seed_anywhere_is_a_config_error(capsys):
+    assert main(["run"]) == 1
+    assert capsys.readouterr() == (
+        "", f"config error: no seed: pass --seed, export {SEED_ENV_VAR}, or use --config\n")
 
 
 def test_parse_requires_seed(tmp_path):
@@ -350,19 +377,6 @@ def test_contacts_rejects_a_horizon_past_a_year(tmp_path, capsys):
     assert _hours("8760") * 3600.0 == MAX_SPAN_S
 
 
-# Satellite 15 sees a 40-degree station from about 9,964 s to 10,520 s, over
-# the grid time 10,000 s of a 1,000 s tolerance, so the 3 h table lists that
-# pass from 10,000 s to the table's end, though it is shorter than a grid step.
-def test_contacts_list_a_pass_shorter_than_a_grid_step(tmp_path):
-    config, out = tmp_path / "scenario.ini", tmp_path / "contacts.csv"
-    cfg = ScenarioConfig(seed=7, ps_kind="ground", ps_latitude_deg=40.0, contact_tol_s=1000.0)
-    config.write_text(emit_config(cfg), encoding="utf-8")
-    argv = ["contacts", "--config", str(config), "--horizon-hours", "3", "--out", str(out)]
-    assert main(argv) == 0
-    rows = out.read_text(encoding="utf-8").splitlines()
-    assert [row for row in rows if row.startswith("15,")] == ["15,1,10000.0,10800.0"]
-
-
 # -- validate subcommand -------------------------------------------------------------------
 
 
@@ -393,8 +407,6 @@ def at(path, setting) -> str:
         {"learning": {"compute_time_factor": "0"}},
         {"learning": {"cycles_per_sample": "0"}},
         {"learning": {"learning_rate": "nan"}},
-        {"protocol": {"contact_tol_s": "nan"}},
-        {"protocol": {"contact_tol_s": "1e-310"}},
         {"link": {"tx_power_dbm": "nan"}},
         {"link": {"tx_delay_s": "-1"}},
         {"ps": {"kind": "ground", "latitude_deg": "120"}},
@@ -564,6 +576,24 @@ def test_a_link_too_slow_for_any_pass_is_a_config_error(tmp_path, capsys, bandwi
         assert not out.exists()
 
 
+# a shard whose training outlasts the passes a run reads, 1,280 bits of 10
+# samples of 16 features at the desk factor of 25: no run would wait it out,
+# and one whose training time overflows stalled as stuck
+@pytest.mark.parametrize("key, value, seconds", [("cpu_hz", "1e-306", "inf"),
+                                                 ("cycles_per_sample", "1e300", "3.2e+295")],
+                         ids=["cpu_hz", "cycles_per_sample"])
+def test_training_too_slow_for_any_pass_is_a_config_error(tmp_path, capsys, key, value, seconds):
+    path = tmp_path / "slow.ini"
+    path.write_text(ini_with({"learning": {key: value}}))
+    problem = (f"[learning] a shard trains for {seconds} s under cycles_per_sample, cpu_hz "
+               "and compute_time_factor, past the 2.64e+06 s a run reads")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    for command in ("run", "compare"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
+
+
 # an altitude so small that adding it to the Earth's radius leaves the radius:
 # a satellite or an orbiting server would sit on the ground, under either server
 @pytest.mark.parametrize(
@@ -608,10 +638,9 @@ def test_every_command_reports_every_problem_by_section(tmp_path, capsys):
     "overrides",
     [
         {"constellation": {"altitude_km": "-5"}},
-        {"protocol": {"contact_tol_s": "0"}},
         {"ps": {"kind": "moon"}},
     ],
-    ids=["altitude", "contact_tol", "ps_kind"],
+    ids=["altitude", "ps_kind"],
 )
 def test_contacts_rejects_what_run_rejects(tmp_path, capsys, overrides):
     path = tmp_path / "bad.ini"

@@ -138,7 +138,7 @@ def test_month_contact_table_matches_pinned_digest(tmp_path, server):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
-# A window edge is the first grid time k * contact_tol_s at or after its flip,
+# A window edge is the first grid time k * 0.1 s at or after its flip,
 # however the scan stepped to bracket the flip: a looser bound on the margin's
 # curvature takes shorter steps, and changes neither the 48 h contact tables,
 # with an orbiting and with a ground server, nor the golden fednonisl run.

@@ -204,3 +204,22 @@ def test_an_array_raises_where_a_float_raises_at_a_zero_rate(distances):
         transfer_time(params, distances[-1], 512)
     with pytest.raises(ZeroDivisionError):
         transfer_times(params, np.array(distances), 512)
+
+
+# 1e9 m away the path loss overflows: as (4 pi f d / c)^2 over a 1e160 Hz
+# carrier, as 4 pi f d over a 1e300 Hz one, and as its product with a noise
+# power of 1.4e19 W over 1e12 Hz at 1e30 K. A float's signal-to-noise ratio is
+# then 0, and so its rate: both forms raise the zero rate's error, and numpy
+# warns nowhere, also when one entry alone overflows.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distances", [[1e9], [1e3, 1e9]])
+@pytest.mark.parametrize("params", [
+    LinkParams(4592496.0, 0.0, 0.0, 1e160, 10000.0),
+    LinkParams(4592496.0, 0.0, 0.0, 1e300, 10000.0),
+    LinkParams(1e12, 0.0, 0.0, 1e150, 1e30),
+], ids=["square", "carrier", "noise"])
+def test_an_array_raises_where_a_float_raises_at_an_overflowing_path_loss(params, distances):
+    with pytest.raises(ZeroDivisionError):
+        transfer_time(params, distances[-1], 512)
+    with pytest.raises(ZeroDivisionError):
+        transfer_times(params, np.array(distances), 512)

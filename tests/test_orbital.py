@@ -342,11 +342,14 @@ def test_contact_plan_stops_at_its_end():
 
 
 # A scan steps by tol_s at least, from t = 0 until end_s: a nan or infinite
-# span or step would scan for ever, a zero step divides by zero, and a
-# negative one puts the windows on a negative grid.
+# span or step would scan for ever, a zero step divides by zero, a negative
+# one puts the windows on a negative grid, and one finer than two float
+# spacings at end_s (9.1e-13 at 3600 s) has grid times that round together.
 @pytest.mark.parametrize("end_s, tol_s, name", [
     (math.nan, 0.1, "end_s"), (math.inf, 0.1, "end_s"), (3600.0, math.nan, "tol_s"),
     (3600.0, math.inf, "tol_s"), (3600.0, 0.0, "tol_s"), (3600.0, -1.0, "tol_s"),
+    (3600.0, 1e-20, "tol_s"), (3600.0, 1e-300, "tol_s"),
+    (3600.0, math.nextafter(2 * math.ulp(3600.0), 0.0), "tol_s"),
 ])
 def test_a_contact_plan_refuses_a_span_or_step_its_scan_cannot_take(end_s, tol_s, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -358,6 +361,16 @@ def test_intra_plane_isl_feasibility():
     # a two-satellite ring at this altitude puts neighbors behind the limb
     assert not intra_plane_isl_feasible(OrbitSpec(2000.0, math.radians(80.0), 0.0, 2))
     assert intra_plane_isl_feasible(OrbitSpec(2000.0, 0.0, 0.0, 1))
+
+
+# Two satellites of one plane fly at opposite ends of a diameter, 2r, always
+# farther apart than the 2 sqrt(r^2 - R^2) their lines of sight reach, so no
+# ring protocol runs on a plane of two, and a ring's fallback hop always has a
+# neighbor to go to.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(altitude=st.floats(1e-6, 1e9), inclination=st.floats(0.0, math.pi))
+def test_no_plane_of_two_is_feasible(altitude, inclination):
+    assert not intra_plane_isl_feasible(OrbitSpec(altitude, inclination, 0.0, 2))
 
 
 @pytest.mark.parametrize(
@@ -553,7 +566,7 @@ def test_the_scan_decides_sight_as_the_oracle_does(con, data):
         assert not zero or margin(con, 1, PS_NODE, times[0]) == 0.0
 
 
-# Each window is a maximal run of the grid times k * contact_tol_s in sight. So
+# Each window is a maximal run of the grid times k * tol_s in sight. So
 # a plan at a 1 s tolerance holds exactly the windows that the grid oracle reads
 # at every second, with the server and, through a pair constellation whose
 # server flies as another satellite, with that satellite: each starts at its
