@@ -239,6 +239,23 @@ def local_gd(params: np.ndarray, dataset: LocalDataset, config: LearnerConfig) -
     return _read_only(current)
 
 
+def value_bound(config: LearnerConfig, epochs: int, num_classes: int, shards,
+                test_set: LocalDataset) -> float:
+    """Twice, for rounding, a bound on every value that ``epochs`` rounds of
+    training the level ``shards`` from zero, summing them and evaluating on
+    ``test_set`` reach (README, "Scenario files"), inf where it overflows: no
+    parameter exceeds P = epochs * local_iterations * learning_rate * max(1, X),
+    with X the largest feature magnitude, and the rest grow from P."""
+    datasets = (*shards, test_set)
+    top = max(np.iinfo(d.levels.dtype).max for d in datasets)
+    x = max(d.scale * top + (0.0 if d.shifts is None else float(np.abs(d.shifts).max()))
+            for d in datasets)
+    p = epochs * config.local_iterations * config.learning_rate * max(1.0, x)
+    features = test_set.num_features
+    loss = test_set.num_samples * (2.0 * (features * x + 1.0) * p + math.log(num_classes))
+    return 2.0 * max(top * features * p, loss, sum(d.num_samples for d in shards) * p)
+
+
 def compute_time(dataset: LocalDataset, config: LearnerConfig) -> float:
     """Seconds of processor time to train on the shard once.
 

@@ -90,10 +90,11 @@ def _linear(name: str, decibels: float, convert, what: str) -> float:
 
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
-    """Free-space path loss (linear): (4*pi*f*d/c)^2."""
+    """Free-space path loss (linear): (4*pi*f*d/c)^2, inf past the float range."""
     if distance_m <= 0:
         raise ValueError(f"distance_m must be positive, got {distance_m}")
-    return (4.0 * math.pi * carrier_hz * distance_m / SPEED_OF_LIGHT_M_S) ** 2
+    x = 4.0 * math.pi * carrier_hz * distance_m / SPEED_OF_LIGHT_M_S
+    return x * x
 
 
 def snr(params: LinkParams, distance_m: float) -> float:
@@ -127,11 +128,14 @@ def transfer_times(params: LinkParams, distance_m, payload_bits: int):
     the two reciprocals and the log. The log is ``math.log2``, of each entry
     for an array (``np.log2`` rounds some arguments otherwise), so each entry
     equals the float answer. Where the rate rounds to 0 bit/s, as where the
-    path loss overflows, a float raises ``ZeroDivisionError``; an array runs
-    its farthest entry, whose rate is the least, as a float first to raise it.
+    path loss overflows, or the path loss times the noise power rounds to 0, a
+    float raises ``ZeroDivisionError``; an array first runs its farthest and
+    nearest entries, of least rate and least loss, as floats to raise it.
     """
     if isinstance(distance_m, np.ndarray) and len(distance_m):
-        transfer_times(params, max(distance_m.tolist()), payload_bits)
+        d = distance_m.tolist()
+        transfer_times(params, max(d), payload_bits)
+        transfer_times(params, min(d), payload_bits)
     x = params.loss_factor * distance_m
     x /= SPEED_OF_LIGHT_M_S
     x *= x  # the path loss

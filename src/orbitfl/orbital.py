@@ -502,10 +502,6 @@ class ContactPlan:
         i = bisect.bisect_left(windows, t, key=lambda w: w.end_s)
         return windows[i] if i < len(windows) else None
 
-    def after(self, node: int, w: ContactWindow) -> ContactWindow | None:
-        """The node's next window after ``w``, else None."""
-        return self.window(node, math.nextafter(w.end_s, math.inf))
-
     def windows(self, node: int) -> list[ContactWindow]:
         """Every window before ``end_s``, in time order."""
         return list(self._scan(node, lambda w: False))

@@ -462,6 +462,11 @@ def _build(cfg: ScenarioConfig) -> _Build:
     if not train_s <= span_s:  # an overflow to inf included
         raise ConfigError(f"[learning] a shard trains for {train_s:.3g} s under cycles_per_sample,"
                           f" cpu_hz and compute_time_factor, past the {span_s:.3g} s a run reads")
+    if not math.isfinite(learning.value_bound(lcfg, cfg.until_epochs, cfg.num_classes,
+                                              data.values(), test_set)):
+        raise ConfigError(f"[learning] learning_rate is too large for training to stay in the float"
+                          f" range over {cfg.until_epochs} epochs of {cfg.local_iterations} local"
+                          f" iterations, got {cfg.learning_rate!r}")
     plan = ContactPlan(con, span_s)
     return _Build(cfg, con, link_params, lcfg, MappingProxyType(data), test_set, plan)
 
@@ -696,13 +701,13 @@ class _Simulation:
         sink = protocol.select_sink(ring, due, self.plan.window)
         tree = protocol.build_routing_tree(ring, sink)
         epoch, model = self.ps.epoch, self.ps.global_params
-        self._send("ps_down", dt, self._sat_recv_model, sid, epoch, tree, sid, None, model)
+        self._send("ps_down", dt, self._sat_recv_model, sid, epoch, tree, sid, model)
         return True
 
-    def _replay_parked(self, until: float) -> list[tuple]:
+    def _replay_parked(self, until: float):
         """Coast every parked chain to ``until`` and unpark it: book each
-        chain's stage due next, after ``until``, at its exact time. Returns
-        them as (satellite, t, handler name, reply args), in parking order.
+        chain's stage due next, after ``until``, at its exact time, in parking
+        order.
 
         The chains run in lockstep, a cycle of each per round: a poll once in
         view (a window is looked up only when the chain's last one has
@@ -713,38 +718,28 @@ class _Simulation:
         cycles are charged in one count each way.
 
         A round evaluates every chain's server distance in one numpy pass
-        (``Constellation.distances_to``) and its transfer times in place. Its
-        arrays are re-indexed only in a round where chains stop, and times are
-        clamped to ``until`` only in a round where a chain ran out of windows.
+        (``Constellation.distances_to``) at times clamped to ``until``, whose
+        clamped stages go unread, and re-indexes only where chains stop.
         """
-        due = [(sid, at, _FIRE, ()) for sid, at in self._parked.items()]
-        self._parked.clear()
-        order = [i for i, (_, at, _, _) in enumerate(due) if at <= until]  # the chains going on
-        sids, t = [due[i][0] for i in order], np.array([due[i][1] for i in order])
+        # by satellite: each chain's stage due next after until, as (t, stage, reply)
+        due = {sid: (at, _FIRE, ()) for sid, at in self._parked.items() if at > until}
+        sids = [sid for sid in self._parked if sid not in due]  # the chains going on
+        t = np.array([self._parked[sid] for sid in sids])
         w_start, w_end = np.zeros(len(sids)), np.full(len(sids), -math.inf)
         params, bits, wait = self.link_params, link.CONTROL_MESSAGE_BITS, self.cfg.reconnect_wait_s
         distance_km = self.con.distances_to(sids)
 
-        def transfer_s(t, clamp):
-            # a chain with no window left sits at infinity (then clamp is set);
-            # it stops this round, so its entry goes unused
-            d_m = distance_km(np.minimum(t, until) if clamp else t)
-            d_m *= 1000.0
-            return link.transfer_times(params, d_m, bits)
+        def transfer_s(t):
+            return link.transfer_times(params, distance_km(np.minimum(t, until)) * 1000.0, bits)
 
         polls = answers = 0
         while sids:
-            at_inf = False
             for i in (t > w_end).nonzero()[0].tolist():  # its window closed: find the next
                 w = self.plan.window(sids[i], float(t[i]))
-                if w is None:  # no window left: the chain goes to infinity
-                    w_start[i] = w_end[i] = math.inf
-                    at_inf = True
-                else:
-                    w_start[i], w_end[i] = w.start_s, w.end_s
+                w_start[i], w_end[i] = (math.inf, math.inf) if w is None else (w.start_s, w.end_s)
             fire = np.maximum(t, w_start)  # out of view: poll when the window opens
-            asked = fire + transfer_s(fire, at_inf)
-            answered = asked + transfer_s(asked, at_inf)
+            asked = fire + transfer_s(fire)
+            answered = asked + transfer_s(asked)
             t = answered + wait
             late = t > until
             stops = late.nonzero()[0].tolist()
@@ -756,39 +751,36 @@ class _Simulation:
                 times = float(fire[i]), float(asked[i]), float(answered[i]), float(t[i])
                 k = next(k for k, at in enumerate(times) if at > until)
                 polls, answers = polls + (k > 0), answers + (k > 1)
-                reply = (None,) if k == 2 else ()
-                due[order[i]] = sids[i], times[k], _CYCLE[k], reply
+                due[sids[i]] = times[k], _CYCLE[k], (None,) if k == 2 else ()
             going = (~late).nonzero()[0]
-            keep = going.tolist()
-            sids, order = [sids[i] for i in keep], [order[i] for i in keep]
+            sids = [sids[i] for i in going.tolist()]
             t, w_start, w_end = t[going], w_start[going], w_end[going]
             distance_km = distance_km.take(going)
         self._charge("ps_up", control=True, count=polls)
         self._charge("ps_down", control=True, count=answers)
-        for chain in due:
-            self._book(*chain)
-        return due
+        for sid in self._parked:
+            self._book(sid, *due[sid])
+        self._parked.clear()
 
     def _ps_recv_ack(self, sid: int):
         self.ps.downlink_acked(self.sats[sid].group)
 
     # -- model distribution and training ----------------------------------------
 
-    def _sat_recv_model(self, sid, epoch, tree, source, sender, params):
-        """A model and its routing tree land, from the server (sender None) or a neighbor."""
+    def _sat_recv_model(self, sid, epoch, tree, source, params):
+        """A model and its routing tree land, from the server at its source, else a neighbor."""
         sat = self.sats[sid]
         if sat.tree is not None:
             self.counters["duplicate_models"] += 1
             return
-        sat.tree = tree
-        sat.epoch = epoch
-        if sender is None:
+        sat.tree, sat.epoch = tree, epoch
+        if sid == source:
             dt = self._ps_transfer_s(sid, self.t, link.CONTROL_MESSAGE_BITS)
             self._send("ps_up", dt, self._ps_recv_ack, sid, control=True)
         ring = self.groups[sat.group]
         dt = self.isl_model_s[sat.group]
         for target in protocol.distribution_targets(ring, sid, source):
-            self._send("isl", dt, self._sat_recv_model, target, epoch, tree, source, sid, params)
+            self._send("isl", dt, self._sat_recv_model, target, epoch, tree, source, params)
         self.schedule(self.t + self.compute_s[sid], self._compute_done, sid, params)
 
     def _compute_done(self, sid: int, params: np.ndarray):
@@ -836,7 +828,8 @@ class _Simulation:
 
     def _try_deliver(self, sid: int):
         """A satellite holding a group aggregate pushes it to the server as
-        soon as geometry allows."""
+        soon as geometry allows; with the server out of reach for too long, it
+        passes the aggregate along the ring."""
         sat, t = self.sats[sid], self.t
         w = self.plan.window(sid, t)
         dt = self._model_fit_s(sid, w)
@@ -844,29 +837,18 @@ class _Simulation:
             self._send("ps_up", dt, self._ps_recv_update, sid, sat.holding_epoch, sat.holding)
             return
         if w is not None and w.start_s <= t:  # open now, but it closes too soon
-            w = self.plan.after(sid, w)
+            w = self.plan.window(sid, math.nextafter(w.end_s, math.inf))
         next_start = math.inf if w is None else w.start_s
         # a group of one has no relays to lean on: it waits out the gap however long
-        grace_s = self.cfg.grace_factor * self.isl_model_s[sat.group]
-        if len(self.groups[sat.group]) == 1 or next_start - t <= grace_s:
+        ring, isl_s = self.groups[sat.group], self.isl_model_s[sat.group]
+        if len(ring) == 1 or next_start - t <= self.cfg.grace_factor * isl_s:
             self.schedule(next_start, self._try_deliver, sid)
             return
-        self._hand_off(sid)
-
-    def _hand_off(self, sid: int):
-        """Server out of reach for too long: pass the aggregate along the ring."""
-        sat = self.sats[sid]
-        # a group of one never hands off and no ring runs on two, so a next hop exists
-        target = protocol.fallback_next_hop(
-            self.con, self.groups[sat.group], sid, sat.holding_from, self.t
-        )
+        # no ring runs on two, so a next hop exists
+        target = protocol.fallback_next_hop(self.con, ring, sid, sat.holding_from, t)
         self.counters["fallback_hops"] += 1
-        dt = self.isl_model_s[sat.group]
-        self._send("isl", dt, self._sat_recv_fallback, target, sid, sat.holding_epoch, sat.holding)
+        self._send("isl", isl_s, self._hold, target, sid, sat.holding_epoch, sat.holding)
         self._release(sid, sat.holding_epoch)
-
-    def _sat_recv_fallback(self, sid, sender, epoch, weighted):
-        self._hold(sid, sender, epoch, weighted)
 
     def _hold(self, sid, sender, epoch, weighted):
         """Take the group's aggregate for ``epoch``, relayed by ``sender`` or folded

@@ -930,15 +930,37 @@ def test_exit_code_for_deadlock(tmp_path, capsys):
     assert "stuck" in capsys.readouterr().err
 
 
-# a step so long that the first aggregate overflows: the run stops with one
-# error line, where it once wrote a nan model under numpy's warnings
+# a step so long that the first aggregate would overflow: the run is refused
+# with one config error line before it starts, where it once stopped with a
+# runtime error, and before that wrote a nan model under numpy's warnings
 def test_an_aggregate_that_overflows_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "diverge.ini"
     path.write_text("[learning]\nlearning_rate = 1e308\n\n[sim]\nseed = 7\nuntil_epochs = 1\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would end the run another way
-        assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr() == ("", "error: partial sum left the finite range\n")
+        assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"config error: [learning] learning_rate in {path} (line 2)"
+                                       " is too large for training to stay in the float range over"
+                                       " 1 epochs of 1 local iterations, got 1e+308\n")
+
+
+# Two rates whose training leaves the float range on the desk at seed 7, over
+# two epochs, once a run had started: 1e306 over three local iterations in the
+# descent, 1e307 over one in the first partial sum. validate refuses both.
+@pytest.mark.parametrize("rate, iterations", [("1e306", 3), ("1e307", 1)])
+def test_a_learning_rate_whose_bound_overflows_fails_at_validate(tmp_path, capsys, rate,
+                                                                  iterations):
+    path = tmp_path / "rate.ini"
+    path.write_text(emit_config(desk_scenario(7, until_epochs=2, local_iterations=iterations))
+                    .replace("learning_rate = 0.05", f"learning_rate = {rate}"))
+    problem = (f"[learning] learning_rate{at(path, f'learning_rate = {rate}')} is too large for "
+               f"training to stay in the float range over 2 epochs of {iterations} local "
+               f"iterations, got {float(rate)!r}")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (problem + "\n", "")
+    for protocol in ("fedisl", "fednonisl"):
+        assert main(["run", "--config", str(path), "--protocol", protocol]) == 1
+        assert capsys.readouterr() == ("", f"config error: {problem}\n")
 
 
 def test_exit_code_for_runtime_failure(small_ini, tmp_path, capsys):

@@ -223,3 +223,28 @@ def test_an_array_raises_where_a_float_raises_at_an_overflowing_path_loss(params
         transfer_time(params, distances[-1], 512)
     with pytest.raises(ZeroDivisionError):
         transfer_times(params, np.array(distances), 512)
+
+
+# Over a 1e160 Hz carrier, 1e9 m away, the path loss overflows: the composed
+# budget's rate is then 0 bit/s, as the transfer time's zero rate says, where
+# squaring by ``** 2`` once raised OverflowError instead.
+@pytest.mark.filterwarnings("error")
+def test_a_path_loss_past_the_float_range_is_a_zero_rate():
+    params = LinkParams(4592496.0, 0.0, 0.0, 1e160, 10000.0)
+    assert path_loss(1e9, params.carrier_hz) == math.inf
+    assert snr(params, 1e9) == 0.0 and rate(params, 1e9) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        transfer_time(params, 1e9, 512)
+
+
+# Over a 1e-150 Hz carrier, 1e-20 m away, the path loss times the noise power
+# rounds to 0, so the signal-to-noise ratio divides by zero: an array whose
+# nearest entry is there raises the float's error, with no numpy warning.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("distances", [[1e-20], [1e-20, 1e9]])
+def test_an_array_raises_where_a_float_raises_at_a_vanishing_path_loss(distances):
+    params = LinkParams(1e12, 0.0, 0.0, 1e-150, 1e11)
+    with pytest.raises(ZeroDivisionError):
+        transfer_times(params, distances[0], 512)
+    with pytest.raises(ZeroDivisionError):
+        transfer_times(params, np.array(distances), 512)

@@ -330,7 +330,7 @@ def test_contact_plan_window_and_after_read_the_same_windows():
         mid = 0.5 * (w.start_s + w.end_s)
         assert plan.window(3, mid) == w
         assert plan.window(3, w.start_s - 1.0) == w
-        assert plan.after(3, w) == nxt
+        assert plan.window(3, math.nextafter(w.end_s, math.inf)) == nxt
     assert plan.window(3, 43200.0 + 1.0) is None
 
 

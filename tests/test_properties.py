@@ -1,11 +1,12 @@
 """Properties of random scenarios: validation agrees with the engine, INI
 text round-trips, runs stop cleanly with the same models and one server
-model each way per group and epoch under both protocols, the server serves
-a group once per epoch whatever order requests, acknowledgements and
-aggregates come in, parked poll chains coast as they would run cycle by
-cycle, a pool drawn straight into shard order holds the levels of one drawn
-whole and then dealt out, and the products that fold a dataset's map from
-levels to features equal the products of its rebuilt float64 rows.
+model each way per group and epoch under both protocols, a scenario that
+validates trains in the float range, the server serves a group once per
+epoch whatever order requests, acknowledgements and aggregates come in,
+parked poll chains coast as they would run cycle by cycle, a pool drawn
+straight into shard order holds the levels of one drawn whole and then dealt
+out, and the products that fold a dataset's map from levels to features
+equal the products of its rebuilt float64 rows.
 
 Constellations are drawn with 0-6 planes of 0-12 satellites at random
 altitudes, among them sizes, altitudes and angles that no scenario may have,
@@ -15,7 +16,9 @@ scheme, so that building an engine is cheap, and a run goes for at most two epoc
 """
 
 import math
+import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -35,6 +38,7 @@ from orbitfl.sim import (
     ScenarioConfig,
     _build,
     _Simulation,
+    desk_scenario,
     validate_scenario,
 )
 
@@ -121,7 +125,9 @@ def study_cases(draw):
     """Scenarios about the study case, on tiny data, most of which build: a
     few planes of 6-12 satellites between 1,500 and 3,000 km, an orbiting
     server well above them or a ground one, a link and a protocol near the
-    study case's, and now and then data too small for a label_split."""
+    study case's, a learning rate drawn log-uniformly over [1e-320, 1e308]
+    at 1-3 local iterations, and now and then data too small for a
+    label_split."""
     cfg = dict(
         seed=draw(st.integers(0, 2**16)),
         num_planes=draw(st.integers(1, 6)),
@@ -135,6 +141,8 @@ def study_cases(draw):
         num_features=draw(st.integers(3, 8)),
         num_classes=draw(st.integers(2, 4)),
         reconnect_wait_s=draw(st.floats(1.0, 60.0)),
+        learning_rate=10.0 ** draw(st.floats(-320.0, 308.0)),
+        local_iterations=draw(st.integers(1, 3)),
         until_epochs=draw(st.integers(1, 2)),
         **draw(LINK_KEYS),
     )
@@ -166,9 +174,13 @@ def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
     _validate_agrees_with_the_engine(cfg)
 
 
-# the property's accepting side: most scenarios near the study case build
+# the property's accepting side: most scenarios near the study case build;
+# the examples are two learning rates that once validated and then left the
+# float range in a desk run
 @SETTINGS
 @given(study_cases())
+@example(desk_scenario(7, until_epochs=2, learning_rate=1e306, local_iterations=3))
+@example(desk_scenario(7, until_epochs=2, learning_rate=1e307, local_iterations=1))
 def test_validate_is_empty_exactly_when_a_study_case_builds(cfg):
     _validate_agrees_with_the_engine(cfg)
 
@@ -227,6 +239,28 @@ def test_a_run_reaches_its_goal_or_its_time_limit_or_is_stuck(cfg, goals, protoc
     if result.stop_reason == "epochs":
         assert finished == list(range(1, epochs + 1))
     assert all(r.sim_time_s <= limit for r in result.records)
+
+
+# A scenario that validates trains in the float range: under either protocol
+# its run raises no NumericDivergenceError and numpy warns nothing, at the
+# drawn learning rate and at the largest that the bound accepts, near enough.
+@RUN_SETTINGS
+@given(study_cases(), _goals(), st.booleans())
+def test_a_run_that_validates_trains_in_the_float_range(cfg, goals, at_the_edge):
+    limit, epochs = goals
+    if at_the_edge:
+        try:
+            build = _build(replace(cfg, learning_rate=1.0, time_limit_s=limit, until_epochs=epochs))
+        except ConfigError:
+            return
+        bound = learning.value_bound(build.lcfg, epochs, cfg.num_classes,
+                                     list(build.data.values()), build.test_set)
+        cfg = replace(cfg, learning_rate=sys.float_info.max / bound * (1.0 - 2.0**-20))
+        assert validate_scenario(replace(cfg, time_limit_s=limit, until_epochs=epochs)) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for protocol_name in ("fedisl", "fednonisl"):
+            _run(cfg, goals, protocol_name)
 
 
 @RUN_SETTINGS
@@ -436,15 +470,16 @@ def test_coasting_parked_chains_runs_each_cycle_as_events_would(case):
     engine, polls, until = case
     for sid, t in polls.items():
         engine._parked[sid] = t
-    due = engine._replay_parked(until)
-    assert engine._parked == {} and [sid for sid, *_ in due] == list(polls)
+    engine._replay_parked(until)
+    # each chain is booked once, as its record and its one event, in parking order
+    booked = sorted(engine.queue, key=lambda event: event[1])
+    assert engine._parked == {} and [args[0] for *_, args in booked] == list(polls)
     up = down = 0
-    for sid, at, stage, reply in due:
+    for at, _, fn, (sid, *reply) in booked:
         t, want, asked, answered = _coast_one(engine, sid, polls[sid], until)
         up, down = up + asked, down + answered
-        assert (at, stage) == (t, want)
-        assert reply == ((None,) if stage == REPLY else ())
-        assert engine._due[sid] == (t, stage)
+        assert (at, fn.__name__) == engine._due[sid] == (t, want)
+        assert reply == ([None] if want == REPLY else [])
     assert engine.counters["ps_up_bits"] == up * link.CONTROL_MESSAGE_BITS
     assert engine.counters["ps_down_bits"] == down * link.CONTROL_MESSAGE_BITS
 

@@ -507,11 +507,11 @@ def _watched_run(monkeypatch, protocol_name):
     )
     recv_model, try_send = engine._sat_recv_model, engine._try_send_partial
 
-    def recv(sid, epoch, tree, source, sender, params):
-        if sender is None:
+    def recv(sid, epoch, tree, source, params):
+        if sid == source:  # from the server: no flood returns to its source
             assert params is engine.ps.global_params
             served.append(params)
-        recv_model(sid, epoch, tree, source, sender, params)
+        recv_model(sid, epoch, tree, source, params)
 
     def send(sid):
         try_send(sid)
@@ -552,7 +552,7 @@ def test_a_satellite_whose_partial_is_folded_is_diagnosed_in_aggregation():
     engine = _Simulation(_build(small_scenario()), "fednonisl")
     model = engine.ps.global_params
     for sid in (1, 2):
-        engine._sat_recv_model(sid, 1, protocol.build_routing_tree([sid], sid), sid, None, model)
+        engine._sat_recv_model(sid, 1, protocol.build_routing_tree([sid], sid), sid, model)
     engine._compute_done(1, model)
     assert engine.sats[1].partial_sent and engine.sats[1].trained_params is None
     assert engine.sats[1].holding is not None
@@ -583,6 +583,15 @@ def test_misjudged_sink_hops_until_delivered(monkeypatch):
     deltas = epoch_deltas(res.records, "isl_msgs")
     fbs = epoch_deltas(res.records, "fallback_hops")
     assert deltas == [75 + f for f in fbs]
+    # the hand-off's bytes: every record's time and traffic, as the engine
+    # first wrote them; no model product moves these columns
+    columns = ("sim_time_s", "epoch_duration_s", "ps_down_msgs", "ps_down_bits", "ps_up_msgs",
+               "ps_up_bits", "isl_msgs", "isl_bits", "fallback_hops")
+    assert [tuple(getattr(r, c) for c in columns) for r in res.records] == [
+        (0.0, 0.0, 0, 0, 0, 0, 0, 0, 0),
+        (0.898998940472055, 0.898998940472055, 5, 37600, 5, 43232, 79, 149152, 4),
+        (11.351453666068528, 10.452454725596473, 10, 65984, 10, 76224, 158, 298304, 8),
+    ]
     # a different sink regroups the in-plane float sums, so allow rounding slack
     scale = np.max(np.abs(clean.final_params))
     assert np.max(np.abs(res.final_params - clean.final_params)) <= 1e-12 * scale
@@ -803,7 +812,7 @@ def test_a_request_landing_after_the_pass_closed_is_not_served():
     engine = _Simulation(_build(small_scenario()), "fednonisl")
     sid, sat = 1, engine.sats[1]
     w = engine.plan.window(sid, 0.0)
-    after = engine.plan.after(sid, w)
+    after = engine.plan.window(sid, math.nextafter(w.end_s, math.inf))
     assert (w.start_s, w.end_s) == (0.0, 2598.4) and round(after.start_s, 1) == 5130.2
     engine.t = w.end_s - 0.01
     engine._due[sid] = engine.t, sim._FIRE
@@ -937,7 +946,7 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
     engine = _Simulation(_build(small_scenario(until_epochs=1, **server)), protocol_name)
     used = set()
     plan = engine.plan
-    window, after = plan.window, plan.after
+    window = plan.window
 
     def record(w):
         if w is not None:
@@ -945,7 +954,6 @@ def test_engine_windows_are_contact_table_rows(protocol_name, server):
         return w
 
     plan.window = lambda sid, t: record(window(sid, t))
-    plan.after = lambda sid, w: record(after(sid, w))
     engine.run()
     # reach far enough past every used window that none is cut at the table's end
     horizon = max(end for _, _, end in used) + 3600.0
