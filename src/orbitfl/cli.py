@@ -26,7 +26,6 @@ import dataclasses
 import os
 import re
 import sys
-import typing
 
 from .sim import (
     INI_KEYS,
@@ -49,21 +48,22 @@ COMPARE_HEADER = "speedup,traffic_ratio"
 CONTACTS_HEADER = "satellite,plane,start_s,end_s"
 
 
-# how an INI value becomes each type a ScenarioConfig field is annotated with
+# how an INI value becomes each type a ScenarioConfig field is annotated with,
+# by the annotation's text (sim.py postpones annotations, so each is a string)
 _CONVERTERS = {
-    int: lambda text: int(text, 10),
-    float: float,
-    str: str.strip,
-    float | None: lambda text: None if text.strip().lower() in ("", "none") else float(text),
+    "int": lambda text: int(text, 10),
+    "float": float,
+    "str": str.strip,
+    "float | None": lambda text: None if text.strip().lower() in ("", "none") else float(text),
 }
 
 def _schema() -> dict[str, dict[str, tuple[str, object]]]:
     """Each section's keys, in ``INI_KEYS`` order; a field annotated with a
     type that has no converter fails the import."""
-    hints = typing.get_type_hints(ScenarioConfig)
+    annotations = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
     schema = {}
     for name, (section, key) in INI_KEYS.items():
-        schema.setdefault(section, {})[key] = (name, _CONVERTERS[hints[name]])
+        schema.setdefault(section, {})[key] = (name, _CONVERTERS[annotations[name]])
     return schema
 
 

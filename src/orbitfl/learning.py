@@ -247,7 +247,8 @@ def value_bound(config: LearnerConfig, epochs: int, num_classes: int, shards,
     parameter exceeds P = epochs * local_iterations * learning_rate * max(1, X),
     with X the largest feature magnitude, and the rest grow from P."""
     datasets = (*shards, test_set)
-    top = max(np.iinfo(d.levels.dtype).max for d in datasets)
+    top = max(float(np.abs(d.levels).max(initial=0.0)) if d.levels.dtype.kind == "f"
+              else np.iinfo(d.levels.dtype).max for d in datasets)
     x = max(d.scale * top + (0.0 if d.shifts is None else float(np.abs(d.shifts).max()))
             for d in datasets)
     p = epochs * config.local_iterations * config.learning_rate * max(1.0, x)

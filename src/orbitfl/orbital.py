@@ -9,6 +9,11 @@ stacks the orbit constants of the satellites it is asked for, and of an
 orbiting server, so that it evaluates their server distances, each at its own
 time, in one numpy pass that rounds as ``distance_km`` does.
 
+Angles enter as a scenario file writes them, in degrees: ``walker_planes``,
+``server_spec`` and ``GroundStationSpec`` take degrees and convert with
+``math.radians`` where a radian is first needed. ``OrbitSpec`` holds radians,
+since ``walker_planes`` computes each plane's RAAN and phase in radians.
+
 Visibility between two satellites requires a line of sight that clears the
 Earth's limb; visibility between a satellite and a ground station requires a
 minimum elevation above the local horizon. A ``ContactPlan`` predicts every
@@ -43,23 +48,27 @@ class GeometryError(ValueError):
     pass
 
 
-class AngleRangeError(GeometryError):
-    """An angle outside its allowed range, kept as numbers so that a caller
-    whose users write another unit can restate the rule with ``describe``."""
-
-    def __init__(self, name: str, value: float, low: float, high: float, high_open: bool):
-        self.name, self.low, self.high, self.high_open = name, low, high, high_open
-        super().__init__(self.describe(name, value))
-
-    def describe(self, name: str, value: float, convert=float) -> str:
-        """The rule for ``name`` with its bounds passed through ``convert``."""
-        close = ")" if self.high_open else "]"
-        return f"{name} outside [{convert(self.low):g}, {convert(self.high):g}{close}: {value}"
+# one degree in radians: x * _DEGREE is math.radians(x), bit for bit
+_DEGREE = math.pi / 180.0
 
 
-def _check_angle(name: str, value: float, low: float, high: float, high_open: bool = False):
-    if not (low <= value < high if high_open else low <= value <= high):
-        raise AngleRangeError(name, value, low, high, high_open)
+def _check_angle(name: str, value: float, low: float, high: float, high_open: bool = False,
+                 unit: float = 1.0):
+    """Refuse ``value`` outside [low, high], or [low, high) if ``high_open``,
+    all in ``unit`` radians. It compares radians, as the geometry holds them,
+    so a degree value whose radians round to -0.0, such as -5e-324, passes."""
+    rad, low_rad, high_rad = value * unit, low * unit, high * unit
+    if not (low_rad <= rad < high_rad if high_open else low_rad <= rad <= high_rad):
+        close = ")" if high_open else "]"
+        raise GeometryError(f"{name} outside [{low:g}, {high:g}{close}: {value}")
+
+
+def _check_altitude(altitude_km: float):
+    if EARTH_RADIUS_KM + altitude_km <= EARTH_RADIUS_KM:  # also an altitude that rounds away
+        raise GeometryError(
+            f"altitude_km must raise the orbit above the Earth's radius of "
+            f"{EARTH_RADIUS_KM:g} km, got {altitude_km}"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,11 +88,7 @@ class OrbitSpec:
     phase_offset_rad: float = 0.0
 
     def __post_init__(self):
-        if self.radius_km <= EARTH_RADIUS_KM:  # also an altitude that rounds away
-            raise GeometryError(
-                f"altitude_km must raise the orbit above the Earth's radius of "
-                f"{EARTH_RADIUS_KM:g} km, got {self.altitude_km}"
-            )
+        _check_altitude(self.altitude_km)
         _check_angle("inclination_rad", self.inclination_rad, 0.0, math.pi)
         _check_angle("raan_rad", self.raan_rad, 0.0, _TWO_PI, high_open=True)
         _check_angle("phase_offset_rad", self.phase_offset_rad, 0.0, _TWO_PI, high_open=True)
@@ -97,16 +102,18 @@ class OrbitSpec:
 
 @dataclass(frozen=True)
 class GroundStationSpec:
-    """A fixed point on the rotating Earth, with a minimum-elevation mask."""
+    """A fixed point on the rotating Earth, with a minimum-elevation mask, its
+    angles in degrees as a scenario file writes them."""
 
-    latitude_rad: float
-    longitude_rad: float
-    min_elevation_rad: float
+    latitude_deg: float
+    longitude_deg: float
+    min_elevation_deg: float
     altitude_km: float = 0.0
 
     def __post_init__(self):
-        _check_angle("latitude_rad", self.latitude_rad, -math.pi / 2, math.pi / 2)
-        _check_angle("min_elevation_rad", self.min_elevation_rad, 0.0, math.pi / 2, high_open=True)
+        _check_angle("latitude_deg", self.latitude_deg, -90.0, 90.0, unit=_DEGREE)
+        _check_angle("min_elevation_deg", self.min_elevation_deg, 0.0, 90.0, high_open=True,
+                     unit=_DEGREE)
         if self.altitude_km < 0:
             raise GeometryError(f"altitude_km must be >= 0, got {self.altitude_km}")
 
@@ -175,10 +182,10 @@ class _GroundTrack:
 
     def __init__(self, station: GroundStationSpec):
         r = EARTH_RADIUS_KM + station.altitude_km
-        self.lon0 = station.longitude_rad
-        self.r_cl = r * math.cos(station.latitude_rad)
-        self.z = r * math.sin(station.latitude_rad)
-        self.sin_mask = math.sin(station.min_elevation_rad)
+        self.lon0 = math.radians(station.longitude_deg)
+        self.r_cl = r * math.cos(math.radians(station.latitude_deg))
+        self.z = r * math.sin(math.radians(station.latitude_deg))
+        self.sin_mask = math.sin(math.radians(station.min_elevation_deg))
 
     def at(self, t, m):
         lon = self.lon0 + EARTH_ROTATION_RAD_S * t
@@ -253,31 +260,48 @@ def walker_planes(
     num_planes: int,
     sats_per_plane: int,
     altitude_km: float,
-    inclination_rad: float,
+    inclination_deg: float,
     phasing_factor: int = 1,
 ) -> list[OrbitSpec]:
-    """Equally spaced planes with a relative phase shift between neighbors.
+    """Equally spaced planes with a relative phase shift between neighbors,
+    inclined ``inclination_deg`` degrees, as a scenario file writes it.
 
     Plane p gets RAAN 2*pi*p/P and phase offset 2*pi*p*F/(P*K) mod 2*pi, F the
-    phasing factor, so F and F + P*K give the same planes.
+    phasing factor, so F and F + P*K give the same planes. Each plane's
+    ``OrbitSpec`` holds its angles in radians.
     """
     if num_planes < 1:
         raise GeometryError(f"num_planes must be >= 1, got {num_planes}")
     if sats_per_plane < 1:
         raise GeometryError(f"sats_per_plane must be >= 1, got {sats_per_plane}")
+    _check_altitude(altitude_km)  # in OrbitSpec's order, so that its first problem is named
+    _check_angle("inclination_deg", inclination_deg, 0.0, 180.0, unit=_DEGREE)
     planes = []
     for p in range(num_planes):
         phase = _TWO_PI * p * phasing_factor / (num_planes * sats_per_plane)
         planes.append(
             OrbitSpec(
                 altitude_km=altitude_km,
-                inclination_rad=inclination_rad,
+                inclination_rad=math.radians(inclination_deg),
                 raan_rad=_TWO_PI * p / num_planes,
                 num_satellites=sats_per_plane,
                 phase_offset_rad=phase % _TWO_PI,
             )
         )
     return planes
+
+
+def server_spec(kind, altitude_km, inclination_deg, raan_deg, latitude_deg, longitude_deg,
+                min_elevation_deg) -> OrbitSpec | GroundStationSpec:
+    """The server that the ``[ps]`` keys place, angles in degrees as a scenario
+    file writes them: for kind ``"orbit"`` a satellite alone on its plane at
+    anomaly 0, else a ground station at sea level."""
+    if kind == "orbit":
+        _check_altitude(altitude_km)  # in OrbitSpec's order
+        _check_angle("inclination_deg", inclination_deg, 0.0, 180.0, unit=_DEGREE)
+        _check_angle("raan_deg", raan_deg, 0.0, 360.0, high_open=True, unit=_DEGREE)
+        return OrbitSpec(altitude_km, math.radians(inclination_deg), math.radians(raan_deg), 1)
+    return GroundStationSpec(latitude_deg, longitude_deg, min_elevation_deg)
 
 
 def intra_plane_isl_feasible(orbit: OrbitSpec) -> bool:
@@ -561,7 +585,8 @@ class ContactPlan:
         root += twice
         np.sqrt(root, root)
         root += np.abs(slope)
-        h = np.where((slope > 0) == inside, root / bound, (size + size) / root)
+        with np.errstate(invalid="ignore"):  # 0 / 0 at a zero margin and slope
+            h = np.where((slope > 0) == inside, root / bound, (size + size) / root)
         np.minimum(h, reach, out=h, where=inside)
         # step to the last grid time k * tol that t + h reaches, the scan's end
         # at most, else to the grid time after t. t is a grid time, so rint

@@ -43,7 +43,6 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -52,13 +51,11 @@ from . import learning, link, protocol
 from .orbital import (
     MIN_SEPARATION_KM,
     PS_NODE,
-    AngleRangeError,
     Constellation,
     ContactPlan,
-    GroundStationSpec,
-    OrbitSpec,
     intra_plane_isl_feasible,
     max_isl_range_km,
+    server_spec,
     walker_planes,
 )
 
@@ -308,34 +305,6 @@ def build_constellation(cfg: ScenarioConfig) -> Constellation:
     return _build_parts(cfg)[0]
 
 
-def _server(kind, altitude_km, inclination_deg, raan_deg, latitude_deg, longitude_deg,
-            min_elevation_deg) -> OrbitSpec | GroundStationSpec:
-    """The server that the ``[ps]`` keys place: its kind picks the spec."""
-    if kind == "orbit":
-        return _in_degrees(OrbitSpec, altitude_km=altitude_km,
-                           inclination_deg=inclination_deg, raan_deg=raan_deg, num_satellites=1)
-    return _in_degrees(GroundStationSpec, latitude_deg=latitude_deg, longitude_deg=longitude_deg,
-                       min_elevation_deg=min_elevation_deg)
-
-
-def _in_degrees(build, **kwargs):
-    """``build`` called with each ``<name>_deg`` argument as ``<name>_rad``.
-
-    The scenario keys take degrees, so a layer's angle rule broken by one of
-    them is restated for that key, e.g. ``raan_deg outside [0, 360): 400.0``.
-    """
-    degrees = {k: v for k, v in kwargs.items() if k.endswith("_deg")}
-    args = {k: v for k, v in kwargs.items() if k not in degrees}
-    args.update({k[: -len("_deg")] + "_rad": math.radians(v) for k, v in degrees.items()})
-    try:
-        return build(**args)
-    except AngleRangeError as exc:
-        key = exc.name[: -len("_rad")] + "_deg"
-        if key not in degrees:
-            raise
-        raise ConfigError(exc.describe(key, degrees[key], math.degrees)) from exc
-
-
 def build_datasets(cfg: ScenarioConfig):
     """Per-satellite training shards plus the shared held-out test set.
 
@@ -404,9 +373,8 @@ def _build_parts(cfg: ScenarioConfig):
     a model to the server within the passes a run reads, which end by the
     contact plan's end."""
     problems, parts = _setting_problems(cfg), []
-    for section, build in (("constellation", partial(_in_degrees, walker_planes)),
-                           ("ps", _server), ("link", link.LinkParams),
-                           ("learning", learning.LearnerConfig)):
+    for section, build in (("constellation", walker_planes), ("ps", server_spec),
+                           ("link", link.LinkParams), ("learning", learning.LearnerConfig)):
         try:
             parts.append(build(**_section(cfg, section)))
         except ValueError as exc:

@@ -653,30 +653,85 @@ def test_contacts_rejects_what_run_rejects(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides, setting, line",
+    "overrides, setting, lines",
     [
-        ({"ps": {"raan_deg": "400"}}, "raan_deg = 400", "[ps] raan_deg{} outside [0, 360): 400.0"),
+        (
+            {"ps": {"raan_deg": "400"}},
+            "raan_deg = 400",
+            ["[ps] raan_deg{} outside [0, 360): 400.0"],
+        ),
+        (
+            {"ps": {"inclination_deg": "200"}},
+            "inclination_deg = 200",
+            ["[ps] inclination_deg{} outside [0, 180]: 200.0"],
+        ),
         (
             {"ps": {"kind": "ground", "latitude_deg": "120"}},
             "latitude_deg = 120",
-            "[ps] latitude_deg{} outside [-90, 90]: 120.0",
+            ["[ps] latitude_deg{} outside [-90, 90]: 120.0"],
+        ),
+        (
+            {"ps": {"kind": "ground", "latitude_deg": "nan"}},
+            "latitude_deg = nan",
+            ["[ps] latitude_deg{} must be finite, got nan",
+             "[ps] latitude_deg{} outside [-90, 90]: nan"],
+        ),
+        (
+            {"ps": {"kind": "ground", "min_elevation_deg": "90"}},
+            "min_elevation_deg = 90",
+            ["[ps] min_elevation_deg{} outside [0, 90): 90.0"],
         ),
         (
             {"constellation": {"inclination_deg": "200"}},
             "inclination_deg = 200",
-            "[constellation] inclination_deg{} outside [0, 180]: 200.0",
+            ["[constellation] inclination_deg{} outside [0, 180]: 200.0"],
         ),
     ],
-    ids=["raan", "latitude", "inclination"],
+    ids=["raan", "ps_inclination", "latitude", "nan_latitude", "min_elevation", "inclination"],
 )
-def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, setting, line):
+def test_validate_reports_angles_in_degrees(tmp_path, capsys, overrides, setting, lines):
     path = tmp_path / "bad.ini"
     path.write_text(ini_with(overrides))
-    line = line.format(at(path, setting))
+    lines = [line.format(at(path, setting)) for line in lines]
     assert main(["validate", "--config", str(path)]) == 1
-    assert capsys.readouterr().out.splitlines() == [line]
+    assert capsys.readouterr().out.splitlines() == lines
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert capsys.readouterr().err == f"config error: {'; '.join(lines)}\n"
+
+
+# Each degree key's bounds, each with its two float neighbours, and the values
+# among them that validate refuses. These are the answers of the geometry when
+# it took radians: each bound's radians are the radian bound exactly, and an
+# angle whose radians round to -0.0, as -5e-324's do, passes.
+DEGREE_BOUNDS = [
+    # section, key, other keys, rule, bounds, refused
+    ("constellation", "inclination_deg", {}, "[0, 180]", (0.0, 180.0),
+     {"180.00000000000003"}),
+    ("ps", "inclination_deg", {}, "[0, 180]", (0.0, 180.0), {"180.00000000000003"}),
+    ("ps", "raan_deg", {}, "[0, 360)", (0.0, 360.0), {"360.0", "360.00000000000006"}),
+    ("ps", "latitude_deg", {"kind": "ground"}, "[-90, 90]", (-90.0, 90.0),
+     {"-90.00000000000001", "90.00000000000001"}),
+    ("ps", "min_elevation_deg", {"kind": "ground"}, "[0, 90)", (0.0, 90.0),
+     {"90.0", "90.00000000000001"}),
+]
+AT_DEGREE_BOUNDS = [
+    pytest.param(section, key, others, rule, value, value in refused,
+                 id=f"{section}.{key}={value}")
+    for section, key, others, rule, bounds, refused in DEGREE_BOUNDS
+    for bound in bounds
+    for value in map(repr, (math.nextafter(bound, -math.inf), bound,
+                            math.nextafter(bound, math.inf)))
+]
+
+
+@pytest.mark.parametrize("section, key, others, rule, value, refused", AT_DEGREE_BOUNDS)
+def test_validate_answers_at_each_degree_bound_as_it_did_in_radians(
+        tmp_path, capsys, section, key, others, rule, value, refused):
+    path = tmp_path / "bound.ini"
+    path.write_text(ini_with({section: {**others, key: value}}))
+    assert main(["validate", "--config", str(path)]) == (1 if refused else 0)
+    want = f"[{section}] {key}{at(path, f'{key} = {value}')} outside {rule}: {value}"
+    assert capsys.readouterr().out.splitlines() == ([want] if refused else ["ok"])
 
 
 @pytest.mark.parametrize("factor", ["10", "-1"])

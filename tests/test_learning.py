@@ -28,6 +28,7 @@ from orbitfl.learning import (
     partial_aggregate,
     partition_dataset,
     synthetic_pool,
+    value_bound,
     _product,
 )
 
@@ -338,6 +339,20 @@ def test_a_dataset_holds_its_features_as_float64():
     assert ds.levels.dtype == np.float64 and ds.levels.flags.c_contiguous
     assert ds.levels.tolist() == [[0.1, 1e-3], [1e200, -1e-310]]
     assert LocalDataset(np.float32([[0.1]]), [0]).levels.tolist() == [[float(np.float32(0.1))]]
+
+
+# a float block's largest |level| plays the part of an integer block's
+# largest level: the same values bound training alike however they are held
+def test_a_float_block_is_bounded_by_its_largest_level():
+    levels = np.array([[0, 255, 3], [7, 0, 128]], dtype=np.uint8)
+    labels = np.array([0, 1])
+    held = LocalDataset._over(levels, labels, 1.0, None)
+    floats = LocalDataset(levels.astype(np.float64), labels)
+    config = LearnerConfig(learning_rate=0.1)
+    want = value_bound(config, 2, 2, [held], held)
+    assert value_bound(config, 2, 2, [floats], floats) == want
+    signed = LocalDataset(-levels.astype(np.float64), labels)
+    assert value_bound(config, 2, 2, [signed], signed) == want
 
 
 def test_sizes_count_the_features_not_the_bias_column():

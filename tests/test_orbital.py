@@ -30,7 +30,7 @@ MEO_PS = OrbitSpec(
 
 
 def reference_constellation(ps=MEO_PS):
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
+    planes = walker_planes(5, 8, 2000.0, 80.0)
     return Constellation(planes, ps)
 
 
@@ -96,8 +96,8 @@ def test_satellite_position_periodicity_and_radius():
 
 
 def test_ground_position_pole_and_equator():
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
-    pole = Constellation(planes, GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0)))
+    planes = walker_planes(5, 8, 2000.0, 80.0)
+    pole = Constellation(planes, GroundStationSpec(90.0, 0.0, 10.0))
     for t in (0.0, 1234.5, 86400.0):
         np.testing.assert_allclose(position(pole, PS_NODE, t), [0.0, 0.0, 6371.0], atol=1e-9)
     equator = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
@@ -141,7 +141,7 @@ def test_sat_ground_visible_zenith_and_mask():
         OrbitSpec(2000.0, 0.0, 0.0, 1),
         OrbitSpec(math.hypot(x, y) - r_e, 0.0, 0.0, 1, math.atan2(y, x)),
     ]
-    masked = Constellation(planes, GroundStationSpec(0.0, 0.0, math.radians(10.0)))
+    masked = Constellation(planes, GroundStationSpec(0.0, 0.0, 10.0))
     open_sky = Constellation(planes, GroundStationSpec(0.0, 0.0, 0.0))
     np.testing.assert_allclose(position(masked, 2, 0.0), [x, y, 0.0], atol=1e-9)
     assert visible(masked, 1, PS_NODE, 0.0) and visible(open_sky, 1, PS_NODE, 0.0)
@@ -174,7 +174,7 @@ def test_sat_ground_visible_matches_segment_oracle():
 
 
 def test_walker_planes_layout():
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
+    planes = walker_planes(5, 8, 2000.0, 80.0)
     assert len(planes) == 5
     for p, orbit in enumerate(planes):
         assert orbit.raan_rad == pytest.approx(2 * math.pi * p / 5)
@@ -184,8 +184,8 @@ def test_walker_planes_layout():
 
 @pytest.mark.parametrize("factor", [1, 3, 10, -1])
 def test_walker_phasing_factor_wraps_mod_planes_times_sats(factor):
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0), phasing_factor=factor)
-    same = walker_planes(5, 8, 2000.0, math.radians(80.0), phasing_factor=factor + 40)
+    planes = walker_planes(5, 8, 2000.0, 80.0, phasing_factor=factor)
+    same = walker_planes(5, 8, 2000.0, 80.0, phasing_factor=factor + 40)
     for a, b in zip(planes, same):
         assert 0.0 <= a.phase_offset_rad < 2 * math.pi
         assert abs(math.remainder(a.phase_offset_rad - b.phase_offset_rad, 2 * math.pi)) <= 1e-12
@@ -230,9 +230,9 @@ def test_orbit_spec_validation():
     with pytest.raises(GeometryError):
         OrbitSpec(2000.0, 0.0, 0.0, 0)
     with pytest.raises(GeometryError):
-        GroundStationSpec(2.0, 0.0, 0.1)
+        GroundStationSpec(math.degrees(2.0), 0.0, math.degrees(0.1))
     with pytest.raises(GeometryError):
-        GroundStationSpec(0.5, 0.0, 2.0)
+        GroundStationSpec(math.degrees(0.5), 0.0, math.degrees(2.0))
 
 
 def test_a_window_open_at_the_scan_start_starts_there():
@@ -311,8 +311,8 @@ def test_plan_windows_match_brute_windows():
 
 
 def test_polar_station_windows_recur_every_period():
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
-    pole = GroundStationSpec(math.pi / 2, 0.0, math.radians(10.0))
+    planes = walker_planes(5, 8, 2000.0, 80.0)
+    pole = GroundStationSpec(90.0, 0.0, 10.0)
     con = Constellation(planes, pole)
     period = orbital_period(2000.0)
     windows = ContactPlan(con, 43200.0).windows(1)
@@ -401,8 +401,8 @@ def test_a_satellite_that_meets_the_server_is_rejected(inclination_deg, raan_deg
 
 
 def test_ground_ps_constellation_dispatch():
-    planes = walker_planes(5, 8, 2000.0, math.radians(80.0))
-    bremen = GroundStationSpec(math.radians(53.08), math.radians(8.80), math.radians(10.0))
+    planes = walker_planes(5, 8, 2000.0, 80.0)
+    bremen = GroundStationSpec(53.08, 8.80, 10.0)
     con = Constellation(planes, bremen)
     assert not con.ps_is_satellite
     # visibility dispatch works both ways around
@@ -419,7 +419,7 @@ def constellations(draw):
         draw(st.integers(1, 6)),
         draw(st.integers(1, 12)),
         draw(st.floats(300.0, 3000.0)),
-        draw(st.floats(0.0, math.pi)),
+        draw(st.floats(0.0, 180.0)),
         phasing_factor=draw(st.integers(0, 1)),
     )
     if draw(st.booleans()):
@@ -431,9 +431,9 @@ def constellations(draw):
         )
     else:
         ps = GroundStationSpec(
-            draw(st.floats(-math.pi / 2, math.pi / 2)),
-            draw(st.floats(-math.pi, math.pi)),
-            draw(st.floats(0.0, 1.5)),
+            draw(st.floats(-90.0, 90.0)),
+            draw(st.floats(-180.0, 180.0)),
+            draw(st.floats(0.0, math.degrees(1.5))),
             draw(st.floats(0.0, 2.0)),
         )
     try:
@@ -450,8 +450,8 @@ def constellations(draw):
 # repeats, the subsets left as chains drop out, up to every satellite of a
 # 20 x 20 constellation), to an orbiting or a ground server.
 WIDE = [
-    Constellation(walker_planes(20, 20, 2000.0, math.radians(80.0)), ps)
-    for ps in (MEO_PS, GroundStationSpec(0.7, 0.3, 0.1, 0.5))
+    Constellation(walker_planes(20, 20, 2000.0, 80.0), ps)
+    for ps in (MEO_PS, GroundStationSpec(*map(math.degrees, (0.7, 0.3, 0.1)), 0.5))
 ]
 
 
@@ -497,9 +497,9 @@ def server_pairs(draw):
         ps = orbit()
     else:
         ps = GroundStationSpec(
-            draw(st.floats(-math.pi / 2, math.pi / 2)),
-            draw(st.floats(-math.pi, math.pi)),
-            draw(st.floats(0.0, 1.5)),
+            draw(st.floats(-90.0, 90.0)),
+            draw(st.floats(-180.0, 180.0)),
+            draw(st.floats(0.0, math.degrees(1.5))),
             draw(st.floats(0.0, 2.0)),
         )
     try:
@@ -626,7 +626,7 @@ def _grazing(planes, latitude, longitude, near, offset):
     times = near + np.arange(-6000, 6001) * 0.01
     peak = float(times[np.argmax(_sin_elevation(con, times))])
     mask = max(0.0, math.asin(float(_sin_elevation(con, np.array([peak + offset]))[0])))
-    return Constellation(planes, GroundStationSpec(latitude, longitude, mask)), peak
+    return Constellation(planes, GroundStationSpec(latitude, longitude, math.degrees(mask))), peak
 
 
 # A pass about 1 s long whose peak lies on the grid time k * tol_s, a 800 km
@@ -635,8 +635,8 @@ def _grazing(planes, latitude, longitude, near, offset):
 # scan step jumps over the one grid time in sight.
 @pytest.mark.parametrize("step", [30.0, 60.0, 120.0])
 def test_a_pass_shorter_than_a_grid_step_is_the_window_of_its_grid_time(step):
-    planes = walker_planes(1, 1, 800.0, math.radians(60.0))
-    con, peak = _grazing(planes, math.radians(30.0), math.radians(10.0), 85_167.3, 0.5)
+    planes = walker_planes(1, 1, 800.0, 60.0)
+    con, peak = _grazing(planes, 30.0, 10.0, 85_167.3, 0.5)
     k = round(peak / step)
     tol = peak / k
     assert [visible(con, 1, PS_NODE, j * tol) for j in (k - 1, k, k + 1)] == [False, True, False]
@@ -659,7 +659,8 @@ def grazing_passes(draw):
             draw(st.floats(0.0, 6.28)),
         )
     ]
-    latitude, longitude = draw(st.floats(-1.5, 1.5)), draw(st.floats(-math.pi, math.pi))
+    latitude = draw(st.floats(-math.degrees(1.5), math.degrees(1.5)))
+    longitude = draw(st.floats(-180.0, 180.0))
     con = Constellation(planes, GroundStationSpec(latitude, longitude, 0.0))
     times = np.arange(1, 1440) * 60.0
     up = _sin_elevation(con, times)

@@ -126,8 +126,9 @@ def study_cases(draw):
     few planes of 6-12 satellites between 1,500 and 3,000 km, an orbiting
     server well above them or a ground one, a link and a protocol near the
     study case's, a learning rate drawn log-uniformly over [1e-320, 1e308]
-    at 1-3 local iterations, and now and then data too small for a
-    label_split."""
+    at 1-3 local iterations, a compute cost about the study case's, a time
+    limit of a day at most or none, an accuracy goal or none, and now and
+    then data too small for a label_split."""
     cfg = dict(
         seed=draw(st.integers(0, 2**16)),
         num_planes=draw(st.integers(1, 6)),
@@ -141,9 +142,15 @@ def study_cases(draw):
         num_features=draw(st.integers(3, 8)),
         num_classes=draw(st.integers(2, 4)),
         reconnect_wait_s=draw(st.floats(1.0, 60.0)),
+        grace_factor=draw(st.floats(0.0, 4.0)),
         learning_rate=10.0 ** draw(st.floats(-320.0, 308.0)),
         local_iterations=draw(st.integers(1, 3)),
+        cycles_per_sample=10.0 ** draw(st.floats(2.0, 4.0)),
+        cpu_hz=10.0 ** draw(st.floats(8.0, 10.0)),
+        compute_time_factor=draw(st.floats(0.5, 50.0)),
         until_epochs=draw(st.integers(1, 2)),
+        time_limit_s=draw(st.none() | st.floats(60.0, 86400.0)),
+        target_accuracy=draw(st.none() | st.floats(0.05, 1.0)),
         **draw(LINK_KEYS),
     )
     if draw(st.booleans()):
@@ -176,11 +183,18 @@ def test_validate_is_empty_exactly_when_the_engine_builds(cfg):
 
 # the property's accepting side: most scenarios near the study case build;
 # the examples are two learning rates that once validated and then left the
-# float range in a desk run
+# float range in a desk run, and extreme [learning], [protocol] and [sim]
+# settings that validate and run to exit 0
 @SETTINGS
 @given(study_cases())
 @example(desk_scenario(7, until_epochs=2, learning_rate=1e306, local_iterations=3))
 @example(desk_scenario(7, until_epochs=2, learning_rate=1e307, local_iterations=1))
+@example(desk_scenario(7, until_epochs=2, reconnect_wait_s=1e-300))
+@example(desk_scenario(7, until_epochs=2, reconnect_wait_s=1e9))
+@example(desk_scenario(7, until_epochs=2, grace_factor=1e300))
+@example(desk_scenario(7, until_epochs=2, learning_rate=1e-320))
+@example(desk_scenario(7, until_epochs=2, time_limit_s=1e-300))
+@example(desk_scenario(7, until_epochs=2, target_accuracy=1e-300))
 def test_validate_is_empty_exactly_when_a_study_case_builds(cfg):
     _validate_agrees_with_the_engine(cfg)
 

@@ -218,7 +218,7 @@ def test_select_sink_group_of_one_skips_geometry():
 
 
 def test_select_sink_on_real_constellation():
-    orbits = walker_planes(5, 8, 2000.0, math.radians(80.0))
+    orbits = walker_planes(5, 8, 2000.0, 80.0)
     ps = OrbitSpec(
         altitude_km=20000.0,
         inclination_rad=0.0,
